@@ -42,11 +42,10 @@ from .langsym import (
     random_word,
     string_transform,
 )
-from .processors import Mlp, TokenProcessorCache, chain_token, new_cache, sample_processors
+from .processors import Mlp, TokenProcessorCache, new_cache, sample_processors
 from .recipe import BudgetReport, Recipe, expected_cot_examples, expected_tokens, r_cot
 from .sequences import (
     DatasetConfig,
-    Example,
     Sequence,
     generate_dataset,
     generate_sequence,
@@ -67,7 +66,6 @@ __all__ = [
     "EmbeddingMatrix",
     "EvalPrompt",
     "EvalReport",
-    "Example",
     "FORCE_ANSWER",
     "FORCE_THINK",
     "FORMAT_FAILURE",
@@ -84,7 +82,6 @@ __all__ = [
     "Templates",
     "TokenProcessorCache",
     "Vocabulary",
-    "chain_token",
     "evaluate",
     "expected_cot_examples",
     "expected_tokens",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 
 from . import __version__
@@ -19,6 +20,7 @@ from .harness import (
     NO_FORCING,
     EvalReport,
     ForcingConfig,
+    JsonLinesProcess,
     OracleBackend,
     RandomBackend,
     StdioBackend,
@@ -29,7 +31,6 @@ from .harness import (
 )
 from .langsym import (
     ChatPrompt,
-    LangSymConfig,
     TextOracleBackend,
     TextStdioBackend,
     evaluate_langsym,
@@ -41,6 +42,7 @@ from .storage import (
     KIND_ABSTRACT,
     KIND_LANGSYM,
     Manifest,
+    parse_config,
     read_records,
     strip_dataset,
     verify_dataset,
@@ -71,23 +73,10 @@ def _apply_overrides(obj: dict, args: argparse.Namespace) -> dict:
     return obj
 
 
-def cmd_gen_abstract(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> int:
     config_json = _apply_overrides(_load_config_file(args.config), args)
-    DatasetConfig.from_json(config_json)  # validate before writing anything
-    manifest = write_dataset(
-        args.out, KIND_ABSTRACT, config_json, shards=args.shards, workers=args.workers
-    )
-    print(f"wrote {manifest.stats['items']} sequences to {args.out} ({len(manifest.outputs)} shard(s))")
-    return EXIT_OK
-
-
-def cmd_gen_langsym(args: argparse.Namespace) -> int:
-    config_json = _apply_overrides(_load_config_file(args.config), args)
-    LangSymConfig.from_json(config_json)
-    manifest = write_dataset(
-        args.out, KIND_LANGSYM, config_json, shards=args.shards, workers=args.workers
-    )
-    print(f"wrote {manifest.stats['items']} prompts to {args.out} ({len(manifest.outputs)} shard(s))")
+    manifest = write_dataset(args.out, args.kind, config_json, shards=args.shards, workers=args.workers)
+    print(f"wrote {manifest.stats['items']} {args.items} to {args.out} ({len(manifest.outputs)} shard(s))")
     return EXIT_OK
 
 
@@ -95,16 +84,6 @@ def cmd_strip_cot(args: argparse.Namespace) -> int:
     manifest = strip_dataset(args.inp, args.out, args.k_prime, args.seed, workers=args.workers)
     print(f"stripped k'={args.k_prime} into {args.out} ({manifest.stats['items']} items)")
     return EXIT_OK
-
-
-def _build_eval_prompts(dataset_dir: str):
-    manifest = Manifest.load(dataset_dir)
-    if manifest.kind != KIND_ABSTRACT:
-        raise ConfigError(f"eval expects an abstract dataset, found kind {manifest.kind!r}")
-    config = DatasetConfig.from_json(manifest.config)
-    vocab, _, _ = build_artifacts(config)
-    prompts = [make_eval_prompt(Sequence.from_record(rec), vocab) for rec in read_records(dataset_dir)]
-    return prompts, vocab
 
 
 def _write_report(report: EvalReport, path: str) -> None:
@@ -116,44 +95,50 @@ def _write_report(report: EvalReport, path: str) -> None:
         fh.write("\n")
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    prompts, vocab = _build_eval_prompts(args.prompts)
+def _backend_cmd(args: argparse.Namespace) -> list[str]:
+    if not args.backend_cmd:
+        raise ConfigError(f"--backend {args.backend} requires --backend-cmd")
+    try:
+        return shlex.split(args.backend_cmd)
+    except ValueError as exc:
+        raise ConfigError(f"--backend-cmd {args.backend_cmd!r}: {exc}") from exc
+
+
+def _abstract_eval(config: DatasetConfig, records, args: argparse.Namespace):
+    """`eval`: token prompts, their backend, and the call that scores them."""
+    vocab, _, _ = build_artifacts(config)
+    prompts = [make_eval_prompt(Sequence.from_record(rec), vocab) for rec in records]
     if args.backend == "oracle":
         backend = OracleBackend(prompts, vocab)
     elif args.backend == "random":
         backend = RandomBackend(prompts, vocab, seed=args.seed or 0)
     else:
-        if not args.backend_cmd:
-            raise ConfigError("--backend stdio requires --backend-cmd")
-        backend = StdioBackend(args.backend_cmd.split())
+        backend = StdioBackend(_backend_cmd(args))
     forcing = ForcingConfig(strategy=_STRATEGY_FLAGS[args.strategy], budget=args.budget)
-    try:
-        report = evaluate(backend, prompts, forcing, vocab)
-    finally:
-        if isinstance(backend, StdioBackend):
-            backend.close()
-    _write_report(report, args.report)
-    print(f"accuracy {report.accuracy:.4f} over {len(report.records)} prompts -> {args.report}")
-    return EXIT_OK
+    return backend, lambda: evaluate(backend, prompts, forcing, vocab)
 
 
-def cmd_eval_langsym(args: argparse.Namespace) -> int:
-    manifest = Manifest.load(args.prompts)
-    if manifest.kind != KIND_LANGSYM:
-        raise ConfigError(f"eval-langsym expects a langsym dataset, found kind {manifest.kind!r}")
-    config = LangSymConfig.from_json(manifest.config)
-    prompts = [make_langsym_eval_prompt(ChatPrompt.from_record(rec)) for rec in read_records(args.prompts)]
+def _langsym_eval(config, records, args: argparse.Namespace):
+    """`eval-langsym`: chat prompts, their backend, and the call that scores them."""
+    prompts = [make_langsym_eval_prompt(ChatPrompt.from_record(rec)) for rec in records]
     if args.backend == "oracle":
         backend = TextOracleBackend(prompts, config.templates)
     else:
-        if not args.backend_cmd:
-            raise ConfigError("--backend stdio-text requires --backend-cmd")
-        backend = TextStdioBackend(args.backend_cmd.split())
+        backend = TextStdioBackend(_backend_cmd(args))
     strategy = _STRATEGY_FLAGS[args.strategy]
+    return backend, lambda: evaluate_langsym(backend, prompts, strategy, args.budget, config.templates)
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    manifest = Manifest.load(args.prompts)
+    if manifest.kind != args.kind:
+        raise ConfigError(f"{args.command} expects a {args.kind!r} dataset, found kind {manifest.kind!r}")
+    config = parse_config(args.kind, manifest.config)
+    backend, run = args.setup(config, read_records(args.prompts), args)
     try:
-        report = evaluate_langsym(backend, prompts, strategy, args.budget, config.templates)
+        report = run()
     finally:
-        if isinstance(backend, TextStdioBackend):
+        if isinstance(backend, JsonLinesProcess):
             backend.close()
     _write_report(report, args.report)
     print(f"accuracy {report.accuracy:.4f} over {len(report.records)} prompts -> {args.report}")
@@ -212,23 +197,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-abstract", help="generate an abstract-token dataset")
-    p.add_argument("--config", required=True, help="JSON config file")
-    p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--seed", type=int, help="override master_seed")
-    p.add_argument("--t", type=int, help="override dataset size")
-    p.set_defaults(func=cmd_gen_abstract)
-
-    p = sub.add_parser("gen-langsym", help="generate a string-symbolic chat dataset")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--seed", type=int, help="override master_seed")
-    p.add_argument("--t", type=int, help="override dataset size")
-    p.set_defaults(func=cmd_gen_langsym)
+    for kind, what, items in ((KIND_ABSTRACT, "an abstract-token", "sequences"), (KIND_LANGSYM, "a string-symbolic chat", "prompts")):
+        p = sub.add_parser(f"gen-{kind}", help=f"generate {what} dataset")
+        p.add_argument("--config", required=True, help="JSON config file")
+        p.add_argument("--out", required=True, help="output dataset directory")
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--shards", type=int, default=1)
+        p.add_argument("--seed", type=int, help="override master_seed")
+        p.add_argument("--t", type=int, help="override dataset size")
+        p.set_defaults(func=cmd_gen, kind=kind, items=items)
 
     p = sub.add_parser("strip-cot", help="re-render K' thinking examples as plain ones")
     p.add_argument("--in", dest="inp", required=True, help="input dataset directory")
@@ -246,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, help="max generated tokens (default C+6)")
     p.add_argument("--seed", type=int, help="seed for the random backend")
     p.add_argument("--report", required=True, help="output report JSON path")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, kind=KIND_ABSTRACT, setup=_abstract_eval)
 
     p = sub.add_parser("eval-langsym", help="evaluate a text backend on chat prompts")
     p.add_argument("--prompts", required=True)
@@ -255,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["think", "answer"], required=True)
     p.add_argument("--budget", type=int, default=1000, help="completion character cap")
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_eval_langsym)
+    p.set_defaults(func=cmd_eval, kind=KIND_LANGSYM, setup=_langsym_eval)
 
     p = sub.add_parser("budget", help="expected example/token counts for a recipe")
     p.add_argument("--alpha", required=True, help='float or "inf"')

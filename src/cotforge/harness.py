@@ -12,6 +12,9 @@ step, so backends can be stateless. Reference backends:
     random normal token, giving the 1/|normal vocabulary| chance baseline.
   * StdioBackend drives an external process over a JSON-lines pipe:
     one request ``{"tokens": [...]}`` per line, one reply ``{"next": id}``.
+
+The eval loop, the JSON-lines process transport and the strip selection
+are shared with the string-symbolic kind in langsym.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from typing import Callable, Sequence as Seq
 import numpy as np
 
 from .dag import Dag
-from .errors import BackendError, ConfigError, FormatError
-from .rng import choose_distinct, make_rng
+from .errors import BackendError, ConfigError
+from .recipe import choose_stripped
+from .rng import make_rng
 from .sequences import (
     Sequence,
     cot_example_mask,
@@ -130,15 +134,7 @@ def strip_cot(prompt: EvalPrompt, k_prime: int, rng: np.random.Generator, vocab:
     are untouched. k_prime=0 is the identity.
     """
     parsed = parse_examples(list(prompt.context_tokens), vocab, start=1)
-    cot_positions = [i for i, ex in enumerate(parsed) if ex.is_cot]
-    if not 0 <= k_prime <= len(cot_positions):
-        raise ConfigError(
-            f"k_prime {k_prime} outside [0, {len(cot_positions)}] thinking context examples"
-        )
-    chosen = set()
-    if k_prime:
-        pick = choose_distinct(rng, len(cot_positions), k_prime)
-        chosen = {cot_positions[i] for i in pick}
+    chosen = choose_stripped([ex.is_cot for ex in parsed], k_prime, rng)
     context: list[int] = [vocab.bos]
     for i, ex in enumerate(parsed):
         context.extend(render_example_tokens(ex, vocab, as_cot=ex.is_cot and i not in chosen))
@@ -159,22 +155,13 @@ def strip_sequence_record(record: dict, k_prime: int, rng: np.random.Generator, 
     """
     seq = Sequence.from_record(record)
     parsed = parse_sequence(list(seq.tokens), vocab)
-    context, query = parsed[:-1], parsed[-1]
-    cot_positions = [i for i, ex in enumerate(context) if ex.is_cot]
-    if not 0 <= k_prime <= len(cot_positions):
-        raise ConfigError(
-            f"k_prime {k_prime} outside [0, {len(cot_positions)}] thinking context examples"
-        )
-    chosen = set()
-    if k_prime:
-        pick = choose_distinct(rng, len(cot_positions), k_prime)
-        chosen = {cot_positions[i] for i in pick}
+    chosen = choose_stripped([ex.is_cot for ex in parsed[:-1]], k_prime, rng)
 
     n, c = seq.meta.n, seq.meta.c
     tokens: list[int] = [vocab.bos]
     mask: list[int] = [0]
     flags: list[bool] = []
-    for i, ex in enumerate([*context, query]):
+    for i, ex in enumerate(parsed):
         as_cot = ex.is_cot and i not in chosen
         tokens.extend(render_example_tokens(ex, vocab, as_cot=as_cot))
         mask.extend(cot_example_mask(n, c) if as_cot else standard_example_mask(n))
@@ -250,18 +237,6 @@ def extract_thinking(generated: Seq[int], vocab: Vocabulary) -> list[int] | None
     return out
 
 
-def step_flags(generated: Seq[int], ground_truth_chain: Seq[int], vocab: Vocabulary) -> list[bool]:
-    """Positional correctness of each intermediate step.
-
-    Step i compares the i-th generated thinking token against the i-th
-    ground-truth intermediate; absent tokens count as wrong. Exactly
-    C-1 flags are returned regardless of how much the model emitted.
-    """
-    truth = list(ground_truth_chain[:-1])
-    thinking = extract_thinking(generated, vocab) or []
-    return [i < len(thinking) and thinking[i] == truth[i] for i in range(len(truth))]
-
-
 @dataclass
 class PromptRecord:
     prompt_id: int
@@ -301,10 +276,15 @@ class EvalReport:
         }
 
 
-def evaluate(backend, prompts: list[EvalPrompt], forcing: ForcingConfig, vocab: Vocabulary) -> EvalReport:
-    """Run every prompt through force_generate and score the answers.
+def evaluate_prompts(prompts: list, generate: Callable, score: Callable) -> EvalReport:
+    """The eval loop of both dataset kinds.
 
-    Prompts are evaluated in order; per-prompt backend failures are recorded
+    `generate(prompt)` asks the backend for the prompt's completion and may
+    raise BackendError. `score(output)` returns the predicted answer (or
+    FORMAT_FAILURE), the thinking steps it emitted and the list recorded as
+    `generated`. Step i is correct when the i-th emitted step equals the
+    i-th ground-truth intermediate; absent steps count as wrong. Prompts are
+    evaluated in order; per-prompt backend failures are recorded
     (indicator 0) and only an all-prompt failure raises.
     """
     if not prompts:
@@ -314,36 +294,25 @@ def evaluate(backend, prompts: list[EvalPrompt], forcing: ForcingConfig, vocab: 
     for idx, prompt in enumerate(prompts):
         dag = Dag.from_json(prompt.meta["dag"])
         in_dag = [dag.reaches_answer(dag.n_inputs + c - 1) for c in range(1, dag.n_chain)]
+        truth = prompt.ground_truth_chain
         try:
-            generated = force_generate(backend, prompt, forcing, vocab)
+            output = generate(prompt)
         except BackendError as exc:
             failures += 1
-            records.append(
-                PromptRecord(
-                    prompt_id=prompt.meta.get("seq_id", idx),
-                    predicted=None,
-                    format_failure=True,
-                    indicator=0,
-                    generated=[],
-                    step_correct=[False] * len(in_dag),
-                    step_in_dag=in_dag,
-                    error=str(exc),
-                    meta=prompt.meta,
-                )
-            )
-            continue
-        predicted = extract_answer(generated, vocab)
+            predicted, steps, generated, error = FORMAT_FAILURE, [], [], str(exc)
+        else:
+            (predicted, steps, generated), error = score(output), None
         failed = predicted is FORMAT_FAILURE
-        indicator = int(not failed and predicted == prompt.ground_truth_chain[-1])
         records.append(
             PromptRecord(
                 prompt_id=prompt.meta.get("seq_id", idx),
                 predicted=None if failed else predicted,
                 format_failure=failed,
-                indicator=indicator,
+                indicator=int(not failed and predicted == truth[-1]),
                 generated=generated,
-                step_correct=step_flags(generated, prompt.ground_truth_chain, vocab),
+                step_correct=[i < len(steps) and steps[i] == truth[i] for i in range(len(truth) - 1)],
                 step_in_dag=in_dag,
+                error=error,
                 meta=prompt.meta,
             )
         )
@@ -351,6 +320,15 @@ def evaluate(backend, prompts: list[EvalPrompt], forcing: ForcingConfig, vocab: 
         raise BackendError(f"backend failed on all {failures} prompts")
     accuracy = sum(r.indicator for r in records) / len(records)
     return EvalReport(records=records, accuracy=accuracy)
+
+
+def evaluate(backend, prompts: list[EvalPrompt], forcing: ForcingConfig, vocab: Vocabulary) -> EvalReport:
+    """Run every prompt through force_generate and score the answers."""
+    return evaluate_prompts(
+        prompts,
+        lambda prompt: force_generate(backend, prompt, forcing, vocab),
+        lambda generated: (extract_answer(generated, vocab), extract_thinking(generated, vocab) or [], generated),
+    )
 
 
 def step_correctness_grid(report: EvalReport, step_a: int = 0, step_b: int = 1) -> dict:
@@ -382,29 +360,23 @@ def _empty_pair_cells() -> dict:
     }
 
 
-def step_dag_breakdown(report: EvalReport, dags: list[Dag] | None = None) -> dict:
+def step_dag_breakdown(report: EvalReport) -> dict:
     """Per-step (prediction correct?) x (step feeds the answer?) tables.
 
-    Split by final-answer correctness, mirroring the step-reliance analysis.
-    `dags` optionally overrides the per-record DAG reachability flags (same
-    order as the records); by default the flags stored on each record are
-    used. Steps missing from shorter chains simply contribute to fewer
-    tables, and each table reports its own margin `n`.
+    Split by final-answer correctness, mirroring the step-reliance analysis,
+    from the DAG reachability flags stored on each record. Steps missing
+    from shorter chains simply contribute to fewer tables, and each table
+    reports its own margin `n`.
     """
     max_steps = max((len(r.step_correct) for r in report.records), default=0)
     out = {
         "answer_correct": [_empty_dag_cells() for _ in range(max_steps)],
         "answer_wrong": [_empty_dag_cells() for _ in range(max_steps)],
     }
-    for idx, rec in enumerate(report.records):
-        if dags is not None:
-            dag = dags[idx]
-            in_dag = [dag.reaches_answer(dag.n_inputs + c - 1) for c in range(1, dag.n_chain)]
-        else:
-            in_dag = rec.step_in_dag
+    for rec in report.records:
         side = "answer_correct" if rec.indicator else "answer_wrong"
         for s, correct in enumerate(rec.step_correct):
-            row = "in_dag" if in_dag[s] else "not_in_dag"
+            row = "in_dag" if rec.step_in_dag[s] else "not_in_dag"
             col = "correct" if correct else "incorrect"
             out[side][s][row][col] += 1
     for side in out.values():
@@ -490,38 +462,35 @@ class RandomBackend(_CompletionBackend):
         return tuple(int(v) for v in self._rng.integers(lo, hi, size=length))
 
 
-class StdioBackend:
-    """Drives an external next-token process over JSON lines on stdio."""
+class JsonLinesProcess:
+    """An external process spoken to in JSON lines on stdio.
+
+    Each request is one line in and one reply line out. The process starts
+    on the first request and again after it exits or its pipes fail; pipe
+    faults, a closed output and malformed replies all raise BackendError.
+    """
 
     def __init__(self, cmd: list[str]):
         self._cmd = cmd
         self._proc: subprocess.Popen | None = None
 
-    def _ensure(self) -> subprocess.Popen:
+    def request(self, payload: dict, key: str, convert: Callable):
+        """Send `payload`; returns convert(reply[key])."""
         if self._proc is None or self._proc.poll() is not None:
-            self._proc = subprocess.Popen(
-                self._cmd,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
-        return self._proc
-
-    def next_token(self, tokens: Seq[int]) -> int:
-        proc = self._ensure()
+            self._proc = subprocess.Popen(self._cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1)
         try:
-            proc.stdin.write(json.dumps({"tokens": list(tokens)}) + "\n")
-            proc.stdin.flush()
-            line = proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
+            self._proc.stdin.write(json.dumps(payload) + "\n")
+            self._proc.stdin.flush()
+            line = self._proc.stdout.readline()
+        except OSError as exc:
+            self.close()
             raise BackendError(f"stdio backend pipe failure: {exc}") from exc
         if not line:
+            self.close()
             raise BackendError("stdio backend closed its output")
         try:
-            reply = json.loads(line)
-            return int(reply["next"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            return convert(json.loads(line)[key])
+        except (KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"stdio backend sent malformed reply {line!r}") from exc
 
     def close(self) -> None:
@@ -531,8 +500,15 @@ class StdioBackend:
             self._proc.wait(timeout=5)
         self._proc = None
 
-    def __enter__(self) -> "StdioBackend":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class StdioBackend(JsonLinesProcess):
+    """Token backend process: ``{"tokens": [...]}`` in, ``{"next": id}`` out."""
+
+    def next_token(self, tokens: Seq[int]) -> int:
+        return self.request({"tokens": list(tokens)}, "next", int)

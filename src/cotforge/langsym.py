@@ -16,18 +16,18 @@ wrapping to a.
 
 from __future__ import annotations
 
+import json
 import re
 import string
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 from typing import Iterator
 
 import numpy as np
 
-from .dag import Dag, sample_dag
 from .errors import BackendError, ConfigError
-from .harness import FORMAT_FAILURE
-from .recipe import Recipe, r_cot
-from .rng import choose_distinct, derive_seed, make_rng, permutation, pick
+from .harness import FORMAT_FAILURE, EvalReport, JsonLinesProcess, evaluate_prompts
+from .recipe import TaskConfig, check_int, choose_stripped
+from .rng import choose_distinct
 
 ALPHABET = string.ascii_lowercase
 _WORD_RE = re.compile(r"[a-z]+")
@@ -58,9 +58,10 @@ class Templates:
     answer_open: str = "final answer\n"
 
     def validate(self) -> None:
-        for name in ("system_prompt", "question_template", "think_open", "think_close", "answer_open"):
-            if not getattr(self, name):
-                raise ConfigError(f"template field {name} must be non-empty")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, str) or not value:
+                raise ConfigError(f"template field {f.name} must be a non-empty string, got {value!r}")
         if "{words}" not in self.question_template:
             raise ConfigError("question_template must contain a {words} placeholder")
         task_text = (self.system_prompt + " " + self.question_template).lower()
@@ -73,70 +74,26 @@ class Templates:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Templates":
-        return cls(**{k: obj[k] for k in obj})
+        if not isinstance(obj, dict):
+            raise ConfigError(f"templates must be a JSON object, got {obj!r}")
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown template fields: {sorted(unknown)}")
+        return cls(**obj)
 
 
 @dataclass(frozen=True)
-class LangSymConfig:
-    n_choices: tuple[int, ...]
-    m_choices: tuple[int, ...]
-    c_choices: tuple[int, ...]
-    k: int
-    t: int
-    recipe: Recipe
-    master_seed: int
+class LangSymConfig(TaskConfig):
     w: int = 8
     distinct_letters: bool = False
-    shuffle: bool = False
     templates: Templates = field(default_factory=Templates)
 
     def __post_init__(self) -> None:
-        for name, choices in (("n_choices", self.n_choices), ("m_choices", self.m_choices), ("c_choices", self.c_choices)):
-            if not choices:
-                raise ConfigError(f"{name} must be non-empty")
-            if any(v < 1 for v in choices):
-                raise ConfigError(f"{name} members must be >= 1, got {list(choices)}")
-        if self.k < 1 or self.t < 1:
-            raise ConfigError(f"k and t must be >= 1, got ({self.k}, {self.t})")
-        if self.w < 2:
-            raise ConfigError(f"word length must be >= 2, got {self.w}")
+        super().__post_init__()
+        check_int("word length w", self.w, 2)
         if self.distinct_letters and self.w > len(ALPHABET):
             raise ConfigError(f"distinct letters impossible for word length {self.w} > 26")
         self.templates.validate()
-
-    def to_json(self) -> dict:
-        return {
-            "n_choices": list(self.n_choices),
-            "m_choices": list(self.m_choices),
-            "c_choices": list(self.c_choices),
-            "k": self.k,
-            "t": self.t,
-            "recipe": self.recipe.to_json(),
-            "master_seed": self.master_seed,
-            "w": self.w,
-            "distinct_letters": self.distinct_letters,
-            "shuffle": self.shuffle,
-            "templates": self.templates.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LangSymConfig":
-        missing = {"n_choices", "m_choices", "c_choices", "k", "t", "recipe", "master_seed"} - set(obj)
-        if missing:
-            raise ConfigError(f"config missing required keys: {sorted(missing)}")
-        return cls(
-            n_choices=tuple(sorted(obj["n_choices"])),
-            m_choices=tuple(sorted(obj["m_choices"])),
-            c_choices=tuple(sorted(obj["c_choices"])),
-            k=obj["k"],
-            t=obj["t"],
-            recipe=Recipe.from_json(obj["recipe"]),
-            master_seed=obj["master_seed"],
-            w=obj.get("w", 8),
-            distinct_letters=bool(obj.get("distinct_letters", False)),
-            shuffle=bool(obj.get("shuffle", False)),
-            templates=Templates.from_json(obj["templates"]) if "templates" in obj else Templates(),
-        )
 
 
 @dataclass(frozen=True)
@@ -199,17 +156,7 @@ def generate_langsym_prompt(config: LangSymConfig, j: int) -> ChatPrompt:
     Draw order per prompt: N, M, C choices, the DAG, then per example the
     N words (letters batched per word) followed by the rendering variate.
     """
-    if not 0 <= j < config.t:
-        raise ConfigError(f"prompt index {j} outside [0, {config.t})")
-    seed = derive_seed(config.master_seed, j)
-    rng = make_rng(seed)
-    r = r_cot(config.recipe, j, config.t)
-
-    n = pick(rng, sorted(config.n_choices))
-    m = pick(rng, sorted(config.m_choices))
-    c = pick(rng, sorted(config.c_choices))
-    dag = sample_dag(n, m, c, rng)
-
+    seed, rng, r, n, m, c, dag = config.start_item(j)
     messages: list[dict] = [{"role": "system", "content": config.templates.system_prompt}]
     all_inputs: list[list[str]] = []
     all_chains: list[list[str]] = []
@@ -247,8 +194,7 @@ def generate_langsym_prompt(config: LangSymConfig, j: int) -> ChatPrompt:
 
 
 def generate_langsym_dataset(config: LangSymConfig) -> Iterator[ChatPrompt]:
-    order = range(config.t) if not config.shuffle else permutation(make_rng(config.master_seed + 1), config.t)
-    for j in order:
+    for j in config.output_order():
         yield generate_langsym_prompt(config, j)
 
 
@@ -266,15 +212,7 @@ def strip_chat_prompt(
     """
     meta = dict(chat.meta)
     flags = [bool(f) for f in meta["cot_flags"]]
-    k = meta["k"]
-    cot_positions = [i for i in range(k - 1) if flags[i]]
-    if not 0 <= k_prime <= len(cot_positions):
-        raise ConfigError(f"k_prime {k_prime} outside [0, {len(cot_positions)}] thinking context examples")
-    chosen = set()
-    if k_prime:
-        sel = choose_distinct(rng, len(cot_positions), k_prime)
-        chosen = {cot_positions[i] for i in sel}
-
+    chosen = choose_stripped(flags[: meta["k"] - 1], k_prime, rng)
     if templates is None:
         templates = Templates()
     messages = [dict(m) for m in chat.messages]
@@ -367,9 +305,7 @@ class TextOracleBackend:
     def _key(messages) -> str:
         # the final user question is unique per prompt with overwhelming
         # probability; include the full context to make the key exact
-        import json as _json
-
-        return _json.dumps([dict(m) for m in messages], sort_keys=True)
+        return json.dumps([dict(m) for m in messages], sort_keys=True)
 
     def complete(self, messages: list[dict]) -> str:
         partial = ""
@@ -387,40 +323,11 @@ class TextOracleBackend:
         raise BackendError(f"forced prefix {partial!r} does not match any canonical turn")
 
 
-class TextStdioBackend:
-    """External completion process: {"messages": [...]} -> {"completion": "..."}."""
-
-    def __init__(self, cmd: list[str]):
-        self._cmd = cmd
-        self._proc = None
+class TextStdioBackend(JsonLinesProcess):
+    """Completion process: ``{"messages": [...]}`` in, ``{"completion": "..."}`` out."""
 
     def complete(self, messages: list[dict]) -> str:
-        import json as _json
-        import subprocess
-
-        if self._proc is None or self._proc.poll() is not None:
-            self._proc = subprocess.Popen(
-                self._cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
-            )
-        try:
-            self._proc.stdin.write(_json.dumps({"messages": messages}) + "\n")
-            self._proc.stdin.flush()
-            line = self._proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
-            raise BackendError(f"text stdio backend pipe failure: {exc}") from exc
-        if not line:
-            raise BackendError("text stdio backend closed its output")
-        try:
-            return str(_json.loads(line)["completion"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise BackendError(f"text stdio backend sent malformed reply {line!r}") from exc
-
-    def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.terminate()
-            self._proc.wait(timeout=5)
-        self._proc = None
+        return self.request({"messages": messages}, "completion", str)
 
 
 def evaluate_langsym(
@@ -429,55 +336,11 @@ def evaluate_langsym(
     strategy: str,
     budget: int,
     templates: Templates | None = None,
-) -> "EvalReport":
+) -> EvalReport:
     """Text analogue of harness.evaluate: boxed-answer accuracy plus step flags."""
-    from .harness import EvalReport, PromptRecord
-
-    if not prompts:
-        raise ConfigError("prompts must be non-empty")
     templates = templates or Templates()
-    records = []
-    failures = 0
-    for idx, prompt in enumerate(prompts):
-        dag = Dag.from_json(prompt.meta["dag"])
-        in_dag = [dag.reaches_answer(dag.n_inputs + c - 1) for c in range(1, dag.n_chain)]
-        truth = list(prompt.ground_truth_chain)
-        try:
-            text = force_generate_text(backend, prompt, strategy, budget, templates)
-        except BackendError as exc:
-            failures += 1
-            records.append(
-                PromptRecord(
-                    prompt_id=prompt.meta.get("seq_id", idx),
-                    predicted=None,
-                    format_failure=True,
-                    indicator=0,
-                    generated=[],
-                    step_correct=[False] * len(in_dag),
-                    step_in_dag=in_dag,
-                    error=str(exc),
-                    meta=prompt.meta,
-                )
-            )
-            continue
-        predicted = extract_langsym_answer(text)
-        failed = predicted is FORMAT_FAILURE
-        indicator = int(not failed and predicted == truth[-1])
-        steps = extract_steps(text)
-        step_correct = [i < len(steps) and steps[i] == truth[i] for i in range(len(truth) - 1)]
-        records.append(
-            PromptRecord(
-                prompt_id=prompt.meta.get("seq_id", idx),
-                predicted=None if failed else predicted,
-                format_failure=failed,
-                indicator=indicator,
-                generated=[text],
-                step_correct=step_correct,
-                step_in_dag=in_dag,
-                meta=prompt.meta,
-            )
-        )
-    if failures == len(prompts):
-        raise BackendError(f"backend failed on all {failures} prompts")
-    accuracy = sum(r.indicator for r in records) / len(records)
-    return EvalReport(records=records, accuracy=accuracy)
+    return evaluate_prompts(
+        prompts,
+        lambda prompt: force_generate_text(backend, prompt, strategy, budget, templates),
+        lambda text: (extract_langsym_answer(text), extract_steps(text), [text]),
+    )

@@ -7,22 +7,19 @@ whose embedding row has the largest dot product with the result. Argmax is
 restricted to normal tokens so chain tokens can never be delimiters, and
 ties break toward the smallest id.
 
-Weights are stored float32 (the on-disk dtype); all arithmetic runs in
+Weights are stored float32; all arithmetic runs in
 float64 so the argmax is stable across platforms.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .rng import make_rng
-from .vocab import N_SPECIAL, EmbeddingMatrix, Vocabulary
-
-_MLP_MAGIC = b"CILMLP01"
+from .vocab import N_SPECIAL
 
 
 @dataclass(frozen=True)
@@ -79,36 +76,6 @@ class TokenProcessorCache:
     def slope(self) -> float:
         return self.processors[0].slope
 
-    def save(self, path: str) -> None:
-        """CILMLP01 container: 32-byte header + concatenated LE f32 weights."""
-        header = _MLP_MAGIC + struct.pack(
-            "<QIIIf", self.seed, self.size, self.dim, self.depth, self.slope
-        )
-        with open(path, "wb") as fh:
-            fh.write(header)
-            for mlp in self.processors:
-                for w in mlp.weights:
-                    fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
-
-    @classmethod
-    def load(cls, path: str) -> "TokenProcessorCache":
-        with open(path, "rb") as fh:
-            header = fh.read(32)
-            if len(header) < 32 or header[:8] != _MLP_MAGIC:
-                raise ConfigError(f"{path}: not a CILMLP01 processor-cache file")
-            seed, count, dim, depth, slope = struct.unpack("<QIIIf", header[8:32])
-            per = dim * dim * 4
-            procs = []
-            for _ in range(count):
-                weights = []
-                for _ in range(depth):
-                    raw = fh.read(per)
-                    if len(raw) != per:
-                        raise ConfigError(f"{path}: truncated weight payload")
-                    weights.append(np.frombuffer(raw, dtype="<f4").reshape(dim, dim).copy())
-                procs.append(Mlp(weights=tuple(weights), slope=float(slope)))
-        return cls(processors=tuple(procs), seed=seed)
-
 
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x >= 0.0, x, slope * x)
@@ -143,21 +110,6 @@ def sample_processors(cache: TokenProcessorCache, n_chain: int, rng: np.random.G
     return [int(rng.integers(cache.size)) for _ in range(n_chain)]
 
 
-def chain_token(mlp: Mlp, emb: EmbeddingMatrix, vocab: Vocabulary, parent_ids: list[int]) -> int:
-    """Single chain token from its parents' token ids. Pure and deterministic."""
-    if not parent_ids:
-        raise ConfigError("parent_ids must be non-empty")
-    for p in parent_ids:
-        if not 0 <= p < emb.rows:
-            raise ConfigError(f"parent id {p} outside vocabulary [0, {emb.rows})")
-    e64 = emb.as_f64()
-    hidden = mlp.apply_f64(e64[np.asarray(parent_ids)])
-    activated = leaky_relu(hidden.mean(axis=0), mlp.slope)
-    scores = e64 @ activated
-    scores[:N_SPECIAL] = -np.inf
-    return int(np.argmax(scores))
-
-
 def chain_tokens_batch(
     dag_parents: tuple[tuple[int, ...], ...],
     processors: list[Mlp],
@@ -167,7 +119,7 @@ def chain_tokens_batch(
     """Chain tokens for a whole batch of examples sharing one DAG.
 
     `inputs` is (K, N) int64; returns (K, C) int64. One matmul pass per chain
-    node, same float64 arithmetic as chain_token. Generation and any
+    node, all in float64. Generation and any
     metadata-driven recomputation both call this function, so stored chains
     always match recomputed ones bit for bit.
     """

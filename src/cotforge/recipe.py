@@ -11,16 +11,23 @@ examples both by direct summation (authoritative) and by the closed-form
 Euler-Maclaurin approximation, and turn those into expected token totals
 using the fixed per-example sizes: N+6 tokens for a plain example,
 N+C+7 for a thinking one, plus one bos per item.
+
+Both dataset kinds run one pipeline over this schedule, and the parts they
+share live here too: the config base (TaskConfig), the per-item start
+(seed, Philox stream, r(j), the (N, M, C) draw and the DAG), the output
+order, and the rule that picks which thinking examples strip-cot rewrites.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from .dag import Dag, sample_dag
 from .errors import ConfigError
+from .rng import MAX_ITEM_STREAM, choose_distinct, derive_seed, make_rng, permutation, pick
 
 _SUM_CHUNK = 1 << 22
 
@@ -42,9 +49,12 @@ class Recipe:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Recipe":
-        if "alpha" not in obj:
+        if not isinstance(obj, dict) or "alpha" not in obj:
             raise ConfigError("recipe config missing required key: alpha")
-        return cls(alpha=parse_alpha(obj["alpha"]), a=float(obj.get("a", 1.0)), b=float(obj.get("b", 0.0)))
+        try:
+            return cls(alpha=parse_alpha(obj["alpha"]), a=float(obj.get("a", 1.0)), b=float(obj.get("b", 0.0)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad recipe {obj!r}: {exc}") from exc
 
 
 def parse_alpha(value) -> float:
@@ -70,15 +80,16 @@ def r_cot(recipe: Recipe, j: int, t: int) -> float:
     return min(1.0, max(0.0, recipe.a * power + recipe.b))
 
 
-def r_cot_vector(recipe: Recipe, t: int) -> np.ndarray:
-    """r_cot for every j in [0, T) as a float64 vector (same values as r_cot)."""
+def r_cot_vector(recipe: Recipe, t: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """r_cot for every j in [start, stop) of [0, T) as a float64 vector (same values as r_cot)."""
     if t < 1:
         raise ConfigError(f"dataset size must be >= 1, got {t}")
-    u = np.arange(t, dtype=np.float64) / t
+    stop = t if stop is None else stop
+    u = np.arange(start, stop, dtype=np.float64) / t
     if math.isinf(recipe.alpha):
-        power = np.zeros(t)
+        power = np.zeros(stop - start)
     elif recipe.alpha == 0.0:
-        power = np.ones(t)
+        power = np.ones(stop - start)
     else:
         power = u**recipe.alpha
     return np.clip(recipe.a * power + recipe.b, 0.0, 1.0)
@@ -101,15 +112,7 @@ def expected_cot_examples(recipe: Recipe, k: int, t: int) -> tuple[float, float 
 
     exact = 0.0
     for start in range(0, t, _SUM_CHUNK):
-        stop = min(start + _SUM_CHUNK, t)
-        u = np.arange(start, stop, dtype=np.float64) / t
-        if math.isinf(recipe.alpha):
-            power = np.zeros(stop - start)
-        elif recipe.alpha == 0.0:
-            power = np.ones(stop - start)
-        else:
-            power = u**recipe.alpha
-        exact += float(np.sum(np.clip(recipe.a * power + recipe.b, 0.0, 1.0)))
+        exact += float(np.sum(r_cot_vector(recipe, t, start, min(start + _SUM_CHUNK, t))))
     exact *= k
 
     if recipe.a != 1.0 or recipe.b != 0.0:
@@ -172,3 +175,115 @@ def expected_tokens(recipe: Recipe, n: int, c: int, k: int, t: int) -> BudgetRep
         expected_tokens=total,
         params={"n": n, "c": c, "k": k, "t": t, "recipe": recipe.to_json()},
     )
+
+
+_CHOICES = ("n_choices", "m_choices", "c_choices")
+
+
+def check_int(name: str, value, minimum: int | None = 1) -> None:
+    """ConfigError unless `value` is an int (not a bool) and at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+@dataclass(frozen=True)
+class TaskConfig:
+    """Fields, checks and JSON form shared by both dataset kinds.
+
+    Subclasses add fields, all with defaults, and extend __post_init__. In
+    from_json the choice lists are sorted, bool fields are coerced with
+    bool(), a field whose default comes from a class is parsed by that
+    class's from_json, and unknown keys are ignored.
+    """
+
+    n_choices: tuple[int, ...]
+    m_choices: tuple[int, ...]
+    c_choices: tuple[int, ...]
+    k: int
+    t: int
+    recipe: Recipe
+    master_seed: int
+    shuffle: bool = False
+
+    def __post_init__(self) -> None:
+        for name in _CHOICES:
+            choices = getattr(self, name)
+            if not choices:
+                raise ConfigError(f"{name} must be non-empty")
+            for v in choices:
+                check_int(f"{name} member", v)
+        check_int("k", self.k)
+        check_int("t", self.t)
+        # item streams must stay below the reserved artifact streams
+        if self.t >= MAX_ITEM_STREAM:
+            raise ConfigError(f"t must be < 2**62, got {self.t}")
+        check_int("master_seed", self.master_seed, minimum=None)
+
+    def to_json(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if hasattr(value, "to_json"):
+                value = value.to_json()
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(obj).__name__}")
+        missing = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING} - set(obj)
+        if missing:
+            raise ConfigError(f"config missing required keys: {sorted(missing)}")
+        kwargs = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
+        for name in _CHOICES:
+            if not isinstance(obj[name], list) or not all(isinstance(v, int) for v in obj[name]):
+                raise ConfigError(f"{name} must be a list of integers, got {obj[name]!r}")
+            kwargs[name] = tuple(sorted(obj[name]))
+        for f in fields(cls):
+            if isinstance(f.default, bool) and f.name in kwargs:
+                kwargs[f.name] = bool(kwargs[f.name])
+            elif f.default_factory is not MISSING and f.name in kwargs:
+                kwargs[f.name] = f.default_factory.from_json(kwargs[f.name])
+        kwargs["recipe"] = Recipe.from_json(obj["recipe"])
+        return cls(**kwargs)
+
+    def start_item(self, j: int) -> tuple[int, np.random.Generator, float, int, int, int, Dag]:
+        """(seed, rng, r(j), N, M, C, DAG) of item j.
+
+        The seed keys the item's own Philox stream; N, M, C and the DAG are
+        drawn from it in this order.
+        """
+        if not 0 <= j < self.t:
+            raise ConfigError(f"item index {j} outside [0, {self.t})")
+        seed = derive_seed(self.master_seed, j)
+        rng = make_rng(seed)
+        r = r_cot(self.recipe, j, self.t)
+        n = pick(rng, sorted(self.n_choices))
+        m = pick(rng, sorted(self.m_choices))
+        c = pick(rng, sorted(self.c_choices))
+        return seed, rng, r, n, m, c, sample_dag(n, m, c, rng)
+
+    def output_order(self) -> list[int]:
+        """Order in which item ids are emitted (identity unless shuffling)."""
+        if not self.shuffle:
+            return list(range(self.t))
+        return permutation(make_rng(self.master_seed + 1), self.t)
+
+
+def choose_stripped(cot_flags, k_prime: int, rng: np.random.Generator) -> set[int]:
+    """Positions of k_prime thinking examples to re-render plain.
+
+    Chosen uniformly without replacement among the positions whose flag is
+    set; k_prime=0 chooses none and draws nothing.
+    """
+    cot_positions = [i for i, flag in enumerate(cot_flags) if flag]
+    if not 0 <= k_prime <= len(cot_positions):
+        raise ConfigError(f"k_prime {k_prime} outside [0, {len(cot_positions)}] thinking context examples")
+    if not k_prime:
+        return set()
+    return {cot_positions[i] for i in choose_distinct(rng, len(cot_positions), k_prime)}

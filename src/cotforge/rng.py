@@ -14,8 +14,10 @@ Stream layout for a master seed s:
   - token-processor cache   -> derive_seed(s, STREAM_CACHE)
   - output shuffle          -> Philox keyed with s + 1 directly
 
-numpy >= 1.26 is required; the Generator methods used here (integers,
-random, standard_normal) have frozen bit streams under NEP 19.
+numpy >= 1.26 is required. NEP 19 freezes only the legacy RandomState, not
+Generator, so a numpy release may change the streams of the Generator
+methods used here (integers, random, standard_normal). tests/test_golden.py
+and bench/golden.json pin the resulting bytes and catch such a change.
 """
 
 from __future__ import annotations

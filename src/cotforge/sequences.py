@@ -34,22 +34,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .dag import Dag, sample_dag
+from .dag import Dag
 from .errors import ConfigError, FormatError
-from .processors import Mlp, TokenProcessorCache, chain_tokens_batch, new_cache, sample_processors
-from .recipe import Recipe, r_cot
-from .rng import STREAM_CACHE, STREAM_EMBED, derive_seed, make_rng, permutation, pick
+from .processors import TokenProcessorCache, chain_tokens_batch, new_cache, sample_processors
+from .recipe import TaskConfig, check_int
+from .rng import STREAM_CACHE, STREAM_EMBED, derive_seed
 from .vocab import EmbeddingMatrix, N_SPECIAL, Vocabulary, new_vocabulary, sample_embedding_matrix
-
-
-@dataclass(frozen=True)
-class Example:
-    """One generated example before rendering."""
-
-    inputs: tuple[int, ...]
-    chain: tuple[int, ...]
-    is_cot: bool
-    uniform_draw: float
 
 
 @dataclass(frozen=True)
@@ -132,75 +122,22 @@ class Sequence:
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(TaskConfig):
     """Everything needed to regenerate an abstract dataset bit-exactly."""
 
-    n_choices: tuple[int, ...]
-    m_choices: tuple[int, ...]
-    c_choices: tuple[int, ...]
-    k: int
-    t: int
-    recipe: Recipe
-    master_seed: int
     vocab_size: int = 1024
     dim: int = 10
     cache_size: int = 64
     depth: int = 1
     slope: float = 0.01
-    shuffle: bool = False
 
     def __post_init__(self) -> None:
-        for name, choices in (("n_choices", self.n_choices), ("m_choices", self.m_choices), ("c_choices", self.c_choices)):
-            if not choices:
-                raise ConfigError(f"{name} must be non-empty")
-            if any(v < 1 for v in choices):
-                raise ConfigError(f"{name} members must be >= 1, got {list(choices)}")
-        if self.k < 1 or self.t < 1:
-            raise ConfigError(f"k and t must be >= 1, got ({self.k}, {self.t})")
-        if self.vocab_size < N_SPECIAL + 1:
-            raise ConfigError(f"vocab_size must be >= {N_SPECIAL + 1}, got {self.vocab_size}")
-        if self.dim < 1 or self.cache_size < 1 or self.depth < 1:
-            raise ConfigError("dim, cache_size, depth must all be >= 1")
-        if not 0.0 < self.slope <= 1.0:
-            raise ConfigError(f"slope must be in (0, 1], got {self.slope}")
-
-    def to_json(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "dim": self.dim,
-            "n_choices": list(self.n_choices),
-            "m_choices": list(self.m_choices),
-            "c_choices": list(self.c_choices),
-            "k": self.k,
-            "t": self.t,
-            "recipe": self.recipe.to_json(),
-            "cache_size": self.cache_size,
-            "depth": self.depth,
-            "slope": self.slope,
-            "master_seed": self.master_seed,
-            "shuffle": self.shuffle,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DatasetConfig":
-        missing = {"n_choices", "m_choices", "c_choices", "k", "t", "recipe", "master_seed"} - set(obj)
-        if missing:
-            raise ConfigError(f"config missing required keys: {sorted(missing)}")
-        return cls(
-            n_choices=tuple(sorted(obj["n_choices"])),
-            m_choices=tuple(sorted(obj["m_choices"])),
-            c_choices=tuple(sorted(obj["c_choices"])),
-            k=obj["k"],
-            t=obj["t"],
-            recipe=Recipe.from_json(obj["recipe"]),
-            master_seed=obj["master_seed"],
-            vocab_size=obj.get("vocab_size", 1024),
-            dim=obj.get("dim", 10),
-            cache_size=obj.get("cache_size", 64),
-            depth=obj.get("depth", 1),
-            slope=obj.get("slope", 0.01),
-            shuffle=bool(obj.get("shuffle", False)),
-        )
+        super().__post_init__()
+        check_int("vocab_size", self.vocab_size, N_SPECIAL + 1)
+        for name in ("dim", "cache_size", "depth"):
+            check_int(name, getattr(self, name))
+        if isinstance(self.slope, bool) or not isinstance(self.slope, (int, float)) or not 0.0 < self.slope <= 1.0:
+            raise ConfigError(f"slope must be a number in (0, 1], got {self.slope!r}")
 
 
 def build_artifacts(config: DatasetConfig) -> tuple[Vocabulary, EmbeddingMatrix, TokenProcessorCache]:
@@ -268,19 +205,13 @@ def cot_example_mask(n: int, c: int) -> list[int]:
     return [0] * (n + 2) + [1] * (c + 5)
 
 
-def render_example_tokens(ex: ParsedExample | Example, vocab: Vocabulary, as_cot: bool) -> list[int]:
-    """Re-render a parsed or generated example in either mode."""
-    inputs = list(ex.inputs)
-    if as_cot:
-        if isinstance(ex, Example):
-            chain = list(ex.chain)
-        else:
-            if ex.intermediates is None:
-                raise FormatError("cannot re-render as thinking: intermediates unknown")
-            chain = [*ex.intermediates, ex.answer]
-        return render_cot_example(inputs, chain, vocab)
-    answer = ex.chain[-1] if isinstance(ex, Example) else ex.answer
-    return render_standard_example(inputs, answer, vocab)
+def render_example_tokens(ex: ParsedExample, vocab: Vocabulary, as_cot: bool) -> list[int]:
+    """Re-render a parsed example in either mode."""
+    if not as_cot:
+        return render_standard_example(list(ex.inputs), ex.answer, vocab)
+    if ex.intermediates is None:
+        raise FormatError("cannot re-render as thinking: intermediates unknown")
+    return render_cot_example(list(ex.inputs), [*ex.intermediates, ex.answer], vocab)
 
 
 def parse_examples(tokens: list[int], vocab: Vocabulary, start: int = 0) -> list[ParsedExample]:
@@ -354,41 +285,23 @@ def generate_sequence(
     cache: TokenProcessorCache,
 ) -> Sequence:
     """Generate sequence j of the dataset, independent of all other indices."""
-    if not 0 <= j < config.t:
-        raise ConfigError(f"sequence index {j} outside [0, {config.t})")
-    seed = derive_seed(config.master_seed, j)
-    rng = make_rng(seed)
-    r = r_cot(config.recipe, j, config.t)
-
-    n = pick(rng, sorted(config.n_choices))
-    m = pick(rng, sorted(config.m_choices))
-    c = pick(rng, sorted(config.c_choices))
-    dag = sample_dag(n, m, c, rng)
+    seed, rng, r, n, m, c, dag = config.start_item(j)
     proc_ids = sample_processors(cache, c, rng)
 
     inputs = N_SPECIAL + rng.integers(0, vocab.n_normal, size=(config.k, n))
-    draws = rng.random(config.k)
+    flags = [bool(r >= draw) for draw in rng.random(config.k)]
 
     procs = [cache.processors[i] for i in proc_ids]
     chains = chain_tokens_batch(dag.parents, procs, emb.as_f64(), inputs)
-    examples = [
-        Example(
-            inputs=tuple(int(v) for v in inputs[k_i]),
-            chain=tuple(int(v) for v in chains[k_i]),
-            is_cot=bool(r >= draws[k_i]),
-            uniform_draw=float(draws[k_i]),
-        )
-        for k_i in range(config.k)
-    ]
 
     tokens: list[int] = [vocab.bos]
     mask: list[int] = [0]
-    for ex in examples:
-        if ex.is_cot:
-            tokens.extend(render_cot_example(list(ex.inputs), list(ex.chain), vocab))
+    for ex_inputs, chain, is_cot in zip(inputs.tolist(), chains.tolist(), flags):
+        if is_cot:
+            tokens.extend(render_cot_example(ex_inputs, chain, vocab))
             mask.extend(cot_example_mask(n, c))
         else:
-            tokens.extend(render_standard_example(list(ex.inputs), ex.chain[-1], vocab))
+            tokens.extend(render_standard_example(ex_inputs, chain[-1], vocab))
             mask.extend(standard_example_mask(n))
 
     meta = SequenceMeta(
@@ -399,7 +312,7 @@ def generate_sequence(
         r_cot=r,
         dag=dag,
         proc_ids=tuple(proc_ids),
-        cot_flags=tuple(ex.is_cot for ex in examples),
+        cot_flags=tuple(flags),
         seed=seed,
     )
     return Sequence(seq_id=j, tokens=tuple(tokens), loss_mask=tuple(mask), meta=meta)
@@ -419,15 +332,8 @@ def recompute_chains(seq: Sequence, emb: EmbeddingMatrix, cache: TokenProcessorC
     return chain_tokens_batch(seq.meta.dag.parents, procs, emb.as_f64(), inputs)
 
 
-def output_order(config: DatasetConfig) -> list[int]:
-    """Order in which sequence ids are emitted (identity unless shuffling)."""
-    if not config.shuffle:
-        return list(range(config.t))
-    return permutation(make_rng(config.master_seed + 1), config.t)
-
-
 def generate_dataset(config: DatasetConfig) -> Iterator[Sequence]:
     """Yield all T sequences, in shuffled order when the config asks for it."""
     vocab, emb, cache = build_artifacts(config)
-    for j in output_order(config):
+    for j in config.output_order():
         yield generate_sequence(config, j, vocab, emb, cache)

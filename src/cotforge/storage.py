@@ -21,16 +21,60 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import __version__
-from .errors import ConfigError, FormatError
+from .errors import ConfigError
 from .harness import strip_sequence_record
-from .langsym import ChatPrompt, LangSymConfig, Templates, generate_langsym_prompt, strip_chat_prompt
-from .rng import derive_seed, make_rng
-from .sequences import DatasetConfig, build_artifacts, generate_sequence, output_order
+from .langsym import ChatPrompt, LangSymConfig, generate_langsym_prompt, strip_chat_prompt
+from .recipe import TaskConfig
+from .rng import choose_distinct, derive_seed, make_rng
+from .sequences import DatasetConfig, build_artifacts, generate_sequence
 
 KIND_ABSTRACT = "abstract"
 KIND_LANGSYM = "langsym"
+
+
+class Kind(NamedTuple):
+    """What storage needs to know about one dataset kind.
+
+    `setup(config)` builds the per-process artifacts; `generate(config,
+    artifacts, j)` returns record j; `strip(record, k_prime, rng, config,
+    artifacts)` re-renders k_prime of its thinking examples plain.
+    """
+
+    config: type[TaskConfig]
+    setup: Callable
+    generate: Callable
+    strip: Callable
+
+
+# The lambdas look their functions up when called, so a caller that
+# replaces a module-level function (a tracer, a test) reaches this path too.
+KINDS = {
+    KIND_ABSTRACT: Kind(
+        DatasetConfig,
+        setup=lambda config: build_artifacts(config),
+        generate=lambda config, arts, j: generate_sequence(config, j, *arts).to_record(),
+        strip=lambda record, k_prime, rng, config, arts: strip_sequence_record(record, k_prime, rng, arts[0]),
+    ),
+    KIND_LANGSYM: Kind(
+        LangSymConfig,
+        setup=lambda config: None,
+        generate=lambda config, arts, j: generate_langsym_prompt(config, j).to_record(),
+        strip=lambda record, k_prime, rng, config, arts: strip_chat_prompt(
+            ChatPrompt.from_record(record), k_prime, rng, config.templates
+        ).to_record(),
+    ),
+}
+
+
+def parse_config(kind: str, config_json: dict) -> TaskConfig:
+    """Config of a `kind` dataset; ConfigError for an unknown kind or a bad config."""
+    if kind not in KINDS:
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    return KINDS[kind].config.from_json(config_json)
+
 
 MANIFEST_NAME = "manifest.json"
 
@@ -87,7 +131,10 @@ class Manifest:
         if os.path.isdir(path):
             path = os.path.join(path, MANIFEST_NAME)
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                return cls.from_json(json.load(fh))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"{path}: malformed manifest ({exc!r})") from exc
 
 
 def shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
@@ -103,38 +150,20 @@ _WORKER = {}
 
 
 def _init_worker(kind: str, config_json: dict, transforms: list[dict]) -> None:
+    config = parse_config(kind, config_json)
+    spec = KINDS[kind]
     _WORKER.clear()
-    _WORKER["kind"] = kind
-    _WORKER["transforms"] = transforms
-    if kind == KIND_ABSTRACT:
-        config = DatasetConfig.from_json(config_json)
-        vocab, emb, cache = build_artifacts(config)
-        _WORKER.update(config=config, vocab=vocab, emb=emb, cache=cache)
-    elif kind == KIND_LANGSYM:
-        config = LangSymConfig.from_json(config_json)
-        _WORKER.update(config=config, templates=config.templates)
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
+    _WORKER.update(spec=spec, config=config, artifacts=spec.setup(config), transforms=transforms)
 
 
 def _gen_line(j: int) -> bytes:
-    kind = _WORKER["kind"]
-    if kind == KIND_ABSTRACT:
-        seq = generate_sequence(_WORKER["config"], j, _WORKER["vocab"], _WORKER["emb"], _WORKER["cache"])
-        record = seq.to_record()
-        for tf in _WORKER["transforms"]:
-            if tf["kind"] != "strip-cot":
-                raise ConfigError(f"unknown transform kind {tf['kind']!r}")
-            rng = make_rng(derive_seed(tf["seed"], j))
-            record = strip_sequence_record(record, tf["k_prime"], rng, _WORKER["vocab"])
-    else:
-        chat = generate_langsym_prompt(_WORKER["config"], j)
-        for tf in _WORKER["transforms"]:
-            if tf["kind"] != "strip-cot":
-                raise ConfigError(f"unknown transform kind {tf['kind']!r}")
-            rng = make_rng(derive_seed(tf["seed"], j))
-            chat = strip_chat_prompt(chat, tf["k_prime"], rng, _WORKER["templates"])
-        record = chat.to_record()
+    spec, config, arts = _WORKER["spec"], _WORKER["config"], _WORKER["artifacts"]
+    record = spec.generate(config, arts, j)
+    for tf in _WORKER["transforms"]:
+        if tf["kind"] != "strip-cot":
+            raise ConfigError(f"unknown transform kind {tf['kind']!r}")
+        rng = make_rng(derive_seed(tf["seed"], j))
+        record = spec.strip(record, tf["k_prime"], rng, config, arts)
     return encode_record(record)
 
 
@@ -152,17 +181,6 @@ def _emit_lines(kind: str, config_json: dict, transforms: list[dict], indices: l
         yield from pool.map(_gen_line, indices, chunksize=chunk)
 
 
-def _dataset_order(kind: str, config_json: dict) -> list[int]:
-    if kind == KIND_ABSTRACT:
-        return output_order(DatasetConfig.from_json(config_json))
-    config = LangSymConfig.from_json(config_json)
-    if not config.shuffle:
-        return list(range(config.t))
-    from .rng import permutation
-
-    return permutation(make_rng(config.master_seed + 1), config.t)
-
-
 def write_dataset(
     out_dir: str,
     kind: str,
@@ -173,8 +191,8 @@ def write_dataset(
 ) -> Manifest:
     """Generate a full dataset into `out_dir` and write its manifest."""
     transforms = transforms or []
+    order = parse_config(kind, config_json).output_order()
     os.makedirs(out_dir, exist_ok=True)
-    order = _dataset_order(kind, config_json)
     started = time.monotonic()
     outputs = []
     for s, (start, stop) in enumerate(shard_ranges(len(order), shards)):
@@ -216,15 +234,13 @@ def verify_dataset(dataset_dir: str, sample: int | None = None, seed: int = 0, w
     `sample` limits the check to that many randomly chosen shards.
     """
     manifest = Manifest.load(dataset_dir)
-    order = _dataset_order(manifest.kind, manifest.config)
+    order = parse_config(manifest.kind, manifest.config).output_order()
     ranges = shard_ranges(len(order), max(1, len(manifest.outputs)))
     if len(ranges) != len(manifest.outputs):
         return [f"manifest lists {len(manifest.outputs)} shards but config implies {len(ranges)}"]
     indices = list(range(len(manifest.outputs)))
     if sample is not None and sample < len(indices):
         rng = make_rng(seed)
-        from .rng import choose_distinct
-
         indices = sorted(choose_distinct(rng, len(indices), sample))
     problems = []
     for s in indices:

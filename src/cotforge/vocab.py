@@ -3,13 +3,12 @@
 The vocabulary is a contiguous id space [0, size). The first nine ids are
 delimiter tokens in a fixed order; everything from id 9 up is a "normal"
 token usable as an input or chain token. Embeddings are standard-normal
-draws from a seeded Philox stream, stored as float32 (the on-disk dtype)
-and promoted to float64 wherever arithmetic happens.
+draws from a seeded Philox stream, stored as float32 and promoted to
+float64 wherever arithmetic happens.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,6 @@ SPECIAL_ROLES = (
 )
 
 N_SPECIAL = len(SPECIAL_ROLES)
-
-_EMB_MAGIC = b"CILEMB01"
 
 
 @dataclass(frozen=True)
@@ -116,43 +113,14 @@ class EmbeddingMatrix:
     """size x dim matrix of N(0,1) draws, regenerable bit-exactly from its seed.
 
     `data` is float32 (the storage dtype); promote with `as_f64()` before
-    arithmetic so fresh and round-tripped matrices behave identically.
+    arithmetic.
     """
 
     seed: int
     data: np.ndarray
 
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
     def as_f64(self) -> np.ndarray:
         return self.data.astype(np.float64)
-
-    def save(self, path: str) -> None:
-        """Write the CILEMB01 container: 32-byte header + row-major LE f32."""
-        header = _EMB_MAGIC + struct.pack("<QII", self.seed, self.rows, self.dim)
-        header += b"\x00" * (32 - len(header))
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(self.data, dtype="<f4").tobytes())
-
-    @classmethod
-    def load(cls, path: str) -> "EmbeddingMatrix":
-        with open(path, "rb") as fh:
-            header = fh.read(32)
-            if len(header) < 32 or header[:8] != _EMB_MAGIC:
-                raise ConfigError(f"{path}: not a CILEMB01 embedding file")
-            seed, rows, dim = struct.unpack("<QII", header[8:24])
-            raw = fh.read(rows * dim * 4)
-        if len(raw) != rows * dim * 4:
-            raise ConfigError(f"{path}: truncated embedding payload")
-        data = np.frombuffer(raw, dtype="<f4").reshape(rows, dim).copy()
-        return cls(seed=seed, data=data)
 
 
 def sample_embedding_matrix(vocab: Vocabulary, dim: int, seed: int) -> EmbeddingMatrix:

@@ -21,7 +21,6 @@ from cotforge import (
     OracleBackend,
     RandomBackend,
     Recipe,
-    chain_token,
     evaluate,
     expected_cot_examples,
     expected_tokens,
@@ -45,6 +44,7 @@ from cotforge.langsym import (
 )
 from cotforge.recipe import r_cot_vector
 from cotforge.rng import make_rng
+from cotforge.processors import chain_tokens_batch
 from cotforge.sequences import build_artifacts, generate_sequence, parse_sequence, recompute_chains
 from cotforge.storage import KIND_ABSTRACT, Manifest, verify_dataset, write_dataset
 from cotforge.vocab import N_SPECIAL
@@ -223,7 +223,8 @@ def test_chain_token_matches_independent_oracle():
         mlp = cache.processors[int(rng.integers(64))]
         n_parents = int(rng.integers(1, 5))
         parents = [int(p) for p in rng.integers(N_SPECIAL, 1024, size=n_parents)]
-        ours = chain_token(mlp, emb, vocab, parents)
+        # the generation kernel on a one-row batch whose chain node reads every input
+        ours = int(chain_tokens_batch((tuple(range(n_parents)),), [mlp], emb.as_f64(), np.array([parents]))[0, 0])
         theirs = oracle_chain_token(mlp.weights, mlp.slope, emb.data, parents, N_SPECIAL)
         assert ours == theirs, f"trial {trial}: {ours} != {theirs}"
     _report("chain-token generation == independent dense oracle (1000 instances)", started, 10.0)

@@ -3,12 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotforge import ConfigError, chain_token, new_cache, new_vocabulary, sample_embedding_matrix, sample_processors
-from cotforge.processors import TokenProcessorCache, chain_tokens_batch, Mlp
+from cotforge import ConfigError, new_cache, new_vocabulary, sample_embedding_matrix, sample_processors
+from cotforge.processors import chain_tokens_batch, Mlp
 from cotforge.rng import make_rng
 from cotforge.vocab import EmbeddingMatrix, N_SPECIAL
 
 from helpers import chi_square_critical, chi_square_uniform, oracle_chain_token
+
+
+def chain_token(mlp, emb, parent_ids):
+    """The generation kernel on a one-row batch whose single chain node reads every input."""
+    inputs = np.array([parent_ids], dtype=np.int64)
+    return int(chain_tokens_batch((tuple(range(len(parent_ids))),), [mlp], emb.as_f64(), inputs)[0, 0])
 
 
 def test_cache_deterministic_per_seed():
@@ -58,7 +64,7 @@ def test_identity_weights_orthonormal_rows_returns_parent():
     emb = _orthonormal_embedding(size)
     mlp = Mlp(weights=(np.eye(size, dtype=np.float32),), slope=0.01)
     for parent in vocab.normal_ids:
-        assert chain_token(mlp, emb, vocab, [parent]) == parent
+        assert chain_token(mlp, emb, [parent]) == parent
 
 
 def test_tie_breaks_to_smallest_id():
@@ -68,7 +74,7 @@ def test_tie_breaks_to_smallest_id():
     data[11] = data[10]  # rows 10 and 11 identical -> tied scores
     emb = EmbeddingMatrix(seed=0, data=data)
     mlp = Mlp(weights=(np.eye(size, dtype=np.float32),), slope=0.01)
-    assert chain_token(mlp, emb, vocab, [10]) == 10
+    assert chain_token(mlp, emb, [10]) == 10
 
 
 def test_output_always_normal():
@@ -79,15 +85,7 @@ def test_output_always_normal():
     for _ in range(200):
         mlp = cache.processors[int(rng.integers(8))]
         parents = [int(p) for p in rng.integers(0, 64, size=3)]
-        assert vocab.is_normal(chain_token(mlp, emb, vocab, parents))
-
-
-def test_empty_parents_rejected():
-    vocab = new_vocabulary(16)
-    emb = sample_embedding_matrix(vocab, 4, seed=0)
-    mlp = new_cache(1, 4, 1, 0.01, seed=0).processors[0]
-    with pytest.raises(ConfigError):
-        chain_token(mlp, emb, vocab, [])
+        assert vocab.is_normal(chain_token(mlp, emb, parents))
 
 
 @settings(max_examples=50, deadline=None)
@@ -98,8 +96,8 @@ def test_permutation_invariance(seed, n_parents):
     mlp = new_cache(4, 10, 1, 0.01, seed=12).processors[seed % 4]
     rng = make_rng(seed)
     parents = [int(p) for p in rng.integers(9, 128, size=n_parents)]
-    base = chain_token(mlp, emb, vocab, parents)
-    assert chain_token(mlp, emb, vocab, parents[::-1]) == base
+    base = chain_token(mlp, emb, parents)
+    assert chain_token(mlp, emb, parents[::-1]) == base
 
 
 def test_oracle_equivalence_quick():
@@ -112,7 +110,7 @@ def test_oracle_equivalence_quick():
         mlp = cache.processors[int(rng.integers(16))]
         parents = [int(p) for p in rng.integers(9, 256, size=2)]
         expected = oracle_chain_token(mlp.weights, mlp.slope, emb.data, parents, N_SPECIAL)
-        assert chain_token(mlp, emb, vocab, parents) == expected
+        assert chain_token(mlp, emb, parents) == expected
 
 
 def test_depth_two_matches_oracle():
@@ -124,7 +122,7 @@ def test_depth_two_matches_oracle():
         mlp = cache.processors[int(rng.integers(4))]
         parents = [int(p) for p in rng.integers(9, 64, size=3)]
         expected = oracle_chain_token(mlp.weights, mlp.slope, emb.data, parents, N_SPECIAL)
-        assert chain_token(mlp, emb, vocab, parents) == expected
+        assert chain_token(mlp, emb, parents) == expected
 
 
 def test_batch_matches_single_calls():
@@ -142,21 +140,6 @@ def test_batch_matches_single_calls():
         pool = [int(v) for v in inputs[k]]
         for c in range(3):
             parent_ids = [pool[p] for p in dag.parents[c]]
-            tok = chain_token(procs[c], emb, vocab, parent_ids)
+            tok = oracle_chain_token(procs[c].weights, procs[c].slope, emb.data, parent_ids, N_SPECIAL)
             assert tok == batch[k][c]
             pool.append(tok)
-
-
-def test_cache_file_round_trip(tmp_path):
-    cache = new_cache(3, 5, 2, 0.02, seed=55)
-    path = tmp_path / "cache.bin"
-    cache.save(str(path))
-    raw = path.read_bytes()
-    assert raw[:8] == b"CILMLP01"
-    assert len(raw) == 32 + 3 * 2 * 5 * 5 * 4
-    back = TokenProcessorCache.load(str(path))
-    assert back.seed == 55 and back.size == 3 and back.dim == 5 and back.depth == 2
-    assert abs(back.slope - 0.02) < 1e-7
-    for pa, pb in zip(cache.processors, back.processors):
-        for wa, wb in zip(pa.weights, pb.weights):
-            assert wa.tobytes() == wb.tobytes()

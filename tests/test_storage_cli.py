@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import shlex
 import sys
+import textwrap
 
 import pytest
 
@@ -179,6 +181,30 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "kind, bad",
+    [
+        ("abstract", {"k": "8"}),
+        ("langsym", {"templates": {"sytem_prompt": "Solve the puzzles."}}),
+        ("abstract", {"t": 2**62}),  # would alias the reserved artifact streams
+    ],
+)
+def test_cli_bad_config_value_exit_code(tmp_path, capsys, kind, bad):
+    cfg = _write_cfg(tmp_path, dict(ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG, **bad))
+    out = tmp_path / "x"
+    assert main([f"gen-{kind}", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_malformed_manifest_exit_code(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "manifest.json").write_text('{"kind": "abstract", "config": ')
+    assert main(["verify", "--manifest", str(ds)]) == 2
+    assert "malformed manifest" in capsys.readouterr().err
+
+
 def test_cli_budget_json_first_line(tmp_path, capsys):
     assert main(["budget", "--alpha", "0", "--n", "4", "--c", "4", "--k", "40", "--t", "100"]) == 0
     out = capsys.readouterr().out
@@ -300,3 +326,65 @@ def test_cli_shuffled_dataset_verifies(tmp_path, capsys):
     assert sorted(ids) == list(range(ABSTRACT_CFG["t"]))
     assert main(["verify", "--manifest", ds]) == 0
     capsys.readouterr()
+
+
+# A text backend that knows each prompt's answer: answers.json maps the query
+# question to [final word, action]; action "malformed" replies with a
+# non-JSON line and "close" exits without replying.
+_TEXT_BOT = textwrap.dedent(
+    """
+    import json, sys
+    answers = json.load(open(sys.argv[1]))
+    for line in sys.stdin:
+        question = [m["content"] for m in json.loads(line)["messages"] if m["role"] == "user"][-1]
+        word, action = answers[question]
+        if action == "close":
+            break
+        print("nonsense" if action == "malformed" else json.dumps({"completion": "\\\\boxed{%s}" % word}), flush=True)
+    """
+)
+
+
+def _text_bot_eval(tmp_path, actions):
+    """eval-langsym --strategy answer through _TEXT_BOT; returns (exit code, report path, records)."""
+    cfg = _write_cfg(tmp_path, LANGSYM_CFG)
+    ds = str(tmp_path / "ls")
+    assert main(["gen-langsym", "--config", cfg, "--out", ds]) == 0
+    records = list(read_records(ds))
+    bots = tmp_path / "text bots"  # the space must survive --backend-cmd parsing
+    bots.mkdir()
+    answers = {rec["messages"][-2]["content"]: [rec["meta"]["chains"][-1][-1], actions(i)] for i, rec in enumerate(records)}
+    (bots / "answers.json").write_text(json.dumps(answers))
+    (bots / "text bot.py").write_text(_TEXT_BOT)
+    cmd = shlex.join([sys.executable, str(bots / "text bot.py"), str(bots / "answers.json")])
+    report = tmp_path / "rep.json"
+    code = main(["eval-langsym", "--prompts", ds, "--backend", "stdio-text", "--backend-cmd", cmd,
+                 "--strategy", "answer", "--report", str(report)])
+    return code, report, records
+
+
+def test_cli_text_stdio_bot_scores_one(tmp_path, capsys):
+    code, report, _ = _text_bot_eval(tmp_path, lambda i: "ok")
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads(report.read_text())
+    assert doc["accuracy"] == 1.0
+    assert all(r["error"] is None for r in doc["records"])
+
+
+def test_cli_text_stdio_faults_become_error_records(tmp_path, capsys):
+    code, report, records = _text_bot_eval(tmp_path, lambda i: {0: "malformed", 1: "close"}.get(i, "ok"))
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads(report.read_text())
+    errors = [r["error"] for r in doc["records"]]
+    assert "malformed reply" in errors[0]
+    assert "closed its output" in errors[1]
+    assert errors[2:] == [None] * (len(records) - 2)
+    assert [r["indicator"] for r in doc["records"]] == [0, 0] + [1] * (len(records) - 2)
+
+
+@pytest.mark.parametrize("action", ["malformed", "close"])
+def test_cli_text_stdio_all_failing_exits_3(tmp_path, capsys, action):
+    code, report, _ = _text_bot_eval(tmp_path, lambda i: action)
+    assert code == 3
+    assert "backend failed on all" in capsys.readouterr().err
+    assert not report.exists()

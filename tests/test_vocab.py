@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cotforge import ConfigError, new_vocabulary, sample_embedding_matrix
-from cotforge.vocab import EmbeddingMatrix, N_SPECIAL, SPECIAL_ROLES
+from cotforge.vocab import N_SPECIAL, SPECIAL_ROLES
 
 from helpers import ks_critical, ks_statistic_vs_normal
 
@@ -78,26 +78,6 @@ def test_embedding_ks_against_standard_normal():
     flat = e.as_f64().ravel()
     assert flat.size >= 1000
     assert ks_statistic_vs_normal(flat) < ks_critical(flat.size, 0.01)
-
-
-def test_embedding_file_round_trip(tmp_path):
-    v = new_vocabulary(128)
-    e = sample_embedding_matrix(v, 6, seed=404)
-    path = tmp_path / "emb.bin"
-    e.save(str(path))
-    raw = path.read_bytes()
-    assert raw[:8] == b"CILEMB01"
-    assert len(raw) == 32 + 128 * 6 * 4
-    back = EmbeddingMatrix.load(str(path))
-    assert back.seed == 404
-    assert back.data.tobytes() == e.data.tobytes()
-
-
-def test_embedding_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 40)
-    with pytest.raises(ConfigError):
-        EmbeddingMatrix.load(str(path))
 
 
 def test_n_special_constant():
