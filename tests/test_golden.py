@@ -42,6 +42,9 @@ LANGSYM = {
     "shuffle": True,
     "w": 6,
 }
+# N*w odd, so one example's letters end on half of a buffered 32-bit draw
+LANGSYM_ODD = dict(LANGSYM, n_choices=[3], k=4, t=6, master_seed=20253, w=5)
+LANGSYM_DISTINCT = dict(LANGSYM, k=4, t=6, master_seed=20254, w=7, distinct_letters=True)
 
 PINNED = {
     "abstract-mixed": "4a21b0cb75c3fda5bc6ea0bf3dc694c630614ff5534ef2451e6137d86744ecdc",
@@ -57,6 +60,8 @@ PINNED = {
     "langsym-mixed": "e8302187b2cbfe6f65864199635bb957ce400f352c5d6df1ca59bfae18765257",
     "langsym-mixed-strip": "5bc09d3ddc0d6f1bc47e3bd5cf42d2cd27a7202148a8e83c7ebf8cd8c0ed4c68",
     "eval-langsym-answer": "b995e48b8eaa43d40429263a9feb9c109a2d68660ee3bf4ecdc94d5378d49dc4",
+    "langsym-odd-w": "1f8c1360599eec26d632d52cd830026ec907018492c735bdafbe212256edba1f",
+    "langsym-distinct": "767e8253c63cbfcdd6ba8568220c5c2b511ba8ab75022d3d2087947fe13d77d7",
 }
 
 
@@ -117,6 +122,11 @@ def hashes(tmp_path_factory):
     run("eval-langsym", "--prompts", lang_strip, "--backend", "oracle", "--strategy", "answer",
         "--report", report)
     found["eval-langsym-answer"] = file_sha256(report)
+
+    found["langsym-odd-w"] = dataset_sha256(gen(tmp, "langsym-odd-w", "langsym", dict(LANGSYM_ODD, recipe=MIXED)))
+    found["langsym-distinct"] = dataset_sha256(
+        gen(tmp, "langsym-distinct", "langsym", dict(LANGSYM_DISTINCT, recipe=MIXED))
+    )
     return found
 
 
