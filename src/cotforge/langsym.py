@@ -20,6 +20,7 @@ import json
 import re
 import string
 from dataclasses import dataclass, field, asdict, fields
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -30,6 +31,8 @@ from .recipe import TaskConfig, check_int, choose_stripped
 from .rng import choose_distinct
 
 ALPHABET = string.ascii_lowercase
+_LETTER_OF_CODE = bytes.maketrans(bytes(range(len(ALPHABET))), ALPHABET.encode("ascii"))
+_ADVANCE = str.maketrans(ALPHABET, ALPHABET[1:] + ALPHABET[0])
 _WORD_RE = re.compile(r"[a-z]+")
 _BOXED_RE = re.compile(r"\\boxed\{([^{}]*)\}")
 _STEP_RE = re.compile(r"Step (\d+): ([a-z]+)")
@@ -121,8 +124,10 @@ def random_word(w: int, rng: np.random.Generator, distinct: bool = False) -> str
     if distinct:
         if w > len(ALPHABET):
             raise ConfigError(f"cannot draw {w} distinct letters")
-        return "".join(ALPHABET[i] for i in choose_distinct(rng, len(ALPHABET), w))
-    return "".join(ALPHABET[int(i)] for i in rng.integers(0, len(ALPHABET), size=w))
+        codes = choose_distinct(rng, len(ALPHABET), w)
+    else:
+        codes = rng.integers(0, len(ALPHABET), size=w)
+    return np.asarray(codes, dtype=np.uint8).tobytes().translate(_LETTER_OF_CODE).decode("ascii")
 
 
 def string_transform(parent_words: list[str]) -> str:
@@ -133,8 +138,10 @@ def string_transform(parent_words: list[str]) -> str:
     """
     if not parent_words:
         raise ConfigError("parent_words must be non-empty")
-    tail = "".join(w[len(w) // 2 :] for w in parent_words)
-    return "".join(ALPHABET[(ord(ch) - ord("a") + 1) % 26] for ch in tail)
+    tail = ""
+    for word in parent_words:
+        tail += word[len(word) // 2 :]
+    return tail.translate(_ADVANCE)
 
 
 def render_assistant(chain: list[str], as_cot: bool, templates: Templates) -> str:
@@ -142,7 +149,7 @@ def render_assistant(chain: list[str], as_cot: bool, templates: Templates) -> st
     answer = f"{templates.answer_open}\\boxed{{{chain[-1]}}}"
     if not as_cot:
         return answer
-    steps = "".join(f"Step {i}: {word}\n" for i, word in enumerate(chain[:-1], start=1))
+    steps = "".join([f"Step {i}: {word}\n" for i, word in enumerate(chain[:-1], start=1)])
     return f"{templates.think_open}{steps}{templates.think_close}{answer}"
 
 
@@ -154,25 +161,33 @@ def generate_langsym_prompt(config: LangSymConfig, j: int) -> ChatPrompt:
     """Prompt j of the dataset: fresh words, shared DAG, seeded chat turns.
 
     Draw order per prompt: N, M, C choices, the DAG, then per example the
-    N words (letters batched per word) followed by the rendering variate.
+    N words followed by the rendering variate. In i.i.d. mode the N words
+    are all N*w letters of the example as one draw, the same stream as N
+    per-word draws; distinct-letter mode draws word by word.
     """
     seed, rng, r, n, m, c, dag = config.start_item(j)
-    messages: list[dict] = [{"role": "system", "content": config.templates.system_prompt}]
+    w, templates = config.w, config.templates
+    starts = range(0, n * w, w)
+    # itemgetter gathers a node's parent words at C speed; one index would
+    # return a bare word, so a single parent is taken as a one-word slice
+    gathers = [itemgetter(*p) if len(p) > 1 else itemgetter(slice(p[0], p[0] + 1)) for p in dag.parents]
+    messages: list[dict] = [{"role": "system", "content": templates.system_prompt}]
     all_inputs: list[list[str]] = []
     all_chains: list[list[str]] = []
     flags: list[bool] = []
     for _ in range(config.k):
-        words = [random_word(config.w, rng, config.distinct_letters) for _ in range(n)]
+        if config.distinct_letters:
+            words = [random_word(w, rng, True) for _ in range(n)]
+        else:
+            letters = random_word(n * w, rng)
+            words = [letters[i : i + w] for i in starts]
         pool = list(words)
-        chain: list[str] = []
-        for node in range(c):
-            parents = [pool[p] for p in dag.parents[node]]
-            word = string_transform(parents)
-            chain.append(word)
-            pool.append(word)
+        for gather in gathers:
+            pool.append(string_transform(gather(pool)))
+        chain = pool[n:]
         is_cot = r >= rng.random()
-        messages.append({"role": "user", "content": render_question(words, config.templates)})
-        messages.append({"role": "assistant", "content": render_assistant(chain, is_cot, config.templates)})
+        messages.append({"role": "user", "content": render_question(words, templates)})
+        messages.append({"role": "assistant", "content": render_assistant(chain, is_cot, templates)})
         all_inputs.append(words)
         all_chains.append(chain)
         flags.append(is_cot)

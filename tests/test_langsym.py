@@ -68,6 +68,19 @@ def test_character_marginal_uniform():
     assert stat < chi_square_critical(25, 0.01)
 
 
+@pytest.mark.parametrize("w", [2, 5, 8, 26])
+def test_one_long_draw_equals_per_word_draws(w):
+    # generate_langsym_prompt draws an example's N*w letters at once; that
+    # must be the stream N per-word draws give, the draw after it included
+    # (odd N*w leaves half of a 32-bit pair buffered for the next draw)
+    for seed in range(20):
+        for n in (1, 3, 4):
+            bulk, twin = make_rng(seed), make_rng(seed)
+            letters = random_word(n * w, bulk)
+            assert [letters[i : i + w] for i in range(0, n * w, w)] == [random_word(w, twin) for _ in range(n)]
+            assert bulk.random() == twin.random()
+
+
 def test_distinct_letter_mode():
     rng = make_rng(2)
     for _ in range(100):
@@ -90,6 +103,21 @@ def test_transform_uniform_halves():
 
 def test_transform_wraparound():
     assert string_transform(["zzzz"]) == "aa"
+
+
+def reference_transform(parent_words):
+    tail = "".join(w[len(w) // 2 :] for w in parent_words)
+    return "".join(chr((ord(ch) - ord("a") + 1) % 26 + ord("a")) for ch in tail)
+
+
+def test_transform_matches_per_character_reference():
+    rng = make_rng(31)
+    alphabet_word = "abcdefghijklmnopqrstuvwxyz" * 2  # its tail holds every letter, z included
+    assert string_transform([alphabet_word]) == reference_transform([alphabet_word]) == "bcdefghijklmnopqrstuvwxyza"
+    for length in range(1, 14):  # odd and even lengths
+        for fan_in in (1, 2, 4):
+            words = [random_word(length, rng) for _ in range(fan_in)]
+            assert string_transform(words) == reference_transform(words)
 
 
 def test_transform_empty_rejected():
