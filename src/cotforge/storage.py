@@ -10,15 +10,22 @@ Record serialization is pinned: compact separators, ASCII escapes, and
 field order fixed by construction, so hashes are stable across runs,
 platforms, and worker counts. Generation parallelizes over item indices;
 shard s holds the contiguous block [s*ceil(T/S), ...) of output positions.
+A command (write, verify) runs at most one worker pool: it generates the
+records of all its shards as one ordered stream, which the caller cuts at
+shard boundaries, so the pool starts once and never drains between shards.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
+import re
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -77,6 +84,7 @@ def parse_config(kind: str, config_json: dict) -> TaskConfig:
 
 
 MANIFEST_NAME = "manifest.json"
+SHARD_RE = re.compile(r"part-\d{4,}\.jsonl")
 
 
 def encode_record(record: dict) -> bytes:
@@ -145,6 +153,13 @@ def shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
     return [(s * per, min((s + 1) * per, total)) for s in range(shards) if s * per < total]
 
 
+# Records per pool task, at most: large enough that IPC stays a small share
+# of the work, small enough that a task's results are a few MB at most.
+MAX_CHUNK = 64
+# Tasks submitted ahead of the consumer, per worker: enough that no worker
+# waits for work.
+IN_FLIGHT_PER_WORKER = 4
+
 # Per-worker state, built once per process from the pickled manifest payload.
 _WORKER = {}
 
@@ -167,18 +182,43 @@ def _gen_line(j: int) -> bytes:
     return encode_record(record)
 
 
+def _gen_lines(indices: list[int]) -> list[bytes]:
+    return [_gen_line(j) for j in indices]
+
+
 def _emit_lines(kind: str, config_json: dict, transforms: list[dict], indices: list[int], workers: int):
-    """Record bytes for `indices`, in order, with optional process parallelism."""
+    """Record bytes for `indices`, in order.
+
+    At most one process pool serves the whole stream, with no more workers
+    than items; one worker generates in this process. Chunks are submitted
+    as their results are consumed, so memory holds a few chunks, not the
+    whole stream.
+    """
+    workers = min(workers, len(indices))
     if workers <= 1:
         _init_worker(kind, config_json, transforms)
         for j in indices:
             yield _gen_line(j)
         return
-    chunk = max(1, len(indices) // (workers * 8))
+    chunk = max(1, min(MAX_CHUNK, len(indices) // (workers * 8)))
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(kind, config_json, transforms)
     ) as pool:
-        yield from pool.map(_gen_line, indices, chunksize=chunk)
+        pending: deque = deque()
+        for start in range(0, len(indices), chunk):
+            pending.append(pool.submit(_gen_lines, indices[start : start + chunk]))
+            if len(pending) > IN_FLIGHT_PER_WORKER * workers:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
+
+
+def _remove_stale_shards(out_dir: str, outputs: list[dict]) -> None:
+    """Delete the part files of `out_dir` that `outputs` does not list."""
+    listed = {out["path"] for out in outputs}
+    for name in os.listdir(out_dir):
+        if SHARD_RE.fullmatch(name) and name not in listed:
+            os.remove(os.path.join(out_dir, name))
 
 
 def write_dataset(
@@ -189,22 +229,33 @@ def write_dataset(
     shards: int = 1,
     workers: int = 1,
 ) -> Manifest:
-    """Generate a full dataset into `out_dir` and write its manifest."""
+    """Generate a full dataset into `out_dir` and write its manifest.
+
+    Any manifest already in `out_dir` is removed before the first shard is
+    written and the new one is written last, after part files from an
+    earlier run that the new manifest does not list are deleted. A run that
+    fails midway leaves no manifest, so it never looks like a valid dataset.
+    """
     transforms = transforms or []
     order = parse_config(kind, config_json).output_order()
+    ranges = shard_ranges(len(order), shards)
     os.makedirs(out_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, MANIFEST_NAME))
     started = time.monotonic()
+    lines = _emit_lines(kind, config_json, transforms, order, workers)
     outputs = []
-    for s, (start, stop) in enumerate(shard_ranges(len(order), shards)):
+    for s, (start, stop) in enumerate(ranges):
         path = os.path.join(out_dir, f"part-{s:04d}.jsonl")
         digest = hashlib.sha256()
         count = 0
         with open(path, "wb") as fh:
-            for line in _emit_lines(kind, config_json, transforms, order[start:stop], workers):
+            for line in itertools.islice(lines, stop - start):
                 fh.write(line)
                 digest.update(line)
                 count += 1
         outputs.append({"path": os.path.basename(path), "sha256": digest.hexdigest(), "count": count})
+    _remove_stale_shards(out_dir, outputs)
     manifest = Manifest(
         kind=kind,
         config=config_json,
@@ -231,19 +282,24 @@ def verify_dataset(dataset_dir: str, sample: int | None = None, seed: int = 0, w
     """Regenerate shards from the manifest and compare hashes and counts.
 
     Returns a list of mismatch descriptions (empty means verified). A
-    `sample` limits the check to that many randomly chosen shards.
+    `sample` limits the check to that many randomly chosen shards; it must
+    be at least 1.
     """
+    if sample is not None and sample < 1:
+        raise ConfigError(f"sample must be >= 1 shard, got {sample}")
     manifest = Manifest.load(dataset_dir)
     order = parse_config(manifest.kind, manifest.config).output_order()
     ranges = shard_ranges(len(order), max(1, len(manifest.outputs)))
     if len(ranges) != len(manifest.outputs):
         return [f"manifest lists {len(manifest.outputs)} shards but config implies {len(ranges)}"]
-    indices = list(range(len(manifest.outputs)))
-    if sample is not None and sample < len(indices):
+    checked = list(range(len(manifest.outputs)))
+    if sample is not None and sample < len(checked):
         rng = make_rng(seed)
-        indices = sorted(choose_distinct(rng, len(indices), sample))
+        checked = sorted(choose_distinct(rng, len(checked), sample))
+    items = [j for s in checked for j in order[slice(*ranges[s])]]
+    lines = _emit_lines(manifest.kind, manifest.config, manifest.transforms, items, workers)
     problems = []
-    for s in indices:
+    for s in checked:
         out = manifest.outputs[s]
         path = os.path.join(dataset_dir, out["path"])
         if not os.path.exists(path):
@@ -254,7 +310,7 @@ def verify_dataset(dataset_dir: str, sample: int | None = None, seed: int = 0, w
         start, stop = ranges[s]
         digest = hashlib.sha256()
         count = 0
-        for line in _emit_lines(manifest.kind, manifest.config, manifest.transforms, order[start:stop], workers):
+        for line in itertools.islice(lines, stop - start):
             digest.update(line)
             count += 1
         if digest.hexdigest() != out["sha256"]:

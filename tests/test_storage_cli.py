@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from cotforge import DatasetConfig, Recipe, Sequence
+from cotforge import DatasetConfig, Recipe, Sequence, storage
 from cotforge.cli import main
 from cotforge.sequences import build_artifacts, parse_sequence
 from cotforge.storage import (
@@ -98,6 +98,62 @@ def test_verify_detects_corruption(tmp_path):
         fh.write(blob)
     problems = verify_dataset(out)
     assert problems and "sha256" in problems[0]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Counts the process pools storage starts."""
+    started = []
+
+    class CountingPool(storage.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(storage, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def test_one_pool_per_command(tmp_path, pools):
+    serial = write_dataset(str(tmp_path / "w1"), KIND_LANGSYM, LANGSYM_CFG, shards=4, workers=1)
+    assert pools == []
+    out = str(tmp_path / "w2")
+    pooled = write_dataset(out, KIND_LANGSYM, LANGSYM_CFG, shards=4, workers=2)
+    assert pools == [2]
+    assert pooled.outputs == serial.outputs
+    assert verify_dataset(out, workers=2) == []
+    assert pools == [2, 2]
+
+
+def test_one_item_dataset_starts_no_pool(tmp_path, pools):
+    out = str(tmp_path / "one")
+    one = write_dataset(out, KIND_LANGSYM, dict(LANGSYM_CFG, t=1), shards=2, workers=2)
+    assert verify_dataset(out, workers=2) == []
+    assert pools == []
+    serial = write_dataset(str(tmp_path / "serial"), KIND_LANGSYM, dict(LANGSYM_CFG, t=1), workers=1)
+    assert one.outputs == serial.outputs
+
+
+def test_regenerating_with_fewer_shards_removes_stale_ones(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, LANGSYM_CFG)
+    out = tmp_path / "ds"
+    assert main(["gen-langsym", "--config", cfg, "--out", str(out), "--shards", "4"]) == 0
+    assert main(["gen-langsym", "--config", cfg, "--out", str(out), "--shards", "2"]) == 0
+    assert sorted(os.listdir(out)) == ["manifest.json", "part-0000.jsonl", "part-0001.jsonl"]
+    assert main(["verify", "--manifest", str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_failed_strip_leaves_no_manifest(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, LANGSYM_CFG)
+    src, out = tmp_path / "src", tmp_path / "out"
+    assert main(["gen-langsym", "--config", cfg, "--out", str(src)]) == 0
+    assert main(["gen-langsym", "--config", cfg, "--out", str(out)]) == 0  # a valid dataset to overwrite
+    too_many = LANGSYM_CFG["k"]  # more than the K-1 context examples
+    argv = ["strip-cot", "--in", str(src), "--k-prime", str(too_many), "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert not (out / "manifest.json").exists()
+    capsys.readouterr()
 
 
 def test_langsym_write_verify(tmp_path):
@@ -195,6 +251,25 @@ def test_cli_bad_config_value_exit_code(tmp_path, capsys, kind, bad):
     assert main([f"gen-{kind}", "--config", cfg, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_zero_shards_creates_nothing(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, LANGSYM_CFG)
+    out = tmp_path / "x"
+    assert main(["gen-langsym", "--config", cfg, "--out", str(out), "--shards", "0"]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_cli_verify_sample_below_one_exit_code(tmp_path, capsys, sample):
+    cfg = _write_cfg(tmp_path, LANGSYM_CFG)
+    out = str(tmp_path / "ds")
+    assert main(["gen-langsym", "--config", cfg, "--out", out, "--shards", "4"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--manifest", out, "--sample", sample]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "verified" not in captured.out
 
 
 def test_cli_malformed_manifest_exit_code(tmp_path, capsys):
