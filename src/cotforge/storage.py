@@ -243,18 +243,18 @@ def write_dataset(
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, MANIFEST_NAME))
     started = time.monotonic()
-    lines = _emit_lines(kind, config_json, transforms, order, workers)
     outputs = []
-    for s, (start, stop) in enumerate(ranges):
-        path = os.path.join(out_dir, f"part-{s:04d}.jsonl")
-        digest = hashlib.sha256()
-        count = 0
-        with open(path, "wb") as fh:
-            for line in itertools.islice(lines, stop - start):
-                fh.write(line)
-                digest.update(line)
-                count += 1
-        outputs.append({"path": os.path.basename(path), "sha256": digest.hexdigest(), "count": count})
+    with contextlib.closing(_emit_lines(kind, config_json, transforms, order, workers)) as lines:
+        for s, (start, stop) in enumerate(ranges):
+            path = os.path.join(out_dir, f"part-{s:04d}.jsonl")
+            digest = hashlib.sha256()
+            count = 0
+            with open(path, "wb") as fh:
+                for line in itertools.islice(lines, stop - start):
+                    fh.write(line)
+                    digest.update(line)
+                    count += 1
+            outputs.append({"path": os.path.basename(path), "sha256": digest.hexdigest(), "count": count})
     _remove_stale_shards(out_dir, outputs)
     manifest = Manifest(
         kind=kind,
@@ -297,26 +297,26 @@ def verify_dataset(dataset_dir: str, sample: int | None = None, seed: int = 0, w
         rng = make_rng(seed)
         checked = sorted(choose_distinct(rng, len(checked), sample))
     items = [j for s in checked for j in order[slice(*ranges[s])]]
-    lines = _emit_lines(manifest.kind, manifest.config, manifest.transforms, items, workers)
     problems = []
-    for s in checked:
-        out = manifest.outputs[s]
-        path = os.path.join(dataset_dir, out["path"])
-        if not os.path.exists(path):
-            raise FileNotFoundError(path)
-        actual = sha256_file(path)
-        if actual != out["sha256"]:
-            problems.append(f"{out['path']}: on-disk sha256 {actual[:12]}.. != manifest {out['sha256'][:12]}..")
-        start, stop = ranges[s]
-        digest = hashlib.sha256()
-        count = 0
-        for line in itertools.islice(lines, stop - start):
-            digest.update(line)
-            count += 1
-        if digest.hexdigest() != out["sha256"]:
-            problems.append(f"{out['path']}: regenerated sha256 {digest.hexdigest()[:12]}.. != manifest {out['sha256'][:12]}..")
-        if count != out["count"]:
-            problems.append(f"{out['path']}: regenerated {count} records, manifest says {out['count']}")
+    with contextlib.closing(_emit_lines(manifest.kind, manifest.config, manifest.transforms, items, workers)) as lines:
+        for s in checked:
+            out = manifest.outputs[s]
+            path = os.path.join(dataset_dir, out["path"])
+            if not os.path.exists(path):
+                raise FileNotFoundError(path)
+            actual = sha256_file(path)
+            if actual != out["sha256"]:
+                problems.append(f"{out['path']}: on-disk sha256 {actual[:12]}.. != manifest {out['sha256'][:12]}..")
+            start, stop = ranges[s]
+            digest = hashlib.sha256()
+            count = 0
+            for line in itertools.islice(lines, stop - start):
+                digest.update(line)
+                count += 1
+            if digest.hexdigest() != out["sha256"]:
+                problems.append(f"{out['path']}: regenerated sha256 {digest.hexdigest()[:12]}.. != manifest {out['sha256'][:12]}..")
+            if count != out["count"]:
+                problems.append(f"{out['path']}: regenerated {count} records, manifest says {out['count']}")
     return problems
 
 
