@@ -25,7 +25,6 @@ import math
 import os
 import re
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -153,13 +152,6 @@ def shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
     return [(s * per, min((s + 1) * per, total)) for s in range(shards) if s * per < total]
 
 
-# Records per pool task, at most: large enough that IPC stays a small share
-# of the work, small enough that a task's results are a few MB at most.
-MAX_CHUNK = 64
-# Tasks submitted ahead of the consumer, per worker: enough that no worker
-# waits for work.
-IN_FLIGHT_PER_WORKER = 4
-
 # Per-worker state, built once per process from the pickled manifest payload.
 _WORKER = {}
 
@@ -182,17 +174,12 @@ def _gen_line(j: int) -> bytes:
     return encode_record(record)
 
 
-def _gen_lines(indices: list[int]) -> list[bytes]:
-    return [_gen_line(j) for j in indices]
-
-
-def _emit_lines(kind: str, config_json: dict, transforms: list[dict], indices: list[int], workers: int):
-    """Record bytes for `indices`, in order.
+def _emit_lines(kind: str, config_json: dict, transforms: list[dict], indices: list[int], workers: int, shards: int):
+    """Record bytes for `indices`, the items of `shards` shards, in order.
 
     At most one process pool serves the whole stream, with no more workers
-    than items; one worker generates in this process. Chunks are submitted
-    as their results are consumed, so memory holds a few chunks, not the
-    whole stream.
+    than items; one worker generates in this process. Tasks are sized by
+    the shard, as if each shard had a pool of its own.
     """
     workers = min(workers, len(indices))
     if workers <= 1:
@@ -200,17 +187,11 @@ def _emit_lines(kind: str, config_json: dict, transforms: list[dict], indices: l
         for j in indices:
             yield _gen_line(j)
         return
-    chunk = max(1, min(MAX_CHUNK, len(indices) // (workers * 8)))
+    chunk = max(1, len(indices) // (shards * workers * 8))
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(kind, config_json, transforms)
     ) as pool:
-        pending: deque = deque()
-        for start in range(0, len(indices), chunk):
-            pending.append(pool.submit(_gen_lines, indices[start : start + chunk]))
-            if len(pending) > IN_FLIGHT_PER_WORKER * workers:
-                yield from pending.popleft().result()
-        while pending:
-            yield from pending.popleft().result()
+        yield from pool.map(_gen_line, indices, chunksize=chunk)
 
 
 def _remove_stale_shards(out_dir: str, outputs: list[dict]) -> None:
@@ -244,7 +225,7 @@ def write_dataset(
         os.remove(os.path.join(out_dir, MANIFEST_NAME))
     started = time.monotonic()
     outputs = []
-    with contextlib.closing(_emit_lines(kind, config_json, transforms, order, workers)) as lines:
+    with contextlib.closing(_emit_lines(kind, config_json, transforms, order, workers, len(ranges))) as lines:
         for s, (start, stop) in enumerate(ranges):
             path = os.path.join(out_dir, f"part-{s:04d}.jsonl")
             digest = hashlib.sha256()
@@ -298,7 +279,8 @@ def verify_dataset(dataset_dir: str, sample: int | None = None, seed: int = 0, w
         checked = sorted(choose_distinct(rng, len(checked), sample))
     items = [j for s in checked for j in order[slice(*ranges[s])]]
     problems = []
-    with contextlib.closing(_emit_lines(manifest.kind, manifest.config, manifest.transforms, items, workers)) as lines:
+    stream = _emit_lines(manifest.kind, manifest.config, manifest.transforms, items, workers, len(checked))
+    with contextlib.closing(stream) as lines:
         for s in checked:
             out = manifest.outputs[s]
             path = os.path.join(dataset_dir, out["path"])
