@@ -37,7 +37,7 @@ from .langsym import (
     make_langsym_eval_prompt,
 )
 from .recipe import Recipe, expected_tokens, parse_alpha
-from .sequences import DatasetConfig, Sequence, build_artifacts
+from .sequences import DatasetConfig, Sequence
 from .storage import (
     KIND_ABSTRACT,
     KIND_LANGSYM,
@@ -48,6 +48,7 @@ from .storage import (
     verify_dataset,
     write_dataset,
 )
+from .vocab import new_vocabulary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,7 +107,7 @@ def _backend_cmd(args: argparse.Namespace) -> list[str]:
 
 def _abstract_eval(config: DatasetConfig, records, args: argparse.Namespace):
     """`eval`: token prompts, their backend, and the call that scores them."""
-    vocab, _, _ = build_artifacts(config)
+    vocab = new_vocabulary(config.vocab_size)
     prompts = [make_eval_prompt(Sequence.from_record(rec), vocab) for rec in records]
     if args.backend == "oracle":
         backend = OracleBackend(prompts, vocab)
@@ -172,7 +173,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             print(msg["content"])
         return EXIT_OK
     config = DatasetConfig.from_json(manifest.config)
-    vocab, _, _ = build_artifacts(config)
+    vocab = new_vocabulary(config.vocab_size)
     meta = record["meta"]
     print(f"sequence {record['seq_id']}  (n={meta['n']} m={meta['m']} c={meta['c']} k={meta['k']} r_cot={meta['r_cot']:.4f})")
     for pos, (tok, mask) in enumerate(zip(record["tokens"], record["loss_mask"])):

@@ -9,6 +9,7 @@ parents are drawn uniformly without replacement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,32 +45,25 @@ class Dag:
     def answer_node(self) -> int:
         return self.n_inputs + self.n_chain - 1
 
-    def children(self) -> list[list[int]]:
-        """Adjacency lists parent -> children, over all N + C nodes."""
-        out: list[list[int]] = [[] for _ in range(self.n_inputs + self.n_chain)]
-        for c, plist in enumerate(self.parents, start=1):
-            node = self.n_inputs + c - 1
-            for p in plist:
-                out[p].append(node)
-        return out
+    @cached_property
+    def _answer_ancestors(self) -> tuple[bool, ...]:
+        """Per node: whether it reaches the answer node, the node itself included.
+
+        One reverse pass over the chain nodes: parents precede their child
+        (a parent of chain node c is below N+c-1), so a node's flag is final
+        before any of its parents is visited.
+        """
+        reach = [False] * (self.n_inputs + self.n_chain)
+        reach[self.answer_node()] = True
+        for node in range(self.answer_node(), self.n_inputs - 1, -1):
+            if reach[node]:
+                for p in self.parents[node - self.n_inputs]:
+                    reach[p] = True
+        return tuple(reach)
 
     def reaches_answer(self, node: int) -> bool:
         """True when a directed path node -> answer node exists."""
-        target = self.answer_node()
-        if node == target:
-            return True
-        children = self.children()
-        stack = [node]
-        seen = {node}
-        while stack:
-            cur = stack.pop()
-            for nxt in children[cur]:
-                if nxt == target:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
+        return self._answer_ancestors[node]
 
 
 def sample_dag(n_inputs: int, fan_in: int, n_chain: int, rng: np.random.Generator) -> Dag:

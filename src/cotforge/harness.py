@@ -32,11 +32,12 @@ from .recipe import choose_stripped
 from .rng import make_rng
 from .sequences import (
     Sequence,
-    cot_example_mask,
+    check_layout,
+    example_template,
+    keep_cells,
     parse_examples,
     parse_sequence,
     render_example_tokens,
-    standard_example_mask,
 )
 from .vocab import Vocabulary
 
@@ -102,7 +103,8 @@ def make_eval_prompt(seq: Sequence, vocab: Vocabulary) -> EvalPrompt:
 
     The final example must carry its thinking segment: its chain is the
     ground truth and its inputs become the query. Context keeps the first
-    K-1 examples exactly as rendered.
+    K-1 examples exactly as rendered: the stored tokens up to the query,
+    which the parse has just validated.
     """
     parsed = parse_sequence(list(seq.tokens), vocab)
     if len(parsed) < 2:
@@ -112,14 +114,13 @@ def make_eval_prompt(seq: Sequence, vocab: Vocabulary) -> EvalPrompt:
         raise ConfigError("query example lacks a thinking segment; build prompts from all-CoT sequences")
     chain = (*query.intermediates, query.answer)
 
-    context: list[int] = [vocab.bos]
-    for ex in parsed[:-1]:
-        context.extend(render_example_tokens(ex, vocab, as_cot=ex.is_cot))
+    query_len = len(query.inputs) + len(chain) + 7
+    context = tuple(seq.tokens[: len(seq.tokens) - query_len])
     query_segment = (vocab.inp_start, *query.inputs, vocab.inp_end)
     meta = dict(seq.meta.to_json())
     meta["seq_id"] = seq.seq_id
     return EvalPrompt(
-        context_tokens=tuple(context),
+        context_tokens=context,
         query_segment=query_segment,
         ground_truth_chain=chain,
         meta=meta,
@@ -147,32 +148,31 @@ def strip_cot(prompt: EvalPrompt, k_prime: int, rng: np.random.Generator, vocab:
 
 
 def strip_sequence_record(record: dict, k_prime: int, rng: np.random.Generator, vocab: Vocabulary) -> dict:
-    """Dataset-level stripping: rewrite one sequence record in place semantics.
+    """Dataset-level stripping of one stored sequence record; returns a new record.
 
-    Applies the same selection rule as strip_cot but over the first K-1
-    examples of a stored sequence (the last example is the future query and
-    is never touched). Tokens, loss mask, and cot_flags are rebuilt.
+    Applies the same selection rule as strip_cot, over the first K-1
+    examples (the last one is the future query and is never touched). The
+    layout comes from the record's meta (n, c, cot_flags), and the tokens
+    are first checked against it: length, every delimiter in its cell and
+    a normal token in every other one, else FormatError. Stripping then
+    deletes the thinking spans of the chosen examples from the stream,
+    with no parse or re-render; the loss mask and cot_flags are rebuilt
+    from the same layout.
     """
-    seq = Sequence.from_record(record)
-    parsed = parse_sequence(list(seq.tokens), vocab)
-    chosen = choose_stripped([ex.is_cot for ex in parsed[:-1]], k_prime, rng)
+    meta = record["meta"]
+    n, c = meta["n"], meta["c"]
+    flags = [bool(f) for f in meta["cot_flags"]]
+    stream, keep = check_layout(record["tokens"], n, c, flags, vocab)
+    chosen = choose_stripped(flags[:-1], k_prime, rng)
 
-    n, c = seq.meta.n, seq.meta.c
-    tokens: list[int] = [vocab.bos]
-    mask: list[int] = [0]
-    flags: list[bool] = []
-    for i, ex in enumerate(parsed):
-        as_cot = ex.is_cot and i not in chosen
-        tokens.extend(render_example_tokens(ex, vocab, as_cot=as_cot))
-        mask.extend(cot_example_mask(n, c) if as_cot else standard_example_mask(n))
-        flags.append(as_cot)
-    meta = seq.meta.to_json()
-    meta["cot_flags"] = [int(f) for f in flags]
+    flags = [f and i not in chosen for i, f in enumerate(flags)]
+    new_keep = keep_cells(n, c, flags)
+    _, mask_row = example_template(n, c, vocab)
     return {
-        "seq_id": seq.seq_id,
-        "tokens": tokens,
-        "loss_mask": mask,
-        "meta": meta,
+        "seq_id": record["seq_id"],
+        "tokens": [vocab.bos, *stream[1:][new_keep[keep]].tolist()],
+        "loss_mask": [0, *np.broadcast_to(mask_row, keep.shape)[new_keep].tolist()],
+        "meta": {**meta, "cot_flags": [int(f) for f in flags]},
     }
 
 

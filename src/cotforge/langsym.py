@@ -16,7 +16,6 @@ wrapping to a.
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from dataclasses import dataclass, field, asdict, fields
@@ -314,21 +313,21 @@ class TextOracleBackend:
 
     def __init__(self, prompts: list[LangSymEvalPrompt], templates: Templates | None = None):
         self._templates = templates or Templates()
-        self._chains = {self._key(p.messages): list(p.ground_truth_chain) for p in prompts}
-
-    @staticmethod
-    def _key(messages) -> str:
-        # the final user question is unique per prompt with overwhelming
-        # probability; include the full context to make the key exact
-        return json.dumps([dict(m) for m in messages], sort_keys=True)
+        # Indexed by the final message, the query question, which is unique
+        # per prompt with overwhelming probability; a hit is confirmed by
+        # comparing the whole context, so the lookup stays exact.
+        self._prompts: dict[str, list[tuple[tuple[dict, ...], list[str]]]] = {}
+        for p in prompts:
+            entry = (tuple(p.messages), list(p.ground_truth_chain))
+            self._prompts.setdefault(p.messages[-1]["content"], []).append(entry)
 
     def complete(self, messages: list[dict]) -> str:
         partial = ""
-        context = messages
-        if messages and messages[-1]["role"] == "assistant":
-            partial = messages[-1]["content"]
-            context = messages[:-1]
-        chain = self._chains.get(self._key(context))
+        context = tuple(messages)
+        if context and context[-1]["role"] == "assistant":
+            partial, context = context[-1]["content"], context[:-1]
+        final = context[-1]["content"] if context else None
+        chain = next((chain for known, chain in self._prompts.get(final, ()) if known == context), None)
         if chain is None:
             raise BackendError("unknown prompt context")
         for as_cot in (True, False):

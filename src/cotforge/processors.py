@@ -7,19 +7,24 @@ whose embedding row has the largest dot product with the result. Argmax is
 restricted to normal tokens so chain tokens can never be delimiters, and
 ties break toward the smallest id.
 
-Weights are stored float32; all arithmetic runs in
-float64 so the argmax is stable across platforms.
+Weights are stored float32; all arithmetic runs in float64 so the argmax
+is stable across platforms. The weights are converted to float64 once per
+cache (each Mlp keeps C-contiguous float64 transposes of its layers), and
+the embeddings once per matrix (its float64 rows and their C-contiguous
+transpose), so the kernel converts nothing per call. The converted arrays
+are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
 from .rng import make_rng
-from .vocab import N_SPECIAL
+from .vocab import N_SPECIAL, EmbeddingMatrix, read_only
 
 
 @dataclass(frozen=True)
@@ -43,12 +48,18 @@ class Mlp:
     def depth(self) -> int:
         return len(self.weights)
 
+    @cached_property
+    def weights_f64_t(self) -> tuple[np.ndarray, ...]:
+        """Each layer's weights transposed, as C-contiguous float64."""
+        return tuple(read_only(np.ascontiguousarray(w.T, dtype=np.float64)) for w in self.weights)
+
     def apply_f64(self, x: np.ndarray) -> np.ndarray:
         """Apply to a batch of row vectors (..., dim), in float64."""
         out = x
-        for i, w in enumerate(self.weights):
-            out = out @ w.astype(np.float64).T
-            if i < len(self.weights) - 1:
+        last = len(self.weights) - 1
+        for i, w_t in enumerate(self.weights_f64_t):
+            out = out @ w_t
+            if i < last:
                 out = leaky_relu(out, self.slope)
         return out
 
@@ -113,26 +124,33 @@ def sample_processors(cache: TokenProcessorCache, n_chain: int, rng: np.random.G
 def chain_tokens_batch(
     dag_parents: tuple[tuple[int, ...], ...],
     processors: list[Mlp],
-    e64: np.ndarray,
+    emb: EmbeddingMatrix,
     inputs: np.ndarray,
 ) -> np.ndarray:
     """Chain tokens for a whole batch of examples sharing one DAG.
 
     `inputs` is (K, N) int64; returns (K, C) int64. One matmul pass per chain
-    node, all in float64. Generation and any
-    metadata-driven recomputation both call this function, so stored chains
-    always match recomputed ones bit for bit.
+    node, all in float64 on the arrays the embedding matrix and each
+    processor converted once. Generation and any metadata-driven
+    recomputation both call this function, so stored chains always match
+    recomputed ones bit for bit.
     """
+    e64, e64_t = emb.f64, emb.f64_t
     n_examples, n_inputs = inputs.shape
     n_chain = len(dag_parents)
     toks = np.empty((n_examples, n_inputs + n_chain), dtype=np.int64)
     toks[:, :n_inputs] = inputs
+    # One (K, vocab) score buffer for every node: a fresh one per node costs
+    # more in page faults than the matmul that fills it.
+    scores = np.empty((n_examples, e64.shape[0]))
     for c in range(1, n_chain + 1):
         mlp = processors[c - 1]
         parent_idx = list(dag_parents[c - 1])
         hidden = mlp.apply_f64(e64[toks[:, parent_idx]])
-        activated = leaky_relu(hidden.mean(axis=1), mlp.slope)
-        scores = activated @ e64.T
+        # mean over the parents as ndarray.mean computes it (sum, then divide
+        # by the count), without its per-call Python overhead
+        activated = leaky_relu(np.add.reduce(hidden, axis=1) / len(parent_idx), mlp.slope)
+        np.matmul(activated, e64_t, out=scores)
         scores[:, :N_SPECIAL] = -np.inf
-        toks[:, n_inputs + c - 1] = np.argmax(scores, axis=1)
+        toks[:, n_inputs + c - 1] = scores.argmax(axis=1)
     return toks[:, n_inputs:]

@@ -15,6 +15,18 @@ the supervised positions: ans_start, yC, ans_end, eos on a plain example
 (4 ones) and additionally think_start, y1..y{C-1}, think_end on a thinking
 one (C+5 ones).
 
+Layout rule: every example is laid out on the same N+C+7 cells, the
+thinking rendering, and a plain example is that row minus its thinking
+span, the C+1 cells think_start..think_end. Which cells a sequence keeps is
+therefore a pure function of (n, c, cot_flags) (`keep_cells`), and so is
+which delimiter or normal token each kept cell must hold and its mask bit
+(`example_template`). Generation fills the template from the input and
+chain arrays (`render_sequence`), `check_layout` validates a stored stream
+against it, and dataset stripping (harness.strip_sequence_record) deletes
+thinking spans from it; none of them parses or re-renders. The
+per-example renderers and parsers below are the reference implementations
+of the same rule.
+
 Every sequence is generated from its own Philox stream derived from
 (master_seed, j), with a fixed draw order:
 
@@ -30,7 +42,7 @@ Reordering any of these draws is a compatibility break.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence as Seq
 
 import numpy as np
 
@@ -277,6 +289,96 @@ def parse_sequence(tokens: list[int], vocab: Vocabulary) -> list[ParsedExample]:
     return parse_examples(tokens, vocab, start=1)
 
 
+NORMAL = -1  # template cell that holds a normal token
+
+
+def example_template(n: int, c: int, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Token and mask rows of the N+C+7-cell thinking layout of one example.
+
+    The token row holds each delimiter at its cell and NORMAL where an
+    input or chain token goes; the mask row is `cot_example_mask(n, c)`.
+    """
+    tokens = np.full(n + c + 7, NORMAL, dtype=np.int64)
+    tokens[[0, n + 1, n + 2, n + c + 2, n + c + 3, n + c + 5, n + c + 6]] = (
+        vocab.inp_start,
+        vocab.inp_end,
+        vocab.think_start,
+        vocab.think_end,
+        vocab.ans_start,
+        vocab.ans_end,
+        vocab.eos,
+    )
+    mask = np.zeros(n + c + 7, dtype=np.int64)
+    mask[n + 2 :] = 1
+    return tokens, mask
+
+
+def keep_cells(n: int, c: int, cot_flags: Seq[bool]) -> np.ndarray:
+    """(K, N+C+7) bool: the cells each example renders; plain ones drop their thinking span."""
+    keep = np.ones((len(cot_flags), n + c + 7), dtype=bool)
+    keep[~np.asarray(cot_flags, dtype=bool), n + 2 : n + c + 3] = False
+    return keep
+
+
+def _abnormal(tokens: np.ndarray, vocab: Vocabulary) -> np.ndarray:
+    return tokens[(tokens < N_SPECIAL) | (tokens >= vocab.size)]
+
+
+def check_layout(
+    tokens: Seq[int], n: int, c: int, cot_flags: Seq[bool], vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a stored sequence against the layout of (n, c, cot_flags).
+
+    The stream must be bos plus exactly the kept cells: every delimiter in
+    its cell and a normal token in every other one. Returns the stream as
+    an int64 array and the `keep_cells` grid; raises FormatError on any
+    violation.
+    """
+    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (n, c)):
+        raise FormatError(f"layout needs n, c >= 1, got n={n!r} c={c!r}")
+    stream = np.asarray(tokens)
+    if stream.ndim != 1 or stream.dtype.kind not in "iu":
+        raise FormatError("tokens must be a flat list of integers")
+    keep = keep_cells(n, c, cot_flags)
+    template, _ = example_template(n, c, vocab)
+    expected = np.concatenate(([vocab.bos], np.broadcast_to(template, keep.shape)[keep]))
+    if len(stream) != len(expected):
+        raise FormatError(f"{len(stream)} tokens where the layout of {len(cot_flags)} examples has {len(expected)}")
+    fixed = expected != NORMAL
+    wrong = np.flatnonzero(fixed & (stream != expected))
+    if wrong.size:
+        pos = int(wrong[0])
+        raise FormatError(f"position {pos}: expected delimiter {int(expected[pos])}, found {int(stream[pos])}")
+    bad = _abnormal(stream[~fixed], vocab)
+    if bad.size:
+        raise FormatError(f"special or out-of-range token {int(bad[0])} where a normal token belongs")
+    return stream, keep
+
+
+def render_sequence(
+    inputs: np.ndarray, chains: np.ndarray, cot_flags: Seq[bool], vocab: Vocabulary
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Tokens and loss mask of bos plus K examples, from (K, N) inputs and (K, C) chains.
+
+    Fills the thinking template of every example and keeps its cells; the
+    same result as rendering each example with `render_cot_example` or
+    `render_standard_example` and its `*_example_mask`. Every input and
+    chain token must be normal (ConfigError otherwise).
+    """
+    for part in (inputs, chains):
+        bad = _abnormal(part, vocab)
+        if bad.size:
+            raise ConfigError(f"token {int(bad[0])} is not a normal token")
+    n, c = inputs.shape[1], chains.shape[1]
+    template, mask_row = example_template(n, c, vocab)
+    grid = np.tile(template, (len(inputs), 1))
+    grid[:, 1 : n + 1] = inputs
+    grid[:, n + 3 : n + c + 2] = chains[:, :-1]
+    grid[:, n + c + 4] = chains[:, -1]
+    keep = keep_cells(n, c, cot_flags)
+    return (vocab.bos, *grid[keep].tolist()), (0, *np.broadcast_to(mask_row, keep.shape)[keep].tolist())
+
+
 def generate_sequence(
     config: DatasetConfig,
     j: int,
@@ -292,17 +394,8 @@ def generate_sequence(
     flags = [bool(r >= draw) for draw in rng.random(config.k)]
 
     procs = [cache.processors[i] for i in proc_ids]
-    chains = chain_tokens_batch(dag.parents, procs, emb.as_f64(), inputs)
-
-    tokens: list[int] = [vocab.bos]
-    mask: list[int] = [0]
-    for ex_inputs, chain, is_cot in zip(inputs.tolist(), chains.tolist(), flags):
-        if is_cot:
-            tokens.extend(render_cot_example(ex_inputs, chain, vocab))
-            mask.extend(cot_example_mask(n, c))
-        else:
-            tokens.extend(render_standard_example(ex_inputs, chain[-1], vocab))
-            mask.extend(standard_example_mask(n))
+    chains = chain_tokens_batch(dag.parents, procs, emb, inputs)
+    tokens, mask = render_sequence(inputs, chains, flags, vocab)
 
     meta = SequenceMeta(
         n=n,
@@ -315,7 +408,7 @@ def generate_sequence(
         cot_flags=tuple(flags),
         seed=seed,
     )
-    return Sequence(seq_id=j, tokens=tuple(tokens), loss_mask=tuple(mask), meta=meta)
+    return Sequence(seq_id=j, tokens=tokens, loss_mask=mask, meta=meta)
 
 
 def recompute_chains(seq: Sequence, emb: EmbeddingMatrix, cache: TokenProcessorCache, vocab: Vocabulary) -> np.ndarray:
@@ -329,7 +422,7 @@ def recompute_chains(seq: Sequence, emb: EmbeddingMatrix, cache: TokenProcessorC
     parsed = parse_sequence(list(seq.tokens), vocab)
     inputs = np.array([p.inputs for p in parsed], dtype=np.int64)
     procs = [cache.processors[i] for i in seq.meta.proc_ids]
-    return chain_tokens_batch(seq.meta.dag.parents, procs, emb.as_f64(), inputs)
+    return chain_tokens_batch(seq.meta.dag.parents, procs, emb, inputs)
 
 
 def generate_dataset(config: DatasetConfig) -> Iterator[Sequence]:

@@ -10,6 +10,7 @@ float64 wherever arithmetic happens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,15 +113,26 @@ def new_vocabulary(size: int) -> Vocabulary:
 class EmbeddingMatrix:
     """size x dim matrix of N(0,1) draws, regenerable bit-exactly from its seed.
 
-    `data` is float32 (the storage dtype); promote with `as_f64()` before
-    arithmetic.
+    `data` is float32 (the storage dtype). Arithmetic reads `f64` and its
+    C-contiguous transpose `f64_t`, each converted once per matrix and
+    read-only, so every caller sees the same values.
     """
 
     seed: int
     data: np.ndarray
 
-    def as_f64(self) -> np.ndarray:
-        return self.data.astype(np.float64)
+    @cached_property
+    def f64(self) -> np.ndarray:
+        return read_only(self.data.astype(np.float64))
+
+    @cached_property
+    def f64_t(self) -> np.ndarray:
+        return read_only(np.ascontiguousarray(self.f64.T))
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def sample_embedding_matrix(vocab: Vocabulary, dim: int, seed: int) -> EmbeddingMatrix:

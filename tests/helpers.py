@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own vectorized code paths:
 the chain-token oracle is an explicit per-step loop, reachability is an
-exhaustive path enumeration, and the distribution checks use textbook
-formulas (scipy only supplies critical values).
+exhaustive path enumeration, dataset stripping parses and re-renders every
+example with the per-example renderers, and the distribution checks use
+textbook formulas (scipy only supplies critical values).
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from cotforge.recipe import choose_stripped
+from cotforge.sequences import cot_example_mask, parse_sequence, render_example_tokens, standard_example_mask
 
 
 def oracle_chain_token(weights, slope, emb_f32, parent_ids, n_special):
@@ -51,6 +55,25 @@ def all_paths_reach(dag, src: int, dst: int) -> bool:
         return any(walk(nxt) for nxt in children[node])
 
     return walk(src)
+
+
+def reference_strip_sequence_record(record: dict, k_prime: int, rng, vocab) -> dict:
+    """Dataset-level stripping by parse and re-render, one example at a time.
+
+    Draws the stripped examples exactly as harness.strip_sequence_record
+    does, then renders every example again in its new mode.
+    """
+    parsed = parse_sequence(list(record["tokens"]), vocab)
+    chosen = choose_stripped([ex.is_cot for ex in parsed[:-1]], k_prime, rng)
+    n, c = record["meta"]["n"], record["meta"]["c"]
+    tokens, mask, flags = [vocab.bos], [0], []
+    for i, ex in enumerate(parsed):
+        as_cot = ex.is_cot and i not in chosen
+        tokens.extend(render_example_tokens(ex, vocab, as_cot=as_cot))
+        mask.extend(cot_example_mask(n, c) if as_cot else standard_example_mask(n))
+        flags.append(int(as_cot))
+    meta = dict(record["meta"], cot_flags=flags)
+    return {"seq_id": record["seq_id"], "tokens": tokens, "loss_mask": mask, "meta": meta}
 
 
 def chi_square_uniform(counts, expected) -> float:

@@ -224,7 +224,7 @@ def test_chain_token_matches_independent_oracle():
         n_parents = int(rng.integers(1, 5))
         parents = [int(p) for p in rng.integers(N_SPECIAL, 1024, size=n_parents)]
         # the generation kernel on a one-row batch whose chain node reads every input
-        ours = int(chain_tokens_batch((tuple(range(n_parents)),), [mlp], emb.as_f64(), np.array([parents]))[0, 0])
+        ours = int(chain_tokens_batch((tuple(range(n_parents)),), [mlp], emb, np.array([parents]))[0, 0])
         theirs = oracle_chain_token(mlp.weights, mlp.slope, emb.data, parents, N_SPECIAL)
         assert ours == theirs, f"trial {trial}: {ours} != {theirs}"
     _report("chain-token generation == independent dense oracle (1000 instances)", started, 10.0)

@@ -125,3 +125,18 @@ def test_reachability_matches_path_enumeration(n, m, c, seed):
     dag = sample_dag(n, m, c, make_rng(seed))
     for node in range(n + c):
         assert dag.reaches_answer(node) == all_paths_reach(dag, node, dag.answer_node())
+
+
+def test_reaches_answer_on_arbitrary_parent_sets():
+    # any parent subset of the earlier nodes, empty and full ones included,
+    # not only the fixed fan-in that sample_dag draws
+    rng = make_rng(2024)
+    for _ in range(300):
+        n, c = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        parents = []
+        for node in range(n, n + c):
+            size = int(rng.integers(0, node + 1))
+            parents.append(tuple(sorted(int(p) for p in rng.choice(node, size=size, replace=False))))
+        dag = Dag(n_inputs=n, n_chain=c, fan_in=1, parents=tuple(parents))
+        for node in range(n + c):
+            assert dag.reaches_answer(node) == all_paths_reach(dag, node, dag.answer_node()), (dag, node)

@@ -8,6 +8,7 @@ from cotforge import (
     BackendError,
     ConfigError,
     DatasetConfig,
+    FormatError,
     ForcingConfig,
     FORMAT_FAILURE,
     OracleBackend,
@@ -24,9 +25,17 @@ from cotforge import (
 )
 from cotforge.harness import FORCE_ANSWER, FORCE_THINK, NO_FORCING, strip_sequence_record
 from cotforge.rng import make_rng
-from cotforge.sequences import build_artifacts, generate_sequence, parse_sequence, recompute_chains
+from cotforge.sequences import (
+    Sequence,
+    build_artifacts,
+    generate_sequence,
+    parse_sequence,
+    recompute_chains,
+    render_example_tokens,
+)
+from cotforge.storage import encode_record
 
-from helpers import binomial_interval
+from helpers import binomial_interval, reference_strip_sequence_record
 
 
 def all_cot_config(**over):
@@ -123,6 +132,80 @@ def test_strip_sequence_record_counts(world):
     n_cot = sum(flags)
     assert len(rec["tokens"]) == 1 + n_cot * (n + c + 7) + (cfg.k - n_cot) * (n + 6)
     assert sum(rec["loss_mask"]) == n_cot * (c + 5) + (cfg.k - n_cot) * 4
+
+
+@pytest.fixture(scope="module")
+def mixed_records():
+    """Records whose first K-1 examples mix both renderings, over several (n, c)."""
+    cfg = all_cot_config(n_choices=(1, 3, 5), c_choices=(1, 2, 6), recipe=Recipe(alpha=1.0), t=40, k=10)
+    vocab, emb, cache = build_artifacts(cfg)
+    records = [generate_sequence(cfg, j, vocab, emb, cache).to_record() for j in range(cfg.t)]
+    return vocab, [r for r in records if 0 < sum(r["meta"]["cot_flags"][:-1]) < cfg.k - 1]
+
+
+@pytest.mark.parametrize("k_prime", ["0", "1", "all"])
+def test_strip_sequence_record_matches_parse_and_rerender(mixed_records, k_prime):
+    vocab, records = mixed_records
+    assert len(records) >= 10
+    for j, rec in enumerate(records):
+        n_cot = sum(rec["meta"]["cot_flags"][:-1])
+        kp = {"0": 0, "1": 1, "all": n_cot}[k_prime]
+        ours = strip_sequence_record(rec, kp, make_rng(j), vocab)
+        want = reference_strip_sequence_record(rec, kp, make_rng(j), vocab)
+        assert encode_record(ours) == encode_record(want), rec["seq_id"]
+
+
+def _flip_first_flag(rec, vocab):
+    rec["meta"]["cot_flags"][0] ^= 1
+
+
+def _swap_unequal_flags(rec, vocab):
+    flags = rec["meta"]["cot_flags"]
+    i, j = flags.index(0), flags.index(1)
+    flags[i], flags[j] = flags[j], flags[i]
+
+
+def _truncate(rec, vocab):
+    rec["tokens"].pop()
+
+
+def _delimiter_to_normal(rec, vocab):
+    rec["tokens"][rec["tokens"].index(vocab.think_end)] = vocab.normal_ids.start
+
+
+def _special_in_input(rec, vocab):
+    rec["tokens"][2] = vocab.ans_end  # bos, inp_start, then the first input token
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_flip_first_flag, _swap_unequal_flags, _truncate, _delimiter_to_normal, _special_in_input],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_strip_sequence_record_rejects_a_broken_layout(mixed_records, corrupt):
+    vocab, records = mixed_records
+    rec = json.loads(encode_record(records[0]))
+    corrupt(rec, vocab)
+    with pytest.raises(FormatError):
+        strip_sequence_record(rec, 0, make_rng(0), vocab)
+
+
+def test_eval_prompt_context_matches_rerender(mixed_records):
+    vocab, records = mixed_records
+    checked = 0
+    for j, rec in enumerate(records):
+        seq = Sequence.from_record(strip_sequence_record(rec, 1, make_rng(j), vocab))
+        if not seq.meta.cot_flags[-1]:
+            continue
+        checked += 1
+        parsed = parse_sequence(list(seq.tokens), vocab)
+        want = [vocab.bos]
+        for ex in parsed[:-1]:
+            want += render_example_tokens(ex, vocab, as_cot=ex.is_cot)
+        prompt = make_eval_prompt(seq, vocab)
+        assert prompt.context_tokens == tuple(want)
+        assert prompt.prefix == seq.tokens[: len(want) + len(parsed[-1].inputs) + 2]
+    assert checked >= 5
 
 
 def test_oracle_emits_canonical_thinking_tail(world):

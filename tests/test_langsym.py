@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotforge import (
+    BackendError,
     ConfigError,
     FORMAT_FAILURE,
     LangSymConfig,
@@ -19,6 +20,7 @@ from cotforge import (
 )
 from cotforge.langsym import (
     ChatPrompt,
+    LangSymEvalPrompt,
     TextOracleBackend,
     evaluate_langsym,
     make_langsym_eval_prompt,
@@ -325,3 +327,21 @@ def test_render_assistant_modes():
     assert "Step 1: aa" in cot and "Step 2: bb" in cot and "Step 3" not in cot
     assert cot.endswith("\\boxed{cc}")
     assert plain == f"{t.answer_open}\\boxed{{cc}}"
+
+
+def test_text_oracle_tells_apart_prompts_with_the_same_question():
+    t = Templates()
+    question = {"role": "user", "content": "the same question"}
+
+    def prompt(context: str, chain: tuple[str, ...]) -> LangSymEvalPrompt:
+        messages = ({"role": "system", "content": "s"}, {"role": "user", "content": context}, question)
+        return LangSymEvalPrompt(messages=messages, ground_truth_chain=chain, meta={})
+
+    a, b = prompt("context a", ("ab", "cd")), prompt("context b", ("ef", "gh"))
+    backend = TextOracleBackend([a, b], t)
+    for p in (a, b):
+        assert backend.complete([*p.messages]) == render_assistant(list(p.ground_truth_chain), True, t)
+        forced = [*p.messages, {"role": "assistant", "content": t.answer_open}]
+        assert t.answer_open + backend.complete(forced) == render_assistant(list(p.ground_truth_chain), False, t)
+    with pytest.raises(BackendError):
+        backend.complete([*prompt("context c", ("ab", "cd")).messages])

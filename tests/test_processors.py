@@ -14,7 +14,7 @@ from helpers import chi_square_critical, chi_square_uniform, oracle_chain_token
 def chain_token(mlp, emb, parent_ids):
     """The generation kernel on a one-row batch whose single chain node reads every input."""
     inputs = np.array([parent_ids], dtype=np.int64)
-    return int(chain_tokens_batch((tuple(range(len(parent_ids))),), [mlp], emb.as_f64(), inputs)[0, 0])
+    return int(chain_tokens_batch((tuple(range(len(parent_ids))),), [mlp], emb, inputs)[0, 0])
 
 
 def test_cache_deterministic_per_seed():
@@ -135,7 +135,7 @@ def test_batch_matches_single_calls():
     dag = sample_dag(4, 2, 3, rng)
     procs = [cache.processors[i] for i in sample_processors(cache, 3, rng)]
     inputs = rng.integers(9, 128, size=(20, 4))
-    batch = chain_tokens_batch(dag.parents, procs, emb.as_f64(), inputs)
+    batch = chain_tokens_batch(dag.parents, procs, emb, inputs)
     for k in range(20):
         pool = [int(v) for v in inputs[k]]
         for c in range(3):
@@ -143,3 +143,16 @@ def test_batch_matches_single_calls():
             tok = oracle_chain_token(procs[c].weights, procs[c].slope, emb.data, parent_ids, N_SPECIAL)
             assert tok == batch[k][c]
             pool.append(tok)
+
+
+def test_converted_arrays_are_read_only_and_exact():
+    emb = sample_embedding_matrix(new_vocabulary(64), 6, seed=3)
+    mlp = new_cache(2, 6, 2, 0.01, seed=4).processors[1]
+    assert emb.f64 is emb.f64 and mlp.weights_f64_t is mlp.weights_f64_t  # converted once
+    assert np.array_equal(emb.f64, emb.data) and np.array_equal(emb.f64_t, emb.data.T)
+    assert all(np.array_equal(w_t, w.T) for w_t, w in zip(mlp.weights_f64_t, mlp.weights))
+    for arr in (emb.f64, emb.f64_t, *mlp.weights_f64_t):
+        assert arr.dtype == np.float64
+        assert arr.flags.c_contiguous
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0

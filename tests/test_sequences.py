@@ -21,8 +21,10 @@ from cotforge.sequences import (
     build_artifacts,
     cot_example_mask,
     recompute_chains,
+    render_sequence,
     standard_example_mask,
 )
+from cotforge.vocab import N_SPECIAL
 
 
 def small_config(**over):
@@ -235,3 +237,36 @@ def test_config_missing_keys_is_config_error():
         DatasetConfig.from_json(
             {"n_choices": [2], "m_choices": [2], "c_choices": [2], "k": 2, "t": 2, "recipe": {}, "master_seed": 0}
         )
+
+
+@pytest.mark.parametrize("mode", ["thinking", "plain", "mixed"])
+def test_array_renderer_matches_per_example_renderers(mode):
+    rng = np.random.default_rng(["thinking", "plain", "mixed"].index(mode))
+    k = 6
+    for n in range(1, 7):
+        for c in range(1, 7):
+            inputs = rng.integers(N_SPECIAL, VOCAB.size, size=(k, n))
+            chains = rng.integers(N_SPECIAL, VOCAB.size, size=(k, c))
+            mixed = [True, False, *(rng.random(k - 2) < 0.5)]
+            flags = {"thinking": [True] * k, "plain": [False] * k, "mixed": mixed}[mode]
+            want_tokens, want_mask = [VOCAB.bos], [0]
+            for x, y, is_cot in zip(inputs.tolist(), chains.tolist(), flags):
+                if is_cot:
+                    want_tokens += render_cot_example(x, y, VOCAB)
+                    want_mask += cot_example_mask(n, c)
+                else:
+                    want_tokens += render_standard_example(x, y[-1], VOCAB)
+                    want_mask += standard_example_mask(n)
+            tokens, mask = render_sequence(inputs, chains, flags, VOCAB)
+            assert tokens == tuple(want_tokens), (n, c)
+            assert mask == tuple(want_mask), (n, c)
+
+
+@pytest.mark.parametrize("where", ["input", "intermediate", "answer"])
+@pytest.mark.parametrize("bad", [VOCAB.think_end, VOCAB.size])
+def test_array_renderer_rejects_abnormal_tokens(where, bad):
+    inputs = np.full((2, 3), N_SPECIAL, dtype=np.int64)
+    chains = np.full((2, 3), N_SPECIAL + 1, dtype=np.int64)
+    {"input": inputs, "intermediate": chains, "answer": chains}[where][0, -1 if where == "answer" else 1] = bad
+    with pytest.raises(ConfigError, match=f"token {bad} is not a normal token"):
+        render_sequence(inputs, chains, [True, False], VOCAB)

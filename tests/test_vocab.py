@@ -53,7 +53,7 @@ def test_embedding_shape_and_dtype():
     e = sample_embedding_matrix(v, 10, seed=1)
     assert e.data.shape == (1024, 10)
     assert e.data.dtype == np.float32
-    assert e.as_f64().dtype == np.float64
+    assert e.f64.dtype == np.float64
 
 
 def test_embedding_zero_dim_rejected():
@@ -66,7 +66,7 @@ def test_embedding_moment_checks():
     # column means within 5*sigma/sqrt(rows) of 0, variance inside [0.8, 1.2]
     v = new_vocabulary(1024)
     e = sample_embedding_matrix(v, 10, seed=777)
-    data = e.as_f64()
+    data = e.f64
     bound = 5.0 / np.sqrt(1024)
     assert np.all(np.abs(data.mean(axis=0)) < bound)
     assert np.all((data.var(axis=0) > 0.8) & (data.var(axis=0) < 1.2))
@@ -75,7 +75,7 @@ def test_embedding_moment_checks():
 def test_embedding_ks_against_standard_normal():
     v = new_vocabulary(1024)
     e = sample_embedding_matrix(v, 10, seed=31337)
-    flat = e.as_f64().ravel()
+    flat = e.f64.ravel()
     assert flat.size >= 1000
     assert ks_statistic_vs_normal(flat) < ks_critical(flat.size, 0.01)
 
