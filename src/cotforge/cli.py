@@ -11,6 +11,7 @@ import argparse
 import json
 import shlex
 import sys
+from typing import Callable
 
 from . import __version__
 from .errors import BackendError, ConfigError, FormatError
@@ -105,10 +106,23 @@ def _backend_cmd(args: argparse.Namespace) -> list[str]:
         raise ConfigError(f"--backend-cmd {args.backend_cmd!r}: {exc}") from exc
 
 
+def _prompts(records, to_prompt: Callable, source: str) -> list:
+    """to_prompt of every record; a malformed record raises FormatError naming it."""
+    prompts = []
+    for i, rec in enumerate(records):
+        try:
+            prompts.append(to_prompt(rec))
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{source}: record {i} is malformed ({type(exc).__name__}: {exc})") from exc
+    return prompts
+
+
 def _abstract_eval(config: DatasetConfig, records, args: argparse.Namespace):
     """`eval`: token prompts, their backend, and the call that scores them."""
     vocab = new_vocabulary(config.vocab_size)
-    prompts = [make_eval_prompt(Sequence.from_record(rec), vocab) for rec in records]
+    prompts = _prompts(records, lambda rec: make_eval_prompt(Sequence.from_record(rec), vocab), args.prompts)
     if args.backend == "oracle":
         backend = OracleBackend(prompts, vocab)
     elif args.backend == "random":
@@ -121,7 +135,7 @@ def _abstract_eval(config: DatasetConfig, records, args: argparse.Namespace):
 
 def _langsym_eval(config, records, args: argparse.Namespace):
     """`eval-langsym`: chat prompts, their backend, and the call that scores them."""
-    prompts = [make_langsym_eval_prompt(ChatPrompt.from_record(rec)) for rec in records]
+    prompts = _prompts(records, lambda rec: make_langsym_eval_prompt(ChatPrompt.from_record(rec)), args.prompts)
     if args.backend == "oracle":
         backend = TextOracleBackend(prompts, config.templates)
     else:

@@ -12,6 +12,9 @@ step, so backends can be stateless. Reference backends:
     random normal token, giving the 1/|normal vocabulary| chance baseline.
   * StdioBackend drives an external process over a JSON-lines pipe:
     one request ``{"tokens": [...]}`` per line, one reply ``{"next": id}``.
+    Every request still carries the full prefix, but the backend encodes
+    a prompt's prefix once: while each request extends the previous one
+    it appends only the new tokens to the previous request's JSON.
 
 The eval loop, the JSON-lines process transport and the strip selection
 are shared with the string-symbolic kind in langsym.
@@ -19,6 +22,7 @@ are shared with the string-symbolic kind in langsym.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import subprocess
 from dataclasses import dataclass, field
@@ -36,7 +40,6 @@ from .sequences import (
     example_template,
     keep_cells,
     parse_examples,
-    parse_sequence,
     render_example_tokens,
 )
 from .vocab import Vocabulary
@@ -101,29 +104,29 @@ class EvalPrompt:
 def make_eval_prompt(seq: Sequence, vocab: Vocabulary) -> EvalPrompt:
     """Turn a K-example sequence into a (K-1)-shot prompt.
 
-    The final example must carry its thinking segment: its chain is the
-    ground truth and its inputs become the query. Context keeps the first
-    K-1 examples exactly as rendered: the stored tokens up to the query,
-    which the parse has just validated.
+    The tokens are validated against the layout of the stored (n, c,
+    cot_flags) with `check_layout` (FormatError when they disagree), so
+    each example's cells are known without parsing. The final example must
+    carry its thinking segment: its chain is the ground truth and its
+    inputs become the query. Context keeps the first K-1 examples exactly
+    as stored: the tokens before the query.
     """
-    parsed = parse_sequence(list(seq.tokens), vocab)
-    if len(parsed) < 2:
-        raise ConfigError(f"need at least 2 examples to build a prompt, got {len(parsed)}")
-    query = parsed[-1]
-    if not query.is_cot:
+    meta = seq.meta
+    n, c, flags = meta.n, meta.c, meta.cot_flags
+    check_layout(seq.tokens, n, c, flags, vocab)
+    if len(flags) < 2:
+        raise ConfigError(f"need at least 2 examples to build a prompt, got {len(flags)}")
+    if not flags[-1]:
         raise ConfigError("query example lacks a thinking segment; build prompts from all-CoT sequences")
-    chain = (*query.intermediates, query.answer)
-
-    query_len = len(query.inputs) + len(chain) + 7
-    context = tuple(seq.tokens[: len(seq.tokens) - query_len])
-    query_segment = (vocab.inp_start, *query.inputs, vocab.inp_end)
-    meta = dict(seq.meta.to_json())
-    meta["seq_id"] = seq.seq_id
+    split = len(seq.tokens) - (n + c + 7)
+    query = seq.tokens[split:]
+    prompt_meta = dict(meta.to_json())
+    prompt_meta["seq_id"] = seq.seq_id
     return EvalPrompt(
-        context_tokens=context,
-        query_segment=query_segment,
-        ground_truth_chain=chain,
-        meta=meta,
+        context_tokens=tuple(seq.tokens[:split]),
+        query_segment=tuple(query[: n + 2]),
+        ground_truth_chain=(*query[n + 3 : n + c + 2], query[n + c + 4]),
+        meta=prompt_meta,
     )
 
 
@@ -462,6 +465,11 @@ class RandomBackend(_CompletionBackend):
         return tuple(int(v) for v in self._rng.integers(lo, hi, size=length))
 
 
+# Seconds a backend gets to exit after its stdin closes and it is sent
+# SIGTERM; one still running then is killed.
+CLOSE_GRACE_S = 5.0
+
+
 class JsonLinesProcess:
     """An external process spoken to in JSON lines on stdio.
 
@@ -476,29 +484,43 @@ class JsonLinesProcess:
 
     def request(self, payload: dict, key: str, convert: Callable):
         """Send `payload`; returns convert(reply[key])."""
+        return self.send_line(json.dumps(payload) + "\n", key, convert)
+
+    def send_line(self, line: str, key: str, convert: Callable):
+        """Send one encoded request line; returns convert(reply[key])."""
         if self._proc is None or self._proc.poll() is not None:
+            self.close()
             self._proc = subprocess.Popen(self._cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1)
         try:
-            self._proc.stdin.write(json.dumps(payload) + "\n")
+            self._proc.stdin.write(line)
             self._proc.stdin.flush()
-            line = self._proc.stdout.readline()
+            reply = self._proc.stdout.readline()
         except OSError as exc:
             self.close()
             raise BackendError(f"stdio backend pipe failure: {exc}") from exc
-        if not line:
+        if not reply:
             self.close()
             raise BackendError("stdio backend closed its output")
         try:
-            return convert(json.loads(line)[key])
+            return convert(json.loads(reply)[key])
         except (KeyError, TypeError, ValueError) as exc:
-            raise BackendError(f"stdio backend sent malformed reply {line!r}") from exc
+            raise BackendError(f"stdio backend sent malformed reply {reply!r}") from exc
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.terminate()
-            self._proc.wait(timeout=5)
-        self._proc = None
+        """Close the pipes; a live process is sent SIGTERM, and killed after CLOSE_GRACE_S."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        with contextlib.suppress(OSError):  # a write the process never read may be left to flush
+            proc.stdin.close()
+        proc.stdout.close()
+        if proc.poll() is None:
+            proc.terminate()
+            try:
+                proc.wait(timeout=CLOSE_GRACE_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
 
     def __enter__(self):
         return self
@@ -508,7 +530,27 @@ class JsonLinesProcess:
 
 
 class StdioBackend(JsonLinesProcess):
-    """Token backend process: ``{"tokens": [...]}`` in, ``{"next": id}`` out."""
+    """Token backend process: ``{"tokens": [...]}`` in, ``{"next": id}`` out.
+
+    Keeps the previous request's tokens and their JSON without the closing
+    ``]}``. A request whose tokens start with the previous ones (compared
+    by value: the caller may mutate or reuse its list) appends only the new
+    tokens to that JSON; any other is encoded in full. Either way the line
+    is ``json.dumps({"tokens": list(tokens)})`` byte for byte, for tokens
+    that are ints (json writes bools as true/false).
+    """
+
+    def __init__(self, cmd: list[str]):
+        super().__init__(cmd)
+        self._sent: list[int] = []
+        self._head = ""
 
     def next_token(self, tokens: Seq[int]) -> int:
-        return self.request({"tokens": list(tokens)}, "next", int)
+        tokens = list(tokens)
+        sent = self._sent
+        if sent and tokens[: len(sent)] == sent:
+            head = self._head + "".join([", " + int.__repr__(t) for t in tokens[len(sent) :]])
+        else:
+            head = json.dumps({"tokens": tokens})[:-2]
+        self._sent, self._head = tokens, head
+        return self.send_line(head + "]}\n", "next", int)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .harness import strip_sequence_record
 from .langsym import ChatPrompt, LangSymConfig, generate_langsym_prompt, strip_chat_prompt
 from .recipe import TaskConfig
@@ -249,14 +249,22 @@ def write_dataset(
 
 
 def read_records(dataset_dir: str):
-    """Iterate records of every shard listed in the dataset's manifest."""
+    """Iterate records of every shard listed in the dataset's manifest.
+
+    A line that is not valid JSON raises FormatError naming its shard file
+    and line number.
+    """
     manifest = Manifest.load(dataset_dir)
     for out in manifest.outputs:
         path = os.path.join(dataset_dir, out["path"])
         with open(path, "rb") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 if line.strip():
-                    yield json.loads(line)
+                    try:
+                        record = json.loads(line)
+                    except ValueError as exc:
+                        raise FormatError(f"{path} line {lineno}: invalid JSON ({exc})") from exc
+                    yield record
 
 
 def verify_dataset(dataset_dir: str, sample: int | None = None, seed: int = 0, workers: int = 1) -> list[str]:

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's own vectorized code paths:
 the chain-token oracle is an explicit per-step loop, reachability is an
 exhaustive path enumeration, dataset stripping parses and re-renders every
-example with the per-example renderers, and the distribution checks use
-textbook formulas (scipy only supplies critical values).
+example with the per-example renderers, eval prompts come from a token-by-
+token parse, and the distribution checks use textbook formulas (scipy only
+supplies critical values).
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 
 import numpy as np
 
+from cotforge.errors import ConfigError
+from cotforge.harness import EvalPrompt
 from cotforge.recipe import choose_stripped
 from cotforge.sequences import cot_example_mask, parse_sequence, render_example_tokens, standard_example_mask
 
@@ -74,6 +77,30 @@ def reference_strip_sequence_record(record: dict, k_prime: int, rng, vocab) -> d
         flags.append(int(as_cot))
     meta = dict(record["meta"], cot_flags=flags)
     return {"seq_id": record["seq_id"], "tokens": tokens, "loss_mask": mask, "meta": meta}
+
+
+def reference_make_eval_prompt(seq, vocab) -> EvalPrompt:
+    """The (K-1)-shot prompt of a sequence, from a token-by-token parse.
+
+    The parse validates the stream's structure; the last example's inputs
+    and chain come from it, and the context is the stored tokens before it.
+    """
+    parsed = parse_sequence(list(seq.tokens), vocab)
+    if len(parsed) < 2:
+        raise ConfigError(f"need at least 2 examples to build a prompt, got {len(parsed)}")
+    query = parsed[-1]
+    if not query.is_cot:
+        raise ConfigError("query example lacks a thinking segment; build prompts from all-CoT sequences")
+    chain = (*query.intermediates, query.answer)
+    query_len = len(query.inputs) + len(chain) + 7
+    meta = dict(seq.meta.to_json())
+    meta["seq_id"] = seq.seq_id
+    return EvalPrompt(
+        context_tokens=tuple(seq.tokens[: len(seq.tokens) - query_len]),
+        query_segment=(vocab.inp_start, *query.inputs, vocab.inp_end),
+        ground_truth_chain=chain,
+        meta=meta,
+    )
 
 
 def chi_square_uniform(counts, expected) -> float:

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import textwrap
 
@@ -35,7 +36,7 @@ from cotforge.sequences import (
 )
 from cotforge.storage import encode_record
 
-from helpers import binomial_interval, reference_strip_sequence_record
+from helpers import binomial_interval, reference_make_eval_prompt, reference_strip_sequence_record
 
 
 def all_cot_config(**over):
@@ -206,6 +207,66 @@ def test_eval_prompt_context_matches_rerender(mixed_records):
         assert prompt.context_tokens == tuple(want)
         assert prompt.prefix == seq.tokens[: len(want) + len(parsed[-1].inputs) + 2]
     assert checked >= 5
+
+
+@pytest.fixture(scope="module")
+def layout_sequences():
+    """Sequences over n, c in 1..6 and k in 2..8: all-CoT, mixed, and stripped mixed ones."""
+    seqs = []
+    for k in range(2, 9):
+        for alpha in (0.0, 1.0):
+            cfg = all_cot_config(n_choices=tuple(range(1, 7)), m_choices=(1, 2), c_choices=tuple(range(1, 7)),
+                                 k=k, t=12, recipe=Recipe(alpha=alpha), master_seed=100 * k + int(alpha))
+            vocab, emb, cache = build_artifacts(cfg)
+            for j in range(cfg.t):
+                seq = generate_sequence(cfg, j, vocab, emb, cache)
+                seqs.append(seq)
+                if alpha:
+                    n_cot = sum(seq.meta.cot_flags[:-1])
+                    rec = strip_sequence_record(seq.to_record(), j % (n_cot + 1), make_rng(j), vocab)
+                    seqs.append(Sequence.from_record(json.loads(encode_record(rec))))
+    return vocab, seqs
+
+
+def test_eval_prompt_matches_parse_based_reference(layout_sequences):
+    vocab, seqs = layout_sequences
+    built = rejected = 0
+    for seq in seqs:
+        try:
+            want = reference_make_eval_prompt(seq, vocab)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                make_eval_prompt(seq, vocab)
+            rejected += 1
+            continue
+        got = make_eval_prompt(seq, vocab)
+        assert got == want and got.meta == want.meta, seq.seq_id
+        assert all(type(t) is int for t in (*got.prefix, *got.ground_truth_chain))
+        built += 1
+    assert built >= 100 and rejected >= 10
+    assert {s.meta.n for s in seqs} == {s.meta.c for s in seqs} == set(range(1, 7))
+
+
+def _flip_last_flag(rec, vocab):
+    rec["meta"]["cot_flags"][-1] ^= 1
+
+
+def _c_plus_one(rec, vocab):
+    rec["meta"]["c"] += 1
+
+
+def _answer_to_delimiter(rec, vocab):
+    rec["tokens"][-3] = vocab.eos
+
+
+@pytest.mark.parametrize("corrupt", [_flip_last_flag, _c_plus_one, _truncate, _answer_to_delimiter],
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_eval_prompt_rejects_a_record_that_disagrees_with_its_layout(world, corrupt):
+    _, vocab, _, _, seqs, _ = world
+    rec = json.loads(encode_record(seqs[0].to_record()))
+    corrupt(rec, vocab)
+    with pytest.raises(FormatError):
+        make_eval_prompt(Sequence.from_record(rec), vocab)
 
 
 def test_oracle_emits_canonical_thinking_tail(world):
@@ -387,6 +448,78 @@ def test_stdio_backend_malformed_reply(tmp_path, world):
     with StdioBackend([sys.executable, str(bot)]) as backend:
         with pytest.raises(BackendError):
             backend.next_token(list(prompts[0].prefix))
+
+
+def test_stdio_request_lines_equal_json_dumps(world):
+    _, _, _, _, _, prompts = world
+    backend = StdioBackend(["unused"])
+    sent = []
+    backend.send_line = lambda line, key, convert: sent.append(line) or 0
+    prefix = list(prompts[0].prefix)
+    other = list(prompts[1].prefix)
+    seq = prefix[:]  # one list, mutated in place between calls as force_generate does
+    requests = []
+
+    def ask(tokens):
+        requests.append(json.dumps({"tokens": list(tokens)}) + "\n")
+        backend.next_token(tokens)
+
+    ask(seq)
+    for tok in (5, 7, 300, 9):
+        seq.append(tok)
+        ask(seq)
+    seq.extend([11, 12])
+    ask(seq)  # two new tokens at once
+    ask(seq)  # the same list twice
+    ask(tuple(seq))
+    ask(seq[:-3])  # shorter
+    seq[len(prefix) // 2] += 1
+    ask(seq)  # diverges mid-prefix, same list object
+    ask([*seq[:-1], 13])  # diverges at its last token
+    ask([])
+    ask([1, 2])  # extends an empty list
+    ask(other)
+    ask(other + [5])
+    assert sent == requests
+    assert all(line.endswith("]}\n") for line in sent)
+
+
+_RESTARTING_BOT = textwrap.dedent(
+    """
+    import json, os, sys
+    # answers like _STDIO_BOT; the first process exits after its first reply
+    COMPLETION = [7, 9, 8, 2]
+    first = not os.path.exists(sys.argv[1])
+    open(sys.argv[1], "a").write(f"{os.getpid()}\\n")
+    for line in sys.stdin:
+        toks = json.loads(line)["tokens"]
+        last_inp_end = max(i for i, t in enumerate(toks) if t == 4)
+        suffix = toks[last_inp_end + 1 :]
+        nxt = COMPLETION[len(suffix)] if len(suffix) < 4 else 2
+        print(json.dumps({"next": nxt}), flush=True)
+        if first:
+            break
+    """
+)
+
+
+def test_stdio_backend_restart_mid_prompt_gets_the_full_prefix(tmp_path, world):
+    _, vocab, _, _, _, prompts = world
+    bot, pids = tmp_path / "bot.py", tmp_path / "pids.txt"
+    bot.write_text(_RESTARTING_BOT)
+    with StdioBackend([sys.executable, str(bot), str(pids)]) as backend:
+        seq = [*prompts[0].prefix, vocab.ans_start]
+        assert backend.next_token(seq) == 9
+        first = backend._proc
+        first.wait(timeout=60)  # the first bot has exited
+        seq.append(9)
+        assert backend.next_token(seq) == vocab.ans_end  # answered from the whole prefix by a new bot
+        assert first.stdin.closed and first.stdout.closed
+        report = evaluate(backend, prompts[1:4], ForcingConfig(strategy=FORCE_ANSWER), vocab)
+        second = backend._proc
+    assert [r.predicted for r in report.records] == [9, 9, 9]
+    assert len(pids.read_text().split()) == 2
+    assert second.stdin.closed and second.stdout.closed and second.returncode is not None
 
 
 def test_all_prompts_failing_raises(world):

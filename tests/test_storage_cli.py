@@ -4,10 +4,11 @@ import os
 import shlex
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from cotforge import DatasetConfig, Recipe, Sequence, storage
+from cotforge import DatasetConfig, Recipe, Sequence, harness, storage
 from cotforge.cli import main
 from cotforge.sequences import build_artifacts, parse_sequence
 from cotforge.storage import (
@@ -463,3 +464,74 @@ def test_cli_text_stdio_all_failing_exits_3(tmp_path, capsys, action):
     assert code == 3
     assert "backend failed on all" in capsys.readouterr().err
     assert not report.exists()
+
+
+# A token bot that ignores SIGTERM and lingers after its stdin closes; it
+# answers every query with ans_start, 9, ans_end, eos, writes its pid, and
+# marks the pid file if it lives to the end of its linger.
+_STUBBORN_BOT = textwrap.dedent(
+    """
+    import json, os, signal, sys, time
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    open(sys.argv[1], "w").write(str(os.getpid()))
+    for line in sys.stdin:
+        toks = json.loads(line)["tokens"]
+        suffix = toks[len(toks) - toks[::-1].index(4) :]
+        print(json.dumps({"next": [7, 9, 8, 2][len(suffix)] if len(suffix) < 4 else 2}), flush=True)
+    time.sleep(30)
+    open(sys.argv[1], "a").write(" lived")
+    """
+)
+
+
+def test_cli_eval_kills_a_backend_that_ignores_sigterm(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "CLOSE_GRACE_S", 0.2)
+    cfg = _write_cfg(tmp_path, ABSTRACT_CFG)
+    ds = str(tmp_path / "ds")
+    assert main(["gen-abstract", "--config", cfg, "--out", ds]) == 0
+    bot, pid_file, report = tmp_path / "bot.py", tmp_path / "bot.pid", tmp_path / "rep.json"
+    bot.write_text(_STUBBORN_BOT)
+    code = main(["eval", "--prompts", ds, "--backend", "stdio", "--backend-cmd", shlex.join([sys.executable, str(bot), str(pid_file)]),
+                 "--strategy", "answer", "--report", str(report)])
+    assert code == 0, capsys.readouterr().err
+    assert json.loads(report.read_text())["n_prompts"] == ABSTRACT_CFG["t"]
+    pid = pid_file.read_text()
+    assert "lived" not in pid
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid), 0)  # killed and reaped
+
+
+@pytest.mark.parametrize("corrupt", ["truncated", "missing-key"])
+@pytest.mark.parametrize("kind, command, key", [("abstract", "eval", "c"), ("langsym", "eval-langsym", "k")])
+def test_cli_eval_malformed_record_exits_3(tmp_path, capsys, corrupt, kind, command, key):
+    cfg = _write_cfg(tmp_path, ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG)
+    ds = str(tmp_path / "ds")
+    assert main([f"gen-{kind}", "--config", cfg, "--out", ds]) == 0
+    shard = os.path.join(ds, "part-0000.jsonl")
+    lines = Path(shard).read_text().splitlines()
+    if corrupt == "truncated":
+        lines[2] = lines[2][: len(lines[2]) // 2]
+        want = f"{shard} line 3: invalid JSON"
+    else:
+        rec = json.loads(lines[1])
+        del rec["meta"][key]
+        lines[1] = json.dumps(rec)
+        want = f"{ds}: record 1 is malformed (KeyError: '{key}')"
+    with open(shard, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    report = tmp_path / "rep.json"
+    capsys.readouterr()
+    code = main([command, "--prompts", ds, "--backend", "oracle", "--strategy", "think", "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert want in err and not report.exists()
+
+
+def test_cli_eval_one_example_prompts_are_a_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, dict(ABSTRACT_CFG, k=1))
+    ds = str(tmp_path / "ds")
+    assert main(["gen-abstract", "--config", cfg, "--out", ds]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--prompts", ds, "--backend", "oracle", "--strategy", "think", "--report", str(tmp_path / "rep.json")])
+    assert code == 2
+    assert "need at least 2 examples" in capsys.readouterr().err
