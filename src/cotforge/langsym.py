@@ -19,18 +19,21 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field, asdict, fields
-from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
 
+from .dag import Dag, validate_dag
 from .errors import BackendError, ConfigError
 from .harness import FORMAT_FAILURE, EvalReport, JsonLinesProcess, evaluate_prompts
 from .recipe import TaskConfig, check_int, choose_stripped
-from .rng import choose_distinct
+from .rng import bulk_rounds, choose_distinct
 
 ALPHABET = string.ascii_lowercase
-_LETTER_OF_CODE = bytes.maketrans(bytes(range(len(ALPHABET))), ALPHABET.encode("ascii"))
+_SPACE = 255
+# bytes.translate table: byte x -> the letter x places after a, wrapping at
+# z, for a letter code advanced up to 25 places; _SPACE -> " "
+_LETTER_OF_CODE = bytes(ALPHABET.encode("ascii")[x % len(ALPHABET)] for x in range(_SPACE)) + b" "
 _ADVANCE = str.maketrans(ALPHABET, ALPHABET[1:] + ALPHABET[0])
 _WORD_RE = re.compile(r"[a-z]+")
 _BOXED_RE = re.compile(r"\\boxed\{([^{}]*)\}")
@@ -156,35 +159,73 @@ def render_question(words: list[str], templates: Templates) -> str:
     return templates.question_template.format(words=", ".join(words))
 
 
+def _draw_examples(rng: np.random.Generator, k: int, n: int, w: int, distinct: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Letter codes (k, n*w) and rendering variates (k,) of a prompt's examples.
+
+    The stream is that of per-example draws: the example's n*w letters (in
+    i.i.d. mode one integers(0, 26) draw, the stream of n random_word
+    calls; in distinct mode word by word with choose_distinct), then one
+    random(). i.i.d. mode takes them all from one raw block when no letter
+    would have been redrawn, and per example otherwise.
+    """
+    if not distinct:
+        drawn = bulk_rounds(rng, k, n * w, len(ALPHABET))
+        if drawn is not None:
+            return drawn
+    codes = np.empty((k, n * w), dtype=np.uint8)
+    variates = np.empty(k)
+    for e in range(k):
+        if distinct:
+            codes[e] = [code for _ in range(n) for code in choose_distinct(rng, len(ALPHABET), w)]
+        else:
+            codes[e] = rng.integers(0, len(ALPHABET), size=n * w)
+        variates[e] = rng.random()
+    return codes, variates
+
+
+def _node_letters(dag: Dag, w: int) -> list[list[tuple[int, int]]]:
+    """Per DAG node, (input letter column, places advanced mod 26) of each letter.
+
+    Input i's letters are columns i*w .. i*w+w-1, unadvanced; a chain node's
+    are its parents' trailing portions, advanced once more: string_transform
+    on columns instead of words.
+    """
+    nodes = [[(col, 0) for col in range(i * w, i * w + w)] for i in range(dag.n_inputs)]
+    for parents in dag.parents:
+        nodes.append(
+            [(col, (s + 1) % len(ALPHABET)) for p in parents for col, s in nodes[p][len(nodes[p]) // 2 :]]
+        )
+    return nodes
+
+
 def generate_langsym_prompt(config: LangSymConfig, j: int) -> ChatPrompt:
     """Prompt j of the dataset: fresh words, shared DAG, seeded chat turns.
 
     Draw order per prompt: N, M, C choices, the DAG, then per example the
-    N words followed by the rendering variate. In i.i.d. mode the N words
-    are all N*w letters of the example as one draw, the same stream as N
-    per-word draws; distinct-letter mode draws word by word.
+    N*w letters of its N words followed by the rendering variate. In i.i.d.
+    mode the letters are one draw, the same stream as N per-word draws, and
+    all K examples' draws come from one raw Philox block (see
+    rng.bulk_rounds); distinct-letter mode draws word by word. Every
+    example's words, chain words included, are then one array gathered
+    from the letter columns and decoded once.
     """
     seed, rng, r, n, m, c, dag = config.start_item(j)
     w, templates = config.w, config.templates
-    starts = range(0, n * w, w)
-    # itemgetter gathers a node's parent words at C speed; one index would
-    # return a bare word, so a single parent is taken as a one-word slice
-    gathers = [itemgetter(*p) if len(p) > 1 else itemgetter(slice(p[0], p[0] + 1)) for p in dag.parents]
+    codes, variates = _draw_examples(rng, config.k, n, w, config.distinct_letters)
+    # each node's letters and then a space, gathered from an extra column of
+    # _SPACE codes, so the decoded text splits into all K*(N+C) words
+    codes = np.concatenate((codes, np.full((config.k, 1), _SPACE, dtype=np.uint8)), axis=1)
+    space = (n * w, 0)
+    columns, shifts = zip(*[letter for node in _node_letters(dag, w) for letter in (*node, space)])
+    letters = codes[:, columns] + np.array(shifts, dtype=np.uint8)
+    pool = letters.tobytes().translate(_LETTER_OF_CODE).decode("ascii").split(" ")
     messages: list[dict] = [{"role": "system", "content": templates.system_prompt}]
     all_inputs: list[list[str]] = []
     all_chains: list[list[str]] = []
     flags: list[bool] = []
-    for _ in range(config.k):
-        if config.distinct_letters:
-            words = [random_word(w, rng, True) for _ in range(n)]
-        else:
-            letters = random_word(n * w, rng)
-            words = [letters[i : i + w] for i in starts]
-        pool = list(words)
-        for gather in gathers:
-            pool.append(string_transform(gather(pool)))
-        chain = pool[n:]
-        is_cot = r >= rng.random()
+    for start, variate in zip(range(0, config.k * (n + c), n + c), variates.tolist()):
+        words, chain = pool[start : start + n], pool[start + n : start + n + c]
+        is_cot = r >= variate
         messages.append({"role": "user", "content": render_question(words, templates)})
         messages.append({"role": "assistant", "content": render_assistant(chain, is_cot, templates)})
         all_inputs.append(words)
@@ -276,7 +317,15 @@ class LangSymEvalPrompt:
 
 
 def make_langsym_eval_prompt(chat: ChatPrompt) -> LangSymEvalPrompt:
-    """Withhold the final assistant turn; its chain is the ground truth."""
+    """Withhold the final assistant turn; its chain is the ground truth.
+
+    The meta's DAG, which scoring reads, is parsed and checked here, so a
+    record without a well-formed one fails before any backend call
+    (KeyError, TypeError or ValueError).
+    """
+    problem = validate_dag(Dag.from_json(chat.meta["dag"]))
+    if problem:
+        raise ValueError(problem)
     k = chat.meta["k"]
     if k < 2:
         raise ConfigError(f"need at least 2 examples to build a prompt, got {k}")

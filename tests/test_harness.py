@@ -489,7 +489,8 @@ _RESTARTING_BOT = textwrap.dedent(
     # answers like _STDIO_BOT; the first process exits after its first reply
     COMPLETION = [7, 9, 8, 2]
     first = not os.path.exists(sys.argv[1])
-    open(sys.argv[1], "a").write(f"{os.getpid()}\\n")
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
     for line in sys.stdin:
         toks = json.loads(line)["tokens"]
         last_inp_end = max(i for i, t in enumerate(toks) if t == 4)

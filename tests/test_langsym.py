@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -18,6 +19,7 @@ from cotforge import (
     random_word,
     string_transform,
 )
+from cotforge import langsym
 from cotforge.langsym import (
     ChatPrompt,
     LangSymEvalPrompt,
@@ -25,9 +27,10 @@ from cotforge.langsym import (
     evaluate_langsym,
     make_langsym_eval_prompt,
     render_assistant,
+    render_question,
     strip_chat_prompt,
 )
-from cotforge.rng import make_rng
+from cotforge.rng import bulk_rounds, make_rng
 
 from helpers import chi_square_critical, chi_square_uniform
 
@@ -216,6 +219,110 @@ def test_prompt_independent_of_dataset_iteration():
     cfg = small_config(t=8)
     full = list(generate_langsym_dataset(cfg))
     assert generate_langsym_prompt(cfg, 5).to_record() == full[5].to_record()
+
+
+def reference_prompt(config: LangSymConfig, j: int) -> ChatPrompt:
+    """generate_langsym_prompt as one Generator call per word and variate and
+    one string_transform per chain word: the reference for the bulk path."""
+    seed, rng, r, n, m, c, dag = config.start_item(j)
+    messages = [{"role": "system", "content": config.templates.system_prompt}]
+    inputs, chains, flags = [], [], []
+    for _ in range(config.k):
+        words = [random_word(config.w, rng, config.distinct_letters) for _ in range(n)]
+        pool = list(words)
+        for parents in dag.parents:
+            pool.append(string_transform([pool[p] for p in parents]))
+        chain = pool[n:]
+        is_cot = r >= rng.random()
+        messages.append({"role": "user", "content": render_question(words, config.templates)})
+        messages.append({"role": "assistant", "content": render_assistant(chain, is_cot, config.templates)})
+        inputs.append(words)
+        chains.append(chain)
+        flags.append(int(is_cot))
+    meta = {"n": n, "m": m, "c": c, "k": config.k, "w": config.w, "r_cot": r, "dag": dag.to_json(),
+            "inputs": inputs, "chains": chains, "cot_flags": flags, "seed": seed}
+    return ChatPrompt(prompt_id=j, messages=tuple(messages), meta=meta)
+
+
+def record_bytes(chat: ChatPrompt) -> bytes:
+    return json.dumps(chat.to_record()).encode()
+
+
+def watch_start(monkeypatch, poke=None) -> set[int]:
+    """Record has_uint32 after every start_item; `poke` may then edit the generator."""
+    seen: set[int] = set()
+    start_item = LangSymConfig.start_item
+
+    def watched(self, j):
+        seed, rng, *rest = start_item(self, j)
+        seen.add(rng.bit_generator.state["has_uint32"])
+        if poke:
+            poke(rng)
+        return (seed, rng, *rest)
+
+    monkeypatch.setattr(LangSymConfig, "start_item", watched)
+    return seen
+
+
+BULK_CONFIGS = [  # (config fields, has_uint32 values seen after start_item)
+    (dict(w=5, n_choices=(1, 3, 5), m_choices=(1, 2, 3), c_choices=(1, 4), k=7), {0, 1}),  # odd N*w
+    (dict(w=3, n_choices=(1, 2, 3), m_choices=(2,), c_choices=(2, 3), k=12), {0, 1}),  # odd and even N*w
+    # the reference config: its DAG always takes an odd count of 32-bit draws
+    (dict(w=8, n_choices=(4,), m_choices=(4,), c_choices=(4,), k=40, recipe=Recipe(alpha=2.0, a=0.5, b=0.5)), {1}),
+]
+
+
+@pytest.mark.parametrize("over, parities", BULK_CONFIGS)
+def test_prompts_equal_the_per_draw_reference(over, parities, monkeypatch):
+    seen = watch_start(monkeypatch)
+    cfg = small_config(t=60, **over)
+    for j in range(cfg.t):
+        assert record_bytes(generate_langsym_prompt(cfg, j)) == record_bytes(reference_prompt(cfg, j))
+    assert seen == parities
+
+
+def test_distinct_letter_prompts_equal_the_per_draw_reference():
+    cfg = small_config(t=30, w=7, n_choices=(3, 4), distinct_letters=True)
+    for j in range(cfg.t):
+        assert record_bytes(generate_langsym_prompt(cfg, j)) == record_bytes(reference_prompt(cfg, j))
+
+
+def test_a_rejected_letter_falls_back_to_per_example_draws(monkeypatch):
+    def zero_next_word(rng):
+        # a raw word of 0 gives a 32-bit draw of 0, which Lemire rejects
+        state = rng.bit_generator.state
+        if state["buffer_pos"] < 4:
+            state["buffer"][state["buffer_pos"]] = 0
+        else:
+            state["has_uint32"], state["uinteger"] = 1, 0
+        rng.bit_generator.state = state
+
+    drawn = []
+
+    def spy(*args):
+        drawn.append(bulk_rounds(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(langsym, "bulk_rounds", spy)
+    watch_start(monkeypatch, zero_next_word)
+    cfg = small_config(t=12, **BULK_CONFIGS[0][0])
+    for j in range(cfg.t):
+        assert record_bytes(generate_langsym_prompt(cfg, j)) == record_bytes(reference_prompt(cfg, j))
+    assert drawn == [None] * cfg.t
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_example_draws_equal_per_example_draws(distinct):
+    for seed in range(6):
+        rng, twin = make_rng(seed), make_rng(seed)
+        if seed % 2:
+            rng.integers(0, 26), twin.integers(0, 26)
+        codes, variates = langsym._draw_examples(rng, 9, 3, 5, distinct)
+        for row, variate in zip(codes, variates):
+            letters = "".join(random_word(5, twin, distinct) for _ in range(3))
+            assert row.tobytes().translate(langsym._LETTER_OF_CODE).decode() == letters
+            assert variate == twin.random()
+        assert rng.random() == twin.random()
 
 
 def test_word_length_config_floor():

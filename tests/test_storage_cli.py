@@ -82,7 +82,7 @@ def test_verify_sampled_subset(tmp_path):
     assert verify_dataset(out, sample=2, seed=1) == []
     # corrupt one shard: the full check must notice it
     path = os.path.join(out, "part-0003.jsonl")
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[10] ^= 0xFF
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -93,7 +93,7 @@ def test_verify_detects_corruption(tmp_path):
     out = str(tmp_path / "ds")
     write_dataset(out, KIND_ABSTRACT, ABSTRACT_CFG)
     path = os.path.join(out, "part-0000.jsonl")
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[100] ^= 0xFF
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -214,7 +214,7 @@ def test_cli_verify_corruption_exit_code(tmp_path, capsys):
     out = str(tmp_path / "ds")
     main(["gen-abstract", "--config", cfg, "--out", out])
     path = os.path.join(out, "part-0000.jsonl")
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[50] ^= 1
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -304,7 +304,7 @@ def test_cli_strip_and_eval(tmp_path, capsys):
     assert main(["gen-abstract", "--config", cfg, "--out", ds]) == 0
     assert main(["strip-cot", "--in", ds, "--k-prime", "3", "--seed", "8", "--out", stripped]) == 0
     assert main(["eval", "--prompts", stripped, "--backend", "oracle", "--strategy", "think", "--report", report]) == 0
-    doc = json.loads(open(report).read())
+    doc = json.loads(Path(report).read_text())
     assert doc["accuracy"] == 1.0
     assert doc["n_prompts"] == ABSTRACT_CFG["t"]
     assert "step_grid" in doc and "dag_breakdown" in doc
@@ -317,7 +317,7 @@ def test_cli_eval_random_backend(tmp_path, capsys):
     report = str(tmp_path / "rep.json")
     main(["gen-abstract", "--config", cfg, "--out", ds])
     assert main(["eval", "--prompts", ds, "--backend", "random", "--strategy", "answer", "--seed", "3", "--report", report]) == 0
-    doc = json.loads(open(report).read())
+    doc = json.loads(Path(report).read_text())
     assert 0.0 <= doc["accuracy"] <= 1.0
     assert doc["format_failures"] == 0
     capsys.readouterr()
@@ -329,7 +329,7 @@ def test_cli_eval_langsym_oracle(tmp_path, capsys):
     report = str(tmp_path / "rep.json")
     assert main(["gen-langsym", "--config", cfg, "--out", ds]) == 0
     assert main(["eval-langsym", "--prompts", ds, "--backend", "oracle", "--strategy", "think", "--budget", "1000", "--report", report]) == 0
-    doc = json.loads(open(report).read())
+    doc = json.loads(Path(report).read_text())
     assert doc["accuracy"] == 1.0
     capsys.readouterr()
 
@@ -352,7 +352,7 @@ def test_cli_eval_langsym_stdio_text(tmp_path, capsys):
         "--strategy", "answer", "--budget", "100", "--report", report,
     ])
     assert code == 0
-    doc = json.loads(open(report).read())
+    doc = json.loads(Path(report).read_text())
     assert doc["format_failures"] == 0
     capsys.readouterr()
 
@@ -410,7 +410,8 @@ def test_cli_shuffled_dataset_verifies(tmp_path, capsys):
 _TEXT_BOT = textwrap.dedent(
     """
     import json, sys
-    answers = json.load(open(sys.argv[1]))
+    with open(sys.argv[1]) as fh:
+        answers = json.load(fh)
     for line in sys.stdin:
         question = [m["content"] for m in json.loads(line)["messages"] if m["role"] == "user"][-1]
         word, action = answers[question]
@@ -473,13 +474,15 @@ _STUBBORN_BOT = textwrap.dedent(
     """
     import json, os, signal, sys, time
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    open(sys.argv[1], "w").write(str(os.getpid()))
+    with open(sys.argv[1], "w") as fh:
+        fh.write(str(os.getpid()))
     for line in sys.stdin:
         toks = json.loads(line)["tokens"]
         suffix = toks[len(toks) - toks[::-1].index(4) :]
         print(json.dumps({"next": [7, 9, 8, 2][len(suffix)] if len(suffix) < 4 else 2}), flush=True)
     time.sleep(30)
-    open(sys.argv[1], "a").write(" lived")
+    with open(sys.argv[1], "a") as fh:
+        fh.write(" lived")
     """
 )
 
@@ -525,6 +528,31 @@ def test_cli_eval_malformed_record_exits_3(tmp_path, capsys, corrupt, kind, comm
     err = capsys.readouterr().err
     assert code == 3, err
     assert want in err and not report.exists()
+
+
+@pytest.mark.parametrize("dag, want", [(None, "KeyError: 'dag'"), ({"n_inputs": 2}, "KeyError: 'n_chain'"),
+                                       ("x", "TypeError"), ("parents", "ValueError: chain node 1: parent 9")])
+def test_cli_eval_langsym_missing_or_bad_dag_exits_3(tmp_path, capsys, dag, want):
+    cfg = _write_cfg(tmp_path, dict(LANGSYM_CFG, t=3))
+    ds = str(tmp_path / "ds")
+    assert main(["gen-langsym", "--config", cfg, "--out", ds]) == 0
+    shard = Path(ds, "part-0000.jsonl")
+    lines = shard.read_text().splitlines()
+    rec = json.loads(lines[1])
+    if dag is None:
+        del rec["meta"]["dag"]
+    elif dag == "parents":
+        rec["meta"]["dag"]["parents"][0][0] = 9
+    else:
+        rec["meta"]["dag"] = dag
+    lines[1] = json.dumps(rec)
+    shard.write_text("\n".join(lines) + "\n")
+    report = tmp_path / "rep.json"
+    capsys.readouterr()
+    code = main(["eval-langsym", "--prompts", ds, "--backend", "oracle", "--strategy", "think", "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"{ds}: record 1 is malformed ({want}" in err and not report.exists()
 
 
 def test_cli_eval_one_example_prompts_are_a_config_error(tmp_path, capsys):
