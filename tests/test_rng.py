@@ -1,6 +1,6 @@
 """Array draws that must give the stream of the scalar draws they replace.
 
-permutation and bulk_rounds take their values from one numpy call where
+permutation and bulk_rounds take their values from array calls where
 the reference takes one Generator call per value. Each test runs both on
 twin generators and compares the values and then the draws that follow,
 so a stream that only matches up to its last value is caught too.
