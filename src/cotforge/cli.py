@@ -8,6 +8,7 @@ budget, inspect, verify. Exit codes: 0 success, 2 configuration problem,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import shlex
 import sys
@@ -106,16 +107,23 @@ def _backend_cmd(args: argparse.Namespace) -> list[str]:
         raise ConfigError(f"--backend-cmd {args.backend_cmd!r}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _record(source: str, i: int):
+    """Re-raise a KeyError, TypeError or ValueError (not ConfigError) as FormatError naming record i."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{source}: record {i} is malformed ({type(exc).__name__}: {exc})") from exc
+
+
 def _prompts(records, to_prompt: Callable, source: str) -> list:
     """to_prompt of every record; a malformed record raises FormatError naming it."""
     prompts = []
     for i, rec in enumerate(records):
-        try:
+        with _record(source, i):
             prompts.append(to_prompt(rec))
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{source}: record {i} is malformed ({type(exc).__name__}: {exc})") from exc
     return prompts
 
 
@@ -171,30 +179,23 @@ def cmd_budget(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     manifest = Manifest.load(args.inp)
-    record = None
-    for rec in read_records(args.inp):
-        key = "seq_id" if manifest.kind == KIND_ABSTRACT else "prompt_id"
-        if rec[key] == args.index:
-            record = rec
-            break
-    if record is None:
-        raise FormatError(f"no item with index {args.index} in {args.inp}")
-    if manifest.kind == KIND_LANGSYM:
-        meta = record["meta"]
-        print(f"prompt {record['prompt_id']}  (n={meta['n']} m={meta['m']} c={meta['c']} k={meta['k']} r_cot={meta['r_cot']:.4f})")
-        for msg in record["messages"]:
-            print(f"--- {msg['role']} ---")
-            print(msg["content"])
+    abstract = manifest.kind == KIND_ABSTRACT
+    vocab = new_vocabulary(parse_config(manifest.kind, manifest.config).vocab_size) if abstract else None
+    for i, rec in enumerate(read_records(args.inp)):
+        with _record(args.inp, i):
+            if rec["seq_id" if abstract else "prompt_id"] != args.index:
+                continue
+            meta = rec["meta"]
+            shape = f"n={meta['n']} m={meta['m']} c={meta['c']} k={meta['k']} r_cot={meta['r_cot']:.4f}"
+            lines = [f"{'sequence' if abstract else 'prompt'} {args.index}  ({shape})"]
+            if abstract:
+                for pos, (tok, mask) in enumerate(zip(rec["tokens"], rec["loss_mask"])):
+                    lines.append(f"[{pos:5d}] {tok:6d}  {vocab.token_name(tok)}{' *' if mask else ''}")
+            else:
+                lines += [line for msg in rec["messages"] for line in (f"--- {msg['role']} ---", msg["content"])]
+        print("\n".join(lines))  # built whole first, so a malformed record prints nothing
         return EXIT_OK
-    config = DatasetConfig.from_json(manifest.config)
-    vocab = new_vocabulary(config.vocab_size)
-    meta = record["meta"]
-    print(f"sequence {record['seq_id']}  (n={meta['n']} m={meta['m']} c={meta['c']} k={meta['k']} r_cot={meta['r_cot']:.4f})")
-    for pos, (tok, mask) in enumerate(zip(record["tokens"], record["loss_mask"])):
-        name = vocab.token_name(tok)
-        flag = " *" if mask else ""
-        print(f"[{pos:5d}] {tok:6d}  {name}{flag}")
-    return EXIT_OK
+    raise FormatError(f"no item with index {args.index} in {args.inp}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -30,18 +30,11 @@ from typing import Callable, Sequence as Seq
 
 import numpy as np
 
-from .dag import Dag
+from .dag import Dag, validate_dag
 from .errors import BackendError, ConfigError
 from .recipe import choose_stripped
 from .rng import make_rng
-from .sequences import (
-    Sequence,
-    check_layout,
-    example_template,
-    keep_cells,
-    parse_examples,
-    render_example_tokens,
-)
+from .sequences import Sequence, check_layout, example_template, keep_cells
 from .vocab import Vocabulary
 
 FORCE_THINK = "force_think"
@@ -101,53 +94,79 @@ class EvalPrompt:
         return self.context_tokens + self.query_segment
 
 
+def check_prompt_dag(meta: dict) -> None:
+    """Reject a record meta whose DAG is malformed or does not span its n and c.
+
+    Scoring reads the DAG, so both dataset kinds check it while building a
+    prompt, before any backend call: KeyError or TypeError for a missing or
+    mistyped field, ValueError for a violated invariant.
+    """
+    dag = Dag.from_json(meta["dag"])
+    problem = validate_dag(dag)
+    if not problem and (dag.n_inputs, dag.n_chain) != (meta["n"], meta["c"]):
+        problem = f"dag over {dag.n_inputs} inputs and {dag.n_chain} chain nodes, meta has n={meta['n']} c={meta['c']}"
+    if problem:
+        raise ValueError(problem)
+
+
 def make_eval_prompt(seq: Sequence, vocab: Vocabulary) -> EvalPrompt:
     """Turn a K-example sequence into a (K-1)-shot prompt.
 
     The tokens are validated against the layout of the stored (n, c,
     cot_flags) with `check_layout` (FormatError when they disagree), so
-    each example's cells are known without parsing. The final example must
-    carry its thinking segment: its chain is the ground truth and its
-    inputs become the query. Context keeps the first K-1 examples exactly
-    as stored: the tokens before the query.
+    each example's cells are known without parsing, and the DAG with
+    `check_prompt_dag`. The final example must carry its thinking segment:
+    its chain is the ground truth and its inputs become the query. Context
+    keeps the first K-1 examples exactly as stored: the tokens before the
+    query. The prompt's meta is a copy of the sequence's plus its seq_id.
     """
     meta = seq.meta
-    n, c, flags = meta.n, meta.c, meta.cot_flags
+    n, c, flags = meta["n"], meta["c"], meta["cot_flags"]
     check_layout(seq.tokens, n, c, flags, vocab)
+    check_prompt_dag(meta)
     if len(flags) < 2:
         raise ConfigError(f"need at least 2 examples to build a prompt, got {len(flags)}")
     if not flags[-1]:
         raise ConfigError("query example lacks a thinking segment; build prompts from all-CoT sequences")
     split = len(seq.tokens) - (n + c + 7)
     query = seq.tokens[split:]
-    prompt_meta = dict(meta.to_json())
-    prompt_meta["seq_id"] = seq.seq_id
     return EvalPrompt(
         context_tokens=tuple(seq.tokens[:split]),
         query_segment=tuple(query[: n + 2]),
         ground_truth_chain=(*query[n + 3 : n + c + 2], query[n + c + 4]),
-        meta=prompt_meta,
+        meta={**meta, "seq_id": seq.seq_id},
     )
+
+
+def _strip_spans(tokens, meta: dict, k_prime: int, rng, vocab: Vocabulary, query: bool):
+    """Delete the thinking spans of k_prime of the first K-1 examples.
+
+    `tokens` is bos plus the examples of the meta's (n, c, cot_flags)
+    layout, the query (last) one included only when `query`, and is
+    checked against it (FormatError when they disagree). The examples are
+    drawn with choose_stripped. Returns the new tokens, `keep_cells` grid
+    and meta.
+    """
+    n, c, flags = meta["n"], meta["c"], meta["cot_flags"]
+    stream, keep = check_layout(tokens, n, c, flags if query else flags[:-1], vocab)
+    chosen = choose_stripped(flags[:-1], k_prime, rng)
+    flags = [int(bool(f) and i not in chosen) for i, f in enumerate(flags)]
+    new_keep = keep_cells(n, c, flags[: len(keep)])
+    return [vocab.bos, *stream[1:][new_keep[keep]].tolist()], new_keep, {**meta, "cot_flags": flags}
 
 
 def strip_cot(prompt: EvalPrompt, k_prime: int, rng: np.random.Generator, vocab: Vocabulary) -> EvalPrompt:
-    """Re-render k_prime context examples without their thinking segments.
+    """Drop the thinking segments of k_prime context examples.
 
     The stripped examples are chosen uniformly without replacement among the
     thinking-rendered context examples; the query and every other example
-    are untouched. k_prime=0 is the identity.
+    are untouched. k_prime=0 is the identity. As in strip_sequence_record,
+    the context is checked against the layout of the meta's (n, c,
+    cot_flags) and the chosen thinking spans are deleted from it; the
+    returned meta's cot_flags are those of the stripped context.
     """
-    parsed = parse_examples(list(prompt.context_tokens), vocab, start=1)
-    chosen = choose_stripped([ex.is_cot for ex in parsed], k_prime, rng)
-    context: list[int] = [vocab.bos]
-    for i, ex in enumerate(parsed):
-        context.extend(render_example_tokens(ex, vocab, as_cot=ex.is_cot and i not in chosen))
-    return EvalPrompt(
-        context_tokens=tuple(context),
-        query_segment=prompt.query_segment,
-        ground_truth_chain=prompt.ground_truth_chain,
-        meta=prompt.meta,
-    )
+    context, _, meta = _strip_spans(prompt.context_tokens, prompt.meta, k_prime, rng, vocab, query=False)
+    return EvalPrompt(tuple(context), prompt.query_segment, prompt.ground_truth_chain, meta)
 
 
 def strip_sequence_record(record: dict, k_prime: int, rng: np.random.Generator, vocab: Vocabulary) -> dict:
@@ -162,21 +181,10 @@ def strip_sequence_record(record: dict, k_prime: int, rng: np.random.Generator, 
     with no parse or re-render; the loss mask and cot_flags are rebuilt
     from the same layout.
     """
-    meta = record["meta"]
-    n, c = meta["n"], meta["c"]
-    flags = [bool(f) for f in meta["cot_flags"]]
-    stream, keep = check_layout(record["tokens"], n, c, flags, vocab)
-    chosen = choose_stripped(flags[:-1], k_prime, rng)
-
-    flags = [f and i not in chosen for i, f in enumerate(flags)]
-    new_keep = keep_cells(n, c, flags)
-    _, mask_row = example_template(n, c, vocab)
-    return {
-        "seq_id": record["seq_id"],
-        "tokens": [vocab.bos, *stream[1:][new_keep[keep]].tolist()],
-        "loss_mask": [0, *np.broadcast_to(mask_row, keep.shape)[new_keep].tolist()],
-        "meta": {**meta, "cot_flags": [int(f) for f in flags]},
-    }
+    tokens, keep, meta = _strip_spans(record["tokens"], record["meta"], k_prime, rng, vocab, query=True)
+    _, mask_row = example_template(meta["n"], meta["c"], vocab)
+    mask = [0, *np.broadcast_to(mask_row, keep.shape)[keep].tolist()]
+    return {"seq_id": record["seq_id"], "tokens": tokens, "loss_mask": mask, "meta": meta}
 
 
 def _resolve(backend) -> Callable[[list[int]], int]:

@@ -23,9 +23,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .dag import Dag, validate_dag
+from .dag import Dag
 from .errors import BackendError, ConfigError
-from .harness import FORMAT_FAILURE, EvalReport, JsonLinesProcess, evaluate_prompts
+from .harness import FORMAT_FAILURE, EvalReport, JsonLinesProcess, check_prompt_dag, evaluate_prompts
 from .recipe import TaskConfig, check_int, choose_stripped
 from .rng import bulk_rounds, choose_distinct
 
@@ -319,20 +319,20 @@ class LangSymEvalPrompt:
 def make_langsym_eval_prompt(chat: ChatPrompt) -> LangSymEvalPrompt:
     """Withhold the final assistant turn; its chain is the ground truth.
 
-    The meta's DAG, which scoring reads, is parsed and checked here, so a
-    record without a well-formed one fails before any backend call
-    (KeyError, TypeError or ValueError).
+    Scoring reads the meta's DAG, checked with harness.check_prompt_dag,
+    and its c, which the ground-truth chain must match, so a malformed
+    record fails before any backend call (KeyError, TypeError or
+    ValueError).
     """
-    problem = validate_dag(Dag.from_json(chat.meta["dag"]))
-    if problem:
-        raise ValueError(problem)
+    check_prompt_dag(chat.meta)
     k = chat.meta["k"]
     if k < 2:
         raise ConfigError(f"need at least 2 examples to build a prompt, got {k}")
     messages = chat.messages[:-1]  # drop the last assistant turn
     chain = tuple(chat.meta["chains"][k - 1])
-    meta = dict(chat.meta)
-    meta["seq_id"] = chat.prompt_id
+    if len(chain) != chat.meta["c"]:
+        raise ValueError(f"query chain has {len(chain)} words, meta has c={chat.meta['c']}")
+    meta = {**chat.meta, "seq_id": chat.prompt_id}
     return LangSymEvalPrompt(messages=tuple(messages), ground_truth_chain=chain, meta=meta)
 
 

@@ -21,11 +21,15 @@ span, the C+1 cells think_start..think_end. Which cells a sequence keeps is
 therefore a pure function of (n, c, cot_flags) (`keep_cells`), and so is
 which delimiter or normal token each kept cell must hold and its mask bit
 (`example_template`). Generation fills the template from the input and
-chain arrays (`render_sequence`), `check_layout` validates a stored stream
-against it, and dataset stripping (harness.strip_sequence_record) deletes
-thinking spans from it; none of them parses or re-renders. The
-per-example renderers and parsers below are the reference implementations
-of the same rule.
+chain arrays (`render_sequence`). `check_layout` validates a stored stream
+against it and returns the stream with its kept cells, so
+`recompute_chains` reads the inputs from their cells and
+harness.make_eval_prompt cuts the query at a known offset; stripping a
+stored record or a prompt deletes thinking spans from the stream
+(harness.strip_sequence_record, harness.strip_cot). None of them parses
+or re-renders. The per-example renderers, masks and parsers below are not
+called by the package: they are the tests' reference implementations of
+the same rule, and the benchmark tracer names them.
 
 Every sequence is generated from its own Philox stream derived from
 (master_seed, j), with a fixed draw order:
@@ -46,7 +50,6 @@ from typing import Iterator, Sequence as Seq
 
 import numpy as np
 
-from .dag import Dag
 from .errors import ConfigError, FormatError
 from .processors import TokenProcessorCache, chain_tokens_batch, new_cache, sample_processors
 from .recipe import TaskConfig, check_int
@@ -69,58 +72,22 @@ class ParsedExample:
 
 
 @dataclass(frozen=True)
-class SequenceMeta:
-    n: int
-    m: int
-    c: int
-    k: int
-    r_cot: float
-    dag: Dag
-    proc_ids: tuple[int, ...]
-    cot_flags: tuple[bool, ...]
-    seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "c": self.c,
-            "k": self.k,
-            "r_cot": self.r_cot,
-            "dag": self.dag.to_json(),
-            "proc_ids": list(self.proc_ids),
-            "cot_flags": [int(f) for f in self.cot_flags],
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SequenceMeta":
-        return cls(
-            n=obj["n"],
-            m=obj["m"],
-            c=obj["c"],
-            k=obj["k"],
-            r_cot=obj["r_cot"],
-            dag=Dag.from_json(obj["dag"]),
-            proc_ids=tuple(obj["proc_ids"]),
-            cot_flags=tuple(bool(f) for f in obj["cot_flags"]),
-            seed=obj["seed"],
-        )
-
-
-@dataclass(frozen=True)
 class Sequence:
+    """One stored sequence. `meta` is the record's meta dict, built once by
+    generate_sequence with the keys n, m, c, k, r_cot, dag (Dag.to_json),
+    proc_ids, cot_flags (0/1 per example) and seed, in this order."""
+
     seq_id: int
     tokens: tuple[int, ...]
     loss_mask: tuple[int, ...]
-    meta: SequenceMeta
+    meta: dict
 
     def to_record(self) -> dict:
         return {
             "seq_id": self.seq_id,
             "tokens": list(self.tokens),
             "loss_mask": list(self.loss_mask),
-            "meta": self.meta.to_json(),
+            "meta": self.meta,
         }
 
     @classmethod
@@ -129,7 +96,7 @@ class Sequence:
             seq_id=obj["seq_id"],
             tokens=tuple(obj["tokens"]),
             loss_mask=tuple(obj["loss_mask"]),
-            meta=SequenceMeta.from_json(obj["meta"]),
+            meta=obj["meta"],
         )
 
 
@@ -397,32 +364,34 @@ def generate_sequence(
     chains = chain_tokens_batch(dag.parents, procs, emb, inputs)
     tokens, mask = render_sequence(inputs, chains, flags, vocab)
 
-    meta = SequenceMeta(
-        n=n,
-        m=m,
-        c=c,
-        k=config.k,
-        r_cot=r,
-        dag=dag,
-        proc_ids=tuple(proc_ids),
-        cot_flags=tuple(flags),
-        seed=seed,
-    )
+    meta = {
+        "n": n,
+        "m": m,
+        "c": c,
+        "k": config.k,
+        "r_cot": r,
+        "dag": dag.to_json(),
+        "proc_ids": proc_ids,
+        "cot_flags": [int(f) for f in flags],
+        "seed": seed,
+    }
     return Sequence(seq_id=j, tokens=tokens, loss_mask=mask, meta=meta)
 
 
 def recompute_chains(seq: Sequence, emb: EmbeddingMatrix, cache: TokenProcessorCache, vocab: Vocabulary) -> np.ndarray:
     """Chains for every example of `seq`, recomputed from metadata.
 
-    Parses the inputs back out of the token stream and replays the chain
-    computation through the stored DAG and processor ids. Shares the exact
-    arithmetic of generation, so equality with the stored chain tokens is an
-    integrity check, not a tolerance comparison.
+    Reads the inputs from the cells of the stored layout (`check_layout`)
+    and replays the chain computation through the stored DAG and processor
+    ids. Shares the exact arithmetic of generation, so equality with the
+    stored chain tokens is an integrity check, not a tolerance comparison.
     """
-    parsed = parse_sequence(list(seq.tokens), vocab)
-    inputs = np.array([p.inputs for p in parsed], dtype=np.int64)
-    procs = [cache.processors[i] for i in seq.meta.proc_ids]
-    return chain_tokens_batch(seq.meta.dag.parents, procs, emb, inputs)
+    meta = seq.meta
+    stream, keep = check_layout(seq.tokens, meta["n"], meta["c"], meta["cot_flags"], vocab)
+    cells = np.zeros(keep.shape, dtype=np.int64)
+    cells[keep] = stream[1:]
+    procs = [cache.processors[i] for i in meta["proc_ids"]]
+    return chain_tokens_batch(meta["dag"]["parents"], procs, emb, cells[:, 1 : meta["n"] + 1])
 
 
 def generate_dataset(config: DatasetConfig) -> Iterator[Sequence]:

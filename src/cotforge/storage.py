@@ -98,6 +98,17 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def _valid_transform(tf) -> bool:
+    return (isinstance(tf, dict) and tf.keys() == {"kind", "k_prime", "seed"} and tf["kind"] == "strip-cot"
+            and type(tf["k_prime"]) is int and tf["k_prime"] >= 0 and type(tf["seed"]) is int)
+
+
+def _valid_output(out) -> bool:
+    return (isinstance(out, dict) and out.keys() == {"path", "sha256", "count"} and isinstance(out["path"], str)
+            and SHARD_RE.fullmatch(out["path"]) is not None and isinstance(out["sha256"], str)
+            and type(out["count"]) is int and out["count"] >= 0)
+
+
 @dataclass
 class Manifest:
     kind: str
@@ -119,6 +130,19 @@ class Manifest:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Manifest":
+        """KeyError, TypeError or ValueError when `obj` is malformed.
+
+        Every transform is {"kind": "strip-cot", "k_prime": int >= 0, "seed":
+        int}, every output {"path", "sha256", "count"} with a shard name as
+        its path, so no command opens a file outside the dataset.
+        """
+        if not isinstance(obj, dict) or not isinstance(obj["kind"], str):
+            raise TypeError("a manifest is a JSON object with a string kind")
+        for name, valid in (("transforms", _valid_transform), ("outputs", _valid_output)):
+            entries = obj.get(name, [])
+            bad = [e for e in entries if not valid(e)] if isinstance(entries, list) else [entries]
+            if bad:
+                raise ValueError(f"malformed {name} entry {bad[0]!r}")
         return cls(
             kind=obj["kind"],
             config=obj["config"],
@@ -167,8 +191,6 @@ def _gen_line(j: int) -> bytes:
     spec, config, arts = _WORKER["spec"], _WORKER["config"], _WORKER["artifacts"]
     record = spec.generate(config, arts, j)
     for tf in _WORKER["transforms"]:
-        if tf["kind"] != "strip-cot":
-            raise ConfigError(f"unknown transform kind {tf['kind']!r}")
         rng = make_rng(derive_seed(tf["seed"], j))
         record = spec.strip(record, tf["k_prime"], rng, config, arts)
     return encode_record(record)

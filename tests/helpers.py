@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the package's own vectorized code paths:
 the chain-token oracle is an explicit per-step loop, reachability is an
-exhaustive path enumeration, dataset stripping parses and re-renders every
-example with the per-example renderers, eval prompts come from a token-by-
-token parse, and the distribution checks use textbook formulas (scipy only
+exhaustive path enumeration, dataset and prompt stripping parse and
+re-render every example with the per-example renderers, eval prompts come
+from a token-by-token parse, and the distribution checks use textbook formulas (scipy only
 supplies critical values).
 """
 
@@ -17,7 +17,13 @@ import numpy as np
 from cotforge.errors import ConfigError
 from cotforge.harness import EvalPrompt
 from cotforge.recipe import choose_stripped
-from cotforge.sequences import cot_example_mask, parse_sequence, render_example_tokens, standard_example_mask
+from cotforge.sequences import (
+    cot_example_mask,
+    parse_examples,
+    parse_sequence,
+    render_example_tokens,
+    standard_example_mask,
+)
 
 
 def oracle_chain_token(weights, slope, emb_f32, parent_ids, n_special):
@@ -79,6 +85,24 @@ def reference_strip_sequence_record(record: dict, k_prime: int, rng, vocab) -> d
     return {"seq_id": record["seq_id"], "tokens": tokens, "loss_mask": mask, "meta": meta}
 
 
+def reference_strip_cot(prompt: EvalPrompt, k_prime: int, rng, vocab) -> EvalPrompt:
+    """Prompt-level stripping by parse and re-render, one example at a time.
+
+    Draws the stripped examples exactly as harness.strip_cot does, over the
+    parsed context's flags; the meta's cot_flags are those of the
+    re-rendered context plus the query's.
+    """
+    parsed = parse_examples(list(prompt.context_tokens), vocab, start=1)
+    chosen = choose_stripped([ex.is_cot for ex in parsed], k_prime, rng)
+    context, flags = [vocab.bos], []
+    for i, ex in enumerate(parsed):
+        as_cot = ex.is_cot and i not in chosen
+        context.extend(render_example_tokens(ex, vocab, as_cot=as_cot))
+        flags.append(int(as_cot))
+    meta = dict(prompt.meta, cot_flags=[*flags, prompt.meta["cot_flags"][-1]])
+    return EvalPrompt(tuple(context), prompt.query_segment, prompt.ground_truth_chain, meta)
+
+
 def reference_make_eval_prompt(seq, vocab) -> EvalPrompt:
     """The (K-1)-shot prompt of a sequence, from a token-by-token parse.
 
@@ -93,7 +117,7 @@ def reference_make_eval_prompt(seq, vocab) -> EvalPrompt:
         raise ConfigError("query example lacks a thinking segment; build prompts from all-CoT sequences")
     chain = (*query.intermediates, query.answer)
     query_len = len(query.inputs) + len(chain) + 7
-    meta = dict(seq.meta.to_json())
+    meta = dict(seq.meta)
     meta["seq_id"] = seq.seq_id
     return EvalPrompt(
         context_tokens=tuple(seq.tokens[: len(seq.tokens) - query_len]),

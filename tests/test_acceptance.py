@@ -113,7 +113,7 @@ def _count_cot(args) -> int:
     total = 0
     for j in range(j_start, j_stop):
         seq = generate_sequence(config, j, vocab, emb, cache)
-        total += sum(seq.meta.cot_flags)
+        total += sum(seq.meta["cot_flags"])
     return total
 
 
@@ -152,14 +152,14 @@ def _check_structure(args) -> int:
     checked = 0
     for j in range(j_start, j_stop):
         seq = generate_sequence(config, j, vocab, emb, cache)
-        n, c = seq.meta.n, seq.meta.c
-        n_cot = sum(seq.meta.cot_flags)
+        n, c = seq.meta["n"], seq.meta["c"]
+        n_cot = sum(seq.meta["cot_flags"])
         expected_len = 1 + n_cot * (n + c + 7) + (config.k - n_cot) * (n + 6)
         assert len(seq.tokens) == expected_len, f"seq {j}: length"
         assert len(seq.loss_mask) == expected_len, f"seq {j}: mask length"
         assert sum(seq.loss_mask) == n_cot * (c + 5) + (config.k - n_cot) * 4, f"seq {j}: mask ones"
         parsed = parse_sequence(list(seq.tokens), vocab)
-        assert [p.is_cot for p in parsed] == list(seq.meta.cot_flags), f"seq {j}: flags"
+        assert [p.is_cot for p in parsed] == list(seq.meta["cot_flags"]), f"seq {j}: flags"
         # parse-render identity
         from cotforge.sequences import render_example_tokens
 

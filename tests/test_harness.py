@@ -36,7 +36,12 @@ from cotforge.sequences import (
 )
 from cotforge.storage import encode_record
 
-from helpers import binomial_interval, reference_make_eval_prompt, reference_strip_sequence_record
+from helpers import (
+    binomial_interval,
+    reference_make_eval_prompt,
+    reference_strip_cot,
+    reference_strip_sequence_record,
+)
 
 
 def all_cot_config(**over):
@@ -196,7 +201,7 @@ def test_eval_prompt_context_matches_rerender(mixed_records):
     checked = 0
     for j, rec in enumerate(records):
         seq = Sequence.from_record(strip_sequence_record(rec, 1, make_rng(j), vocab))
-        if not seq.meta.cot_flags[-1]:
+        if not seq.meta["cot_flags"][-1]:
             continue
         checked += 1
         parsed = parse_sequence(list(seq.tokens), vocab)
@@ -222,7 +227,7 @@ def layout_sequences():
                 seq = generate_sequence(cfg, j, vocab, emb, cache)
                 seqs.append(seq)
                 if alpha:
-                    n_cot = sum(seq.meta.cot_flags[:-1])
+                    n_cot = sum(seq.meta["cot_flags"][:-1])
                     rec = strip_sequence_record(seq.to_record(), j % (n_cot + 1), make_rng(j), vocab)
                     seqs.append(Sequence.from_record(json.loads(encode_record(rec))))
     return vocab, seqs
@@ -244,7 +249,38 @@ def test_eval_prompt_matches_parse_based_reference(layout_sequences):
         assert all(type(t) is int for t in (*got.prefix, *got.ground_truth_chain))
         built += 1
     assert built >= 100 and rejected >= 10
-    assert {s.meta.n for s in seqs} == {s.meta.c for s in seqs} == set(range(1, 7))
+    assert {s.meta["n"] for s in seqs} == {s.meta["c"] for s in seqs} == set(range(1, 7))
+
+
+def test_strip_cot_matches_parse_based_reference(layout_sequences):
+    vocab, seqs = layout_sequences
+    mixed = set()
+    for seq in seqs:
+        flags = seq.meta["cot_flags"]
+        if len(flags) < 2 or not flags[-1]:
+            continue
+        prompt = make_eval_prompt(seq, vocab)
+        n_cot = sum(flags[:-1])
+        if 0 < n_cot < len(flags) - 1:
+            mixed.add((seq.meta["n"], seq.meta["c"]))
+        for k_prime in sorted({0, min(1, n_cot), n_cot}):
+            got = strip_cot(prompt, k_prime, make_rng(seq.seq_id + k_prime), vocab)
+            want = reference_strip_cot(prompt, k_prime, make_rng(seq.seq_id + k_prime), vocab)
+            assert got == want and got.meta == want.meta, (seq.seq_id, k_prime)
+            assert all(type(t) is int for t in got.context_tokens)
+    assert len(mixed) >= 10
+
+
+def test_strip_cot_twice_keeps_meta_flags_equal_to_the_context(world):
+    cfg, vocab, _, _, _, prompts = world
+    for j, prompt in enumerate(prompts[:6]):
+        once = strip_cot(prompt, 2, make_rng(j), vocab)
+        twice = strip_cot(once, 3, make_rng(100 + j), vocab)
+        for p in (once, twice):
+            parsed = parse_sequence(list(p.context_tokens), vocab)
+            assert p.meta["cot_flags"][:-1] == [int(ex.is_cot) for ex in parsed]
+        assert sum(twice.meta["cot_flags"]) == cfg.k - 5
+        assert prompt.meta["cot_flags"] == [1] * cfg.k  # the input prompt's meta is left as it was
 
 
 def _flip_last_flag(rec, vocab):

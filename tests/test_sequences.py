@@ -110,8 +110,8 @@ def test_all_cot_sequence_length():
     cfg = small_config(recipe=Recipe(alpha=0.0))  # r_cot = 1 everywhere
     vocab, emb, cache = build_artifacts(cfg)
     seq = generate_sequence(cfg, 3, vocab, emb, cache)
-    n, c, k = seq.meta.n, seq.meta.c, cfg.k
-    assert all(seq.meta.cot_flags)
+    n, c, k = seq.meta["n"], seq.meta["c"], cfg.k
+    assert all(seq.meta["cot_flags"])
     assert len(seq.tokens) == 1 + k * (n + c + 7)
     assert sum(seq.loss_mask) == k * (c + 5)
 
@@ -120,8 +120,8 @@ def test_all_standard_sequence_length():
     cfg = small_config(recipe=Recipe(alpha=math.inf))  # r_cot = 0 everywhere
     vocab, emb, cache = build_artifacts(cfg)
     seq = generate_sequence(cfg, 3, vocab, emb, cache)
-    n, k = seq.meta.n, cfg.k
-    assert not any(seq.meta.cot_flags)
+    n, k = seq.meta["n"], cfg.k
+    assert not any(seq.meta["cot_flags"])
     assert len(seq.tokens) == 1 + k * (n + 6)
     assert sum(seq.loss_mask) == k * 4
 
@@ -166,8 +166,8 @@ def test_is_cot_flag_consistent_with_r():
     vocab, emb, cache = build_artifacts(cfg)
     seq = generate_sequence(cfg, 20, vocab, emb, cache)
     parsed = parse_sequence(list(seq.tokens), vocab)
-    assert [p.is_cot for p in parsed] == list(seq.meta.cot_flags)
-    assert seq.meta.r_cot == 0.5
+    assert [p.is_cot for p in parsed] == list(seq.meta["cot_flags"])
+    assert seq.meta["r_cot"] == 0.5
 
 
 def test_chain_self_consistency():
@@ -187,8 +187,8 @@ def test_varying_choice_sets():
     cfg = small_config(n_choices=(3, 4), m_choices=(3, 4), c_choices=(3, 4), t=60)
     seen = set()
     for seq in generate_dataset(cfg):
-        seen.add((seq.meta.n, seq.meta.m, seq.meta.c))
-        assert seq.meta.n in (3, 4) and seq.meta.m in (3, 4) and seq.meta.c in (3, 4)
+        seen.add((seq.meta["n"], seq.meta["m"], seq.meta["c"]))
+        assert seq.meta["n"] in (3, 4) and seq.meta["m"] in (3, 4) and seq.meta["c"] in (3, 4)
     assert len(seen) > 1
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -7,6 +8,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cotforge import DatasetConfig, Recipe, Sequence, harness, storage
 from cotforge.cli import main
@@ -563,3 +566,153 @@ def test_cli_eval_one_example_prompts_are_a_config_error(tmp_path, capsys):
     code = main(["eval", "--prompts", ds, "--backend", "oracle", "--strategy", "think", "--report", str(tmp_path / "rep.json")])
     assert code == 2
     assert "need at least 2 examples" in capsys.readouterr().err
+
+
+def _edit_record(tmp_path, kind: str, edit, index: int = 1) -> str:
+    """A fresh all-CoT dataset of `kind` whose record `index` went through edit(record)."""
+    cfg = _write_cfg(tmp_path, dict(ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG, t=3))
+    ds = str(tmp_path / "ds")
+    assert main([f"gen-{kind}", "--config", cfg, "--out", ds]) == 0
+    shard = Path(ds, "part-0000.jsonl")
+    lines = shard.read_text().splitlines()
+    rec = json.loads(lines[index])
+    edit(rec)
+    lines[index] = json.dumps(rec)
+    shard.write_text("\n".join(lines) + "\n")
+    return ds
+
+
+def _parent_99(rec):
+    rec["meta"]["dag"]["parents"][0][0] = 99
+
+
+def _parent_minus_5(rec):
+    rec["meta"]["dag"]["parents"][0][0] = -5
+
+
+def _drop_chain_node(rec):
+    dag = rec["meta"]["dag"]
+    dag["parents"].pop()
+    dag["n_chain"] -= 1
+
+
+@pytest.mark.parametrize("edit, want", [
+    (_parent_99, "ValueError: chain node 1: parent 99 outside [0, 4)"),
+    (_parent_minus_5, "ValueError: chain node 1: parent -5 outside [0, 4)"),
+    (_drop_chain_node, "ValueError: dag over 4 inputs and {c_minus_1} chain nodes, meta has n=4 c={c}"),
+], ids=["parent-99", "parent-minus-5", "drop-chain-node"])
+@pytest.mark.parametrize("kind, command", [("abstract", "eval"), ("langsym", "eval-langsym")])
+def test_cli_eval_dag_that_does_not_fit_the_record_exits_3(tmp_path, capsys, kind, command, edit, want):
+    ds = _edit_record(tmp_path, kind, edit)
+    c = (ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG)["c_choices"][0]
+    report = tmp_path / "rep.json"
+    capsys.readouterr()
+    code = main([command, "--prompts", ds, "--backend", "oracle", "--strategy", "think", "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"{ds}: record 1 is malformed ({want.format(c=c, c_minus_1=c - 1)})" in err and not report.exists()
+
+
+def test_cli_eval_langsym_query_chain_that_does_not_fit_c_exits_3(tmp_path, capsys):
+    ds = _edit_record(tmp_path, "langsym", lambda rec: rec["meta"]["chains"][-1].insert(0, "abc"))
+    report = tmp_path / "rep.json"
+    capsys.readouterr()
+    code = main(["eval-langsym", "--prompts", ds, "--backend", "oracle", "--strategy", "think", "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"{ds}: record 1 is malformed (ValueError: query chain has 4 words, meta has c=3)" in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("kind", ["abstract", "langsym"])
+def test_cli_inspect_record_without_meta_exits_3(tmp_path, capsys, kind):
+    ds = _edit_record(tmp_path, kind, lambda rec: rec.pop("meta"))
+    capsys.readouterr()
+    assert main(["inspect", "--in", ds, "--index", "0"]) == 0
+    capsys.readouterr()
+    assert main(["inspect", "--in", ds, "--index", "1"]) == 3
+    captured = capsys.readouterr()
+    assert f"{ds}: record 1 is malformed (KeyError: 'meta')" in captured.err and captured.out == ""
+
+
+def _stripped_dataset(root) -> tuple[str, dict]:
+    """A one-shard abstract dataset with one strip-cot transform, and its manifest."""
+    cfg = dict(ABSTRACT_CFG, vocab_size=64, dim=4, k=8, t=4, n_choices=[2], m_choices=[2], c_choices=[2])
+    path = root / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    ds = str(root / "ds")
+    assert main(["gen-abstract", "--config", str(path), "--out", str(root / "full")]) == 0
+    assert main(["strip-cot", "--in", str(root / "full"), "--k-prime", "3", "--seed", "5", "--out", ds]) == 0
+    return ds, json.loads(Path(ds, "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("edit, what", [
+    (lambda m: m["transforms"][0].pop("k_prime"), "transforms"),
+    (lambda m: m["transforms"][0].update(k_prime="2"), "transforms"),
+    (lambda m: m["transforms"][0].update(k_prime=-1), "transforms"),
+    (lambda m: m["transforms"][0].update(kind="shuffle"), "transforms"),
+    (lambda m: m.update(transforms="strip"), "transforms"),
+    (lambda m: m["outputs"][0].pop("sha256"), "outputs"),
+    (lambda m: m["outputs"][0].update(path="../full/part-0000.jsonl"), "outputs"),
+], ids=["no-k-prime", "str-k-prime", "negative-k-prime", "unknown-kind", "transforms-str", "no-sha256", "path-outside"])
+def test_cli_verify_malformed_manifest_exits_2(tmp_path, capsys, edit, what):
+    ds, manifest = _stripped_dataset(tmp_path)
+    assert main(["verify", "--manifest", ds]) == 0
+    edit(manifest)
+    Path(ds, "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["verify", "--manifest", ds]) == 2
+    err = capsys.readouterr().err
+    assert "malformed manifest" in err and f"malformed {what} entry" in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(allow_nan=False) | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+_SHARDISH = st.sampled_from(["part-0001.jsonl", "part-00000.jsonl", "../full/part-0000.jsonl", "/dev/null", ""])
+
+
+@st.composite
+def _broken_manifests(draw, valid: dict):
+    """`valid` with one part replaced, deleted or added; an added transform never strips 0."""
+    doc = copy.deepcopy(valid)
+    where = draw(st.sampled_from(["doc", "kind", "config", "transforms", "transform", "extra-transform", "outputs", "output"]))
+    if where == "doc":
+        return draw(_JSON)
+    if where in ("kind", "config", "transforms", "outputs"):
+        if draw(st.booleans()):
+            del doc[where]
+        else:
+            doc[where] = draw(st.sampled_from(["langsym", "abstract"]) | _JSON if where == "kind" else _JSON)
+        return doc
+    if where == "extra-transform":
+        k_prime = draw(st.integers(1, 9) | _JSON.filter(lambda v: v != 0))
+        doc["transforms"].append({"kind": draw(st.just("strip-cot") | _JSON), "k_prime": k_prime, "seed": draw(st.integers())})
+        return doc
+    entry = doc["transforms"][0] if where == "transform" else doc["outputs"][0]
+    key = draw(st.sampled_from([*entry, "extra"]))
+    if key in entry and draw(st.booleans()):
+        del entry[key]
+    else:
+        entry[key] = draw(st.integers() | _SHARDISH | _JSON)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def stripped_dataset(tmp_path_factory):
+    return _stripped_dataset(tmp_path_factory.mktemp("verify-fuzz"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_verify_of_any_broken_manifest_exits_2_3_or_4(stripped_dataset, data):
+    ds, valid = stripped_dataset
+    doc = data.draw(_broken_manifests(valid))
+    assume(doc != valid)
+    Path(ds, "manifest.json").write_text(json.dumps(doc))
+    try:
+        assert main(["verify", "--manifest", ds]) in (2, 3, 4)
+    finally:
+        Path(ds, "manifest.json").write_text(json.dumps(valid))
