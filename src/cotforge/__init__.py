@@ -32,7 +32,6 @@ from .harness import (
     strip_cot,
 )
 from .langsym import (
-    ChatPrompt,
     LangSymConfig,
     Templates,
     extract_langsym_answer,
@@ -59,7 +58,6 @@ __all__ = [
     "__version__",
     "BackendError",
     "BudgetReport",
-    "ChatPrompt",
     "ConfigError",
     "Dag",
     "DatasetConfig",

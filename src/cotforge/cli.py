@@ -32,7 +32,6 @@ from .harness import (
     step_dag_breakdown,
 )
 from .langsym import (
-    ChatPrompt,
     TextOracleBackend,
     TextStdioBackend,
     evaluate_langsym,
@@ -143,7 +142,7 @@ def _abstract_eval(config: DatasetConfig, records, args: argparse.Namespace):
 
 def _langsym_eval(config, records, args: argparse.Namespace):
     """`eval-langsym`: chat prompts, their backend, and the call that scores them."""
-    prompts = _prompts(records, lambda rec: make_langsym_eval_prompt(ChatPrompt.from_record(rec)), args.prompts)
+    prompts = _prompts(records, make_langsym_eval_prompt, args.prompts)
     if args.backend == "oracle":
         backend = TextOracleBackend(prompts, config.templates)
     else:

@@ -43,21 +43,8 @@ NO_FORCING = "no_forcing"
 STRATEGIES = (FORCE_THINK, FORCE_ANSWER, NO_FORCING)
 
 
-class FormatFailure:
-    """Sentinel returned when no (ans_start, token, ans_end) pattern exists."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "FORMAT_FAILURE"
-
-
-FORMAT_FAILURE = FormatFailure()
+#: Sentinel answer returned when no (ans_start, token, ans_end) pattern exists.
+FORMAT_FAILURE = object()
 
 
 @dataclass(frozen=True)
@@ -258,7 +245,6 @@ class PromptRecord:
     step_correct: list[bool]
     step_in_dag: list[bool]
     error: str | None = None
-    meta: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -324,7 +310,6 @@ def evaluate_prompts(prompts: list, generate: Callable, score: Callable) -> Eval
                 step_correct=[i < len(steps) and steps[i] == truth[i] for i in range(len(truth) - 1)],
                 step_in_dag=in_dag,
                 error=error,
-                meta=prompt.meta,
             )
         )
     if failures == len(prompts):
@@ -348,10 +333,7 @@ def step_correctness_grid(report: EvalReport, step_a: int = 0, step_b: int = 1) 
     Only prompts that have both steps contribute; each table's four cells sum
     to the number of contributing prompts in its answer class.
     """
-    grid = {
-        "answer_correct": _empty_pair_cells(),
-        "answer_wrong": _empty_pair_cells(),
-    }
+    grid = {side: _cells("correct", "incorrect") for side in ("answer_correct", "answer_wrong")}
     for rec in report.records:
         if len(rec.step_correct) <= max(step_a, step_b):
             continue
@@ -359,16 +341,19 @@ def step_correctness_grid(report: EvalReport, step_a: int = 0, step_b: int = 1) 
         a = "correct" if rec.step_correct[step_a] else "incorrect"
         b = "correct" if rec.step_correct[step_b] else "incorrect"
         grid[side][a][b] += 1
-    for side in grid.values():
-        side["n"] = sum(side[a][b] for a in ("correct", "incorrect") for b in ("correct", "incorrect"))
+    _add_margins(grid.values())
     return grid
 
 
-def _empty_pair_cells() -> dict:
-    return {
-        "correct": {"correct": 0, "incorrect": 0},
-        "incorrect": {"correct": 0, "incorrect": 0},
-    }
+def _cells(*rows: str) -> dict:
+    """A count table with one (correct, incorrect) pair per row."""
+    return {row: {"correct": 0, "incorrect": 0} for row in rows}
+
+
+def _add_margins(tables) -> None:
+    """Store each table's total count under "n", after its rows."""
+    for table in tables:
+        table["n"] = sum(sum(row.values()) for row in table.values())
 
 
 def step_dag_breakdown(report: EvalReport) -> dict:
@@ -381,8 +366,8 @@ def step_dag_breakdown(report: EvalReport) -> dict:
     """
     max_steps = max((len(r.step_correct) for r in report.records), default=0)
     out = {
-        "answer_correct": [_empty_dag_cells() for _ in range(max_steps)],
-        "answer_wrong": [_empty_dag_cells() for _ in range(max_steps)],
+        side: [_cells("in_dag", "not_in_dag") for _ in range(max_steps)]
+        for side in ("answer_correct", "answer_wrong")
     }
     for rec in report.records:
         side = "answer_correct" if rec.indicator else "answer_wrong"
@@ -390,19 +375,8 @@ def step_dag_breakdown(report: EvalReport) -> dict:
             row = "in_dag" if rec.step_in_dag[s] else "not_in_dag"
             col = "correct" if correct else "incorrect"
             out[side][s][row][col] += 1
-    for side in out.values():
-        for table in side:
-            table["n"] = sum(
-                table[row][col] for row in ("in_dag", "not_in_dag") for col in ("correct", "incorrect")
-            )
+    _add_margins(table for side in out.values() for table in side)
     return out
-
-
-def _empty_dag_cells() -> dict:
-    return {
-        "in_dag": {"correct": 0, "incorrect": 0},
-        "not_in_dag": {"correct": 0, "incorrect": 0},
-    }
 
 
 class _CompletionBackend:
@@ -489,10 +463,6 @@ class JsonLinesProcess:
     def __init__(self, cmd: list[str]):
         self._cmd = cmd
         self._proc: subprocess.Popen | None = None
-
-    def request(self, payload: dict, key: str, convert: Callable):
-        """Send `payload`; returns convert(reply[key])."""
-        return self.send_line(json.dumps(payload) + "\n", key, convert)
 
     def send_line(self, line: str, key: str, convert: Callable):
         """Send one encoded request line; returns convert(reply[key])."""

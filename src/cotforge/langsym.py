@@ -16,6 +16,7 @@ wrapping to a.
 
 from __future__ import annotations
 
+import json
 import re
 import string
 from dataclasses import dataclass, field, asdict, fields
@@ -101,24 +102,6 @@ class LangSymConfig(TaskConfig):
         self.templates.validate()
 
 
-@dataclass(frozen=True)
-class ChatPrompt:
-    prompt_id: int
-    messages: tuple[dict, ...]
-    meta: dict = field(compare=False)
-
-    def to_record(self) -> dict:
-        return {
-            "prompt_id": self.prompt_id,
-            "messages": [dict(m) for m in self.messages],
-            "meta": self.meta,
-        }
-
-    @classmethod
-    def from_record(cls, obj: dict) -> "ChatPrompt":
-        return cls(prompt_id=obj["prompt_id"], messages=tuple(obj["messages"]), meta=obj["meta"])
-
-
 def random_word(w: int, rng: np.random.Generator, distinct: bool = False) -> str:
     """w lowercase letters; i.i.d. by default, distinct in `distinct` mode."""
     if w < 1:
@@ -198,8 +181,8 @@ def _node_letters(dag: Dag, w: int) -> list[list[tuple[int, int]]]:
     return nodes
 
 
-def generate_langsym_prompt(config: LangSymConfig, j: int) -> ChatPrompt:
-    """Prompt j of the dataset: fresh words, shared DAG, seeded chat turns.
+def generate_langsym_prompt(config: LangSymConfig, j: int) -> dict:
+    """Record {"prompt_id", "messages", "meta"} of prompt j: fresh words, shared DAG, seeded turns.
 
     Draw order per prompt: N, M, C choices, the DAG, then per example the
     N*w letters of its N words followed by the rendering variate. In i.i.d.
@@ -245,32 +228,30 @@ def generate_langsym_prompt(config: LangSymConfig, j: int) -> ChatPrompt:
         "cot_flags": [int(f) for f in flags],
         "seed": seed,
     }
-    return ChatPrompt(prompt_id=j, messages=tuple(messages), meta=meta)
+    return {"prompt_id": j, "messages": messages, "meta": meta}
 
 
-def generate_langsym_dataset(config: LangSymConfig) -> Iterator[ChatPrompt]:
+def generate_langsym_dataset(config: LangSymConfig) -> Iterator[dict]:
     for j in config.output_order():
         yield generate_langsym_prompt(config, j)
 
 
 def strip_chat_prompt(
-    chat: ChatPrompt,
+    record: dict,
     k_prime: int,
     rng: np.random.Generator,
-    templates: Templates | None = None,
-) -> ChatPrompt:
+    templates: Templates,
+) -> dict:
     """Re-render k_prime thinking assistant turns as answer-only turns.
 
     Mirrors the token-level stripping: uniform without replacement among the
     first K-1 examples' thinking turns; the final exchange is never touched.
-    Pass the dataset's templates when it was generated with non-default ones.
+    Takes and returns a prompt record; `templates` are the dataset's.
     """
-    meta = dict(chat.meta)
+    meta = record["meta"]
     flags = [bool(f) for f in meta["cot_flags"]]
     chosen = choose_stripped(flags[: meta["k"] - 1], k_prime, rng)
-    if templates is None:
-        templates = Templates()
-    messages = [dict(m) for m in chat.messages]
+    messages = list(record["messages"])
     for i in chosen:
         flags[i] = False
         # message layout: system at 0, example i's user at 1+2i, assistant at 2+2i
@@ -278,8 +259,8 @@ def strip_chat_prompt(
             "role": "assistant",
             "content": render_assistant(list(meta["chains"][i]), False, templates),
         }
-    meta["cot_flags"] = [int(f) for f in flags]
-    return ChatPrompt(prompt_id=chat.prompt_id, messages=tuple(messages), meta=meta)
+    meta = {**meta, "cot_flags": [int(f) for f in flags]}
+    return {"prompt_id": record["prompt_id"], "messages": messages, "meta": meta}
 
 
 def extract_langsym_answer(text: str):
@@ -316,23 +297,24 @@ class LangSymEvalPrompt:
     meta: dict = field(compare=False)
 
 
-def make_langsym_eval_prompt(chat: ChatPrompt) -> LangSymEvalPrompt:
-    """Withhold the final assistant turn; its chain is the ground truth.
+def make_langsym_eval_prompt(record: dict) -> LangSymEvalPrompt:
+    """Withhold a prompt record's final assistant turn; its chain is the ground truth.
 
     Scoring reads the meta's DAG, checked with harness.check_prompt_dag,
     and its c, which the ground-truth chain must match, so a malformed
     record fails before any backend call (KeyError, TypeError or
     ValueError).
     """
-    check_prompt_dag(chat.meta)
-    k = chat.meta["k"]
+    meta = record["meta"]
+    check_prompt_dag(meta)
+    k = meta["k"]
     if k < 2:
         raise ConfigError(f"need at least 2 examples to build a prompt, got {k}")
-    messages = chat.messages[:-1]  # drop the last assistant turn
-    chain = tuple(chat.meta["chains"][k - 1])
-    if len(chain) != chat.meta["c"]:
-        raise ValueError(f"query chain has {len(chain)} words, meta has c={chat.meta['c']}")
-    meta = {**chat.meta, "seq_id": chat.prompt_id}
+    messages = record["messages"][:-1]  # drop the last assistant turn
+    chain = tuple(meta["chains"][k - 1])
+    if len(chain) != meta["c"]:
+        raise ValueError(f"query chain has {len(chain)} words, meta has c={meta['c']}")
+    meta = {**meta, "seq_id": record["prompt_id"]}
     return LangSymEvalPrompt(messages=tuple(messages), ground_truth_chain=chain, meta=meta)
 
 
@@ -360,8 +342,8 @@ def force_generate_text(backend, prompt: LangSymEvalPrompt, strategy: str, budge
 class TextOracleBackend:
     """Continues each known prompt with its ground-truth assistant turn."""
 
-    def __init__(self, prompts: list[LangSymEvalPrompt], templates: Templates | None = None):
-        self._templates = templates or Templates()
+    def __init__(self, prompts: list[LangSymEvalPrompt], templates: Templates):
+        self._templates = templates
         # Indexed by the final message, the query question, which is unique
         # per prompt with overwhelming probability; a hit is confirmed by
         # comparing the whole context, so the lookup stays exact.
@@ -390,7 +372,7 @@ class TextStdioBackend(JsonLinesProcess):
     """Completion process: ``{"messages": [...]}`` in, ``{"completion": "..."}`` out."""
 
     def complete(self, messages: list[dict]) -> str:
-        return self.request({"messages": messages}, "completion", str)
+        return self.send_line(json.dumps({"messages": messages}) + "\n", "completion", str)
 
 
 def evaluate_langsym(
@@ -398,10 +380,9 @@ def evaluate_langsym(
     prompts: list[LangSymEvalPrompt],
     strategy: str,
     budget: int,
-    templates: Templates | None = None,
+    templates: Templates,
 ) -> EvalReport:
     """Text analogue of harness.evaluate: boxed-answer accuracy plus step flags."""
-    templates = templates or Templates()
     return evaluate_prompts(
         prompts,
         lambda prompt: force_generate_text(backend, prompt, strategy, budget, templates),

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .errors import ConfigError, FormatError
 from .harness import strip_sequence_record
-from .langsym import ChatPrompt, LangSymConfig, generate_langsym_prompt, strip_chat_prompt
+from .langsym import LangSymConfig, generate_langsym_prompt, strip_chat_prompt
 from .recipe import TaskConfig
 from .rng import choose_distinct, derive_seed, make_rng
 from .sequences import DatasetConfig, build_artifacts, generate_sequence
@@ -67,10 +67,8 @@ KINDS = {
     KIND_LANGSYM: Kind(
         LangSymConfig,
         setup=lambda config: None,
-        generate=lambda config, arts, j: generate_langsym_prompt(config, j).to_record(),
-        strip=lambda record, k_prime, rng, config, arts: strip_chat_prompt(
-            ChatPrompt.from_record(record), k_prime, rng, config.templates
-        ).to_record(),
+        generate=lambda config, arts, j: generate_langsym_prompt(config, j),
+        strip=lambda record, k_prime, rng, config, arts: strip_chat_prompt(record, k_prime, rng, config.templates),
     ),
 }
 
@@ -96,6 +94,13 @@ def sha256_file(path: str) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def dataset_paths(path: str) -> tuple[str, str]:
+    """(directory, manifest file) of the dataset at `path`, given as either one."""
+    if os.path.isdir(path):
+        return path, os.path.join(path, MANIFEST_NAME)
+    return os.path.dirname(path) or os.curdir, path
 
 
 def _valid_transform(tf) -> bool:
@@ -159,8 +164,7 @@ class Manifest:
 
     @classmethod
     def load(cls, path: str) -> "Manifest":
-        if os.path.isdir(path):
-            path = os.path.join(path, MANIFEST_NAME)
+        path = dataset_paths(path)[1]
         with open(path) as fh:
             try:
                 return cls.from_json(json.load(fh))
@@ -216,6 +220,17 @@ def _emit_lines(kind: str, config_json: dict, transforms: list[dict], indices: l
         yield from pool.map(_gen_line, indices, chunksize=chunk)
 
 
+def _digest_lines(lines, size: int, fh=None) -> tuple[str, int]:
+    """sha256 and count of the next `size` lines, each also written to `fh` when given."""
+    digest = hashlib.sha256()
+    count = 0
+    for count, line in enumerate(itertools.islice(lines, size), start=1):
+        if fh is not None:
+            fh.write(line)
+        digest.update(line)
+    return digest.hexdigest(), count
+
+
 def _remove_stale_shards(out_dir: str, outputs: list[dict]) -> None:
     """Delete the part files of `out_dir` that `outputs` does not list."""
     listed = {out["path"] for out in outputs}
@@ -250,14 +265,9 @@ def write_dataset(
     with contextlib.closing(_emit_lines(kind, config_json, transforms, order, workers, len(ranges))) as lines:
         for s, (start, stop) in enumerate(ranges):
             path = os.path.join(out_dir, f"part-{s:04d}.jsonl")
-            digest = hashlib.sha256()
-            count = 0
             with open(path, "wb") as fh:
-                for line in itertools.islice(lines, stop - start):
-                    fh.write(line)
-                    digest.update(line)
-                    count += 1
-            outputs.append({"path": os.path.basename(path), "sha256": digest.hexdigest(), "count": count})
+                sha256, count = _digest_lines(lines, stop - start, fh)
+            outputs.append({"path": os.path.basename(path), "sha256": sha256, "count": count})
     _remove_stale_shards(out_dir, outputs)
     manifest = Manifest(
         kind=kind,
@@ -270,26 +280,27 @@ def write_dataset(
     return manifest
 
 
-def read_records(dataset_dir: str):
-    """Iterate records of every shard listed in the dataset's manifest.
+def read_records(path: str):
+    """Iterate records of every shard listed in the manifest of the dataset at `path`.
 
     A line that is not valid JSON raises FormatError naming its shard file
     and line number.
     """
-    manifest = Manifest.load(dataset_dir)
+    manifest = Manifest.load(path)
+    directory = dataset_paths(path)[0]
     for out in manifest.outputs:
-        path = os.path.join(dataset_dir, out["path"])
-        with open(path, "rb") as fh:
+        shard = os.path.join(directory, out["path"])
+        with open(shard, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
                     try:
                         record = json.loads(line)
                     except ValueError as exc:
-                        raise FormatError(f"{path} line {lineno}: invalid JSON ({exc})") from exc
+                        raise FormatError(f"{shard} line {lineno}: invalid JSON ({exc})") from exc
                     yield record
 
 
-def verify_dataset(dataset_dir: str, sample: int | None = None, seed: int = 0, workers: int = 1) -> list[str]:
+def verify_dataset(path: str, sample: int | None = None, seed: int = 0, workers: int = 1) -> list[str]:
     """Regenerate shards from the manifest and compare hashes and counts.
 
     Returns a list of mismatch descriptions (empty means verified). A
@@ -298,7 +309,8 @@ def verify_dataset(dataset_dir: str, sample: int | None = None, seed: int = 0, w
     """
     if sample is not None and sample < 1:
         raise ConfigError(f"sample must be >= 1 shard, got {sample}")
-    manifest = Manifest.load(dataset_dir)
+    manifest = Manifest.load(path)
+    directory = dataset_paths(path)[0]
     order = parse_config(manifest.kind, manifest.config).output_order()
     ranges = shard_ranges(len(order), max(1, len(manifest.outputs)))
     if len(ranges) != len(manifest.outputs):
@@ -313,20 +325,16 @@ def verify_dataset(dataset_dir: str, sample: int | None = None, seed: int = 0, w
     with contextlib.closing(stream) as lines:
         for s in checked:
             out = manifest.outputs[s]
-            path = os.path.join(dataset_dir, out["path"])
-            if not os.path.exists(path):
-                raise FileNotFoundError(path)
-            actual = sha256_file(path)
+            shard = os.path.join(directory, out["path"])
+            if not os.path.exists(shard):
+                raise FileNotFoundError(shard)
+            actual = sha256_file(shard)
             if actual != out["sha256"]:
                 problems.append(f"{out['path']}: on-disk sha256 {actual[:12]}.. != manifest {out['sha256'][:12]}..")
             start, stop = ranges[s]
-            digest = hashlib.sha256()
-            count = 0
-            for line in itertools.islice(lines, stop - start):
-                digest.update(line)
-                count += 1
-            if digest.hexdigest() != out["sha256"]:
-                problems.append(f"{out['path']}: regenerated sha256 {digest.hexdigest()[:12]}.. != manifest {out['sha256'][:12]}..")
+            regenerated, count = _digest_lines(lines, stop - start)
+            if regenerated != out["sha256"]:
+                problems.append(f"{out['path']}: regenerated sha256 {regenerated[:12]}.. != manifest {out['sha256'][:12]}..")
             if count != out["count"]:
                 problems.append(f"{out['path']}: regenerated {count} records, manifest says {out['count']}")
     return problems

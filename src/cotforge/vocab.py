@@ -43,41 +43,8 @@ class Vocabulary:
         if self.size < N_SPECIAL + 1:
             raise ConfigError(f"vocabulary size must be >= {N_SPECIAL + 1}, got {self.size}")
 
-    @property
-    def pad(self) -> int:
-        return 0
-
-    @property
-    def bos(self) -> int:
-        return 1
-
-    @property
-    def eos(self) -> int:
-        return 2
-
-    @property
-    def inp_start(self) -> int:
-        return 3
-
-    @property
-    def inp_end(self) -> int:
-        return 4
-
-    @property
-    def think_start(self) -> int:
-        return 5
-
-    @property
-    def think_end(self) -> int:
-        return 6
-
-    @property
-    def ans_start(self) -> int:
-        return 7
-
-    @property
-    def ans_end(self) -> int:
-        return 8
+    # Delimiter ids, named in SPECIAL_ROLES order: role SPECIAL_ROLES[i] is id i.
+    pad, bos, eos, inp_start, inp_end, think_start, think_end, ans_start, ans_end = range(N_SPECIAL)
 
     @property
     def special_ids(self) -> dict[str, int]:

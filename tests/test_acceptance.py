@@ -248,11 +248,11 @@ def test_langsym_ground_truth_and_round_trip():
     for j in range(config.t):
         chat = generate_langsym_prompt(config, j)
         for i in range(config.k):
-            chain = chat.meta["chains"][i]
+            chain = chat["meta"]["chains"][i]
             assert all(len(word) == 8 for word in chain), f"prompt {j}: closure"
-            assistant = chat.messages[2 + 2 * i]["content"]
+            assistant = chat["messages"][2 + 2 * i]["content"]
             assert extract_langsym_answer(assistant) == chain[-1], f"prompt {j} ex {i}: answer"
-            if chat.meta["cot_flags"][i]:
+            if chat["meta"]["cot_flags"][i]:
                 assert extract_steps(assistant) == chain[:-1], f"prompt {j} ex {i}: steps"
     _report("langsym transform ground truth, render/extract round trip, closure", started, 30.0)
 

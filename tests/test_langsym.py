@@ -21,7 +21,6 @@ from cotforge import (
 )
 from cotforge import langsym
 from cotforge.langsym import (
-    ChatPrompt,
     LangSymEvalPrompt,
     TextOracleBackend,
     evaluate_langsym,
@@ -161,8 +160,8 @@ def test_closure_fan_in_two_w8(seed):
 def test_prompt_message_structure():
     cfg = small_config()
     chat = generate_langsym_prompt(cfg, 3)
-    assert chat.messages[0]["role"] == "system"
-    body = chat.messages[1:]
+    assert chat["messages"][0]["role"] == "system"
+    body = chat["messages"][1:]
     assert len(body) == 2 * cfg.k
     assert all(m["role"] == "user" for m in body[0::2])
     assert all(m["role"] == "assistant" for m in body[1::2])
@@ -173,7 +172,7 @@ def test_prompt_all_plain_when_never_thinking():
 
     cfg = small_config(recipe=Recipe(alpha=math.inf))
     chat = generate_langsym_prompt(cfg, 5)
-    for msg in chat.messages:
+    for msg in chat["messages"]:
         if msg["role"] == "assistant":
             assert msg["content"].startswith(cfg.templates.answer_open)
             assert "Step" not in msg["content"]
@@ -182,7 +181,7 @@ def test_prompt_all_plain_when_never_thinking():
 def test_prompt_meta_self_consistency():
     cfg = small_config()
     chat = generate_langsym_prompt(cfg, 7)
-    meta = chat.meta
+    meta = chat["meta"]
     from cotforge import Dag
 
     dag = Dag.from_json(meta["dag"])
@@ -198,30 +197,30 @@ def test_rendered_words_match_meta():
     cfg = small_config()
     chat = generate_langsym_prompt(cfg, 2)
     for i in range(cfg.k):
-        user = chat.messages[1 + 2 * i]["content"]
-        assistant = chat.messages[2 + 2 * i]["content"]
-        for word in chat.meta["inputs"][i]:
+        user = chat["messages"][1 + 2 * i]["content"]
+        assistant = chat["messages"][2 + 2 * i]["content"]
+        for word in chat["meta"]["inputs"][i]:
             assert word in user
-        chain = chat.meta["chains"][i]
+        chain = chat["meta"]["chains"][i]
         assert extract_langsym_answer(assistant) == chain[-1]
-        if chat.meta["cot_flags"][i]:
+        if chat["meta"]["cot_flags"][i]:
             assert extract_steps(assistant) == chain[:-1]
 
 
 def test_dataset_determinism():
     cfg = small_config(t=8)
-    a = [c.to_record() for c in generate_langsym_dataset(cfg)]
-    b = [c.to_record() for c in generate_langsym_dataset(cfg)]
+    a = list(generate_langsym_dataset(cfg))
+    b = list(generate_langsym_dataset(cfg))
     assert a == b
 
 
 def test_prompt_independent_of_dataset_iteration():
     cfg = small_config(t=8)
     full = list(generate_langsym_dataset(cfg))
-    assert generate_langsym_prompt(cfg, 5).to_record() == full[5].to_record()
+    assert generate_langsym_prompt(cfg, 5) == full[5]
 
 
-def reference_prompt(config: LangSymConfig, j: int) -> ChatPrompt:
+def reference_prompt(config: LangSymConfig, j: int) -> dict:
     """generate_langsym_prompt as one Generator call per word and variate and
     one string_transform per chain word: the reference for the bulk path."""
     seed, rng, r, n, m, c, dag = config.start_item(j)
@@ -241,11 +240,11 @@ def reference_prompt(config: LangSymConfig, j: int) -> ChatPrompt:
         flags.append(int(is_cot))
     meta = {"n": n, "m": m, "c": c, "k": config.k, "w": config.w, "r_cot": r, "dag": dag.to_json(),
             "inputs": inputs, "chains": chains, "cot_flags": flags, "seed": seed}
-    return ChatPrompt(prompt_id=j, messages=tuple(messages), meta=meta)
+    return {"prompt_id": j, "messages": messages, "meta": meta}
 
 
-def record_bytes(chat: ChatPrompt) -> bytes:
-    return json.dumps(chat.to_record()).encode()
+def record_bytes(chat: dict) -> bytes:
+    return json.dumps(chat).encode()
 
 
 def watch_start(monkeypatch, poke=None) -> set[int]:
@@ -375,10 +374,10 @@ def test_render_extract_round_trip_bulk():
     cfg = small_config(t=30)
     for chat in generate_langsym_dataset(cfg):
         for i in range(cfg.k):
-            assistant = chat.messages[2 + 2 * i]["content"]
-            chain = chat.meta["chains"][i]
+            assistant = chat["messages"][2 + 2 * i]["content"]
+            chain = chat["meta"]["chains"][i]
             assert extract_langsym_answer(assistant) == chain[-1]
-            if chat.meta["cot_flags"][i]:
+            if chat["meta"]["cot_flags"][i]:
                 assert extract_steps(assistant) == chain[:-1]
 
 
@@ -388,16 +387,16 @@ def test_strip_chat_prompt_counts():
     cfg = small_config()
     chat = generate_langsym_prompt(cfg, 1)
     stripped = strip_chat_prompt(chat, 3, make_rng(9), cfg.templates)
-    assert sum(stripped.meta["cot_flags"][:-1]) == (cfg.k - 1) - 3
-    assert stripped.meta["cot_flags"][-1] == 1
-    n_think = sum("Step 1:" in m["content"] for m in stripped.messages if m["role"] == "assistant")
+    assert sum(stripped["meta"]["cot_flags"][:-1]) == (cfg.k - 1) - 3
+    assert stripped["meta"]["cot_flags"][-1] == 1
+    n_think = sum("Step 1:" in m["content"] for m in stripped["messages"] if m["role"] == "assistant")
     assert n_think == cfg.k - 3
 
 
 def test_strip_chat_zero_identity():
     cfg = small_config()
     chat = generate_langsym_prompt(cfg, 1)
-    assert strip_chat_prompt(chat, 0, make_rng(0), cfg.templates).to_record() == chat.to_record()
+    assert strip_chat_prompt(chat, 0, make_rng(0), cfg.templates) == chat
 
 
 def test_text_oracle_both_strategies():
@@ -418,12 +417,6 @@ def test_text_budget_truncation_causes_format_failure():
     report = evaluate_langsym(backend, prompts, "force_think", 5, cfg.templates)
     assert all(r.format_failure for r in report.records)
     assert report.accuracy == 0.0
-
-
-def test_chat_record_round_trip():
-    cfg = small_config()
-    chat = generate_langsym_prompt(cfg, 0)
-    assert ChatPrompt.from_record(chat.to_record()).to_record() == chat.to_record()
 
 
 def test_render_assistant_modes():

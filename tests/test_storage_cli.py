@@ -384,6 +384,30 @@ def test_cli_inspect_langsym(tmp_path, capsys):
     assert "--- system ---" in out and "--- assistant ---" in out
 
 
+@pytest.mark.parametrize("kind, command", [(KIND_ABSTRACT, "eval"), (KIND_LANGSYM, "eval-langsym")])
+def test_cli_takes_a_dataset_by_its_manifest_path(tmp_path, capsys, monkeypatch, kind, command):
+    # verify, eval, eval-langsym and inspect read a dataset given as its
+    # directory, as its manifest.json (or a copy under another name), or as
+    # a bare manifest.json in the working directory, with the same output
+    config = ABSTRACT_CFG if kind == KIND_ABSTRACT else LANGSYM_CFG
+    cfg = _write_cfg(tmp_path, config)
+    ds = tmp_path / "ds"
+    report = tmp_path / "report.json"
+    assert main([f"gen-{kind}", "--config", cfg, "--out", str(ds), "--shards", "2"]) == 0
+    (ds / "copy.json").write_text((ds / "manifest.json").read_text())
+    capsys.readouterr()
+    outputs = []
+    for where in (str(ds), str(ds / "manifest.json"), str(ds / "copy.json"), "manifest.json"):
+        if where == "manifest.json":
+            monkeypatch.chdir(ds)
+        assert main(["verify", "--manifest", where]) == 0
+        assert main([command, "--prompts", where, "--backend", "oracle", "--strategy", "think", "--report", str(report)]) == 0
+        assert main(["inspect", "--in", where, "--index", str(config["t"] - 1)]) == 0  # a record of the last shard
+        outputs.append((json.loads(report.read_text()), capsys.readouterr()))
+    assert outputs[0][0]["accuracy"] == 1.0 and outputs[0][1].err == ""
+    assert outputs[1:] == outputs[:1] * 3
+
+
 def test_cli_seed_override_changes_output(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, ABSTRACT_CFG)
     a, b = str(tmp_path / "a"), str(tmp_path / "b")

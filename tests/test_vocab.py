@@ -36,6 +36,7 @@ def test_special_role_order_is_fixed():
     assert (v.inp_start, v.inp_end) == (3, 4)
     assert (v.think_start, v.think_end) == (5, 6)
     assert (v.ans_start, v.ans_end) == (7, 8)
+    assert [getattr(v, role) for role in SPECIAL_ROLES] == list(range(N_SPECIAL))
     assert v.is_special(8) and v.is_normal(9)
 
 
