@@ -29,7 +29,6 @@ from .harness import (
     make_eval_prompt,
     step_correctness_grid,
     step_dag_breakdown,
-    strip_cot,
 )
 from .langsym import (
     LangSymConfig,
@@ -105,6 +104,5 @@ __all__ = [
     "step_correctness_grid",
     "step_dag_breakdown",
     "string_transform",
-    "strip_cot",
     "validate_dag",
 ]

@@ -38,7 +38,7 @@ from .langsym import (
     make_langsym_eval_prompt,
 )
 from .recipe import Recipe, expected_tokens, parse_alpha
-from .sequences import DatasetConfig, Sequence
+from .sequences import DatasetConfig
 from .storage import (
     KIND_ABSTRACT,
     KIND_LANGSYM,
@@ -127,38 +127,37 @@ def _prompts(records, to_prompt: Callable, source: str) -> list:
 
 
 def _abstract_eval(config: DatasetConfig, records, args: argparse.Namespace):
-    """`eval`: token prompts, their backend, and the call that scores them."""
+    """`eval`: token prompts, their backend, and the call that scores them under a forcing."""
     vocab = new_vocabulary(config.vocab_size)
-    prompts = _prompts(records, lambda rec: make_eval_prompt(Sequence.from_record(rec), vocab), args.prompts)
+    prompts = _prompts(records, lambda rec: make_eval_prompt(rec, vocab), args.prompts)
     if args.backend == "oracle":
         backend = OracleBackend(prompts, vocab)
     elif args.backend == "random":
         backend = RandomBackend(prompts, vocab, seed=args.seed or 0)
     else:
         backend = StdioBackend(_backend_cmd(args))
-    forcing = ForcingConfig(strategy=_STRATEGY_FLAGS[args.strategy], budget=args.budget)
-    return backend, lambda: evaluate(backend, prompts, forcing, vocab)
+    return backend, lambda forcing: evaluate(backend, prompts, forcing, vocab)
 
 
 def _langsym_eval(config, records, args: argparse.Namespace):
-    """`eval-langsym`: chat prompts, their backend, and the call that scores them."""
+    """`eval-langsym`: chat prompts, their backend, and the call that scores them under a forcing."""
     prompts = _prompts(records, make_langsym_eval_prompt, args.prompts)
     if args.backend == "oracle":
         backend = TextOracleBackend(prompts, config.templates)
     else:
         backend = TextStdioBackend(_backend_cmd(args))
-    strategy = _STRATEGY_FLAGS[args.strategy]
-    return backend, lambda: evaluate_langsym(backend, prompts, strategy, args.budget, config.templates)
+    return backend, lambda forcing: evaluate_langsym(backend, prompts, forcing, config.templates)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    forcing = ForcingConfig(strategy=_STRATEGY_FLAGS[args.strategy], budget=args.budget)
     manifest = Manifest.load(args.prompts)
     if manifest.kind != args.kind:
         raise ConfigError(f"{args.command} expects a {args.kind!r} dataset, found kind {manifest.kind!r}")
     config = parse_config(args.kind, manifest.config)
     backend, run = args.setup(config, read_records(args.prompts), args)
     try:
-        report = run()
+        report = run(forcing)
     finally:
         if isinstance(backend, JsonLinesProcess):
             backend.close()
@@ -192,7 +191,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                     lines.append(f"[{pos:5d}] {tok:6d}  {vocab.token_name(tok)}{' *' if mask else ''}")
             else:
                 lines += [line for msg in rec["messages"] for line in (f"--- {msg['role']} ---", msg["content"])]
-        print("\n".join(lines))  # built whole first, so a malformed record prints nothing
+            text = "\n".join(lines)  # built whole first, so a malformed record prints nothing
+        print(text)
         return EXIT_OK
     raise FormatError(f"no item with index {args.index} in {args.inp}")
 

@@ -2,9 +2,9 @@
 generation against a pluggable backend, answer extraction, and accuracy
 plus step-level breakdowns.
 
-A backend is anything exposing ``next_token(tokens) -> int`` (or a bare
-callable with that shape). The harness re-sends the full prefix on every
-step, so backends can be stateless. Reference backends:
+A token backend is anything exposing ``next_token(tokens) -> int``. The
+harness re-sends the full prefix on every step, so backends can be
+stateless. Reference backends:
 
   * OracleBackend replays the ground-truth completion for each prompt and
     must score accuracy 1.0 under every forcing strategy.
@@ -16,8 +16,10 @@ step, so backends can be stateless. Reference backends:
     a prompt's prefix once: while each request extends the previous one
     it appends only the new tokens to the previous request's JSON.
 
-The eval loop, the JSON-lines process transport and the strip selection
-are shared with the string-symbolic kind in langsym.
+The prompt type, the forcing config, the eval loop, the JSON-lines
+process transport and the strip selection are shared with the
+string-symbolic kind in langsym, whose prompts are built and stripped
+the same way: from the shard record.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .dag import Dag, validate_dag
 from .errors import BackendError, ConfigError
 from .recipe import choose_stripped
 from .rng import make_rng
-from .sequences import Sequence, check_layout, example_template, keep_cells
+from .sequences import check_layout, example_template, keep_cells
 from .vocab import Vocabulary
 
 FORCE_THINK = "force_think"
@@ -49,12 +51,13 @@ FORMAT_FAILURE = object()
 
 @dataclass(frozen=True)
 class ForcingConfig:
-    """Forcing strategy plus the generation budget.
+    """Forcing strategy plus the generation budget, for both dataset kinds.
 
-    The budget caps backend-generated tokens; the forced delimiter (when the
-    strategy has one) is appended by the harness and does not count against
-    it. A budget of None means C+6 per prompt, enough for a full thinking
-    tail plus the closing delimiters.
+    On tokens the budget caps backend-generated tokens; the forced delimiter
+    (when the strategy has one) is appended by the harness and does not
+    count against it. A budget of None means C+6 per prompt, enough for a
+    full thinking tail plus the closing delimiters. On text it caps the
+    completion's characters, and None keeps the whole completion.
     """
 
     strategy: str
@@ -69,16 +72,17 @@ class ForcingConfig:
 
 @dataclass(frozen=True)
 class EvalPrompt:
-    """Context examples plus the query input segment and its ground truth."""
+    """A (K-1)-shot prompt of either dataset kind and its query's ground truth.
 
-    context_tokens: tuple[int, ...]
-    query_segment: tuple[int, ...]
-    ground_truth_chain: tuple[int, ...]
+    `context` is what the backend is shown: for an abstract prompt the token
+    prefix, the context examples plus the query's input segment; for a
+    LangSym prompt the chat messages up to and including the query
+    question. `meta` is the record's meta plus its seq_id.
+    """
+
+    context: tuple
+    ground_truth_chain: tuple
     meta: dict = field(compare=False)
-
-    @property
-    def prefix(self) -> tuple[int, ...]:
-        return self.context_tokens + self.query_segment
 
 
 def check_prompt_dag(meta: dict) -> None:
@@ -96,91 +100,58 @@ def check_prompt_dag(meta: dict) -> None:
         raise ValueError(problem)
 
 
-def make_eval_prompt(seq: Sequence, vocab: Vocabulary) -> EvalPrompt:
-    """Turn a K-example sequence into a (K-1)-shot prompt.
+def make_eval_prompt(record: dict, vocab: Vocabulary) -> EvalPrompt:
+    """Turn a K-example sequence record into a (K-1)-shot prompt.
 
     The tokens are validated against the layout of the stored (n, c,
     cot_flags) with `check_layout` (FormatError when they disagree), so
     each example's cells are known without parsing, and the DAG with
     `check_prompt_dag`. The final example must carry its thinking segment:
-    its chain is the ground truth and its inputs become the query. Context
-    keeps the first K-1 examples exactly as stored: the tokens before the
-    query. The prompt's meta is a copy of the sequence's plus its seq_id.
+    its chain is the ground truth and its input segment ends the context,
+    after the first K-1 examples exactly as stored. The prompt's meta is a
+    copy of the record's plus its seq_id.
     """
-    meta = seq.meta
+    meta = record["meta"]
     n, c, flags = meta["n"], meta["c"], meta["cot_flags"]
-    check_layout(seq.tokens, n, c, flags, vocab)
+    tokens = record["tokens"]
+    check_layout(tokens, n, c, flags, vocab)
     check_prompt_dag(meta)
     if len(flags) < 2:
         raise ConfigError(f"need at least 2 examples to build a prompt, got {len(flags)}")
     if not flags[-1]:
         raise ConfigError("query example lacks a thinking segment; build prompts from all-CoT sequences")
-    split = len(seq.tokens) - (n + c + 7)
-    query = seq.tokens[split:]
+    split = len(tokens) - (n + c + 7)
+    query = tokens[split:]
     return EvalPrompt(
-        context_tokens=tuple(seq.tokens[:split]),
-        query_segment=tuple(query[: n + 2]),
+        context=tuple(tokens[: split + n + 2]),
         ground_truth_chain=(*query[n + 3 : n + c + 2], query[n + c + 4]),
-        meta={**meta, "seq_id": seq.seq_id},
+        meta={**meta, "seq_id": record["seq_id"]},
     )
 
 
-def _strip_spans(tokens, meta: dict, k_prime: int, rng, vocab: Vocabulary, query: bool):
-    """Delete the thinking spans of k_prime of the first K-1 examples.
+def strip_sequence_record(record: dict, k_prime: int, rng: np.random.Generator, vocab: Vocabulary) -> dict:
+    """Drop the thinking segments of k_prime context examples of a stored sequence record.
 
-    `tokens` is bos plus the examples of the meta's (n, c, cot_flags)
-    layout, the query (last) one included only when `query`, and is
-    checked against it (FormatError when they disagree). The examples are
-    drawn with choose_stripped. Returns the new tokens, `keep_cells` grid
-    and meta.
+    The stripped examples are drawn with choose_stripped, uniformly without
+    replacement among the thinking-rendered first K-1 examples; the last
+    one is the future query and is never touched, and k_prime=0 is the
+    identity. The layout comes from the record's meta (n, c, cot_flags),
+    and the tokens are first checked against it: length, every delimiter in
+    its cell and a normal token in every other one, else FormatError.
+    Stripping then deletes the thinking spans of the chosen examples from
+    the stream, with no parse or re-render; the loss mask and cot_flags are
+    rebuilt from the same layout. Returns a new record.
     """
+    meta = record["meta"]
     n, c, flags = meta["n"], meta["c"], meta["cot_flags"]
-    stream, keep = check_layout(tokens, n, c, flags if query else flags[:-1], vocab)
+    stream, keep = check_layout(record["tokens"], n, c, flags, vocab)
     chosen = choose_stripped(flags[:-1], k_prime, rng)
     flags = [int(bool(f) and i not in chosen) for i, f in enumerate(flags)]
-    new_keep = keep_cells(n, c, flags[: len(keep)])
-    return [vocab.bos, *stream[1:][new_keep[keep]].tolist()], new_keep, {**meta, "cot_flags": flags}
-
-
-def strip_cot(prompt: EvalPrompt, k_prime: int, rng: np.random.Generator, vocab: Vocabulary) -> EvalPrompt:
-    """Drop the thinking segments of k_prime context examples.
-
-    The stripped examples are chosen uniformly without replacement among the
-    thinking-rendered context examples; the query and every other example
-    are untouched. k_prime=0 is the identity. As in strip_sequence_record,
-    the context is checked against the layout of the meta's (n, c,
-    cot_flags) and the chosen thinking spans are deleted from it; the
-    returned meta's cot_flags are those of the stripped context.
-    """
-    context, _, meta = _strip_spans(prompt.context_tokens, prompt.meta, k_prime, rng, vocab, query=False)
-    return EvalPrompt(tuple(context), prompt.query_segment, prompt.ground_truth_chain, meta)
-
-
-def strip_sequence_record(record: dict, k_prime: int, rng: np.random.Generator, vocab: Vocabulary) -> dict:
-    """Dataset-level stripping of one stored sequence record; returns a new record.
-
-    Applies the same selection rule as strip_cot, over the first K-1
-    examples (the last one is the future query and is never touched). The
-    layout comes from the record's meta (n, c, cot_flags), and the tokens
-    are first checked against it: length, every delimiter in its cell and
-    a normal token in every other one, else FormatError. Stripping then
-    deletes the thinking spans of the chosen examples from the stream,
-    with no parse or re-render; the loss mask and cot_flags are rebuilt
-    from the same layout.
-    """
-    tokens, keep, meta = _strip_spans(record["tokens"], record["meta"], k_prime, rng, vocab, query=True)
-    _, mask_row = example_template(meta["n"], meta["c"], vocab)
-    mask = [0, *np.broadcast_to(mask_row, keep.shape)[keep].tolist()]
-    return {"seq_id": record["seq_id"], "tokens": tokens, "loss_mask": mask, "meta": meta}
-
-
-def _resolve(backend) -> Callable[[list[int]], int]:
-    fn = getattr(backend, "next_token", None)
-    if fn is None and callable(backend):
-        fn = backend
-    if fn is None:
-        raise ConfigError(f"backend {backend!r} has no next_token method and is not callable")
-    return fn
+    new_keep = keep_cells(n, c, flags)
+    _, mask_row = example_template(n, c, vocab)
+    tokens = [vocab.bos, *stream[1:][new_keep[keep]].tolist()]
+    mask = [0, *np.broadcast_to(mask_row, new_keep.shape)[new_keep].tolist()]
+    return {"seq_id": record["seq_id"], "tokens": tokens, "loss_mask": mask, "meta": {**meta, "cot_flags": flags}}
 
 
 def force_generate(backend, prompt: EvalPrompt, forcing: ForcingConfig, vocab: Vocabulary) -> list[int]:
@@ -189,11 +160,11 @@ def force_generate(backend, prompt: EvalPrompt, forcing: ForcingConfig, vocab: V
     Returns the generated suffix, including the forced delimiter when the
     strategy has one. Stops on eos or after `budget` backend calls.
     """
-    next_token = _resolve(backend)
+    next_token = backend.next_token
     budget = forcing.budget
     if budget is None:
         budget = len(prompt.ground_truth_chain) + 6
-    seq = list(prompt.prefix)
+    seq = list(prompt.context)
     out: list[int] = []
     if forcing.strategy == FORCE_THINK:
         out.append(vocab.think_start)
@@ -237,26 +208,16 @@ def extract_thinking(generated: Seq[int], vocab: Vocabulary) -> list[int] | None
 
 @dataclass
 class PromptRecord:
+    """One prompt's report entry: EvalReport.to_json writes its fields as they are, in this order."""
+
     prompt_id: int
     predicted: int | str | None  # str for text-mode answers
     format_failure: bool
     indicator: int
     generated: list
-    step_correct: list[bool]
-    step_in_dag: list[bool]
+    step_correct: list[int]  # 0/1 per step
+    step_in_dag: list[int]  # 0/1 per step
     error: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "prompt_id": self.prompt_id,
-            "predicted": self.predicted,
-            "format_failure": self.format_failure,
-            "indicator": self.indicator,
-            "generated": self.generated,
-            "step_correct": [int(b) for b in self.step_correct],
-            "step_in_dag": [int(b) for b in self.step_in_dag],
-            "error": self.error,
-        }
 
 
 @dataclass
@@ -269,7 +230,7 @@ class EvalReport:
             "accuracy": self.accuracy,
             "n_prompts": len(self.records),
             "format_failures": sum(r.format_failure for r in self.records),
-            "records": [r.to_json() for r in self.records],
+            "records": [dict(vars(r)) for r in self.records],  # dataclasses.asdict would deep-copy every leaf
         }
 
 
@@ -290,7 +251,7 @@ def evaluate_prompts(prompts: list, generate: Callable, score: Callable) -> Eval
     failures = 0
     for idx, prompt in enumerate(prompts):
         dag = Dag.from_json(prompt.meta["dag"])
-        in_dag = [dag.reaches_answer(dag.n_inputs + c - 1) for c in range(1, dag.n_chain)]
+        in_dag = [int(dag.reaches_answer(dag.n_inputs + c - 1)) for c in range(1, dag.n_chain)]
         truth = prompt.ground_truth_chain
         try:
             output = generate(prompt)
@@ -307,7 +268,7 @@ def evaluate_prompts(prompts: list, generate: Callable, score: Callable) -> Eval
                 format_failure=failed,
                 indicator=int(not failed and predicted == truth[-1]),
                 generated=generated,
-                step_correct=[i < len(steps) and steps[i] == truth[i] for i in range(len(truth) - 1)],
+                step_correct=[int(i < len(steps) and steps[i] == truth[i]) for i in range(len(truth) - 1)],
                 step_in_dag=in_dag,
                 error=error,
             )
@@ -390,7 +351,7 @@ class _CompletionBackend:
     def __init__(self, prompts: list[EvalPrompt], vocab: Vocabulary):
         self._vocab = vocab
         self._chains: dict[tuple[int, ...], tuple[int, ...]] = {
-            prompt.prefix: self._chain_for(prompt) for prompt in prompts
+            prompt.context: self._chain_for(prompt) for prompt in prompts
         }
 
     def _chain_for(self, prompt: EvalPrompt) -> tuple[int, ...]:

@@ -26,7 +26,10 @@ import numpy as np
 
 from .dag import Dag
 from .errors import BackendError, ConfigError
-from .harness import FORMAT_FAILURE, EvalReport, JsonLinesProcess, check_prompt_dag, evaluate_prompts
+from .harness import (
+    FORCE_ANSWER, FORCE_THINK, FORMAT_FAILURE, EvalPrompt, EvalReport, ForcingConfig,
+    JsonLinesProcess, check_prompt_dag, evaluate_prompts,
+)
 from .recipe import TaskConfig, check_int, choose_stripped
 from .rng import bulk_rounds, choose_distinct
 
@@ -288,69 +291,64 @@ def extract_steps(text: str) -> list[str]:
 
 # --- text-side evaluation -------------------------------------------------
 
-@dataclass(frozen=True)
-class LangSymEvalPrompt:
-    """Chat context ending in the unanswered query question."""
-
-    messages: tuple[dict, ...]
-    ground_truth_chain: tuple[str, ...]
-    meta: dict = field(compare=False)
-
-
-def make_langsym_eval_prompt(record: dict) -> LangSymEvalPrompt:
+def make_langsym_eval_prompt(record: dict) -> EvalPrompt:
     """Withhold a prompt record's final assistant turn; its chain is the ground truth.
 
-    Scoring reads the meta's DAG, checked with harness.check_prompt_dag,
-    and its c, which the ground-truth chain must match, so a malformed
-    record fails before any backend call (KeyError, TypeError or
-    ValueError).
+    The record must hold its K examples whole: 2K+1 messages (the system
+    turn, then one user and one assistant turn of text per example) and K
+    chains of c words. Scoring reads the meta's DAG, checked with
+    harness.check_prompt_dag, so a malformed record fails before any
+    backend call (KeyError, TypeError or ValueError).
     """
     meta = record["meta"]
     check_prompt_dag(meta)
-    k = meta["k"]
+    k, c = meta["k"], meta["c"]
     if k < 2:
         raise ConfigError(f"need at least 2 examples to build a prompt, got {k}")
-    messages = record["messages"][:-1]  # drop the last assistant turn
-    chain = tuple(meta["chains"][k - 1])
-    if len(chain) != meta["c"]:
-        raise ValueError(f"query chain has {len(chain)} words, meta has c={meta['c']}")
+    messages = record["messages"]
+    if len(messages) != 2 * k + 1 or [m["role"] for m in messages] != ["system", *("user", "assistant") * k]:
+        raise ValueError(f"{len(messages)} messages are not the system turn and k={k} user/assistant exchanges")
+    if not all(isinstance(m["content"], str) for m in messages):
+        raise ValueError("message content must be text")
+    chains = meta["chains"]
+    if len(chains) != k or any(len(chain) != c for chain in chains[:-1]):
+        raise ValueError(f"meta needs k={k} chains of c={c} words")
+    chain = tuple(chains[-1])
+    if len(chain) != c:
+        raise ValueError(f"query chain has {len(chain)} words, meta has c={c}")
     meta = {**meta, "seq_id": record["prompt_id"]}
-    return LangSymEvalPrompt(messages=tuple(messages), ground_truth_chain=chain, meta=meta)
+    return EvalPrompt(context=tuple(messages[:-1]), ground_truth_chain=chain, meta=meta)
 
 
-def force_generate_text(backend, prompt: LangSymEvalPrompt, strategy: str, budget: int, templates: Templates) -> str:
+def force_generate_text(backend, prompt: EvalPrompt, forcing: ForcingConfig, templates: Templates) -> str:
     """One whole-completion request under a text forcing strategy.
 
     The force marker is sent as a partial assistant turn for the backend to
     continue; the returned text is marker + completion, with the completion
-    truncated to `budget` characters.
+    cut to `forcing.budget` characters (None keeps it whole). Text has no
+    unforced strategy: NO_FORCING raises ConfigError.
     """
-    if strategy == "force_think":
-        marker = templates.think_open
-    elif strategy == "force_answer":
-        marker = templates.answer_open
-    else:
-        raise ConfigError(f"unsupported text strategy {strategy!r}")
-    if budget < 1:
-        raise ConfigError(f"budget must be >= 1, got {budget}")
-    messages = [dict(m) for m in prompt.messages]
+    marker = {FORCE_THINK: templates.think_open, FORCE_ANSWER: templates.answer_open}.get(forcing.strategy)
+    if marker is None:
+        raise ConfigError(f"unsupported text strategy {forcing.strategy!r}")
+    messages = [dict(m) for m in prompt.context]
     messages.append({"role": "assistant", "content": marker})
     completion = backend.complete(messages)
-    return marker + completion[:budget]
+    return marker + completion[: forcing.budget]
 
 
 class TextOracleBackend:
     """Continues each known prompt with its ground-truth assistant turn."""
 
-    def __init__(self, prompts: list[LangSymEvalPrompt], templates: Templates):
+    def __init__(self, prompts: list[EvalPrompt], templates: Templates):
         self._templates = templates
         # Indexed by the final message, the query question, which is unique
         # per prompt with overwhelming probability; a hit is confirmed by
         # comparing the whole context, so the lookup stays exact.
         self._prompts: dict[str, list[tuple[tuple[dict, ...], list[str]]]] = {}
         for p in prompts:
-            entry = (tuple(p.messages), list(p.ground_truth_chain))
-            self._prompts.setdefault(p.messages[-1]["content"], []).append(entry)
+            entry = (p.context, list(p.ground_truth_chain))
+            self._prompts.setdefault(p.context[-1]["content"], []).append(entry)
 
     def complete(self, messages: list[dict]) -> str:
         partial = ""
@@ -375,16 +373,10 @@ class TextStdioBackend(JsonLinesProcess):
         return self.send_line(json.dumps({"messages": messages}) + "\n", "completion", str)
 
 
-def evaluate_langsym(
-    backend,
-    prompts: list[LangSymEvalPrompt],
-    strategy: str,
-    budget: int,
-    templates: Templates,
-) -> EvalReport:
+def evaluate_langsym(backend, prompts: list[EvalPrompt], forcing: ForcingConfig, templates: Templates) -> EvalReport:
     """Text analogue of harness.evaluate: boxed-answer accuracy plus step flags."""
     return evaluate_prompts(
         prompts,
-        lambda prompt: force_generate_text(backend, prompt, strategy, budget, templates),
+        lambda prompt: force_generate_text(backend, prompt, forcing, templates),
         lambda text: (extract_langsym_answer(text), extract_steps(text), [text]),
     )

@@ -25,11 +25,11 @@ chain arrays (`render_sequence`). `check_layout` validates a stored stream
 against it and returns the stream with its kept cells, so
 `recompute_chains` reads the inputs from their cells and
 harness.make_eval_prompt cuts the query at a known offset; stripping a
-stored record or a prompt deletes thinking spans from the stream
-(harness.strip_sequence_record, harness.strip_cot). None of them parses
-or re-renders. The per-example renderers, masks and parsers below are not
-called by the package: they are the tests' reference implementations of
-the same rule, and the benchmark tracer names them.
+stored record deletes thinking spans from the stream
+(harness.strip_sequence_record). None of them parses or re-renders. The
+per-example renderers, masks and parsers below are not called by the
+package: they are the tests' reference implementations of the same rule,
+and the benchmark tracer names them.
 
 Every sequence is generated from its own Philox stream derived from
 (master_seed, j), with a fixed draw order:
@@ -292,25 +292,30 @@ def _abnormal(tokens: np.ndarray, vocab: Vocabulary) -> np.ndarray:
 
 
 def check_layout(
-    tokens: Seq[int], n: int, c: int, cot_flags: Seq[bool], vocab: Vocabulary
+    tokens: Seq[int], n: int, c: int, cot_flags: list[int], vocab: Vocabulary
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validate a stored sequence against the layout of (n, c, cot_flags).
 
-    The stream must be bos plus exactly the kept cells: every delimiter in
-    its cell and a normal token in every other one. Returns the stream as
-    an int64 array and the `keep_cells` grid; raises FormatError on any
-    violation.
+    cot_flags must be a non-empty flat list of 0/1, and the stream bos plus
+    exactly the kept cells: every delimiter in its cell and a normal token
+    in every other one. Returns the stream as an int64 array and the
+    `keep_cells` grid; raises FormatError on any violation.
     """
     if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (n, c)):
         raise FormatError(f"layout needs n, c >= 1, got n={n!r} c={c!r}")
+    if not isinstance(cot_flags, list) or not cot_flags or not all(f in (0, 1) for f in cot_flags):
+        raise FormatError("cot_flags must be a non-empty flat list of 0/1")
     stream = np.asarray(tokens)
     if stream.ndim != 1 or stream.dtype.kind not in "iu":
         raise FormatError("tokens must be a flat list of integers")
+    # the length first, so a huge n (or c, with a thinking example) fails
+    # before any array of that size
+    length = 1 + len(cot_flags) * (n + 6) + sum(cot_flags) * (c + 1)
+    if len(stream) != length:
+        raise FormatError(f"{len(stream)} tokens where the layout of {len(cot_flags)} examples has {length}")
     keep = keep_cells(n, c, cot_flags)
     template, _ = example_template(n, c, vocab)
     expected = np.concatenate(([vocab.bos], np.broadcast_to(template, keep.shape)[keep]))
-    if len(stream) != len(expected):
-        raise FormatError(f"{len(stream)} tokens where the layout of {len(cot_flags)} examples has {len(expected)}")
     fixed = expected != NORMAL
     wrong = np.flatnonzero(fixed & (stream != expected))
     if wrong.size:

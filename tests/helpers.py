@@ -88,11 +88,13 @@ def reference_strip_sequence_record(record: dict, k_prime: int, rng, vocab) -> d
 def reference_strip_cot(prompt: EvalPrompt, k_prime: int, rng, vocab) -> EvalPrompt:
     """Prompt-level stripping by parse and re-render, one example at a time.
 
-    Draws the stripped examples exactly as harness.strip_cot does, over the
-    parsed context's flags; the meta's cot_flags are those of the
-    re-rendered context plus the query's.
+    Draws the stripped examples exactly as harness.strip_sequence_record
+    does, over the parsed context examples' flags; the query's input
+    segment, the last n+2 tokens of the context, is kept as it is. The
+    meta's cot_flags are those of the re-rendered context plus the query's.
     """
-    parsed = parse_examples(list(prompt.context_tokens), vocab, start=1)
+    split = len(prompt.context) - (prompt.meta["n"] + 2)
+    parsed = parse_examples(list(prompt.context[:split]), vocab, start=1)
     chosen = choose_stripped([ex.is_cot for ex in parsed], k_prime, rng)
     context, flags = [vocab.bos], []
     for i, ex in enumerate(parsed):
@@ -100,16 +102,18 @@ def reference_strip_cot(prompt: EvalPrompt, k_prime: int, rng, vocab) -> EvalPro
         context.extend(render_example_tokens(ex, vocab, as_cot=as_cot))
         flags.append(int(as_cot))
     meta = dict(prompt.meta, cot_flags=[*flags, prompt.meta["cot_flags"][-1]])
-    return EvalPrompt(tuple(context), prompt.query_segment, prompt.ground_truth_chain, meta)
+    return EvalPrompt((*context, *prompt.context[split:]), prompt.ground_truth_chain, meta)
 
 
-def reference_make_eval_prompt(seq, vocab) -> EvalPrompt:
-    """The (K-1)-shot prompt of a sequence, from a token-by-token parse.
+def reference_make_eval_prompt(record: dict, vocab) -> EvalPrompt:
+    """The (K-1)-shot prompt of a sequence record, from a token-by-token parse.
 
     The parse validates the stream's structure; the last example's inputs
-    and chain come from it, and the context is the stored tokens before it.
+    and chain come from it, and the context is the stored tokens before it
+    plus its input segment.
     """
-    parsed = parse_sequence(list(seq.tokens), vocab)
+    tokens = record["tokens"]
+    parsed = parse_sequence(list(tokens), vocab)
     if len(parsed) < 2:
         raise ConfigError(f"need at least 2 examples to build a prompt, got {len(parsed)}")
     query = parsed[-1]
@@ -117,11 +121,10 @@ def reference_make_eval_prompt(seq, vocab) -> EvalPrompt:
         raise ConfigError("query example lacks a thinking segment; build prompts from all-CoT sequences")
     chain = (*query.intermediates, query.answer)
     query_len = len(query.inputs) + len(chain) + 7
-    meta = dict(seq.meta)
-    meta["seq_id"] = seq.seq_id
+    meta = dict(record["meta"])
+    meta["seq_id"] = record["seq_id"]
     return EvalPrompt(
-        context_tokens=tuple(seq.tokens[: len(seq.tokens) - query_len]),
-        query_segment=(vocab.inp_start, *query.inputs, vocab.inp_end),
+        context=(*tokens[: len(tokens) - query_len], vocab.inp_start, *query.inputs, vocab.inp_end),
         ground_truth_chain=chain,
         meta=meta,
     )

@@ -31,11 +31,10 @@ from cotforge import (
     sample_embedding_matrix,
     step_correctness_grid,
     step_dag_breakdown,
-    strip_cot,
     string_transform,
     validate_dag,
 )
-from cotforge.harness import FORCE_ANSWER, FORCE_THINK, NO_FORCING
+from cotforge.harness import FORCE_ANSWER, FORCE_THINK, NO_FORCING, strip_sequence_record
 from cotforge.langsym import (
     LangSymConfig,
     extract_langsym_answer,
@@ -191,13 +190,11 @@ def test_oracle_and_random_evaluation_protocol():
     started = time.monotonic()
     config = _reference_config(0.0, 1000, master_seed=777_777)  # all-CoT rendering
     vocab, emb, cache = build_artifacts(config)
-    base = [
-        make_eval_prompt(generate_sequence(config, j, vocab, emb, cache), vocab)
-        for j in range(config.t)
-    ]
+    records = [generate_sequence(config, j, vocab, emb, cache).to_record() for j in range(config.t)]
+    base = [make_eval_prompt(rec, vocab) for rec in records]
     for k_prime in (0, 10, 20, 30, 39):
         rng = make_rng(4242 + k_prime)
-        prompts = [strip_cot(p, k_prime, rng, vocab) for p in base]
+        prompts = [make_eval_prompt(strip_sequence_record(rec, k_prime, rng, vocab), vocab) for rec in records]
         backend = OracleBackend(prompts, vocab)
         for strategy in (FORCE_THINK, FORCE_ANSWER, NO_FORCING):
             report = evaluate(backend, prompts, ForcingConfig(strategy=strategy), vocab)
@@ -280,7 +277,7 @@ def test_dag_sampling_and_breakdown_tables():
     config = _reference_config(0.0, 300, master_seed=98_765)
     vocab, emb, cache = build_artifacts(config)
     prompts = [
-        make_eval_prompt(generate_sequence(config, j, vocab, emb, cache), vocab)
+        make_eval_prompt(generate_sequence(config, j, vocab, emb, cache).to_record(), vocab)
         for j in range(config.t)
     ]
     report = evaluate(

@@ -22,12 +22,10 @@ from cotforge import (
     make_eval_prompt,
     step_correctness_grid,
     step_dag_breakdown,
-    strip_cot,
 )
 from cotforge.harness import FORCE_ANSWER, FORCE_THINK, NO_FORCING, strip_sequence_record
 from cotforge.rng import make_rng
 from cotforge.sequences import (
-    Sequence,
     build_artifacts,
     generate_sequence,
     parse_sequence,
@@ -66,30 +64,31 @@ def world():
     cfg = all_cot_config()
     vocab, emb, cache = build_artifacts(cfg)
     seqs = [generate_sequence(cfg, j, vocab, emb, cache) for j in range(cfg.t)]
-    prompts = [make_eval_prompt(s, vocab) for s in seqs]
+    prompts = [make_eval_prompt(s.to_record(), vocab) for s in seqs]
     return cfg, vocab, emb, cache, seqs, prompts
 
 
 def test_prompt_context_has_k_minus_one_examples(world):
     cfg, vocab, _, _, _, prompts = world
     for p in prompts:
-        assert p.context_tokens.count(vocab.eos) == cfg.k - 1
-        assert p.query_segment[0] == vocab.inp_start
-        assert p.query_segment[-1] == vocab.inp_end
+        query_segment = p.context[-(p.meta["n"] + 2) :]
+        assert p.context.count(vocab.eos) == cfg.k - 1
+        assert query_segment[0] == vocab.inp_start
+        assert query_segment[-1] == vocab.inp_end
 
 
 def test_minimal_two_example_prompt():
     cfg = all_cot_config(k=2, t=4)
     vocab, emb, cache = build_artifacts(cfg)
-    p = make_eval_prompt(generate_sequence(cfg, 0, vocab, emb, cache), vocab)
-    assert p.context_tokens.count(vocab.eos) == 1
+    p = make_eval_prompt(generate_sequence(cfg, 0, vocab, emb, cache).to_record(), vocab)
+    assert p.context.count(vocab.eos) == 1
 
 
 def test_single_example_prompt_rejected():
     cfg = all_cot_config(k=1, t=4)
     vocab, emb, cache = build_artifacts(cfg)
     with pytest.raises(ConfigError):
-        make_eval_prompt(generate_sequence(cfg, 0, vocab, emb, cache), vocab)
+        make_eval_prompt(generate_sequence(cfg, 0, vocab, emb, cache).to_record(), vocab)
 
 
 def test_ground_truth_matches_recomputation(world):
@@ -99,33 +98,41 @@ def test_ground_truth_matches_recomputation(world):
         assert list(prompt.ground_truth_chain) == [int(v) for v in chains[-1]]
 
 
+def stripped_prompt(seq, k_prime, rng, vocab):
+    """The eval prompt of `seq`'s record after k_prime of its context examples are stripped."""
+    return make_eval_prompt(strip_sequence_record(seq.to_record(), k_prime, rng, vocab), vocab)
+
+
 def test_strip_zero_is_identity(world):
-    _, vocab, _, _, _, prompts = world
-    p = prompts[0]
-    assert strip_cot(p, 0, make_rng(0), vocab) == p
+    _, vocab, _, _, seqs, prompts = world
+    rec = seqs[0].to_record()
+    assert strip_sequence_record(rec, 0, make_rng(0), vocab) == rec
+    assert stripped_prompt(seqs[0], 0, make_rng(0), vocab) == prompts[0]
 
 
 def test_strip_all_context(world):
-    cfg, vocab, _, _, _, prompts = world
-    p = strip_cot(prompts[0], cfg.k - 1, make_rng(1), vocab)
-    parsed = parse_sequence(list(p.context_tokens), vocab)
+    cfg, vocab, _, _, seqs, prompts = world
+    p = stripped_prompt(seqs[0], cfg.k - 1, make_rng(1), vocab)
+    split = len(p.context) - (p.meta["n"] + 2)
+    parsed = parse_sequence(list(p.context[:split]), vocab)
     assert not any(ex.is_cot for ex in parsed)
-    assert p.query_segment == prompts[0].query_segment
+    assert p.context[split:] == prompts[0].context[-(p.meta["n"] + 2) :]
+    assert p.ground_truth_chain == prompts[0].ground_truth_chain
 
 
 def test_strip_token_delta(world):
-    cfg, vocab, _, _, _, prompts = world
+    cfg, vocab, _, _, seqs, prompts = world
     c = prompts[0].meta["c"]
     for k_prime in (1, 3, cfg.k - 1):
-        stripped = strip_cot(prompts[0], k_prime, make_rng(2), vocab)
-        delta = len(prompts[0].context_tokens) - len(stripped.context_tokens)
+        stripped = stripped_prompt(seqs[0], k_prime, make_rng(2), vocab)
+        delta = len(prompts[0].context) - len(stripped.context)
         assert delta == k_prime * (c + 1)
 
 
 def test_strip_out_of_range(world):
-    cfg, vocab, _, _, _, prompts = world
+    cfg, vocab, _, _, seqs, _ = world
     with pytest.raises(ConfigError):
-        strip_cot(prompts[0], cfg.k, make_rng(0), vocab)
+        strip_sequence_record(seqs[0].to_record(), cfg.k, make_rng(0), vocab)
 
 
 def test_strip_sequence_record_counts(world):
@@ -183,9 +190,18 @@ def _special_in_input(rec, vocab):
     rec["tokens"][2] = vocab.ans_end  # bos, inp_start, then the first input token
 
 
+def _nested_flags(rec, vocab):
+    rec["meta"]["cot_flags"] = [[f] for f in rec["meta"]["cot_flags"]]
+
+
+def _no_examples(rec, vocab):
+    rec["meta"]["cot_flags"], rec["tokens"] = [], [vocab.bos]
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_flip_first_flag, _swap_unequal_flags, _truncate, _delimiter_to_normal, _special_in_input],
+    [_flip_first_flag, _swap_unequal_flags, _truncate, _delimiter_to_normal, _special_in_input, _nested_flags,
+     _no_examples],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_strip_sequence_record_rejects_a_broken_layout(mixed_records, corrupt):
@@ -200,87 +216,91 @@ def test_eval_prompt_context_matches_rerender(mixed_records):
     vocab, records = mixed_records
     checked = 0
     for j, rec in enumerate(records):
-        seq = Sequence.from_record(strip_sequence_record(rec, 1, make_rng(j), vocab))
-        if not seq.meta["cot_flags"][-1]:
+        stripped = strip_sequence_record(rec, 1, make_rng(j), vocab)
+        if not stripped["meta"]["cot_flags"][-1]:
             continue
         checked += 1
-        parsed = parse_sequence(list(seq.tokens), vocab)
+        parsed = parse_sequence(list(stripped["tokens"]), vocab)
         want = [vocab.bos]
         for ex in parsed[:-1]:
             want += render_example_tokens(ex, vocab, as_cot=ex.is_cot)
-        prompt = make_eval_prompt(seq, vocab)
-        assert prompt.context_tokens == tuple(want)
-        assert prompt.prefix == seq.tokens[: len(want) + len(parsed[-1].inputs) + 2]
+        prompt = make_eval_prompt(stripped, vocab)
+        assert prompt.context == (*want, vocab.inp_start, *parsed[-1].inputs, vocab.inp_end)
+        assert prompt.context == tuple(stripped["tokens"][: len(want) + len(parsed[-1].inputs) + 2])
     assert checked >= 5
 
 
 @pytest.fixture(scope="module")
 def layout_sequences():
-    """Sequences over n, c in 1..6 and k in 2..8: all-CoT, mixed, and stripped mixed ones."""
-    seqs = []
+    """Sequence records over n, c in 1..6 and k in 2..8: all-CoT, mixed, and stripped mixed ones."""
+    records = []
     for k in range(2, 9):
         for alpha in (0.0, 1.0):
             cfg = all_cot_config(n_choices=tuple(range(1, 7)), m_choices=(1, 2), c_choices=tuple(range(1, 7)),
                                  k=k, t=12, recipe=Recipe(alpha=alpha), master_seed=100 * k + int(alpha))
             vocab, emb, cache = build_artifacts(cfg)
             for j in range(cfg.t):
-                seq = generate_sequence(cfg, j, vocab, emb, cache)
-                seqs.append(seq)
+                rec = generate_sequence(cfg, j, vocab, emb, cache).to_record()
+                records.append(rec)
                 if alpha:
-                    n_cot = sum(seq.meta["cot_flags"][:-1])
-                    rec = strip_sequence_record(seq.to_record(), j % (n_cot + 1), make_rng(j), vocab)
-                    seqs.append(Sequence.from_record(json.loads(encode_record(rec))))
-    return vocab, seqs
+                    n_cot = sum(rec["meta"]["cot_flags"][:-1])
+                    stripped = strip_sequence_record(rec, j % (n_cot + 1), make_rng(j), vocab)
+                    records.append(json.loads(encode_record(stripped)))
+    return vocab, records
 
 
 def test_eval_prompt_matches_parse_based_reference(layout_sequences):
-    vocab, seqs = layout_sequences
+    vocab, records = layout_sequences
     built = rejected = 0
-    for seq in seqs:
+    for rec in records:
         try:
-            want = reference_make_eval_prompt(seq, vocab)
+            want = reference_make_eval_prompt(rec, vocab)
         except ConfigError as exc:
             with pytest.raises(ConfigError, match=re.escape(str(exc))):
-                make_eval_prompt(seq, vocab)
+                make_eval_prompt(rec, vocab)
             rejected += 1
             continue
-        got = make_eval_prompt(seq, vocab)
-        assert got == want and got.meta == want.meta, seq.seq_id
-        assert all(type(t) is int for t in (*got.prefix, *got.ground_truth_chain))
+        got = make_eval_prompt(rec, vocab)
+        assert got == want and got.meta == want.meta, rec["seq_id"]
+        assert all(type(t) is int for t in (*got.context, *got.ground_truth_chain))
         built += 1
     assert built >= 100 and rejected >= 10
-    assert {s.meta["n"] for s in seqs} == {s.meta["c"] for s in seqs} == set(range(1, 7))
+    assert {r["meta"]["n"] for r in records} == {r["meta"]["c"] for r in records} == set(range(1, 7))
 
 
 def test_strip_cot_matches_parse_based_reference(layout_sequences):
-    vocab, seqs = layout_sequences
+    """Stripping a record and then building its prompt equals a parse-based strip of the prompt."""
+    vocab, records = layout_sequences
     mixed = set()
-    for seq in seqs:
-        flags = seq.meta["cot_flags"]
+    for rec in records:
+        flags = rec["meta"]["cot_flags"]
         if len(flags) < 2 or not flags[-1]:
             continue
-        prompt = make_eval_prompt(seq, vocab)
+        prompt = make_eval_prompt(rec, vocab)
         n_cot = sum(flags[:-1])
         if 0 < n_cot < len(flags) - 1:
-            mixed.add((seq.meta["n"], seq.meta["c"]))
+            mixed.add((rec["meta"]["n"], rec["meta"]["c"]))
         for k_prime in sorted({0, min(1, n_cot), n_cot}):
-            got = strip_cot(prompt, k_prime, make_rng(seq.seq_id + k_prime), vocab)
-            want = reference_strip_cot(prompt, k_prime, make_rng(seq.seq_id + k_prime), vocab)
-            assert got == want and got.meta == want.meta, (seq.seq_id, k_prime)
-            assert all(type(t) is int for t in got.context_tokens)
+            stripped = strip_sequence_record(rec, k_prime, make_rng(rec["seq_id"] + k_prime), vocab)
+            got = make_eval_prompt(stripped, vocab)
+            want = reference_strip_cot(prompt, k_prime, make_rng(rec["seq_id"] + k_prime), vocab)
+            assert got == want and got.meta == want.meta, (rec["seq_id"], k_prime)
+            assert list(got.meta) == list(want.meta)  # key order too
+            assert all(type(t) is int for t in got.context)
     assert len(mixed) >= 10
 
 
 def test_strip_cot_twice_keeps_meta_flags_equal_to_the_context(world):
-    cfg, vocab, _, _, _, prompts = world
-    for j, prompt in enumerate(prompts[:6]):
-        once = strip_cot(prompt, 2, make_rng(j), vocab)
-        twice = strip_cot(once, 3, make_rng(100 + j), vocab)
-        for p in (once, twice):
-            parsed = parse_sequence(list(p.context_tokens), vocab)
+    cfg, vocab, _, _, seqs, _ = world
+    for j, seq in enumerate(seqs[:6]):
+        rec = seq.to_record()
+        once = strip_sequence_record(rec, 2, make_rng(j), vocab)
+        twice = strip_sequence_record(once, 3, make_rng(100 + j), vocab)
+        for p in (make_eval_prompt(once, vocab), make_eval_prompt(twice, vocab)):
+            parsed = parse_sequence(list(p.context[: -(p.meta["n"] + 2)]), vocab)
             assert p.meta["cot_flags"][:-1] == [int(ex.is_cot) for ex in parsed]
-        assert sum(twice.meta["cot_flags"]) == cfg.k - 5
-        assert prompt.meta["cot_flags"] == [1] * cfg.k  # the input prompt's meta is left as it was
+        assert sum(twice["meta"]["cot_flags"]) == cfg.k - 5
+        assert rec["meta"]["cot_flags"] == [1] * cfg.k  # the input record's meta is left as it was
 
 
 def _flip_last_flag(rec, vocab):
@@ -302,7 +322,7 @@ def test_eval_prompt_rejects_a_record_that_disagrees_with_its_layout(world, corr
     rec = json.loads(encode_record(seqs[0].to_record()))
     corrupt(rec, vocab)
     with pytest.raises(FormatError):
-        make_eval_prompt(Sequence.from_record(rec), vocab)
+        make_eval_prompt(rec, vocab)
 
 
 def test_oracle_emits_canonical_thinking_tail(world):
@@ -351,9 +371,9 @@ def test_extract_answer_recovers_rendered_answer():
 
 
 def test_oracle_accuracy_one_under_everything(world):
-    cfg, vocab, _, _, _, prompts = world
+    cfg, vocab, _, _, seqs, _ = world
     for k_prime in (0, 3, cfg.k - 1):
-        stripped = [strip_cot(p, k_prime, make_rng(100 + k_prime), vocab) for p in prompts]
+        stripped = [stripped_prompt(s, k_prime, make_rng(100 + k_prime), vocab) for s in seqs]
         backend = OracleBackend(stripped, vocab)
         for strategy in (FORCE_THINK, FORCE_ANSWER, NO_FORCING):
             report = evaluate(backend, stripped, ForcingConfig(strategy=strategy), vocab)
@@ -445,13 +465,6 @@ def test_unknown_strategy_rejected():
         ForcingConfig(strategy=FORCE_THINK, budget=0)
 
 
-def test_callable_backend_accepted(world):
-    _, vocab, _, _, _, prompts = world
-    oracle = OracleBackend(prompts, vocab)
-    report = evaluate(oracle.next_token, prompts, ForcingConfig(strategy=FORCE_ANSWER), vocab)
-    assert report.accuracy == 1.0
-
-
 _STDIO_BOT = textwrap.dedent(
     """
     import json, sys
@@ -483,7 +496,7 @@ def test_stdio_backend_malformed_reply(tmp_path, world):
     bot.write_text("import sys\nfor line in sys.stdin:\n    print('nonsense', flush=True)\n")
     with StdioBackend([sys.executable, str(bot)]) as backend:
         with pytest.raises(BackendError):
-            backend.next_token(list(prompts[0].prefix))
+            backend.next_token(list(prompts[0].context))
 
 
 def test_stdio_request_lines_equal_json_dumps(world):
@@ -491,8 +504,8 @@ def test_stdio_request_lines_equal_json_dumps(world):
     backend = StdioBackend(["unused"])
     sent = []
     backend.send_line = lambda line, key, convert: sent.append(line) or 0
-    prefix = list(prompts[0].prefix)
-    other = list(prompts[1].prefix)
+    prefix = list(prompts[0].context)
+    other = list(prompts[1].context)
     seq = prefix[:]  # one list, mutated in place between calls as force_generate does
     requests = []
 
@@ -544,7 +557,7 @@ def test_stdio_backend_restart_mid_prompt_gets_the_full_prefix(tmp_path, world):
     bot, pids = tmp_path / "bot.py", tmp_path / "pids.txt"
     bot.write_text(_RESTARTING_BOT)
     with StdioBackend([sys.executable, str(bot), str(pids)]) as backend:
-        seq = [*prompts[0].prefix, vocab.ans_start]
+        seq = [*prompts[0].context, vocab.ans_start]
         assert backend.next_token(seq) == 9
         first = backend._proc
         first.wait(timeout=60)  # the first bot has exited
@@ -561,8 +574,9 @@ def test_stdio_backend_restart_mid_prompt_gets_the_full_prefix(tmp_path, world):
 def test_all_prompts_failing_raises(world):
     _, vocab, _, _, _, prompts = world
 
-    def broken(tokens):
-        raise RuntimeError("no model here")
+    class Broken:
+        def next_token(self, tokens):
+            raise RuntimeError("no model here")
 
     with pytest.raises(BackendError):
-        evaluate(broken, prompts[:3], ForcingConfig(strategy=NO_FORCING), vocab)
+        evaluate(Broken(), prompts[:3], ForcingConfig(strategy=NO_FORCING), vocab)

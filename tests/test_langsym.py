@@ -20,8 +20,8 @@ from cotforge import (
     string_transform,
 )
 from cotforge import langsym
+from cotforge.harness import FORCE_ANSWER, FORCE_THINK, NO_FORCING, EvalPrompt, ForcingConfig
 from cotforge.langsym import (
-    LangSymEvalPrompt,
     TextOracleBackend,
     evaluate_langsym,
     make_langsym_eval_prompt,
@@ -403,10 +403,10 @@ def test_text_oracle_both_strategies():
     cfg = small_config(t=10)
     prompts = [make_langsym_eval_prompt(c) for c in generate_langsym_dataset(cfg)]
     backend = TextOracleBackend(prompts, cfg.templates)
-    for strategy in ("force_think", "force_answer"):
-        report = evaluate_langsym(backend, prompts, strategy, 1000, cfg.templates)
+    for strategy in (FORCE_THINK, FORCE_ANSWER):
+        report = evaluate_langsym(backend, prompts, ForcingConfig(strategy, 1000), cfg.templates)
         assert report.accuracy == 1.0
-        if strategy == "force_think":
+        if strategy == FORCE_THINK:
             assert all(all(r.step_correct) for r in report.records)
 
 
@@ -414,9 +414,43 @@ def test_text_budget_truncation_causes_format_failure():
     cfg = small_config(t=4)
     prompts = [make_langsym_eval_prompt(c) for c in generate_langsym_dataset(cfg)]
     backend = TextOracleBackend(prompts, cfg.templates)
-    report = evaluate_langsym(backend, prompts, "force_think", 5, cfg.templates)
+    report = evaluate_langsym(backend, prompts, ForcingConfig(FORCE_THINK, 5), cfg.templates)
     assert all(r.format_failure for r in report.records)
     assert report.accuracy == 0.0
+
+
+class _CountingTextBackend:
+    """Completes every request with one fixed text and counts the requests."""
+
+    def __init__(self, completion: str):
+        self.completion = completion
+        self.calls = 0
+
+    def complete(self, messages):
+        self.calls += 1
+        return self.completion
+
+
+def test_text_no_forcing_is_a_config_error_before_any_backend_call():
+    cfg = small_config(t=3)
+    prompts = [make_langsym_eval_prompt(c) for c in generate_langsym_dataset(cfg)]
+    backend = _CountingTextBackend("\\boxed{abc}")
+    with pytest.raises(ConfigError, match="unsupported text strategy"):
+        evaluate_langsym(backend, prompts, ForcingConfig(NO_FORCING), cfg.templates)
+    assert backend.calls == 0
+
+
+@pytest.mark.parametrize("budget, kept", [
+    (None, "Step 1: abcd\n"), (1, "S"), (7, "Step 1:"), (13, "Step 1: abcd\n"), (14, "Step 1: abcd\n"), (1000, "Step 1: abcd\n"),
+])
+def test_text_budget_is_a_character_cap_and_none_keeps_the_whole_completion(budget, kept):
+    cfg = small_config(t=2)
+    prompt = make_langsym_eval_prompt(generate_langsym_prompt(cfg, 0))
+    backend = _CountingTextBackend("Step 1: abcd\n")
+    for strategy, marker in ((FORCE_THINK, cfg.templates.think_open), (FORCE_ANSWER, cfg.templates.answer_open)):
+        text = langsym.force_generate_text(backend, prompt, ForcingConfig(strategy, budget), cfg.templates)
+        assert text == marker + kept
+    assert backend.calls == 2
 
 
 def test_render_assistant_modes():
@@ -433,15 +467,15 @@ def test_text_oracle_tells_apart_prompts_with_the_same_question():
     t = Templates()
     question = {"role": "user", "content": "the same question"}
 
-    def prompt(context: str, chain: tuple[str, ...]) -> LangSymEvalPrompt:
+    def prompt(context: str, chain: tuple[str, ...]) -> EvalPrompt:
         messages = ({"role": "system", "content": "s"}, {"role": "user", "content": context}, question)
-        return LangSymEvalPrompt(messages=messages, ground_truth_chain=chain, meta={})
+        return EvalPrompt(context=messages, ground_truth_chain=chain, meta={})
 
     a, b = prompt("context a", ("ab", "cd")), prompt("context b", ("ef", "gh"))
     backend = TextOracleBackend([a, b], t)
     for p in (a, b):
-        assert backend.complete([*p.messages]) == render_assistant(list(p.ground_truth_chain), True, t)
-        forced = [*p.messages, {"role": "assistant", "content": t.answer_open}]
+        assert backend.complete([*p.context]) == render_assistant(list(p.ground_truth_chain), True, t)
+        forced = [*p.context, {"role": "assistant", "content": t.answer_open}]
         assert t.answer_open + backend.complete(forced) == render_assistant(list(p.ground_truth_chain), False, t)
     with pytest.raises(BackendError):
-        backend.complete([*prompt("context c", ("ab", "cd")).messages])
+        backend.complete([*prompt("context c", ("ab", "cd")).context])

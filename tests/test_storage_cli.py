@@ -531,8 +531,35 @@ def test_cli_eval_kills_a_backend_that_ignores_sigterm(tmp_path, capsys, monkeyp
         os.kill(int(pid), 0)  # killed and reaped
 
 
-@pytest.mark.parametrize("corrupt", ["truncated", "missing-key"])
-@pytest.mark.parametrize("kind, command, key", [("abstract", "eval", "c"), ("langsym", "eval-langsym", "k")])
+def _nest_flags(rec):
+    rec["meta"]["cot_flags"] = [[f] for f in rec["meta"]["cot_flags"]]
+
+
+def _drop_query_chain(rec):
+    rec["meta"]["chains"].pop()
+
+
+def _drop_query_exchange(rec):
+    del rec["messages"][-2:]
+
+
+# (record edit, the error it must give); the three edits gave a traceback
+# (IndexError, exit 1) or, for the dropped exchange, a prompt without a
+# query question that the oracle scored 1.0
+_MALFORMED = {
+    "nested-flags": (_nest_flags, "FormatError: cot_flags must be a non-empty flat list of 0/1"),
+    "short-chains": (_drop_query_chain, "ValueError: meta needs k=4 chains of c=3 words"),
+    "no-query": (_drop_query_exchange, "ValueError: 7 messages are not the system turn and k=4 user/assistant exchanges"),
+}
+
+
+@pytest.mark.parametrize("kind, command, key, corrupt", [
+    *[(kind, command, key, corrupt) for kind, command, key in [("abstract", "eval", "c"), ("langsym", "eval-langsym", "k")]
+      for corrupt in ["truncated", "missing-key"]],
+    ("abstract", "eval", "cot_flags", "nested-flags"),
+    ("langsym", "eval-langsym", "chains", "short-chains"),
+    ("langsym", "eval-langsym", "messages", "no-query"),
+])
 def test_cli_eval_malformed_record_exits_3(tmp_path, capsys, corrupt, kind, command, key):
     cfg = _write_cfg(tmp_path, ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG)
     ds = str(tmp_path / "ds")
@@ -544,9 +571,14 @@ def test_cli_eval_malformed_record_exits_3(tmp_path, capsys, corrupt, kind, comm
         want = f"{shard} line 3: invalid JSON"
     else:
         rec = json.loads(lines[1])
-        del rec["meta"][key]
+        if corrupt == "missing-key":
+            del rec["meta"][key]
+            error = f"KeyError: '{key}'"
+        else:
+            edit, error = _MALFORMED[corrupt]
+            edit(rec)
         lines[1] = json.dumps(rec)
-        want = f"{ds}: record 1 is malformed (KeyError: '{key}')"
+        want = f"{ds}: record 1 is malformed ({error})"
     with open(shard, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     report = tmp_path / "rep.json"
@@ -657,6 +689,15 @@ def test_cli_inspect_record_without_meta_exits_3(tmp_path, capsys, kind):
     assert main(["inspect", "--in", ds, "--index", "1"]) == 3
     captured = capsys.readouterr()
     assert f"{ds}: record 1 is malformed (KeyError: 'meta')" in captured.err and captured.out == ""
+
+
+def test_cli_inspect_langsym_message_that_is_not_text_exits_3(tmp_path, capsys):
+    ds = _edit_record(tmp_path, "langsym", lambda rec: rec["messages"][3].update(content=None))
+    capsys.readouterr()
+    assert main(["inspect", "--in", ds, "--index", "1"]) == 3
+    captured = capsys.readouterr()
+    assert f"{ds}: record 1 is malformed (TypeError: sequence item 8: expected str instance" in captured.err
+    assert captured.out == ""
 
 
 def _stripped_dataset(root) -> tuple[str, dict]:
