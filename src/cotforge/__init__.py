@@ -40,7 +40,7 @@ from .langsym import (
     random_word,
     string_transform,
 )
-from .processors import Mlp, TokenProcessorCache, new_cache, sample_processors
+from .processors import Mlp, new_cache, sample_processors
 from .recipe import BudgetReport, Recipe, expected_cot_examples, expected_tokens, r_cot
 from .sequences import (
     DatasetConfig,
@@ -51,7 +51,7 @@ from .sequences import (
     render_cot_example,
     render_standard_example,
 )
-from .vocab import EmbeddingMatrix, Vocabulary, new_vocabulary, sample_embedding_matrix
+from .vocab import EmbeddingMatrix, Vocabulary, sample_embedding_matrix
 
 __all__ = [
     "__version__",
@@ -77,7 +77,6 @@ __all__ = [
     "Sequence",
     "StdioBackend",
     "Templates",
-    "TokenProcessorCache",
     "Vocabulary",
     "evaluate",
     "expected_cot_examples",
@@ -92,7 +91,6 @@ __all__ = [
     "generate_sequence",
     "make_eval_prompt",
     "new_cache",
-    "new_vocabulary",
     "parse_sequence",
     "r_cot",
     "random_word",

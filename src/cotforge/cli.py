@@ -22,7 +22,6 @@ from .harness import (
     NO_FORCING,
     EvalReport,
     ForcingConfig,
-    JsonLinesProcess,
     OracleBackend,
     RandomBackend,
     StdioBackend,
@@ -49,7 +48,7 @@ from .storage import (
     verify_dataset,
     write_dataset,
 )
-from .vocab import new_vocabulary
+from .vocab import Vocabulary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,27 +125,25 @@ def _prompts(records, to_prompt: Callable, source: str) -> list:
     return prompts
 
 
-def _abstract_eval(config: DatasetConfig, records, args: argparse.Namespace):
-    """`eval`: token prompts, their backend, and the call that scores them under a forcing."""
-    vocab = new_vocabulary(config.vocab_size)
+def _abstract_eval(config: DatasetConfig, records, args: argparse.Namespace, forcing: ForcingConfig) -> EvalReport:
+    """`eval`: the report of token prompts under a forcing, from the backend `args` names."""
+    vocab = Vocabulary(config.vocab_size)
     prompts = _prompts(records, lambda rec: make_eval_prompt(rec, vocab), args.prompts)
     if args.backend == "oracle":
-        backend = OracleBackend(prompts, vocab)
-    elif args.backend == "random":
-        backend = RandomBackend(prompts, vocab, seed=args.seed or 0)
-    else:
-        backend = StdioBackend(_backend_cmd(args))
-    return backend, lambda forcing: evaluate(backend, prompts, forcing, vocab)
+        return evaluate(OracleBackend(prompts, vocab), prompts, forcing, vocab)
+    if args.backend == "random":
+        return evaluate(RandomBackend(prompts, vocab, seed=args.seed or 0), prompts, forcing, vocab)
+    with StdioBackend(_backend_cmd(args)) as backend:
+        return evaluate(backend, prompts, forcing, vocab)
 
 
-def _langsym_eval(config, records, args: argparse.Namespace):
-    """`eval-langsym`: chat prompts, their backend, and the call that scores them under a forcing."""
+def _langsym_eval(config, records, args: argparse.Namespace, forcing: ForcingConfig) -> EvalReport:
+    """`eval-langsym`: the report of chat prompts under a forcing, from the backend `args` names."""
     prompts = _prompts(records, make_langsym_eval_prompt, args.prompts)
     if args.backend == "oracle":
-        backend = TextOracleBackend(prompts, config.templates)
-    else:
-        backend = TextStdioBackend(_backend_cmd(args))
-    return backend, lambda forcing: evaluate_langsym(backend, prompts, forcing, config.templates)
+        return evaluate_langsym(TextOracleBackend(prompts, config.templates), prompts, forcing, config.templates)
+    with TextStdioBackend(_backend_cmd(args)) as backend:
+        return evaluate_langsym(backend, prompts, forcing, config.templates)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -155,12 +152,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if manifest.kind != args.kind:
         raise ConfigError(f"{args.command} expects a {args.kind!r} dataset, found kind {manifest.kind!r}")
     config = parse_config(args.kind, manifest.config)
-    backend, run = args.setup(config, read_records(args.prompts), args)
-    try:
-        report = run(forcing)
-    finally:
-        if isinstance(backend, JsonLinesProcess):
-            backend.close()
+    report = args.run(config, read_records(args.prompts), args, forcing)
     _write_report(report, args.report)
     print(f"accuracy {report.accuracy:.4f} over {len(report.records)} prompts -> {args.report}")
     return EXIT_OK
@@ -178,7 +170,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     manifest = Manifest.load(args.inp)
     abstract = manifest.kind == KIND_ABSTRACT
-    vocab = new_vocabulary(parse_config(manifest.kind, manifest.config).vocab_size) if abstract else None
+    vocab = Vocabulary(parse_config(manifest.kind, manifest.config).vocab_size) if abstract else None
     for i, rec in enumerate(read_records(args.inp)):
         with _record(args.inp, i):
             if rec["seq_id" if abstract else "prompt_id"] != args.index:
@@ -238,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, help="max generated tokens (default C+6)")
     p.add_argument("--seed", type=int, help="seed for the random backend")
     p.add_argument("--report", required=True, help="output report JSON path")
-    p.set_defaults(func=cmd_eval, kind=KIND_ABSTRACT, setup=_abstract_eval)
+    p.set_defaults(func=cmd_eval, kind=KIND_ABSTRACT, run=_abstract_eval)
 
     p = sub.add_parser("eval-langsym", help="evaluate a text backend on chat prompts")
     p.add_argument("--prompts", required=True)
@@ -247,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["think", "answer"], required=True)
     p.add_argument("--budget", type=int, default=1000, help="completion character cap")
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_eval, kind=KIND_LANGSYM, setup=_langsym_eval)
+    p.set_defaults(func=cmd_eval, kind=KIND_LANGSYM, run=_langsym_eval)
 
     p = sub.add_parser("budget", help="expected example/token counts for a recipe")
     p.add_argument("--alpha", required=True, help='float or "inf"')

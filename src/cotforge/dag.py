@@ -99,3 +99,20 @@ def validate_dag(dag: Dag) -> str | None:
         if len(set(plist)) != len(plist):
             return f"chain node {c}: duplicate parent indices {list(plist)}"
     return None
+
+
+def check_record_dag(meta: dict) -> None:
+    """Reject a record meta whose DAG is malformed or does not span its n and c.
+
+    Scoring reads the DAG, so both dataset kinds check it while building a
+    prompt, before any backend call; it also bounds the c of an abstract
+    record whose examples are all plain, where c never enters the stream
+    length. KeyError or TypeError for a missing or mistyped field,
+    ValueError for a violated invariant.
+    """
+    dag = Dag.from_json(meta["dag"])
+    problem = validate_dag(dag)
+    if not problem and (dag.n_inputs, dag.n_chain) != (meta["n"], meta["c"]):
+        problem = f"dag over {dag.n_inputs} inputs and {dag.n_chain} chain nodes, meta has n={meta['n']} c={meta['c']}"
+    if problem:
+        raise ValueError(problem)

@@ -8,8 +8,9 @@ stateless. Reference backends:
 
   * OracleBackend replays the ground-truth completion for each prompt and
     must score accuracy 1.0 under every forcing strategy.
-  * RandomBackend follows the output format but answers with a uniformly
-    random normal token, giving the 1/|normal vocabulary| chance baseline.
+  * RandomBackend is the oracle of uniformly random normal chains: it
+    follows the output format, giving the 1/|normal vocabulary| chance
+    baseline.
   * StdioBackend drives an external process over a JSON-lines pipe:
     one request ``{"tokens": [...]}`` per line, one reply ``{"next": id}``.
     Every request still carries the full prefix, but the backend encodes
@@ -27,12 +28,12 @@ from __future__ import annotations
 import contextlib
 import json
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence as Seq
 
 import numpy as np
 
-from .dag import Dag, validate_dag
+from .dag import Dag
 from .errors import BackendError, ConfigError
 from .recipe import choose_stripped
 from .rng import make_rng
@@ -85,37 +86,20 @@ class EvalPrompt:
     meta: dict = field(compare=False)
 
 
-def check_prompt_dag(meta: dict) -> None:
-    """Reject a record meta whose DAG is malformed or does not span its n and c.
-
-    Scoring reads the DAG, so both dataset kinds check it while building a
-    prompt, before any backend call: KeyError or TypeError for a missing or
-    mistyped field, ValueError for a violated invariant.
-    """
-    dag = Dag.from_json(meta["dag"])
-    problem = validate_dag(dag)
-    if not problem and (dag.n_inputs, dag.n_chain) != (meta["n"], meta["c"]):
-        problem = f"dag over {dag.n_inputs} inputs and {dag.n_chain} chain nodes, meta has n={meta['n']} c={meta['c']}"
-    if problem:
-        raise ValueError(problem)
-
-
 def make_eval_prompt(record: dict, vocab: Vocabulary) -> EvalPrompt:
     """Turn a K-example sequence record into a (K-1)-shot prompt.
 
     The tokens are validated against the layout of the stored (n, c,
-    cot_flags) with `check_layout` (FormatError when they disagree), so
-    each example's cells are known without parsing, and the DAG with
-    `check_prompt_dag`. The final example must carry its thinking segment:
-    its chain is the ground truth and its input segment ends the context,
-    after the first K-1 examples exactly as stored. The prompt's meta is a
-    copy of the record's plus its seq_id.
+    cot_flags) and the DAG against (n, c) with `check_layout`, so each
+    example's cells are known without parsing. The final example must
+    carry its thinking segment: its chain is the ground truth and its input
+    segment ends the context, after the first K-1 examples exactly as
+    stored. The prompt's meta is a copy of the record's plus its seq_id.
     """
     meta = record["meta"]
     n, c, flags = meta["n"], meta["c"], meta["cot_flags"]
     tokens = record["tokens"]
-    check_layout(tokens, n, c, flags, vocab)
-    check_prompt_dag(meta)
+    check_layout(tokens, meta, vocab)
     if len(flags) < 2:
         raise ConfigError(f"need at least 2 examples to build a prompt, got {len(flags)}")
     if not flags[-1]:
@@ -136,15 +120,16 @@ def strip_sequence_record(record: dict, k_prime: int, rng: np.random.Generator, 
     replacement among the thinking-rendered first K-1 examples; the last
     one is the future query and is never touched, and k_prime=0 is the
     identity. The layout comes from the record's meta (n, c, cot_flags),
-    and the tokens are first checked against it: length, every delimiter in
-    its cell and a normal token in every other one, else FormatError.
+    and the record is first checked against it with `check_layout`: length,
+    the DAG, every delimiter in its cell and a normal token in every other
+    one.
     Stripping then deletes the thinking spans of the chosen examples from
     the stream, with no parse or re-render; the loss mask and cot_flags are
     rebuilt from the same layout. Returns a new record.
     """
     meta = record["meta"]
     n, c, flags = meta["n"], meta["c"], meta["cot_flags"]
-    stream, keep = check_layout(record["tokens"], n, c, flags, vocab)
+    stream, keep = check_layout(record["tokens"], meta, vocab)
     chosen = choose_stripped(flags[:-1], k_prime, rng)
     flags = [int(bool(f) and i not in chosen) for i, f in enumerate(flags)]
     new_keep = keep_cells(n, c, flags)
@@ -340,22 +325,19 @@ def step_dag_breakdown(report: EvalReport) -> dict:
     return out
 
 
-class _CompletionBackend:
-    """Base for the reference backends: completes each known prompt prefix.
+class OracleBackend:
+    """Replays each prompt's ground-truth chain; accuracy must be 1.0.
 
-    Splits incoming tokens at the last inp_end (everything before it is the
-    prompt prefix, everything after is forced/generated suffix) and replays
-    a canonical completion for that prefix.
+    Splits incoming tokens at the last inp_end: everything before it is a
+    prompt's context, everything after is the forced and generated suffix,
+    which it continues along the query example's thinking tail, or along
+    its plain tail (the last four cells) when the suffix opens with
+    ans_start.
     """
 
     def __init__(self, prompts: list[EvalPrompt], vocab: Vocabulary):
         self._vocab = vocab
-        self._chains: dict[tuple[int, ...], tuple[int, ...]] = {
-            prompt.context: self._chain_for(prompt) for prompt in prompts
-        }
-
-    def _chain_for(self, prompt: EvalPrompt) -> tuple[int, ...]:
-        raise NotImplementedError
+        self._chains = {prompt.context: prompt.ground_truth_chain for prompt in prompts}
 
     def next_token(self, tokens: Seq[int]) -> int:
         vocab = self._vocab
@@ -366,46 +348,28 @@ class _CompletionBackend:
                 break
         if split is None:
             raise BackendError("no input segment found in prompt")
-        prefix = tuple(tokens[:split])
-        chain = self._chains.get(prefix)
+        chain = self._chains.get(tuple(tokens[:split]))
         if chain is None:
             raise BackendError("unknown prompt prefix")
-        suffix = list(tokens[split:])
+        suffix = tokens[split:]
+        tail = [vocab.think_start, *chain[:-1], vocab.think_end, vocab.ans_start, chain[-1], vocab.ans_end, vocab.eos]
         if suffix and suffix[0] == vocab.ans_start:
-            completion = [vocab.ans_start, chain[-1], vocab.ans_end, vocab.eos]
-        else:
-            completion = [
-                vocab.think_start,
-                *chain[:-1],
-                vocab.think_end,
-                vocab.ans_start,
-                chain[-1],
-                vocab.ans_end,
-                vocab.eos,
-            ]
-        if len(suffix) >= len(completion):
+            tail = tail[-4:]
+        if len(suffix) >= len(tail):
             return vocab.eos
-        return completion[len(suffix)]
+        return tail[len(suffix)]
 
 
-class OracleBackend(_CompletionBackend):
-    """Replays each prompt's ground-truth chain; accuracy must be 1.0."""
-
-    def _chain_for(self, prompt: EvalPrompt) -> tuple[int, ...]:
-        return prompt.ground_truth_chain
-
-
-class RandomBackend(_CompletionBackend):
-    """Format-following baseline with uniformly random normal chain tokens."""
+class RandomBackend(OracleBackend):
+    """The oracle of uniformly random normal chains: a format-following
+    chance baseline. The chains are drawn from Philox(seed) in prompt order."""
 
     def __init__(self, prompts: list[EvalPrompt], vocab: Vocabulary, seed: int = 0):
-        self._rng = make_rng(seed)
-        super().__init__(prompts, vocab)
-
-    def _chain_for(self, prompt: EvalPrompt) -> tuple[int, ...]:
-        length = len(prompt.ground_truth_chain)
-        lo, hi = self._vocab.normal_ids.start, self._vocab.normal_ids.stop
-        return tuple(int(v) for v in self._rng.integers(lo, hi, size=length))
+        rng = make_rng(seed)
+        lo, hi = vocab.normal_ids.start, vocab.normal_ids.stop
+        drawn = [replace(p, ground_truth_chain=tuple(rng.integers(lo, hi, size=len(p.ground_truth_chain)).tolist()))
+                 for p in prompts]
+        super().__init__(drawn, vocab)
 
 
 # Seconds a backend gets to exit after its stdin closes and it is sent

@@ -24,11 +24,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .dag import Dag
+from .dag import Dag, check_record_dag
 from .errors import BackendError, ConfigError
 from .harness import (
     FORCE_ANSWER, FORCE_THINK, FORMAT_FAILURE, EvalPrompt, EvalReport, ForcingConfig,
-    JsonLinesProcess, check_prompt_dag, evaluate_prompts,
+    JsonLinesProcess, evaluate_prompts,
 )
 from .recipe import TaskConfig, check_int, choose_stripped
 from .rng import bulk_rounds, choose_distinct
@@ -297,11 +297,11 @@ def make_langsym_eval_prompt(record: dict) -> EvalPrompt:
     The record must hold its K examples whole: 2K+1 messages (the system
     turn, then one user and one assistant turn of text per example) and K
     chains of c words. Scoring reads the meta's DAG, checked with
-    harness.check_prompt_dag, so a malformed record fails before any
+    dag.check_record_dag, so a malformed record fails before any
     backend call (KeyError, TypeError or ValueError).
     """
     meta = record["meta"]
-    check_prompt_dag(meta)
+    check_record_dag(meta)
     k, c = meta["k"], meta["c"]
     if k < 2:
         raise ConfigError(f"need at least 2 examples to build a prompt, got {k}")

@@ -9,8 +9,8 @@ ties break toward the smallest id.
 
 Weights are stored float32; all arithmetic runs in float64 so the argmax
 is stable across platforms. The weights are converted to float64 once per
-cache (each Mlp keeps C-contiguous float64 transposes of its layers), and
-the embeddings once per matrix (its float64 rows and their C-contiguous
+MLP (each keeps C-contiguous float64 transposes of its layers), and the
+embeddings once per matrix (its float64 rows and their C-contiguous
 transpose), so the kernel converts nothing per call. The converted arrays
 are read-only.
 """
@@ -40,14 +40,6 @@ class Mlp:
     weights: tuple[np.ndarray, ...]
     slope: float
 
-    @property
-    def dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def depth(self) -> int:
-        return len(self.weights)
-
     @cached_property
     def weights_f64_t(self) -> tuple[np.ndarray, ...]:
         """Each layer's weights transposed, as C-contiguous float64."""
@@ -64,35 +56,11 @@ class Mlp:
         return out
 
 
-@dataclass(frozen=True)
-class TokenProcessorCache:
-    """Fixed pool of processors sharing dim, depth, and activation slope."""
-
-    processors: tuple[Mlp, ...]
-    seed: int
-
-    @property
-    def size(self) -> int:
-        return len(self.processors)
-
-    @property
-    def dim(self) -> int:
-        return self.processors[0].dim
-
-    @property
-    def depth(self) -> int:
-        return self.processors[0].depth
-
-    @property
-    def slope(self) -> float:
-        return self.processors[0].slope
-
-
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x >= 0.0, x, slope * x)
 
 
-def new_cache(cache_size: int, dim: int, depth: int, slope: float, seed: int) -> TokenProcessorCache:
+def new_cache(cache_size: int, dim: int, depth: int, slope: float, seed: int) -> tuple[Mlp, ...]:
     """cache_size MLPs with i.i.d. N(0,1) weights from Philox(seed).
 
     Fill order: processor 0 layer 0 row-major, then layer 1, ..., then
@@ -111,14 +79,14 @@ def new_cache(cache_size: int, dim: int, depth: int, slope: float, seed: int) ->
             rng.standard_normal((dim, dim)).astype(np.float32) for _ in range(depth)
         )
         procs.append(Mlp(weights=weights, slope=slope))
-    return TokenProcessorCache(processors=tuple(procs), seed=seed)
+    return tuple(procs)
 
 
-def sample_processors(cache: TokenProcessorCache, n_chain: int, rng: np.random.Generator) -> list[int]:
+def sample_processors(cache: tuple[Mlp, ...], n_chain: int, rng: np.random.Generator) -> list[int]:
     """n_chain uniform cache indices, with replacement (one per chain node)."""
     if n_chain < 1:
         raise ConfigError(f"n_chain must be >= 1, got {n_chain}")
-    return [int(rng.integers(cache.size)) for _ in range(n_chain)]
+    return [int(rng.integers(len(cache))) for _ in range(n_chain)]
 
 
 def chain_tokens_batch(

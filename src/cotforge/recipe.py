@@ -53,7 +53,7 @@ class Recipe:
             raise ConfigError("recipe config missing required key: alpha")
         try:
             return cls(alpha=parse_alpha(obj["alpha"]), a=float(obj.get("a", 1.0)), b=float(obj.get("b", 0.0)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a JSON int past float range
             raise ConfigError(f"bad recipe {obj!r}: {exc}") from exc
 
 
@@ -126,7 +126,8 @@ def expected_cot_examples(recipe: Recipe, k: int, t: int) -> tuple[float, float 
 
 @dataclass(frozen=True)
 class BudgetReport:
-    """Expected example and token counts for a dataset configuration."""
+    """Expected example and token counts for a dataset configuration; to_json
+    writes the fields as they are, in this order."""
 
     expected_cot_examples_exact: float
     expected_cot_examples_approx: float | None
@@ -135,13 +136,7 @@ class BudgetReport:
     params: dict = field(compare=False)
 
     def to_json(self) -> dict:
-        return {
-            "expected_cot_examples_exact": self.expected_cot_examples_exact,
-            "expected_cot_examples_approx": self.expected_cot_examples_approx,
-            "expected_standard_examples": self.expected_standard_examples,
-            "expected_tokens": self.expected_tokens,
-            "params": self.params,
-        }
+        return dict(vars(self))
 
     def table(self) -> str:
         rows = [
@@ -193,8 +188,8 @@ class TaskConfig:
     """Fields, checks and JSON form shared by both dataset kinds.
 
     Subclasses add fields, all with defaults, and extend __post_init__. In
-    from_json the choice lists are sorted, bool fields are coerced with
-    bool(), a field whose default comes from a class is parsed by that
+    from_json the choice lists are sorted, bool fields must be JSON
+    booleans, a field whose default comes from a class is parsed by that
     class's from_json, and unknown keys are ignored.
     """
 
@@ -245,8 +240,8 @@ class TaskConfig:
                 raise ConfigError(f"{name} must be a list of integers, got {obj[name]!r}")
             kwargs[name] = tuple(sorted(obj[name]))
         for f in fields(cls):
-            if isinstance(f.default, bool) and f.name in kwargs:
-                kwargs[f.name] = bool(kwargs[f.name])
+            if isinstance(f.default, bool) and f.name in kwargs and not isinstance(kwargs[f.name], bool):
+                raise ConfigError(f"{f.name} must be true or false, got {kwargs[f.name]!r}")
             elif f.default_factory is not MISSING and f.name in kwargs:
                 kwargs[f.name] = f.default_factory.from_json(kwargs[f.name])
         kwargs["recipe"] = Recipe.from_json(obj["recipe"])

@@ -50,11 +50,12 @@ from typing import Iterator, Sequence as Seq
 
 import numpy as np
 
+from .dag import check_record_dag
 from .errors import ConfigError, FormatError
-from .processors import TokenProcessorCache, chain_tokens_batch, new_cache, sample_processors
+from .processors import Mlp, chain_tokens_batch, new_cache, sample_processors
 from .recipe import TaskConfig, check_int
 from .rng import STREAM_CACHE, STREAM_EMBED, derive_seed
-from .vocab import EmbeddingMatrix, N_SPECIAL, Vocabulary, new_vocabulary, sample_embedding_matrix
+from .vocab import EmbeddingMatrix, N_SPECIAL, Vocabulary, sample_embedding_matrix
 
 
 @dataclass(frozen=True)
@@ -119,13 +120,13 @@ class DatasetConfig(TaskConfig):
             raise ConfigError(f"slope must be a number in (0, 1], got {self.slope!r}")
 
 
-def build_artifacts(config: DatasetConfig) -> tuple[Vocabulary, EmbeddingMatrix, TokenProcessorCache]:
+def build_artifacts(config: DatasetConfig) -> tuple[Vocabulary, EmbeddingMatrix, tuple[Mlp, ...]]:
     """Vocabulary, embedding matrix, and processor cache for a config.
 
     Embedding and cache seeds are derived from the master seed on reserved
     streams, so the whole dataset regenerates from the config alone.
     """
-    vocab = new_vocabulary(config.vocab_size)
+    vocab = Vocabulary(config.vocab_size)
     emb = sample_embedding_matrix(vocab, config.dim, derive_seed(config.master_seed, STREAM_EMBED))
     cache = new_cache(
         config.cache_size,
@@ -291,16 +292,16 @@ def _abnormal(tokens: np.ndarray, vocab: Vocabulary) -> np.ndarray:
     return tokens[(tokens < N_SPECIAL) | (tokens >= vocab.size)]
 
 
-def check_layout(
-    tokens: Seq[int], n: int, c: int, cot_flags: list[int], vocab: Vocabulary
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a stored sequence against the layout of (n, c, cot_flags).
+def check_layout(tokens: Seq[int], meta: dict, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a stored sequence against the layout of its meta's (n, c, cot_flags).
 
     cot_flags must be a non-empty flat list of 0/1, and the stream bos plus
     exactly the kept cells: every delimiter in its cell and a normal token
     in every other one. Returns the stream as an int64 array and the
-    `keep_cells` grid; raises FormatError on any violation.
+    `keep_cells` grid; raises FormatError on any violation, and what
+    `check_record_dag` raises for a DAG that does not fit the meta.
     """
+    n, c, cot_flags = meta["n"], meta["c"], meta["cot_flags"]
     if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (n, c)):
         raise FormatError(f"layout needs n, c >= 1, got n={n!r} c={c!r}")
     if not isinstance(cot_flags, list) or not cot_flags or not all(f in (0, 1) for f in cot_flags):
@@ -313,6 +314,9 @@ def check_layout(
     length = 1 + len(cot_flags) * (n + 6) + sum(cot_flags) * (c + 1)
     if len(stream) != length:
         raise FormatError(f"{len(stream)} tokens where the layout of {len(cot_flags)} examples has {length}")
+    # then the DAG, which bounds a c that the length leaves free when every
+    # example is plain
+    check_record_dag(meta)
     keep = keep_cells(n, c, cot_flags)
     template, _ = example_template(n, c, vocab)
     expected = np.concatenate(([vocab.bos], np.broadcast_to(template, keep.shape)[keep]))
@@ -356,7 +360,7 @@ def generate_sequence(
     j: int,
     vocab: Vocabulary,
     emb: EmbeddingMatrix,
-    cache: TokenProcessorCache,
+    cache: tuple[Mlp, ...],
 ) -> Sequence:
     """Generate sequence j of the dataset, independent of all other indices."""
     seed, rng, r, n, m, c, dag = config.start_item(j)
@@ -365,7 +369,7 @@ def generate_sequence(
     inputs = N_SPECIAL + rng.integers(0, vocab.n_normal, size=(config.k, n))
     flags = [bool(r >= draw) for draw in rng.random(config.k)]
 
-    procs = [cache.processors[i] for i in proc_ids]
+    procs = [cache[i] for i in proc_ids]
     chains = chain_tokens_batch(dag.parents, procs, emb, inputs)
     tokens, mask = render_sequence(inputs, chains, flags, vocab)
 
@@ -383,7 +387,7 @@ def generate_sequence(
     return Sequence(seq_id=j, tokens=tokens, loss_mask=mask, meta=meta)
 
 
-def recompute_chains(seq: Sequence, emb: EmbeddingMatrix, cache: TokenProcessorCache, vocab: Vocabulary) -> np.ndarray:
+def recompute_chains(seq: Sequence, emb: EmbeddingMatrix, cache: tuple[Mlp, ...], vocab: Vocabulary) -> np.ndarray:
     """Chains for every example of `seq`, recomputed from metadata.
 
     Reads the inputs from the cells of the stored layout (`check_layout`)
@@ -392,10 +396,10 @@ def recompute_chains(seq: Sequence, emb: EmbeddingMatrix, cache: TokenProcessorC
     stored chain tokens is an integrity check, not a tolerance comparison.
     """
     meta = seq.meta
-    stream, keep = check_layout(seq.tokens, meta["n"], meta["c"], meta["cot_flags"], vocab)
+    stream, keep = check_layout(seq.tokens, meta, vocab)
     cells = np.zeros(keep.shape, dtype=np.int64)
     cells[keep] = stream[1:]
-    procs = [cache.processors[i] for i in meta["proc_ids"]]
+    procs = [cache[i] for i in meta["proc_ids"]]
     return chain_tokens_batch(meta["dag"]["parents"], procs, emb, cells[:, 1 : meta["n"] + 1])
 
 

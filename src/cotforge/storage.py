@@ -114,24 +114,19 @@ def _valid_output(out) -> bool:
             and type(out["count"]) is int and out["count"] >= 0)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Manifest:
+    """manifest.json: to_json writes the fields as they are, in this order."""
+
+    tool_version: str = __version__
     kind: str
     config: dict
-    outputs: list[dict]
     transforms: list[dict] = field(default_factory=list)
-    tool_version: str = __version__
+    outputs: list[dict]
     stats: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "kind": self.kind,
-            "config": self.config,
-            "transforms": self.transforms,
-            "outputs": self.outputs,
-            "stats": self.stats,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, obj: dict) -> "Manifest":

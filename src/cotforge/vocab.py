@@ -71,11 +71,6 @@ class Vocabulary:
         return f"tok{token_id}"
 
 
-def new_vocabulary(size: int) -> Vocabulary:
-    """Vocabulary with delimiters on ids 0..8 and normal tokens on 9..size-1."""
-    return Vocabulary(size=size)
-
-
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """size x dim matrix of N(0,1) draws, regenerable bit-exactly from its seed.

@@ -21,12 +21,12 @@ from cotforge import (
     OracleBackend,
     RandomBackend,
     Recipe,
+    Vocabulary,
     evaluate,
     expected_cot_examples,
     expected_tokens,
     make_eval_prompt,
     new_cache,
-    new_vocabulary,
     sample_dag,
     sample_embedding_matrix,
     step_correctness_grid,
@@ -212,12 +212,12 @@ def test_oracle_and_random_evaluation_protocol():
 
 def test_chain_token_matches_independent_oracle():
     started = time.monotonic()
-    vocab = new_vocabulary(1024)
+    vocab = Vocabulary(1024)
     emb = sample_embedding_matrix(vocab, 10, seed=31_415)
     cache = new_cache(64, 10, 1, 0.01, seed=27_182)
     rng = make_rng(16_180)
     for trial in range(1000):
-        mlp = cache.processors[int(rng.integers(64))]
+        mlp = cache[int(rng.integers(64))]
         n_parents = int(rng.integers(1, 5))
         parents = [int(p) for p in rng.integers(N_SPECIAL, 1024, size=n_parents)]
         # the generation kernel on a one-row batch whose chain node reads every input

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 import textwrap
@@ -212,6 +213,21 @@ def test_strip_sequence_record_rejects_a_broken_layout(mixed_records, corrupt):
         strip_sequence_record(rec, 0, make_rng(0), vocab)
 
 
+def test_all_plain_record_with_a_huge_c_fails_on_its_dag_before_any_layout_array():
+    # every example plain, so c never enters the stream length; a layout of
+    # n+c+7 cells per example would ask numpy for terabytes
+    cfg = all_cot_config(recipe=Recipe(alpha=math.inf), t=2)
+    vocab, emb, cache = build_artifacts(cfg)
+    rec = json.loads(encode_record(generate_sequence(cfg, 1, vocab, emb, cache).to_record()))
+    assert not any(rec["meta"]["cot_flags"])
+    rec["meta"]["c"] = 10**12
+    want = "dag over 4 inputs and 4 chain nodes, meta has n=4 c=1000000000000"
+    with pytest.raises(ValueError, match=want):
+        make_eval_prompt(rec, vocab)
+    with pytest.raises(ValueError, match=want):
+        strip_sequence_record(rec, 0, make_rng(0), vocab)
+
+
 def test_eval_prompt_context_matches_rerender(mixed_records):
     vocab, records = mixed_records
     checked = 0
@@ -352,9 +368,9 @@ def test_budget_one_generates_one_token(world):
 
 
 def test_extract_answer_patterns():
-    from cotforge import new_vocabulary
+    from cotforge import Vocabulary
 
-    v = new_vocabulary(64)
+    v = Vocabulary(64)
     assert extract_answer([v.think_start, 17, 23, v.think_end, v.ans_start, 42, v.ans_end, v.eos], v) == 42
     assert extract_answer([v.ans_start, 42], v) is FORMAT_FAILURE
     assert extract_answer([], v) is FORMAT_FAILURE
@@ -363,9 +379,9 @@ def test_extract_answer_patterns():
 
 
 def test_extract_answer_recovers_rendered_answer():
-    from cotforge import new_vocabulary, render_cot_example, render_standard_example
+    from cotforge import Vocabulary, render_cot_example, render_standard_example
 
-    v = new_vocabulary(64)
+    v = Vocabulary(64)
     assert extract_answer(render_standard_example([10, 11], 33, v), v) == 33
     assert extract_answer(render_cot_example([10, 11], [20, 21, 33], v), v) == 33
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotforge import ConfigError, new_cache, new_vocabulary, sample_embedding_matrix, sample_processors
+from cotforge import ConfigError, Vocabulary, new_cache, sample_embedding_matrix, sample_processors
 from cotforge.processors import chain_tokens_batch, Mlp
 from cotforge.rng import make_rng
 from cotforge.vocab import EmbeddingMatrix, N_SPECIAL
@@ -22,14 +22,15 @@ def test_cache_deterministic_per_seed():
     b = new_cache(64, 10, 1, 0.01, seed=5)
     assert all(
         wa.tobytes() == wb.tobytes()
-        for pa, pb in zip(a.processors, b.processors)
+        for pa, pb in zip(a, b)
         for wa, wb in zip(pa.weights, pb.weights)
     )
 
 
 def test_cache_defaults_and_validation():
     cache = new_cache(4, 10, 1, 0.01, seed=0)
-    assert cache.depth == 1 and cache.dim == 10 and cache.slope == 0.01
+    assert len(cache) == 4
+    assert all(len(mlp.weights) == 1 and mlp.weights[0].shape == (10, 10) and mlp.slope == 0.01 for mlp in cache)
     with pytest.raises(ConfigError):
         new_cache(0, 10, 1, 0.01, seed=0)
     with pytest.raises(ConfigError):
@@ -60,7 +61,7 @@ def _orthonormal_embedding(size: int) -> EmbeddingMatrix:
 
 def test_identity_weights_orthonormal_rows_returns_parent():
     size = 16
-    vocab = new_vocabulary(size)
+    vocab = Vocabulary(size)
     emb = _orthonormal_embedding(size)
     mlp = Mlp(weights=(np.eye(size, dtype=np.float32),), slope=0.01)
     for parent in vocab.normal_ids:
@@ -69,7 +70,7 @@ def test_identity_weights_orthonormal_rows_returns_parent():
 
 def test_tie_breaks_to_smallest_id():
     size = 12
-    vocab = new_vocabulary(size)
+    vocab = Vocabulary(size)
     data = np.eye(size, dtype=np.float32)
     data[11] = data[10]  # rows 10 and 11 identical -> tied scores
     emb = EmbeddingMatrix(seed=0, data=data)
@@ -78,12 +79,12 @@ def test_tie_breaks_to_smallest_id():
 
 
 def test_output_always_normal():
-    vocab = new_vocabulary(64)
+    vocab = Vocabulary(64)
     emb = sample_embedding_matrix(vocab, 8, seed=3)
     cache = new_cache(8, 8, 1, 0.01, seed=4)
     rng = make_rng(5)
     for _ in range(200):
-        mlp = cache.processors[int(rng.integers(8))]
+        mlp = cache[int(rng.integers(8))]
         parents = [int(p) for p in rng.integers(0, 64, size=3)]
         assert vocab.is_normal(chain_token(mlp, emb, parents))
 
@@ -91,9 +92,9 @@ def test_output_always_normal():
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_parents=st.integers(1, 5))
 def test_permutation_invariance(seed, n_parents):
-    vocab = new_vocabulary(128)
+    vocab = Vocabulary(128)
     emb = sample_embedding_matrix(vocab, 10, seed=11)
-    mlp = new_cache(4, 10, 1, 0.01, seed=12).processors[seed % 4]
+    mlp = new_cache(4, 10, 1, 0.01, seed=12)[seed % 4]
     rng = make_rng(seed)
     parents = [int(p) for p in rng.integers(9, 128, size=n_parents)]
     base = chain_token(mlp, emb, parents)
@@ -102,38 +103,38 @@ def test_permutation_invariance(seed, n_parents):
 
 def test_oracle_equivalence_quick():
     # the full 1000-instance run lives in the acceptance suite
-    vocab = new_vocabulary(256)
+    vocab = Vocabulary(256)
     emb = sample_embedding_matrix(vocab, 10, seed=21)
     cache = new_cache(16, 10, 1, 0.01, seed=22)
     rng = make_rng(23)
     for _ in range(100):
-        mlp = cache.processors[int(rng.integers(16))]
+        mlp = cache[int(rng.integers(16))]
         parents = [int(p) for p in rng.integers(9, 256, size=2)]
         expected = oracle_chain_token(mlp.weights, mlp.slope, emb.data, parents, N_SPECIAL)
         assert chain_token(mlp, emb, parents) == expected
 
 
 def test_depth_two_matches_oracle():
-    vocab = new_vocabulary(64)
+    vocab = Vocabulary(64)
     emb = sample_embedding_matrix(vocab, 6, seed=31)
     cache = new_cache(4, 6, 2, 0.05, seed=32)
     rng = make_rng(33)
     for _ in range(50):
-        mlp = cache.processors[int(rng.integers(4))]
+        mlp = cache[int(rng.integers(4))]
         parents = [int(p) for p in rng.integers(9, 64, size=3)]
         expected = oracle_chain_token(mlp.weights, mlp.slope, emb.data, parents, N_SPECIAL)
         assert chain_token(mlp, emb, parents) == expected
 
 
 def test_batch_matches_single_calls():
-    vocab = new_vocabulary(128)
+    vocab = Vocabulary(128)
     emb = sample_embedding_matrix(vocab, 10, seed=41)
     cache = new_cache(8, 10, 1, 0.01, seed=42)
     rng = make_rng(43)
     from cotforge import sample_dag
 
     dag = sample_dag(4, 2, 3, rng)
-    procs = [cache.processors[i] for i in sample_processors(cache, 3, rng)]
+    procs = [cache[i] for i in sample_processors(cache, 3, rng)]
     inputs = rng.integers(9, 128, size=(20, 4))
     batch = chain_tokens_batch(dag.parents, procs, emb, inputs)
     for k in range(20):
@@ -146,8 +147,8 @@ def test_batch_matches_single_calls():
 
 
 def test_converted_arrays_are_read_only_and_exact():
-    emb = sample_embedding_matrix(new_vocabulary(64), 6, seed=3)
-    mlp = new_cache(2, 6, 2, 0.01, seed=4).processors[1]
+    emb = sample_embedding_matrix(Vocabulary(64), 6, seed=3)
+    mlp = new_cache(2, 6, 2, 0.01, seed=4)[1]
     assert emb.f64 is emb.f64 and mlp.weights_f64_t is mlp.weights_f64_t  # converted once
     assert np.array_equal(emb.f64, emb.data) and np.array_equal(emb.f64_t, emb.data.T)
     assert all(np.array_equal(w_t, w.T) for w_t, w in zip(mlp.weights_f64_t, mlp.weights))

@@ -10,9 +10,9 @@ from cotforge import (
     DatasetConfig,
     Recipe,
     Sequence,
+    Vocabulary,
     generate_dataset,
     generate_sequence,
-    new_vocabulary,
     parse_sequence,
     render_cot_example,
     render_standard_example,
@@ -44,7 +44,7 @@ def small_config(**over):
     return DatasetConfig(**base)
 
 
-VOCAB = new_vocabulary(64)
+VOCAB = Vocabulary(64)
 
 
 def test_standard_rendering_token_count():

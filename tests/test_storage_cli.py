@@ -247,6 +247,10 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("abstract", {"k": "8"}),
         ("langsym", {"templates": {"sytem_prompt": "Solve the puzzles."}}),
         ("abstract", {"t": 2**62}),  # would alias the reserved artifact streams
+        ("langsym", {"recipe": {"alpha": 10**400}}),  # an int float() cannot convert
+        # bool fields take JSON booleans only: bool("false") is True
+        *[(kind, {key: value}) for kind, key in [("abstract", "shuffle"), ("langsym", "shuffle"),
+                                                 ("langsym", "distinct_letters")] for value in ["false", "no", 2]],
     ],
 )
 def test_cli_bad_config_value_exit_code(tmp_path, capsys, kind, bad):
@@ -255,6 +259,13 @@ def test_cli_bad_config_value_exit_code(tmp_path, capsys, kind, bad):
     assert main([f"gen-{kind}", "--config", cfg, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_manifest_json_keys_in_order(tmp_path):
+    out = tmp_path / "ds"
+    write_dataset(str(out), KIND_ABSTRACT, ABSTRACT_CFG)
+    doc = json.loads((out / "manifest.json").read_text())
+    assert list(doc) == ["tool_version", "kind", "config", "transforms", "outputs", "stats"]
 
 
 def test_cli_zero_shards_creates_nothing(tmp_path, capsys):
@@ -290,6 +301,19 @@ def test_cli_budget_json_first_line(tmp_path, capsys):
     doc = json.loads(out.splitlines()[0])
     assert doc["expected_cot_examples_exact"] == 4000.0
     assert "expected tokens" in out
+
+
+def test_cli_budget_json_keys_in_order(capsys):
+    assert main(["budget", "--alpha", "1", "--n", "4", "--c", "4", "--k", "8", "--t", "100"]) == 0
+    doc = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert list(doc) == [
+        "expected_cot_examples_exact",
+        "expected_cot_examples_approx",
+        "expected_standard_examples",
+        "expected_tokens",
+        "params",
+    ]
+    assert list(doc["params"]) == ["n", "c", "k", "t", "recipe"]
 
 
 def test_cli_budget_inf_alpha(capsys):
@@ -543,13 +567,20 @@ def _drop_query_exchange(rec):
     del rec["messages"][-2:]
 
 
-# (record edit, the error it must give); the three edits gave a traceback
-# (IndexError, exit 1) or, for the dropped exchange, a prompt without a
-# query question that the oracle scored 1.0
+def _huge_c(rec):
+    assert not any(rec["meta"]["cot_flags"])  # so c never enters the stream length
+    rec["meta"]["c"] = 10**12
+
+
+# (record edit, the error it must give); the first three edits gave a
+# traceback (IndexError, exit 1) or, for the dropped exchange, a prompt
+# without a query question that the oracle scored 1.0, and the huge c one a
+# MemoryError traceback from a terabyte layout grid
 _MALFORMED = {
     "nested-flags": (_nest_flags, "FormatError: cot_flags must be a non-empty flat list of 0/1"),
     "short-chains": (_drop_query_chain, "ValueError: meta needs k=4 chains of c=3 words"),
     "no-query": (_drop_query_exchange, "ValueError: 7 messages are not the system turn and k=4 user/assistant exchanges"),
+    "huge-c": (_huge_c, "ValueError: dag over 4 inputs and 4 chain nodes, meta has n=4 c=1000000000000"),
 }
 
 
@@ -559,9 +590,14 @@ _MALFORMED = {
     ("abstract", "eval", "cot_flags", "nested-flags"),
     ("langsym", "eval-langsym", "chains", "short-chains"),
     ("langsym", "eval-langsym", "messages", "no-query"),
+    ("abstract", "eval", "c", "huge-c"),
 ])
 def test_cli_eval_malformed_record_exits_3(tmp_path, capsys, corrupt, kind, command, key):
-    cfg = _write_cfg(tmp_path, ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG)
+    cfg = ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG
+    if corrupt == "huge-c":
+        # r(0) = 1 and r(j) = 0 after it: record 0 builds a prompt, record 1 is all plain
+        cfg = dict(cfg, recipe={"alpha": 1, "a": -cfg["t"], "b": 1})
+    cfg = _write_cfg(tmp_path, cfg)
     ds = str(tmp_path / "ds")
     assert main([f"gen-{kind}", "--config", cfg, "--out", ds]) == 0
     shard = os.path.join(ds, "part-0000.jsonl")

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from cotforge import ConfigError, new_vocabulary, sample_embedding_matrix
+from cotforge import ConfigError, Vocabulary, sample_embedding_matrix
 from cotforge.vocab import N_SPECIAL, SPECIAL_ROLES
 
 from helpers import ks_critical, ks_statistic_vs_normal
 
 
 def test_vocab_1024_partition():
-    v = new_vocabulary(1024)
+    v = Vocabulary(1024)
     assert len(v.special_ids) == 9
     assert len(v.normal_ids) == 1015
     assert sorted(v.special_ids.values()) == list(range(9))
@@ -17,17 +17,17 @@ def test_vocab_1024_partition():
 
 
 def test_vocab_minimal_size():
-    v = new_vocabulary(10)
+    v = Vocabulary(10)
     assert list(v.normal_ids) == [9]
 
 
 def test_vocab_too_small_rejected():
     with pytest.raises(ConfigError):
-        new_vocabulary(9)
+        Vocabulary(9)
 
 
 def test_special_role_order_is_fixed():
-    v = new_vocabulary(64)
+    v = Vocabulary(64)
     assert SPECIAL_ROLES == (
         "pad", "bos", "eos", "inp_start", "inp_end",
         "think_start", "think_end", "ans_start", "ans_end",
@@ -41,7 +41,7 @@ def test_special_role_order_is_fixed():
 
 
 def test_embedding_deterministic_per_seed():
-    v = new_vocabulary(1024)
+    v = Vocabulary(1024)
     a = sample_embedding_matrix(v, 10, seed=12345)
     b = sample_embedding_matrix(v, 10, seed=12345)
     assert a.data.tobytes() == b.data.tobytes()
@@ -50,7 +50,7 @@ def test_embedding_deterministic_per_seed():
 
 
 def test_embedding_shape_and_dtype():
-    v = new_vocabulary(1024)
+    v = Vocabulary(1024)
     e = sample_embedding_matrix(v, 10, seed=1)
     assert e.data.shape == (1024, 10)
     assert e.data.dtype == np.float32
@@ -58,14 +58,14 @@ def test_embedding_shape_and_dtype():
 
 
 def test_embedding_zero_dim_rejected():
-    v = new_vocabulary(16)
+    v = Vocabulary(16)
     with pytest.raises(ConfigError):
         sample_embedding_matrix(v, 0, seed=1)
 
 
 def test_embedding_moment_checks():
     # column means within 5*sigma/sqrt(rows) of 0, variance inside [0.8, 1.2]
-    v = new_vocabulary(1024)
+    v = Vocabulary(1024)
     e = sample_embedding_matrix(v, 10, seed=777)
     data = e.f64
     bound = 5.0 / np.sqrt(1024)
@@ -74,7 +74,7 @@ def test_embedding_moment_checks():
 
 
 def test_embedding_ks_against_standard_normal():
-    v = new_vocabulary(1024)
+    v = Vocabulary(1024)
     e = sample_embedding_matrix(v, 10, seed=31337)
     flat = e.f64.ravel()
     assert flat.size >= 1000
