@@ -15,7 +15,6 @@ from .errors import BackendError, ConfigError, FormatError
 from .harness import (
     FORCE_ANSWER,
     FORCE_THINK,
-    FORMAT_FAILURE,
     NO_FORCING,
     EvalPrompt,
     EvalReport,
@@ -35,7 +34,6 @@ from .langsym import (
     Templates,
     extract_langsym_answer,
     extract_steps,
-    generate_langsym_dataset,
     generate_langsym_prompt,
     random_word,
     string_transform,
@@ -44,8 +42,6 @@ from .processors import Mlp, new_cache, sample_processors
 from .recipe import BudgetReport, Recipe, expected_cot_examples, expected_tokens, r_cot
 from .sequences import (
     DatasetConfig,
-    Sequence,
-    generate_dataset,
     generate_sequence,
     parse_sequence,
     render_cot_example,
@@ -65,7 +61,6 @@ __all__ = [
     "EvalReport",
     "FORCE_ANSWER",
     "FORCE_THINK",
-    "FORMAT_FAILURE",
     "ForcingConfig",
     "FormatError",
     "LangSymConfig",
@@ -74,7 +69,6 @@ __all__ = [
     "OracleBackend",
     "RandomBackend",
     "Recipe",
-    "Sequence",
     "StdioBackend",
     "Templates",
     "Vocabulary",
@@ -85,8 +79,6 @@ __all__ = [
     "extract_langsym_answer",
     "extract_steps",
     "force_generate",
-    "generate_dataset",
-    "generate_langsym_dataset",
     "generate_langsym_prompt",
     "generate_sequence",
     "make_eval_prompt",

@@ -36,7 +36,7 @@ from .langsym import (
     evaluate_langsym,
     make_langsym_eval_prompt,
 )
-from .recipe import Recipe, expected_tokens, parse_alpha
+from .recipe import Recipe, expected_tokens
 from .sequences import DatasetConfig
 from .storage import (
     KIND_ABSTRACT,
@@ -61,9 +61,12 @@ _STRATEGY_FLAGS = {"think": FORCE_THINK, "answer": FORCE_ANSWER, "none": NO_FORC
 def _load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: config must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _apply_overrides(obj: dict, args: argparse.Namespace) -> dict:
@@ -159,7 +162,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
-    recipe = Recipe(alpha=parse_alpha(args.alpha), a=args.a, b=args.b)
+    recipe = Recipe.from_json({"alpha": args.alpha, "a": args.a, "b": args.b})
     report = expected_tokens(recipe, args.n, args.c, args.k, args.t)
     print(json.dumps(report.to_json()))
     print()

@@ -46,10 +46,6 @@ NO_FORCING = "no_forcing"
 STRATEGIES = (FORCE_THINK, FORCE_ANSWER, NO_FORCING)
 
 
-#: Sentinel answer returned when no (ans_start, token, ans_end) pattern exists.
-FORMAT_FAILURE = object()
-
-
 @dataclass(frozen=True)
 class ForcingConfig:
     """Forcing strategy plus the generation budget, for both dataset kinds.
@@ -169,20 +165,20 @@ def force_generate(backend, prompt: EvalPrompt, forcing: ForcingConfig, vocab: V
     return out
 
 
-def extract_answer(generated: Seq[int], vocab: Vocabulary):
-    """First (ans_start, token, ans_end) pattern, or FORMAT_FAILURE."""
+def extract_answer(generated: Seq[int], vocab: Vocabulary) -> int | None:
+    """Answer token of the first (ans_start, token, ans_end) pattern, or None."""
     for i in range(len(generated) - 2):
         if generated[i] == vocab.ans_start and generated[i + 2] == vocab.ans_end:
             return int(generated[i + 1])
-    return FORMAT_FAILURE
+    return None
 
 
-def extract_thinking(generated: Seq[int], vocab: Vocabulary) -> list[int] | None:
-    """Tokens between the first think_start and its think_end, else None."""
+def extract_thinking(generated: Seq[int], vocab: Vocabulary) -> list[int]:
+    """Tokens between the first think_start and its think_end, else []."""
     try:
         start = list(generated).index(vocab.think_start)
     except ValueError:
-        return None
+        return []
     out = []
     for tok in generated[start + 1 :]:
         if tok == vocab.think_end:
@@ -223,8 +219,8 @@ def evaluate_prompts(prompts: list, generate: Callable, score: Callable) -> Eval
     """The eval loop of both dataset kinds.
 
     `generate(prompt)` asks the backend for the prompt's completion and may
-    raise BackendError. `score(output)` returns the predicted answer (or
-    FORMAT_FAILURE), the thinking steps it emitted and the list recorded as
+    raise BackendError. `score(output)` returns the predicted answer (None
+    on a format failure), the thinking steps it emitted and the list recorded as
     `generated`. Step i is correct when the i-th emitted step equals the
     i-th ground-truth intermediate; absent steps count as wrong. Prompts are
     evaluated in order; per-prompt backend failures are recorded
@@ -242,14 +238,14 @@ def evaluate_prompts(prompts: list, generate: Callable, score: Callable) -> Eval
             output = generate(prompt)
         except BackendError as exc:
             failures += 1
-            predicted, steps, generated, error = FORMAT_FAILURE, [], [], str(exc)
+            predicted, steps, generated, error = None, [], [], str(exc)
         else:
             (predicted, steps, generated), error = score(output), None
-        failed = predicted is FORMAT_FAILURE
+        failed = predicted is None
         records.append(
             PromptRecord(
                 prompt_id=prompt.meta.get("seq_id", idx),
-                predicted=None if failed else predicted,
+                predicted=predicted,
                 format_failure=failed,
                 indicator=int(not failed and predicted == truth[-1]),
                 generated=generated,
@@ -269,23 +265,23 @@ def evaluate(backend, prompts: list[EvalPrompt], forcing: ForcingConfig, vocab: 
     return evaluate_prompts(
         prompts,
         lambda prompt: force_generate(backend, prompt, forcing, vocab),
-        lambda generated: (extract_answer(generated, vocab), extract_thinking(generated, vocab) or [], generated),
+        lambda generated: (extract_answer(generated, vocab), extract_thinking(generated, vocab), generated),
     )
 
 
-def step_correctness_grid(report: EvalReport, step_a: int = 0, step_b: int = 1) -> dict:
-    """2x2 counts of (step_a correct?, step_b correct?) split by final answer.
+def step_correctness_grid(report: EvalReport) -> dict:
+    """2x2 counts of (step 1 correct?, step 2 correct?) split by final answer.
 
     Only prompts that have both steps contribute; each table's four cells sum
     to the number of contributing prompts in its answer class.
     """
     grid = {side: _cells("correct", "incorrect") for side in ("answer_correct", "answer_wrong")}
     for rec in report.records:
-        if len(rec.step_correct) <= max(step_a, step_b):
+        if len(rec.step_correct) < 2:
             continue
         side = "answer_correct" if rec.indicator else "answer_wrong"
-        a = "correct" if rec.step_correct[step_a] else "incorrect"
-        b = "correct" if rec.step_correct[step_b] else "incorrect"
+        a = "correct" if rec.step_correct[0] else "incorrect"
+        b = "correct" if rec.step_correct[1] else "incorrect"
         grid[side][a][b] += 1
     _add_margins(grid.values())
     return grid

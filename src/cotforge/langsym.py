@@ -20,14 +20,13 @@ import json
 import re
 import string
 from dataclasses import dataclass, field, asdict, fields
-from typing import Iterator
 
 import numpy as np
 
 from .dag import Dag, check_record_dag
 from .errors import BackendError, ConfigError
 from .harness import (
-    FORCE_ANSWER, FORCE_THINK, FORMAT_FAILURE, EvalPrompt, EvalReport, ForcingConfig,
+    FORCE_ANSWER, FORCE_THINK, EvalPrompt, EvalReport, ForcingConfig,
     JsonLinesProcess, evaluate_prompts,
 )
 from .recipe import TaskConfig, check_int, choose_stripped
@@ -73,6 +72,10 @@ class Templates:
                 raise ConfigError(f"template field {f.name} must be a non-empty string, got {value!r}")
         if "{words}" not in self.question_template:
             raise ConfigError("question_template must contain a {words} placeholder")
+        try:
+            render_question([], self)
+        except Exception as exc:  # a field other than {words}, or bad str.format syntax
+            raise ConfigError(f"question_template {self.question_template!r}: {exc!r}") from exc
         task_text = (self.system_prompt + " " + self.question_template).lower()
         for marker in LEAK_MARKERS:
             if marker in task_text:
@@ -234,11 +237,6 @@ def generate_langsym_prompt(config: LangSymConfig, j: int) -> dict:
     return {"prompt_id": j, "messages": messages, "meta": meta}
 
 
-def generate_langsym_dataset(config: LangSymConfig) -> Iterator[dict]:
-    for j in config.output_order():
-        yield generate_langsym_prompt(config, j)
-
-
 def strip_chat_prompt(
     record: dict,
     k_prime: int,
@@ -266,13 +264,13 @@ def strip_chat_prompt(
     return {"prompt_id": record["prompt_id"], "messages": messages, "meta": meta}
 
 
-def extract_langsym_answer(text: str):
-    """Contents of the first \\boxed{...} that is a lowercase word, else FORMAT_FAILURE."""
+def extract_langsym_answer(text: str) -> str | None:
+    """Contents of the first \\boxed{...} that is a lowercase word, else None."""
     for match in _BOXED_RE.finditer(text):
         word = match.group(1)
         if _WORD_RE.fullmatch(word):
             return word
-    return FORMAT_FAILURE
+    return None
 
 
 def extract_steps(text: str) -> list[str]:

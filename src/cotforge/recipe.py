@@ -2,9 +2,9 @@
 
 A recipe assigns dataset item j (of T) the probability
 r(j) = clamp(a * (j/T)**alpha + b, 0, 1) of rendering each of its examples
-with the thinking segment. Conventions: 0**0 = 1, and u**inf = 0 for
-u in [0, 1), so alpha=0 means "always think" and alpha=inf (pass
-math.inf) means "never think" when a=1, b=0.
+with the thinking segment. Python's ** and numpy's power both give
+0**0 = 1 and u**inf = 0 for u in [0, 1), so alpha=0 means "always think"
+and alpha=inf (pass math.inf) means "never think" when a=1, b=0.
 
 The budget analytics compute the expected number of thinking-rendered
 examples both by direct summation (authoritative) and by the closed-form
@@ -34,7 +34,8 @@ _SUM_CHUNK = 1 << 22
 
 @dataclass(frozen=True)
 class Recipe:
-    """Schedule parameters. alpha >= 0, or math.inf for the all-plain extreme."""
+    """Schedule parameters. alpha >= 0, or math.inf for the all-plain extreme;
+    a and b finite."""
 
     alpha: float
     a: float = 1.0
@@ -43,41 +44,28 @@ class Recipe:
     def __post_init__(self) -> None:
         if math.isnan(self.alpha) or self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0 or inf, got {self.alpha}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ConfigError(f"a and b must be finite, got a={self.a} b={self.b}")
 
     def to_json(self) -> dict:
         return {"alpha": "inf" if math.isinf(self.alpha) else self.alpha, "a": self.a, "b": self.b}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Recipe":
+        """Each number is read by float, so alpha may also be a string such as "inf"."""
         if not isinstance(obj, dict) or "alpha" not in obj:
             raise ConfigError("recipe config missing required key: alpha")
         try:
-            return cls(alpha=parse_alpha(obj["alpha"]), a=float(obj.get("a", 1.0)), b=float(obj.get("b", 0.0)))
+            return cls(alpha=float(obj["alpha"]), a=float(obj.get("a", 1.0)), b=float(obj.get("b", 0.0)))
         except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a JSON int past float range
             raise ConfigError(f"bad recipe {obj!r}: {exc}") from exc
-
-
-def parse_alpha(value) -> float:
-    """Accept a float, an int, or the string "inf"."""
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "infinity"):
-            return math.inf
-        return float(value)
-    return float(value)
 
 
 def r_cot(recipe: Recipe, j: int, t: int) -> float:
     """Thinking probability for item j of a T-item dataset, clamped to [0, 1]."""
     if not 0 <= j < t:
         raise ConfigError(f"item index {j} outside [0, {t})")
-    u = j / t
-    if math.isinf(recipe.alpha):
-        power = 0.0  # u < 1 always, so u**inf = 0
-    elif recipe.alpha == 0.0:
-        power = 1.0  # includes 0**0 = 1
-    else:
-        power = u**recipe.alpha
-    return min(1.0, max(0.0, recipe.a * power + recipe.b))
+    return min(1.0, max(0.0, recipe.a * (j / t) ** recipe.alpha + recipe.b))
 
 
 def r_cot_vector(recipe: Recipe, t: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -86,13 +74,7 @@ def r_cot_vector(recipe: Recipe, t: int, start: int = 0, stop: int | None = None
         raise ConfigError(f"dataset size must be >= 1, got {t}")
     stop = t if stop is None else stop
     u = np.arange(start, stop, dtype=np.float64) / t
-    if math.isinf(recipe.alpha):
-        power = np.zeros(stop - start)
-    elif recipe.alpha == 0.0:
-        power = np.ones(stop - start)
-    else:
-        power = u**recipe.alpha
-    return np.clip(recipe.a * power + recipe.b, 0.0, 1.0)
+    return np.clip(recipe.a * u**recipe.alpha + recipe.b, 0.0, 1.0)
 
 
 def expected_cot_examples(recipe: Recipe, k: int, t: int) -> tuple[float, float | None]:

@@ -14,6 +14,11 @@ Stream layout for a master seed s:
   - token-processor cache   -> derive_seed(s, STREAM_CACHE)
   - output shuffle          -> Philox keyed with s + 1 directly
 
+Streams keyed by a seed given on the command line, not by s:
+  - strip-cot of item j     -> derive_seed(transform seed, j)
+  - verify --sample shards  -> make_rng(seed) directly
+  - RandomBackend chains    -> make_rng(seed) directly
+
 numpy >= 1.26 is required. NEP 19 freezes only the legacy RandomState, not
 Generator, so a numpy release may change the streams of the Generator
 methods used here (integers, random, standard_normal). tests/test_golden.py

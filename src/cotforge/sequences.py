@@ -29,7 +29,10 @@ stored record deletes thinking spans from the stream
 (harness.strip_sequence_record). None of them parses or re-renders. The
 per-example renderers, masks and parsers below are not called by the
 package: they are the tests' reference implementations of the same rule,
-and the benchmark tracer names them.
+and the benchmark tracer names them. The tracer also names `Sequence` and
+its `to_record`/`from_record`, which is all that keeps them here: no
+package code builds a `Sequence`, since generation returns the shard
+record dict.
 
 Every sequence is generated from its own Philox stream derived from
 (master_seed, j), with a fixed draw order:
@@ -46,7 +49,7 @@ Reordering any of these draws is a compatibility break.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence as Seq
+from typing import Sequence as Seq
 
 import numpy as np
 
@@ -74,9 +77,7 @@ class ParsedExample:
 
 @dataclass(frozen=True)
 class Sequence:
-    """One stored sequence. `meta` is the record's meta dict, built once by
-    generate_sequence with the keys n, m, c, k, r_cot, dag (Dag.to_json),
-    proc_ids, cot_flags (0/1 per example) and seed, in this order."""
+    """A shard record as a frozen object: `from_record(record).to_record() == record`."""
 
     seq_id: int
     tokens: tuple[int, ...]
@@ -333,7 +334,7 @@ def check_layout(tokens: Seq[int], meta: dict, vocab: Vocabulary) -> tuple[np.nd
 
 def render_sequence(
     inputs: np.ndarray, chains: np.ndarray, cot_flags: Seq[bool], vocab: Vocabulary
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+) -> tuple[list[int], list[int]]:
     """Tokens and loss mask of bos plus K examples, from (K, N) inputs and (K, C) chains.
 
     Fills the thinking template of every example and keeps its cells; the
@@ -352,7 +353,7 @@ def render_sequence(
     grid[:, n + 3 : n + c + 2] = chains[:, :-1]
     grid[:, n + c + 4] = chains[:, -1]
     keep = keep_cells(n, c, cot_flags)
-    return (vocab.bos, *grid[keep].tolist()), (0, *np.broadcast_to(mask_row, keep.shape)[keep].tolist())
+    return [vocab.bos, *grid[keep].tolist()], [0, *np.broadcast_to(mask_row, keep.shape)[keep].tolist()]
 
 
 def generate_sequence(
@@ -361,8 +362,13 @@ def generate_sequence(
     vocab: Vocabulary,
     emb: EmbeddingMatrix,
     cache: tuple[Mlp, ...],
-) -> Sequence:
-    """Generate sequence j of the dataset, independent of all other indices."""
+) -> dict:
+    """Shard record of sequence j, independent of all other indices.
+
+    The record is {"seq_id", "tokens", "loss_mask", "meta"} with lists of
+    ints; the meta keys are n, m, c, k, r_cot, dag (Dag.to_json), proc_ids,
+    cot_flags (0/1 per example) and seed, in this order.
+    """
     seed, rng, r, n, m, c, dag = config.start_item(j)
     proc_ids = sample_processors(cache, c, rng)
 
@@ -384,27 +390,21 @@ def generate_sequence(
         "cot_flags": [int(f) for f in flags],
         "seed": seed,
     }
-    return Sequence(seq_id=j, tokens=tokens, loss_mask=mask, meta=meta)
+    return {"seq_id": j, "tokens": tokens, "loss_mask": mask, "meta": meta}
 
 
-def recompute_chains(seq: Sequence, emb: EmbeddingMatrix, cache: tuple[Mlp, ...], vocab: Vocabulary) -> np.ndarray:
-    """Chains for every example of `seq`, recomputed from metadata.
+def recompute_chains(record: dict, emb: EmbeddingMatrix, cache: tuple[Mlp, ...], vocab: Vocabulary) -> np.ndarray:
+    """Chains for every example of a sequence record, recomputed from its meta.
 
     Reads the inputs from the cells of the stored layout (`check_layout`)
     and replays the chain computation through the stored DAG and processor
     ids. Shares the exact arithmetic of generation, so equality with the
     stored chain tokens is an integrity check, not a tolerance comparison.
     """
-    meta = seq.meta
-    stream, keep = check_layout(seq.tokens, meta, vocab)
+    meta = record["meta"]
+    stream, keep = check_layout(record["tokens"], meta, vocab)
     cells = np.zeros(keep.shape, dtype=np.int64)
     cells[keep] = stream[1:]
     procs = [cache[i] for i in meta["proc_ids"]]
     return chain_tokens_batch(meta["dag"]["parents"], procs, emb, cells[:, 1 : meta["n"] + 1])
 
-
-def generate_dataset(config: DatasetConfig) -> Iterator[Sequence]:
-    """Yield all T sequences, in shuffled order when the config asks for it."""
-    vocab, emb, cache = build_artifacts(config)
-    for j in config.output_order():
-        yield generate_sequence(config, j, vocab, emb, cache)

@@ -61,7 +61,7 @@ KINDS = {
     KIND_ABSTRACT: Kind(
         DatasetConfig,
         setup=lambda config: build_artifacts(config),
-        generate=lambda config, arts, j: generate_sequence(config, j, *arts).to_record(),
+        generate=lambda config, arts, j: generate_sequence(config, j, *arts),
         strip=lambda record, k_prime, rng, config, arts: strip_sequence_record(record, k_prime, rng, arts[0]),
     ),
     KIND_LANGSYM: Kind(

@@ -73,14 +73,13 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """size x dim matrix of N(0,1) draws, regenerable bit-exactly from its seed.
+    """size x dim matrix of N(0,1) draws, sampled bit-exactly by sample_embedding_matrix.
 
     `data` is float32 (the storage dtype). Arithmetic reads `f64` and its
     C-contiguous transpose `f64_t`, each converted once per matrix and
     read-only, so every caller sees the same values.
     """
 
-    seed: int
     data: np.ndarray
 
     @cached_property
@@ -107,4 +106,4 @@ def sample_embedding_matrix(vocab: Vocabulary, dim: int, seed: int) -> Embedding
         raise ConfigError(f"embedding dim must be >= 1, got {dim}")
     rng = make_rng(seed)
     data = rng.standard_normal((vocab.size, dim)).astype(np.float32)
-    return EmbeddingMatrix(seed=seed, data=data)
+    return EmbeddingMatrix(data=data)

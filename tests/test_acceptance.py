@@ -112,7 +112,7 @@ def _count_cot(args) -> int:
     total = 0
     for j in range(j_start, j_stop):
         seq = generate_sequence(config, j, vocab, emb, cache)
-        total += sum(seq.meta["cot_flags"])
+        total += sum(seq["meta"]["cot_flags"])
     return total
 
 
@@ -151,21 +151,21 @@ def _check_structure(args) -> int:
     checked = 0
     for j in range(j_start, j_stop):
         seq = generate_sequence(config, j, vocab, emb, cache)
-        n, c = seq.meta["n"], seq.meta["c"]
-        n_cot = sum(seq.meta["cot_flags"])
+        n, c = seq["meta"]["n"], seq["meta"]["c"]
+        n_cot = sum(seq["meta"]["cot_flags"])
         expected_len = 1 + n_cot * (n + c + 7) + (config.k - n_cot) * (n + 6)
-        assert len(seq.tokens) == expected_len, f"seq {j}: length"
-        assert len(seq.loss_mask) == expected_len, f"seq {j}: mask length"
-        assert sum(seq.loss_mask) == n_cot * (c + 5) + (config.k - n_cot) * 4, f"seq {j}: mask ones"
-        parsed = parse_sequence(list(seq.tokens), vocab)
-        assert [p.is_cot for p in parsed] == list(seq.meta["cot_flags"]), f"seq {j}: flags"
+        assert len(seq["tokens"]) == expected_len, f"seq {j}: length"
+        assert len(seq["loss_mask"]) == expected_len, f"seq {j}: mask length"
+        assert sum(seq["loss_mask"]) == n_cot * (c + 5) + (config.k - n_cot) * 4, f"seq {j}: mask ones"
+        parsed = parse_sequence(list(seq["tokens"]), vocab)
+        assert [p.is_cot for p in parsed] == list(seq["meta"]["cot_flags"]), f"seq {j}: flags"
         # parse-render identity
         from cotforge.sequences import render_example_tokens
 
         rebuilt = [vocab.bos]
         for ex in parsed:
             rebuilt.extend(render_example_tokens(ex, vocab, as_cot=ex.is_cot))
-        assert tuple(rebuilt) == seq.tokens, f"seq {j}: parse/render identity"
+        assert rebuilt == seq["tokens"], f"seq {j}: parse/render identity"
         # chain self-consistency against stored metadata
         chains = recompute_chains(seq, emb, cache, vocab)
         for i, ex in enumerate(parsed):
@@ -190,7 +190,7 @@ def test_oracle_and_random_evaluation_protocol():
     started = time.monotonic()
     config = _reference_config(0.0, 1000, master_seed=777_777)  # all-CoT rendering
     vocab, emb, cache = build_artifacts(config)
-    records = [generate_sequence(config, j, vocab, emb, cache).to_record() for j in range(config.t)]
+    records = [generate_sequence(config, j, vocab, emb, cache) for j in range(config.t)]
     base = [make_eval_prompt(rec, vocab) for rec in records]
     for k_prime in (0, 10, 20, 30, 39):
         rng = make_rng(4242 + k_prime)
@@ -277,7 +277,7 @@ def test_dag_sampling_and_breakdown_tables():
     config = _reference_config(0.0, 300, master_seed=98_765)
     vocab, emb, cache = build_artifacts(config)
     prompts = [
-        make_eval_prompt(generate_sequence(config, j, vocab, emb, cache).to_record(), vocab)
+        make_eval_prompt(generate_sequence(config, j, vocab, emb, cache), vocab)
         for j in range(config.t)
     ]
     report = evaluate(

@@ -12,7 +12,6 @@ from cotforge import (
     DatasetConfig,
     FormatError,
     ForcingConfig,
-    FORMAT_FAILURE,
     OracleBackend,
     RandomBackend,
     Recipe,
@@ -65,7 +64,7 @@ def world():
     cfg = all_cot_config()
     vocab, emb, cache = build_artifacts(cfg)
     seqs = [generate_sequence(cfg, j, vocab, emb, cache) for j in range(cfg.t)]
-    prompts = [make_eval_prompt(s.to_record(), vocab) for s in seqs]
+    prompts = [make_eval_prompt(s, vocab) for s in seqs]
     return cfg, vocab, emb, cache, seqs, prompts
 
 
@@ -81,7 +80,7 @@ def test_prompt_context_has_k_minus_one_examples(world):
 def test_minimal_two_example_prompt():
     cfg = all_cot_config(k=2, t=4)
     vocab, emb, cache = build_artifacts(cfg)
-    p = make_eval_prompt(generate_sequence(cfg, 0, vocab, emb, cache).to_record(), vocab)
+    p = make_eval_prompt(generate_sequence(cfg, 0, vocab, emb, cache), vocab)
     assert p.context.count(vocab.eos) == 1
 
 
@@ -89,7 +88,7 @@ def test_single_example_prompt_rejected():
     cfg = all_cot_config(k=1, t=4)
     vocab, emb, cache = build_artifacts(cfg)
     with pytest.raises(ConfigError):
-        make_eval_prompt(generate_sequence(cfg, 0, vocab, emb, cache).to_record(), vocab)
+        make_eval_prompt(generate_sequence(cfg, 0, vocab, emb, cache), vocab)
 
 
 def test_ground_truth_matches_recomputation(world):
@@ -100,13 +99,13 @@ def test_ground_truth_matches_recomputation(world):
 
 
 def stripped_prompt(seq, k_prime, rng, vocab):
-    """The eval prompt of `seq`'s record after k_prime of its context examples are stripped."""
-    return make_eval_prompt(strip_sequence_record(seq.to_record(), k_prime, rng, vocab), vocab)
+    """The eval prompt of the record `seq` after k_prime of its context examples are stripped."""
+    return make_eval_prompt(strip_sequence_record(seq, k_prime, rng, vocab), vocab)
 
 
 def test_strip_zero_is_identity(world):
     _, vocab, _, _, seqs, prompts = world
-    rec = seqs[0].to_record()
+    rec = seqs[0]
     assert strip_sequence_record(rec, 0, make_rng(0), vocab) == rec
     assert stripped_prompt(seqs[0], 0, make_rng(0), vocab) == prompts[0]
 
@@ -133,12 +132,12 @@ def test_strip_token_delta(world):
 def test_strip_out_of_range(world):
     cfg, vocab, _, _, seqs, _ = world
     with pytest.raises(ConfigError):
-        strip_sequence_record(seqs[0].to_record(), cfg.k, make_rng(0), vocab)
+        strip_sequence_record(seqs[0], cfg.k, make_rng(0), vocab)
 
 
 def test_strip_sequence_record_counts(world):
     cfg, vocab, _, _, seqs, _ = world
-    rec = strip_sequence_record(seqs[0].to_record(), 3, make_rng(5), vocab)
+    rec = strip_sequence_record(seqs[0], 3, make_rng(5), vocab)
     flags = rec["meta"]["cot_flags"]
     assert sum(flags) == cfg.k - 3
     assert flags[-1] == 1  # the future query is never stripped
@@ -153,7 +152,7 @@ def mixed_records():
     """Records whose first K-1 examples mix both renderings, over several (n, c)."""
     cfg = all_cot_config(n_choices=(1, 3, 5), c_choices=(1, 2, 6), recipe=Recipe(alpha=1.0), t=40, k=10)
     vocab, emb, cache = build_artifacts(cfg)
-    records = [generate_sequence(cfg, j, vocab, emb, cache).to_record() for j in range(cfg.t)]
+    records = [generate_sequence(cfg, j, vocab, emb, cache) for j in range(cfg.t)]
     return vocab, [r for r in records if 0 < sum(r["meta"]["cot_flags"][:-1]) < cfg.k - 1]
 
 
@@ -218,7 +217,7 @@ def test_all_plain_record_with_a_huge_c_fails_on_its_dag_before_any_layout_array
     # n+c+7 cells per example would ask numpy for terabytes
     cfg = all_cot_config(recipe=Recipe(alpha=math.inf), t=2)
     vocab, emb, cache = build_artifacts(cfg)
-    rec = json.loads(encode_record(generate_sequence(cfg, 1, vocab, emb, cache).to_record()))
+    rec = json.loads(encode_record(generate_sequence(cfg, 1, vocab, emb, cache)))
     assert not any(rec["meta"]["cot_flags"])
     rec["meta"]["c"] = 10**12
     want = "dag over 4 inputs and 4 chain nodes, meta has n=4 c=1000000000000"
@@ -256,7 +255,7 @@ def layout_sequences():
                                  k=k, t=12, recipe=Recipe(alpha=alpha), master_seed=100 * k + int(alpha))
             vocab, emb, cache = build_artifacts(cfg)
             for j in range(cfg.t):
-                rec = generate_sequence(cfg, j, vocab, emb, cache).to_record()
+                rec = generate_sequence(cfg, j, vocab, emb, cache)
                 records.append(rec)
                 if alpha:
                     n_cot = sum(rec["meta"]["cot_flags"][:-1])
@@ -309,7 +308,7 @@ def test_strip_cot_matches_parse_based_reference(layout_sequences):
 def test_strip_cot_twice_keeps_meta_flags_equal_to_the_context(world):
     cfg, vocab, _, _, seqs, _ = world
     for j, seq in enumerate(seqs[:6]):
-        rec = seq.to_record()
+        rec = seq
         once = strip_sequence_record(rec, 2, make_rng(j), vocab)
         twice = strip_sequence_record(once, 3, make_rng(100 + j), vocab)
         for p in (make_eval_prompt(once, vocab), make_eval_prompt(twice, vocab)):
@@ -335,7 +334,7 @@ def _answer_to_delimiter(rec, vocab):
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_eval_prompt_rejects_a_record_that_disagrees_with_its_layout(world, corrupt):
     _, vocab, _, _, seqs, _ = world
-    rec = json.loads(encode_record(seqs[0].to_record()))
+    rec = json.loads(encode_record(seqs[0]))
     corrupt(rec, vocab)
     with pytest.raises(FormatError):
         make_eval_prompt(rec, vocab)
@@ -372,8 +371,8 @@ def test_extract_answer_patterns():
 
     v = Vocabulary(64)
     assert extract_answer([v.think_start, 17, 23, v.think_end, v.ans_start, 42, v.ans_end, v.eos], v) == 42
-    assert extract_answer([v.ans_start, 42], v) is FORMAT_FAILURE
-    assert extract_answer([], v) is FORMAT_FAILURE
+    assert extract_answer([v.ans_start, 42], v) is None
+    assert extract_answer([], v) is None
     # two patterns: first wins
     assert extract_answer([v.ans_start, 9, v.ans_end, v.ans_start, 10, v.ans_end], v) == 9
 

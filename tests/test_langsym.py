@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from cotforge import (
     BackendError,
     ConfigError,
-    FORMAT_FAILURE,
     LangSymConfig,
     Recipe,
     Templates,
     extract_langsym_answer,
     extract_steps,
-    generate_langsym_dataset,
     generate_langsym_prompt,
     random_word,
     string_transform,
@@ -209,14 +207,14 @@ def test_rendered_words_match_meta():
 
 def test_dataset_determinism():
     cfg = small_config(t=8)
-    a = list(generate_langsym_dataset(cfg))
-    b = list(generate_langsym_dataset(cfg))
+    a = [generate_langsym_prompt(cfg, j) for j in cfg.output_order()]
+    b = [generate_langsym_prompt(cfg, j) for j in cfg.output_order()]
     assert a == b
 
 
 def test_prompt_independent_of_dataset_iteration():
     cfg = small_config(t=8)
-    full = list(generate_langsym_dataset(cfg))
+    full = [generate_langsym_prompt(cfg, j) for j in cfg.output_order()]
     assert generate_langsym_prompt(cfg, 5) == full[5]
 
 
@@ -355,11 +353,11 @@ def test_extract_reference_response():
 
 
 def test_extract_no_boxed_is_failure():
-    assert extract_langsym_answer("Step 1: abc\nno answer here") is FORMAT_FAILURE
+    assert extract_langsym_answer("Step 1: abc\nno answer here") is None
 
 
 def test_extract_alphabet_violation_is_failure():
-    assert extract_langsym_answer("\\boxed{Hello!}") is FORMAT_FAILURE
+    assert extract_langsym_answer("\\boxed{Hello!}") is None
     # but a later clean boxed word is still found
     assert extract_langsym_answer("\\boxed{Nope1} then \\boxed{yes}") == "yes"
 
@@ -372,7 +370,7 @@ def test_extract_steps_requires_consecutive_numbering():
 
 def test_render_extract_round_trip_bulk():
     cfg = small_config(t=30)
-    for chat in generate_langsym_dataset(cfg):
+    for chat in (generate_langsym_prompt(cfg, j) for j in cfg.output_order()):
         for i in range(cfg.k):
             assistant = chat["messages"][2 + 2 * i]["content"]
             chain = chat["meta"]["chains"][i]
@@ -401,7 +399,7 @@ def test_strip_chat_zero_identity():
 
 def test_text_oracle_both_strategies():
     cfg = small_config(t=10)
-    prompts = [make_langsym_eval_prompt(c) for c in generate_langsym_dataset(cfg)]
+    prompts = [make_langsym_eval_prompt(c) for c in (generate_langsym_prompt(cfg, j) for j in cfg.output_order())]
     backend = TextOracleBackend(prompts, cfg.templates)
     for strategy in (FORCE_THINK, FORCE_ANSWER):
         report = evaluate_langsym(backend, prompts, ForcingConfig(strategy, 1000), cfg.templates)
@@ -412,7 +410,7 @@ def test_text_oracle_both_strategies():
 
 def test_text_budget_truncation_causes_format_failure():
     cfg = small_config(t=4)
-    prompts = [make_langsym_eval_prompt(c) for c in generate_langsym_dataset(cfg)]
+    prompts = [make_langsym_eval_prompt(c) for c in (generate_langsym_prompt(cfg, j) for j in cfg.output_order())]
     backend = TextOracleBackend(prompts, cfg.templates)
     report = evaluate_langsym(backend, prompts, ForcingConfig(FORCE_THINK, 5), cfg.templates)
     assert all(r.format_failure for r in report.records)
@@ -433,7 +431,7 @@ class _CountingTextBackend:
 
 def test_text_no_forcing_is_a_config_error_before_any_backend_call():
     cfg = small_config(t=3)
-    prompts = [make_langsym_eval_prompt(c) for c in generate_langsym_dataset(cfg)]
+    prompts = [make_langsym_eval_prompt(c) for c in (generate_langsym_prompt(cfg, j) for j in cfg.output_order())]
     backend = _CountingTextBackend("\\boxed{abc}")
     with pytest.raises(ConfigError, match="unsupported text strategy"):
         evaluate_langsym(backend, prompts, ForcingConfig(NO_FORCING), cfg.templates)

@@ -56,7 +56,7 @@ def test_sample_processors_uniform():
 
 
 def _orthonormal_embedding(size: int) -> EmbeddingMatrix:
-    return EmbeddingMatrix(seed=0, data=np.eye(size, dtype=np.float32))
+    return EmbeddingMatrix(data=np.eye(size, dtype=np.float32))
 
 
 def test_identity_weights_orthonormal_rows_returns_parent():
@@ -73,7 +73,7 @@ def test_tie_breaks_to_smallest_id():
     vocab = Vocabulary(size)
     data = np.eye(size, dtype=np.float32)
     data[11] = data[10]  # rows 10 and 11 identical -> tied scores
-    emb = EmbeddingMatrix(seed=0, data=data)
+    emb = EmbeddingMatrix(data=data)
     mlp = Mlp(weights=(np.eye(size, dtype=np.float32),), slope=0.01)
     assert chain_token(mlp, emb, [10]) == 10
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotforge import ConfigError, Recipe, expected_cot_examples, expected_tokens, r_cot
-from cotforge.recipe import parse_alpha, r_cot_vector
+from cotforge.recipe import r_cot_vector
 
 
 def test_alpha_zero_is_always_one():
@@ -46,9 +46,9 @@ def test_negative_alpha_rejected():
 
 
 def test_parse_alpha():
-    assert parse_alpha("inf") == math.inf
-    assert parse_alpha("2") == 2.0
-    assert parse_alpha(0.5) == 0.5
+    assert Recipe.from_json({"alpha": "inf"}).alpha == math.inf
+    assert Recipe.from_json({"alpha": "2"}).alpha == 2.0
+    assert Recipe.from_json({"alpha": 0.5}).alpha == 0.5
 
 
 @settings(max_examples=100, deadline=None)

@@ -89,10 +89,10 @@ _ABSTRACT = DatasetConfig(n_choices=(2, 3), m_choices=(2,), c_choices=(2, 3), k=
                           master_seed=5, vocab_size=64, dim=4, cache_size=4)
 _VOCAB, _EMB, _CACHE = build_artifacts(_ABSTRACT)
 # all-CoT records and ones with a stripped context example, so both layouts are mutated
-_ABSTRACT_RECORDS = [generate_sequence(_ABSTRACT, j, _VOCAB, _EMB, _CACHE).to_record() for j in range(2)]
+_ABSTRACT_RECORDS = [generate_sequence(_ABSTRACT, j, _VOCAB, _EMB, _CACHE) for j in range(2)]
 _ABSTRACT_RECORDS += [strip_sequence_record(rec, 1, make_rng(0), _VOCAB) for rec in _ABSTRACT_RECORDS]
 # and an all-plain one, whose c does not enter the stream length
-_ALL_PLAIN = generate_sequence(replace(_ABSTRACT, recipe=Recipe(alpha=math.inf)), 0, _VOCAB, _EMB, _CACHE).to_record()
+_ALL_PLAIN = generate_sequence(replace(_ABSTRACT, recipe=Recipe(alpha=math.inf)), 0, _VOCAB, _EMB, _CACHE)
 
 _LANGSYM = LangSymConfig(n_choices=(2, 3), m_choices=(2,), c_choices=(2, 3), k=3, t=4, recipe=Recipe(alpha=1.0),
                          master_seed=6, w=3)

@@ -9,15 +9,14 @@ from cotforge import (
     ConfigError,
     DatasetConfig,
     Recipe,
-    Sequence,
     Vocabulary,
-    generate_dataset,
     generate_sequence,
     parse_sequence,
     render_cot_example,
     render_standard_example,
 )
 from cotforge.sequences import (
+    Sequence,
     build_artifacts,
     cot_example_mask,
     recompute_chains,
@@ -110,36 +109,36 @@ def test_all_cot_sequence_length():
     cfg = small_config(recipe=Recipe(alpha=0.0))  # r_cot = 1 everywhere
     vocab, emb, cache = build_artifacts(cfg)
     seq = generate_sequence(cfg, 3, vocab, emb, cache)
-    n, c, k = seq.meta["n"], seq.meta["c"], cfg.k
-    assert all(seq.meta["cot_flags"])
-    assert len(seq.tokens) == 1 + k * (n + c + 7)
-    assert sum(seq.loss_mask) == k * (c + 5)
+    n, c, k = seq["meta"]["n"], seq["meta"]["c"], cfg.k
+    assert all(seq["meta"]["cot_flags"])
+    assert len(seq["tokens"]) == 1 + k * (n + c + 7)
+    assert sum(seq["loss_mask"]) == k * (c + 5)
 
 
 def test_all_standard_sequence_length():
     cfg = small_config(recipe=Recipe(alpha=math.inf))  # r_cot = 0 everywhere
     vocab, emb, cache = build_artifacts(cfg)
     seq = generate_sequence(cfg, 3, vocab, emb, cache)
-    n, k = seq.meta["n"], cfg.k
-    assert not any(seq.meta["cot_flags"])
-    assert len(seq.tokens) == 1 + k * (n + 6)
-    assert sum(seq.loss_mask) == k * 4
+    n, k = seq["meta"]["n"], cfg.k
+    assert not any(seq["meta"]["cot_flags"])
+    assert len(seq["tokens"]) == 1 + k * (n + 6)
+    assert sum(seq["loss_mask"]) == k * 4
 
 
 def test_sequence_starts_with_bos_and_mask_shape():
     cfg = small_config()
     vocab, emb, cache = build_artifacts(cfg)
     seq = generate_sequence(cfg, 10, vocab, emb, cache)
-    assert seq.tokens[0] == vocab.bos
-    assert len(seq.loss_mask) == len(seq.tokens)
-    assert seq.loss_mask[0] == 0
+    assert seq["tokens"][0] == vocab.bos
+    assert len(seq["loss_mask"]) == len(seq["tokens"])
+    assert seq["loss_mask"][0] == 0
 
 
 def test_mask_never_covers_input_segment():
     cfg = small_config()
     vocab, emb, cache = build_artifacts(cfg)
     seq = generate_sequence(cfg, 11, vocab, emb, cache)
-    for pos, (tok, m) in enumerate(zip(seq.tokens, seq.loss_mask)):
+    for pos, (tok, m) in enumerate(zip(seq["tokens"], seq["loss_mask"])):
         if tok in (vocab.bos, vocab.inp_start, vocab.inp_end):
             assert m == 0, f"supervised delimiter at {pos}"
 
@@ -155,8 +154,8 @@ def test_generation_deterministic():
 def test_generation_order_independent():
     # generating j alone equals sequence j out of a full run
     cfg = small_config(t=12)
-    full = {s.seq_id: s for s in generate_dataset(cfg)}
     vocab, emb, cache = build_artifacts(cfg)
+    full = {s["seq_id"]: s for s in (generate_sequence(cfg, j, vocab, emb, cache) for j in cfg.output_order())}
     for j in (0, 5, 11):
         assert generate_sequence(cfg, j, vocab, emb, cache) == full[j]
 
@@ -165,9 +164,9 @@ def test_is_cot_flag_consistent_with_r():
     cfg = small_config(recipe=Recipe(alpha=1.0), t=40)
     vocab, emb, cache = build_artifacts(cfg)
     seq = generate_sequence(cfg, 20, vocab, emb, cache)
-    parsed = parse_sequence(list(seq.tokens), vocab)
-    assert [p.is_cot for p in parsed] == list(seq.meta["cot_flags"])
-    assert seq.meta["r_cot"] == 0.5
+    parsed = parse_sequence(list(seq["tokens"]), vocab)
+    assert [p.is_cot for p in parsed] == list(seq["meta"]["cot_flags"])
+    assert seq["meta"]["r_cot"] == 0.5
 
 
 def test_chain_self_consistency():
@@ -176,7 +175,7 @@ def test_chain_self_consistency():
     for j in range(20):
         seq = generate_sequence(cfg, j, vocab, emb, cache)
         chains = recompute_chains(seq, emb, cache, vocab)
-        parsed = parse_sequence(list(seq.tokens), vocab)
+        parsed = parse_sequence(list(seq["tokens"]), vocab)
         for i, ex in enumerate(parsed):
             assert ex.answer == chains[i][-1]
             if ex.is_cot:
@@ -185,29 +184,31 @@ def test_chain_self_consistency():
 
 def test_varying_choice_sets():
     cfg = small_config(n_choices=(3, 4), m_choices=(3, 4), c_choices=(3, 4), t=60)
+    vocab, emb, cache = build_artifacts(cfg)
     seen = set()
-    for seq in generate_dataset(cfg):
-        seen.add((seq.meta["n"], seq.meta["m"], seq.meta["c"]))
-        assert seq.meta["n"] in (3, 4) and seq.meta["m"] in (3, 4) and seq.meta["c"] in (3, 4)
+    for seq in (generate_sequence(cfg, j, vocab, emb, cache) for j in cfg.output_order()):
+        seen.add((seq["meta"]["n"], seq["meta"]["m"], seq["meta"]["c"]))
+        assert seq["meta"]["n"] in (3, 4) and seq["meta"]["m"] in (3, 4) and seq["meta"]["c"] in (3, 4)
     assert len(seen) > 1
 
 
 def test_shuffle_permutes_order_but_not_content():
-    plain = list(generate_dataset(small_config(t=16)))
-    shuffled = list(generate_dataset(small_config(t=16, shuffle=True)))
-    assert [s.seq_id for s in shuffled] != list(range(16))
-    assert sorted(s.seq_id for s in shuffled) == list(range(16))
-    by_id = {s.seq_id: s for s in shuffled}
+    plain_cfg, shuffled_cfg = small_config(t=16), small_config(t=16, shuffle=True)
+    arts = build_artifacts(plain_cfg)
+    plain = [generate_sequence(plain_cfg, j, *arts) for j in plain_cfg.output_order()]
+    shuffled = [generate_sequence(shuffled_cfg, j, *arts) for j in shuffled_cfg.output_order()]
+    assert [s["seq_id"] for s in shuffled] != list(range(16))
+    assert sorted(s["seq_id"] for s in shuffled) == list(range(16))
+    by_id = {s["seq_id"]: s for s in shuffled}
     for seq in plain:
-        assert by_id[seq.seq_id] == seq
+        assert by_id[seq["seq_id"]] == seq
 
 
 def test_record_round_trip():
     cfg = small_config()
     vocab, emb, cache = build_artifacts(cfg)
-    seq = generate_sequence(cfg, 0, vocab, emb, cache)
-    assert Sequence.from_record(seq.to_record()) == seq
-    record = seq.to_record()
+    record = generate_sequence(cfg, 0, vocab, emb, cache)
+    assert Sequence.from_record(record).to_record() == record
     assert set(record) == {"seq_id", "tokens", "loss_mask", "meta"}
     assert set(record["meta"]) == {"n", "m", "c", "k", "r_cot", "dag", "proc_ids", "cot_flags", "seed"}
 
@@ -258,8 +259,8 @@ def test_array_renderer_matches_per_example_renderers(mode):
                     want_tokens += render_standard_example(x, y[-1], VOCAB)
                     want_mask += standard_example_mask(n)
             tokens, mask = render_sequence(inputs, chains, flags, VOCAB)
-            assert tokens == tuple(want_tokens), (n, c)
-            assert mask == tuple(want_mask), (n, c)
+            assert tokens == want_tokens, (n, c)
+            assert mask == want_mask, (n, c)
 
 
 @pytest.mark.parametrize("where", ["input", "intermediate", "answer"])

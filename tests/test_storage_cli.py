@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cotforge import DatasetConfig, Recipe, Sequence, harness, storage
+from cotforge import DatasetConfig, Recipe, harness, storage
 from cotforge.cli import main
 from cotforge.sequences import build_artifacts, parse_sequence
 from cotforge.storage import (
@@ -179,8 +179,7 @@ def test_strip_dataset_regenerable(tmp_path):
     cfg = DatasetConfig.from_json(ABSTRACT_CFG)
     vocab, _, _ = build_artifacts(cfg)
     for rec in read_records(dst):
-        seq = Sequence.from_record(rec)
-        parsed = parse_sequence(list(seq.tokens), vocab)
+        parsed = parse_sequence(rec["tokens"], vocab)
         assert sum(ex.is_cot for ex in parsed[:-1]) == cfg.k - 1 - 2
         assert parsed[-1].is_cot
 
@@ -251,12 +250,19 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         # bool fields take JSON booleans only: bool("false") is True
         *[(kind, {key: value}) for kind, key in [("abstract", "shuffle"), ("langsym", "shuffle"),
                                                  ("langsym", "distinct_letters")] for value in ["false", "no", 2]],
+        # json reads NaN and Infinity; a and b must be finite
+        ("abstract", {"recipe": {"alpha": 1, "a": math.nan}}),
+        ("langsym", {"recipe": {"alpha": 1, "b": math.inf}}),
+        # str.format fails on any field but {words}, or on a lone brace
+        *[("langsym", {"templates": {"question_template": q}}) for q in ["{words} {x}", "{words} {0}", "{words} {"]],
+        ("abstract", [ABSTRACT_CFG]),  # not a JSON object, so --seed has nothing to override
     ],
 )
 def test_cli_bad_config_value_exit_code(tmp_path, capsys, kind, bad):
-    cfg = _write_cfg(tmp_path, dict(ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG, **bad))
+    base = ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG
+    cfg = _write_cfg(tmp_path, dict(base, **bad) if isinstance(bad, dict) else bad)
     out = tmp_path / "x"
-    assert main([f"gen-{kind}", "--config", cfg, "--out", str(out)]) == 2
+    assert main([f"gen-{kind}", "--config", cfg, "--out", str(out), "--seed", "3"]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
 
@@ -314,6 +320,14 @@ def test_cli_budget_json_keys_in_order(capsys):
         "params",
     ]
     assert list(doc["params"]) == ["n", "c", "k", "t", "recipe"]
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "abc"), ("--a", "nan"), ("--b", "inf")])
+def test_cli_budget_bad_recipe_exit_code(capsys, flag, value):
+    argv = {"--alpha": "1", "--n": "4", "--c": "4", "--k": "8", "--t": "100", flag: value}
+    assert main(["budget", *[part for item in argv.items() for part in item]]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
 
 
 def test_cli_budget_inf_alpha(capsys):
