@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .rng import choose_distinct
+from .rng import ItemStream, choose_distinct
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class Dag:
         return self._answer_ancestors[node]
 
 
-def sample_dag(n_inputs: int, fan_in: int, n_chain: int, rng: np.random.Generator) -> Dag:
+def sample_dag(n_inputs: int, fan_in: int, n_chain: int, rng: ItemStream | np.random.Generator) -> Dag:
     """Uniform DAG from the (N, M, C) structure class.
 
     Chain node c picks min(M, N) distinct parents uniformly from the N + c - 1

@@ -36,8 +36,8 @@ import numpy as np
 from .dag import Dag
 from .errors import BackendError, ConfigError
 from .recipe import choose_stripped
-from .rng import make_rng
-from .sequences import check_layout, example_template, keep_cells
+from .rng import ItemStream, make_rng
+from .sequences import check_layout, layout
 from .vocab import Vocabulary
 
 FORCE_THINK = "force_think"
@@ -109,7 +109,7 @@ def make_eval_prompt(record: dict, vocab: Vocabulary) -> EvalPrompt:
     )
 
 
-def strip_sequence_record(record: dict, k_prime: int, rng: np.random.Generator, vocab: Vocabulary) -> dict:
+def strip_sequence_record(record: dict, k_prime: int, rng: ItemStream | np.random.Generator, vocab: Vocabulary) -> dict:
     """Drop the thinking segments of k_prime context examples of a stored sequence record.
 
     The stripped examples are drawn with choose_stripped, uniformly without
@@ -128,10 +128,9 @@ def strip_sequence_record(record: dict, k_prime: int, rng: np.random.Generator, 
     stream, keep = check_layout(record["tokens"], meta, vocab)
     chosen = choose_stripped(flags[:-1], k_prime, rng)
     flags = [int(bool(f) and i not in chosen) for i, f in enumerate(flags)]
-    new_keep = keep_cells(n, c, flags)
-    _, mask_row = example_template(n, c, vocab)
-    tokens = [vocab.bos, *stream[1:][new_keep[keep]].tolist()]
-    mask = [0, *np.broadcast_to(mask_row, new_keep.shape)[new_keep].tolist()]
+    cells = layout(n, c)
+    tokens = [vocab.bos] + stream[1:][cells.keep_cells(flags)[keep]].tolist()
+    mask = cells.mask(flags)
     return {"seq_id": record["seq_id"], "tokens": tokens, "loss_mask": mask, "meta": {**meta, "cot_flags": flags}}
 
 

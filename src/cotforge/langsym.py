@@ -30,7 +30,7 @@ from .harness import (
     JsonLinesProcess, evaluate_prompts,
 )
 from .recipe import TaskConfig, check_int, choose_stripped
-from .rng import bulk_rounds, choose_distinct
+from .rng import ItemStream, choose_distinct
 
 ALPHABET = string.ascii_lowercase
 _SPACE = 255
@@ -70,12 +70,13 @@ class Templates:
             value = getattr(self, f.name)
             if not isinstance(value, str) or not value:
                 raise ConfigError(f"template field {f.name} must be a non-empty string, got {value!r}")
-        if "{words}" not in self.question_template:
-            raise ConfigError("question_template must contain a {words} placeholder")
         try:
+            fields_named = {name for _, name, _, _ in string.Formatter().parse(self.question_template)}
             render_question([], self)
         except Exception as exc:  # a field other than {words}, or bad str.format syntax
             raise ConfigError(f"question_template {self.question_template!r}: {exc!r}") from exc
+        if "words" not in fields_named:  # an escaped {{words}} is text, not a field
+            raise ConfigError("question_template must contain a {words} placeholder")
         task_text = (self.system_prompt + " " + self.question_template).lower()
         for marker in LEAK_MARKERS:
             if marker in task_text:
@@ -108,7 +109,7 @@ class LangSymConfig(TaskConfig):
         self.templates.validate()
 
 
-def random_word(w: int, rng: np.random.Generator, distinct: bool = False) -> str:
+def random_word(w: int, rng: ItemStream | np.random.Generator, distinct: bool = False) -> str:
     """w lowercase letters; i.i.d. by default, distinct in `distinct` mode."""
     if w < 1:
         raise ConfigError(f"word length must be >= 1, got {w}")
@@ -148,26 +149,21 @@ def render_question(words: list[str], templates: Templates) -> str:
     return templates.question_template.format(words=", ".join(words))
 
 
-def _draw_examples(rng: np.random.Generator, k: int, n: int, w: int, distinct: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Letter codes (k, n*w) and rendering variates (k,) of a prompt's examples.
+def _draw_examples(rng: ItemStream, k: int, n: int, w: int, distinct: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Letter codes (k, n*w) as uint8 and rendering variates (k,) of a prompt's examples.
 
     The stream is that of per-example draws: the example's n*w letters (in
     i.i.d. mode one integers(0, 26) draw, the stream of n random_word
     calls; in distinct mode word by word with choose_distinct), then one
-    random(). i.i.d. mode takes them all from one raw block when no letter
-    would have been redrawn, and per example otherwise.
+    random(). i.i.d. mode takes all K examples in one ItemStream.bulk_rounds.
     """
     if not distinct:
-        drawn = bulk_rounds(rng, k, n * w, len(ALPHABET))
-        if drawn is not None:
-            return drawn
+        codes, variates = rng.bulk_rounds(k, n * w, len(ALPHABET))
+        return codes.astype(np.uint8), variates
     codes = np.empty((k, n * w), dtype=np.uint8)
     variates = np.empty(k)
     for e in range(k):
-        if distinct:
-            codes[e] = [code for _ in range(n) for code in choose_distinct(rng, len(ALPHABET), w)]
-        else:
-            codes[e] = rng.integers(0, len(ALPHABET), size=n * w)
+        codes[e] = [code for _ in range(n) for code in choose_distinct(rng, len(ALPHABET), w)]
         variates[e] = rng.random()
     return codes, variates
 
@@ -193,8 +189,8 @@ def generate_langsym_prompt(config: LangSymConfig, j: int) -> dict:
     Draw order per prompt: N, M, C choices, the DAG, then per example the
     N*w letters of its N words followed by the rendering variate. In i.i.d.
     mode the letters are one draw, the same stream as N per-word draws, and
-    all K examples' draws come from one raw Philox block (see
-    rng.bulk_rounds); distinct-letter mode draws word by word. Every
+    all K examples' draws are one pass over the item stream's raw words
+    (rng.ItemStream.bulk_rounds); distinct-letter mode draws word by word. Every
     example's words, chain words included, are then one array gathered
     from the letter columns and decoded once.
     """
@@ -240,7 +236,7 @@ def generate_langsym_prompt(config: LangSymConfig, j: int) -> dict:
 def strip_chat_prompt(
     record: dict,
     k_prime: int,
-    rng: np.random.Generator,
+    rng: ItemStream | np.random.Generator,
     templates: Templates,
 ) -> dict:
     """Re-render k_prime thinking assistant turns as answer-only turns.

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .rng import make_rng
+from .rng import ItemStream, make_rng
 from .vocab import N_SPECIAL, EmbeddingMatrix, read_only
 
 
@@ -57,7 +57,10 @@ class Mlp:
 
 
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x >= 0.0, x, slope * x)
+    # for 0 < slope <= 1 the larger of x and slope * x is x when x >= 0 and
+    # slope * x otherwise: np.where(x >= 0, x, slope * x) bit for bit, -0.0
+    # and nan included, in one pass
+    return np.maximum(x, slope * x)
 
 
 def new_cache(cache_size: int, dim: int, depth: int, slope: float, seed: int) -> tuple[Mlp, ...]:
@@ -82,7 +85,7 @@ def new_cache(cache_size: int, dim: int, depth: int, slope: float, seed: int) ->
     return tuple(procs)
 
 
-def sample_processors(cache: tuple[Mlp, ...], n_chain: int, rng: np.random.Generator) -> list[int]:
+def sample_processors(cache: tuple[Mlp, ...], n_chain: int, rng: ItemStream | np.random.Generator) -> list[int]:
     """n_chain uniform cache indices, with replacement (one per chain node)."""
     if n_chain < 1:
         raise ConfigError(f"n_chain must be >= 1, got {n_chain}")

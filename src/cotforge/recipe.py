@@ -27,7 +27,7 @@ import numpy as np
 
 from .dag import Dag, sample_dag
 from .errors import ConfigError
-from .rng import MAX_ITEM_STREAM, choose_distinct, derive_seed, make_rng, permutation, pick
+from .rng import MAX_ITEM_STREAM, ItemStream, choose_distinct, derive_seed, make_rng, permutation, pick
 
 _SUM_CHUNK = 1 << 22
 
@@ -52,11 +52,14 @@ class Recipe:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Recipe":
-        """Each number is read by float, so alpha may also be a string such as "inf"."""
+        """Each number is read by float, so alpha may also be a string such as "inf"; true and false are not numbers."""
         if not isinstance(obj, dict) or "alpha" not in obj:
             raise ConfigError("recipe config missing required key: alpha")
+        numbers = (obj["alpha"], obj.get("a", 1.0), obj.get("b", 0.0))
+        if any(isinstance(v, bool) for v in numbers):
+            raise ConfigError(f"recipe alpha, a and b must be numbers, got {obj!r}")
         try:
-            return cls(alpha=float(obj["alpha"]), a=float(obj.get("a", 1.0)), b=float(obj.get("b", 0.0)))
+            return cls(*(float(v) for v in numbers))
         except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a JSON int past float range
             raise ConfigError(f"bad recipe {obj!r}: {exc}") from exc
 
@@ -229,16 +232,16 @@ class TaskConfig:
         kwargs["recipe"] = Recipe.from_json(obj["recipe"])
         return cls(**kwargs)
 
-    def start_item(self, j: int) -> tuple[int, np.random.Generator, float, int, int, int, Dag]:
+    def start_item(self, j: int) -> tuple[int, ItemStream, float, int, int, int, Dag]:
         """(seed, rng, r(j), N, M, C, DAG) of item j.
 
-        The seed keys the item's own Philox stream; N, M, C and the DAG are
-        drawn from it in this order.
+        The seed keys the item's own Philox stream, read through an
+        ItemStream; N, M, C and the DAG are drawn from it in this order.
         """
         if not 0 <= j < self.t:
             raise ConfigError(f"item index {j} outside [0, {self.t})")
         seed = derive_seed(self.master_seed, j)
-        rng = make_rng(seed)
+        rng = ItemStream(seed)
         r = r_cot(self.recipe, j, self.t)
         n = pick(rng, sorted(self.n_choices))
         m = pick(rng, sorted(self.m_choices))
@@ -252,7 +255,7 @@ class TaskConfig:
         return permutation(make_rng(self.master_seed + 1), self.t)
 
 
-def choose_stripped(cot_flags, k_prime: int, rng: np.random.Generator) -> set[int]:
+def choose_stripped(cot_flags, k_prime: int, rng: ItemStream | np.random.Generator) -> set[int]:
     """Positions of k_prime thinking examples to re-render plain.
 
     Chosen uniformly without replacement among the positions whose flag is

@@ -1,4 +1,4 @@
-"""Seed derivation and generator construction.
+"""Seed derivation, item streams and generator construction.
 
 All randomness in this package flows through numpy's Philox counter-based
 bit generator, keyed directly with a 64-bit seed (bypassing SeedSequence so
@@ -19,24 +19,36 @@ Streams keyed by a seed given on the command line, not by s:
   - verify --sample shards  -> make_rng(seed) directly
   - RandomBackend chains    -> make_rng(seed) directly
 
-numpy >= 1.26 is required. NEP 19 freezes only the legacy RandomState, not
-Generator, so a numpy release may change the streams of the Generator
-methods used here (integers, random, standard_normal). tests/test_golden.py
-and bench/golden.json pin the resulting bytes and catch such a change.
+A stream is read in one of two ways:
+  - ItemStream, for dataset items (generation and verify) and their
+    strip-cot streams. It is a cursor over the raw words of one
+    process-wide Philox, re-keyed through its state for each stream, so no
+    Generator is built or called per item.
+  - make_rng, a numpy Generator, for the embedding matrix and the processor
+    cache (standard_normal), the output shuffle, verify --sample and
+    RandomBackend.
 
-bulk_rounds reproduces two more numpy behaviours from raw Philox words,
-with no Generator call per draw:
+ItemStream gives the values and the stream positions of the Generator
+calls it replaces, from raw words and this module's code:
   - Philox's buffered 32-bit half. A 32-bit draw takes the low half of a
     new 64-bit word and keeps the high half (has_uint32, uinteger in the
     state) for the next 32-bit draw; 64-bit draws such as random() pass
     the buffer by.
-  - Lemire bounded draws. integers(0, h) for h < 2**32 maps a 32-bit value
-    u to (u * h) >> 32 and redraws when the low 32 bits of u * h are below
-    the threshold (2**32 - h) mod h.
-The golden hashes and tests/test_rng.py's equivalence tests pin both.
+  - Lemire bounded draws. integers(0, h) for 2 <= h <= 2**32 maps a 32-bit
+    value u to (u * h) >> 32 and redraws when the low 32 bits of u * h are
+    below the threshold (2**32 - h) mod h; h = 1 draws nothing.
+  - random() is (word >> 11) * 2**-53.
+So item and strip-cot bytes depend on Philox's raw words and this code,
+not on numpy's integers or random. numpy >= 1.26 is required. NEP 19
+freezes only the legacy RandomState, not Generator, so a numpy release may
+change the Generator streams that make_rng's users read (standard_normal,
+integers). tests/test_golden.py and bench/golden.json pin the resulting
+bytes, and tests/test_rng.py pins ItemStream against Generator.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -49,6 +61,9 @@ STREAM_EMBED = (1 << 63) | 1
 STREAM_CACHE = (1 << 63) | 2
 
 MAX_ITEM_STREAM = 1 << 62
+
+_M32 = (1 << 32) - 1
+_BLOCK = 256  # raw words per ItemStream refill, about two reference items' draws
 
 _DRAW_CHUNK = 1 << 16  # swap targets per array draw in permutation
 
@@ -76,7 +91,175 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
-def choose_distinct(rng: np.random.Generator, pool_size: int, k: int) -> list[int]:
+class ItemStream:
+    """Cursor over the stream of Philox(key=seed), drawn as make_rng(seed) draws.
+
+    integers(low, high[, size]) and random([size]) return what the same
+    Generator calls return and leave the stream where they leave it, for
+    1 <= high - low <= 2**32; bulk_rounds is a batch of such calls. Raw
+    words come in blocks from the process-wide Philox, re-keyed to this
+    stream's key and counter for each block. The cursor owns its position:
+    cursors drawn alternately each keep their own stream.
+    """
+
+    __slots__ = ("_key", "_blocks", "_raw", "_pos", "_half")
+
+    def __init__(self, seed: int):
+        self._key = seed & _MASK64
+        self._blocks = 0  # Philox counter: 4-word blocks read so far
+        self._raw = np.empty(0, dtype=np.uint64)  # words read; those from _pos on are unconsumed
+        self._pos = 0
+        self._half: int | None = None  # the buffered high half, if any
+
+    def _words(self, count: int) -> np.ndarray:
+        """The next `count` raw words, read ahead but not consumed."""
+        end = self._pos + count
+        if end > len(self._raw):
+            left = self._raw[self._pos :]
+            fresh = -(-max(count - len(left), _BLOCK) // 4) * 4  # whole blocks
+            philox, state = _shared_philox()
+            state["state"]["key"][0] = self._key
+            state["state"]["counter"][0] = self._blocks
+            philox.state = state
+            self._raw = np.concatenate((left, philox.random_raw(fresh)))
+            self._blocks += fresh // 4
+            self._pos, end = 0, count
+        return self._raw[self._pos : end]
+
+    def _word(self) -> int:
+        if self._pos == len(self._raw):
+            self._words(1)
+        self._pos += 1
+        return int(self._raw[self._pos - 1])
+
+    def _half32(self) -> int:
+        """The next 32-bit draw: the buffered half, else the low half of a new word."""
+        if self._half is not None:
+            u, self._half = self._half, None
+            return u
+        word = self._word()
+        self._half = word >> 32
+        return word & _M32
+
+    def _halves(self, count: int) -> np.ndarray:
+        """The next `count` 32-bit draws as uint32, read ahead but not consumed."""
+        buffered = self._half is not None
+        words = self._words((count - buffered + 1) // 2)
+        halves = words.astype("<u8", copy=False).view("<u4")  # low half first
+        if buffered:
+            halves = np.concatenate((np.array([self._half], dtype=np.uint32), halves))
+        return halves[:count]
+
+    def _skip_halves(self, count: int) -> None:
+        """Consume `count` 32-bit draws that _halves read ahead."""
+        if count and self._half is not None:
+            self._half = None
+            count -= 1
+        self._pos += (count + 1) // 2
+        if count % 2:
+            self._half = int(self._raw[self._pos - 1]) >> 32
+
+    def integers(self, low: int, high: int | None = None, size=None):
+        """Generator.integers(low, high, size): an int, or an int64 array of shape `size`."""
+        if high is None:
+            low, high = 0, low
+        span = high - low
+        if not 1 <= span <= 1 << 32:
+            raise ValueError(f"ItemStream draws need 1 <= high - low <= 2**32, got [{low}, {high})")
+        threshold = ((1 << 32) - span) % span
+        if size is None:
+            if span == 1:
+                return low
+            while True:
+                m = self._half32() * span
+                if m & _M32 >= threshold:
+                    return low + (m >> 32)
+        out = np.zeros(size, dtype=np.int64)
+        flat = out.reshape(-1)
+        done = 0 if span > 1 else flat.size
+        while done < flat.size:
+            wide = self._halves(flat.size - done).astype(np.uint64) * span
+            rejected = np.flatnonzero(wide.astype(np.uint32) < threshold)
+            # values up to the first rejected draw stand; the rejected draw
+            # is consumed and the rest are drawn again after it
+            take = int(rejected[0]) if rejected.size else len(wide)
+            flat[done : done + take] = wide[:take] >> 32
+            self._skip_halves(take + (1 if rejected.size else 0))
+            done += take
+        out += low
+        return out
+
+    def random(self, size=None):
+        """Generator.random(size): a float, or a float64 array of shape `size`."""
+        if size is None:
+            return (self._word() >> 11) * 2.0**-53
+        out = np.empty(size)
+        count = out.size
+        out.reshape(-1)[:] = (self._words(count) >> 11) * 2.0**-53
+        self._pos += count
+        return out
+
+    def bulk_rounds(self, rounds: int, size: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+        """`rounds` x (integers(0, high, size=size), then random()), in one pass over the words.
+
+        Returns the integers as an int64 (rounds, size) array and the
+        variates as (rounds,). Round e's integers are the next `size`
+        32-bit draws and its variate the whole word after the last of them
+        (an odd count leaves a half buffered for the next round). The
+        rounds before the first rejected draw are taken at once; the round
+        holding it is drawn call by call, which redraws in place, and the
+        pass goes on after it.
+        """
+        if not 2 <= high <= 1 << 32:
+            raise ValueError(f"bulk_rounds needs 2 <= high <= 2**32, got {high}")
+        codes = np.empty((rounds, size), dtype=np.int64)
+        variates = np.empty(rounds)
+        threshold = ((1 << 32) - high) % high
+        done = 0
+        while done < rounds:
+            left = rounds - done
+            buffered = self._half is not None
+            variate_at = np.arange(left) + (size * np.arange(1, left + 1) - buffered + 1) // 2
+            raw = self._words(int(variate_at[-1]) + 1)
+            is_half = np.ones(len(raw), dtype=bool)
+            is_half[variate_at] = False
+            halves = raw[is_half].astype("<u8", copy=False).view("<u4")
+            if buffered:
+                halves = np.concatenate((np.array([self._half], dtype=np.uint32), halves))
+            wide = halves[: left * size].astype(np.uint64) * high
+            rejected = np.flatnonzero(wide.astype(np.uint32) < threshold)
+            whole = int(rejected[0]) // size if rejected.size else left
+            if whole:
+                codes[done : done + whole] = (wide[: whole * size] >> 32).reshape(whole, size)
+                variates[done : done + whole] = (raw[variate_at[:whole]] >> 11) * 2.0**-53
+                used = int(variate_at[whole - 1]) + 1
+                # halves of the used words that no draw took: 0, or 1 to buffer
+                spare = buffered + 2 * (used - whole) - whole * size
+                self._half = int(halves[whole * size]) if spare else None
+                self._pos += used
+                done += whole
+            if done < rounds:
+                codes[done] = self.integers(0, high, size)
+                variates[done] = self.random()
+                done += 1
+        return codes, variates
+
+
+@functools.cache
+def _shared_philox() -> tuple[np.random.Philox, dict]:
+    """The process-wide Philox every ItemStream reads its blocks from, and its state.
+
+    Each read first sets the whole state: the stream's key and counter
+    written into the state's arrays, an empty buffer and no buffered half,
+    as they are here. So no stream sees another's position, and a stream
+    costs one state write per block instead of a Generator. Built on the
+    first read, so that importing this module does not import numpy.random.
+    """
+    philox = np.random.Philox(key=0)
+    return philox, philox.state
+
+
+def choose_distinct(rng: ItemStream | np.random.Generator, pool_size: int, k: int) -> list[int]:
     """k distinct uniform draws from range(pool_size), via partial Fisher-Yates.
 
     Implemented here rather than with Generator.choice so the exact draw
@@ -103,39 +286,6 @@ def permutation(rng: np.random.Generator, n: int) -> list[int]:
     return idx
 
 
-def bulk_rounds(rng: np.random.Generator, rounds: int, size: int, high: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """`rounds` x (integers(0, high, size=size), then random()) from one raw block.
-
-    Returns the draws as uint8 codes (rounds, size) and the variates
-    (rounds,), with the generator left where the per-round calls leave it;
-    2 <= high <= 256. The integers take the 32-bit halves of the raw words,
-    low half first, after the buffered half when there is one; round e's
-    variate is the word that follows its last half. When any draw would
-    have been redrawn (probability below size * rounds * high / 2**32) it
-    restores the generator and returns None, for the caller to draw per
-    round.
-    """
-    bitgen = rng.bit_generator
-    saved = bitgen.state
-    has = saved["has_uint32"]
-    variate_at = [(size * (e + 1) - has + 1) // 2 + e for e in range(rounds)]
-    raw = bitgen.random_raw(variate_at[-1] + 1)
-    is_half = np.ones(len(raw), dtype=bool)
-    is_half[variate_at] = False
-    halves = raw[is_half].astype("<u8", copy=False).view("<u4")
-    if has:
-        halves = np.concatenate((np.array([saved["uinteger"]], dtype=np.uint32), halves))
-    wide = halves[: rounds * size].astype(np.uint64) * high
-    if (wide.astype(np.uint32) < (2**32 - high) % high).any():
-        bitgen.state = saved
-        return None
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = len(halves) - rounds * size, int(halves[-1])
-    bitgen.state = state
-    variates = (raw[variate_at] >> 11) * 2.0**-53
-    return (wide >> 32).astype(np.uint8).reshape(rounds, size), variates
-
-
-def pick(rng: np.random.Generator, choices: list[int]) -> int:
-    """Uniform element of a non-empty choice list. Always consumes one draw."""
+def pick(rng: ItemStream | np.random.Generator, choices: list[int]) -> int:
+    """Uniform element of a non-empty choice list: one draw, none for a single choice."""
     return choices[int(rng.integers(len(choices)))]

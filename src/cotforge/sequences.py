@@ -18,10 +18,11 @@ one (C+5 ones).
 Layout rule: every example is laid out on the same N+C+7 cells, the
 thinking rendering, and a plain example is that row minus its thinking
 span, the C+1 cells think_start..think_end. Which cells a sequence keeps is
-therefore a pure function of (n, c, cot_flags) (`keep_cells`), and so is
-which delimiter or normal token each kept cell must hold and its mask bit
-(`example_template`). Generation fills the template from the input and
-chain arrays (`render_sequence`). `check_layout` validates a stored stream
+therefore a pure function of (n, c, cot_flags), and so is which delimiter
+or normal token each kept cell must hold and its mask bit: `layout(n, c)`
+builds the template, the two keep rows and the two example masks once per
+(n, c). Generation fills the template from the input and chain arrays
+(`render_sequence`). `check_layout` validates a stored stream
 against it and returns the stream with its kept cells, so
 `recompute_chains` reads the inputs from their cells and
 harness.make_eval_prompt cuts the query at a known offset; stripping a
@@ -35,7 +36,7 @@ package code builds a `Sequence`, since generation returns the shard
 record dict.
 
 Every sequence is generated from its own Philox stream derived from
-(master_seed, j), with a fixed draw order:
+(master_seed, j), read through an rng.ItemStream, with a fixed draw order:
 
     1. N, M, C each as one uniform index into its (sorted) choice list
     2. the DAG (parent lists in chain-node order)
@@ -43,13 +44,18 @@ Every sequence is generated from its own Philox stream derived from
     4. all K*N input tokens as one batched draw (row k = example k)
     5. the K uniform rendering variates as one batched draw
 
-Reordering any of these draws is a compatibility break.
+Each draw gives the values and stream position of the same call on a
+numpy Generator keyed with the item's seed (the batched draws equal K*N
+and K scalar calls), so tests/helpers.py's reference_sequence redraws
+every item with one Generator call per value. Reordering any of these
+draws is a compatibility break.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence as Seq
+from typing import NamedTuple, Sequence as Seq
 
 import numpy as np
 
@@ -58,7 +64,7 @@ from .errors import ConfigError, FormatError
 from .processors import Mlp, chain_tokens_batch, new_cache, sample_processors
 from .recipe import TaskConfig, check_int
 from .rng import STREAM_CACHE, STREAM_EMBED, derive_seed
-from .vocab import EmbeddingMatrix, N_SPECIAL, Vocabulary, sample_embedding_matrix
+from .vocab import EmbeddingMatrix, N_SPECIAL, Vocabulary, read_only, sample_embedding_matrix
 
 
 @dataclass(frozen=True)
@@ -261,32 +267,51 @@ def parse_sequence(tokens: list[int], vocab: Vocabulary) -> list[ParsedExample]:
 NORMAL = -1  # template cell that holds a normal token
 
 
-def example_template(n: int, c: int, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """Token and mask rows of the N+C+7-cell thinking layout of one example.
+class Layout(NamedTuple):
+    """The N+C+7 cells of one example for one (n, c), built once by `layout`.
 
-    The token row holds each delimiter at its cell and NORMAL where an
-    input or chain token goes; the mask row is `cot_example_mask(n, c)`.
+    `template` holds each delimiter id at its cell and NORMAL where an
+    input or chain token goes; `keep` row 0 marks the cells a plain example
+    renders and row 1 those of a thinking one (all of them); `masks` are
+    the loss masks of a plain and of a thinking example,
+    `standard_example_mask(n)` and `cot_example_mask(n, c)`. The arrays are
+    read-only.
     """
-    tokens = np.full(n + c + 7, NORMAL, dtype=np.int64)
-    tokens[[0, n + 1, n + 2, n + c + 2, n + c + 3, n + c + 5, n + c + 6]] = (
-        vocab.inp_start,
-        vocab.inp_end,
-        vocab.think_start,
-        vocab.think_end,
-        vocab.ans_start,
-        vocab.ans_end,
-        vocab.eos,
+
+    template: np.ndarray
+    keep: np.ndarray
+    masks: tuple[tuple[int, ...], tuple[int, ...]]
+
+    def keep_cells(self, cot_flags: Seq[bool]) -> np.ndarray:
+        """(K, N+C+7) bool: the cells each example renders, by its flag."""
+        return self.keep[np.array(cot_flags, dtype=np.intp)]
+
+    def mask(self, cot_flags: Seq[bool]) -> list[int]:
+        """Loss mask of bos plus one example per flag."""
+        out = [0]
+        for f in cot_flags:
+            out += self.masks[bool(f)]
+        return out
+
+
+@functools.lru_cache(maxsize=256)
+def layout(n: int, c: int) -> Layout:
+    """The Layout of (n, c); every Vocabulary has the same delimiter ids."""
+    template = np.full(n + c + 7, NORMAL, dtype=np.int64)
+    template[[0, n + 1, n + 2, n + c + 2, n + c + 3, n + c + 5, n + c + 6]] = (
+        Vocabulary.inp_start,
+        Vocabulary.inp_end,
+        Vocabulary.think_start,
+        Vocabulary.think_end,
+        Vocabulary.ans_start,
+        Vocabulary.ans_end,
+        Vocabulary.eos,
     )
-    mask = np.zeros(n + c + 7, dtype=np.int64)
-    mask[n + 2 :] = 1
-    return tokens, mask
-
-
-def keep_cells(n: int, c: int, cot_flags: Seq[bool]) -> np.ndarray:
-    """(K, N+C+7) bool: the cells each example renders; plain ones drop their thinking span."""
-    keep = np.ones((len(cot_flags), n + c + 7), dtype=bool)
-    keep[~np.asarray(cot_flags, dtype=bool), n + 2 : n + c + 3] = False
-    return keep
+    keep = np.ones((2, n + c + 7), dtype=bool)
+    keep[0, n + 2 : n + c + 3] = False
+    return Layout(
+        read_only(template), read_only(keep), (tuple(standard_example_mask(n)), tuple(cot_example_mask(n, c)))
+    )
 
 
 def _abnormal(tokens: np.ndarray, vocab: Vocabulary) -> np.ndarray:
@@ -299,7 +324,7 @@ def check_layout(tokens: Seq[int], meta: dict, vocab: Vocabulary) -> tuple[np.nd
     cot_flags must be a non-empty flat list of 0/1, and the stream bos plus
     exactly the kept cells: every delimiter in its cell and a normal token
     in every other one. Returns the stream as an int64 array and the
-    `keep_cells` grid; raises FormatError on any violation, and what
+    `Layout.keep_cells` grid; raises FormatError on any violation, and what
     `check_record_dag` raises for a DAG that does not fit the meta.
     """
     n, c, cot_flags = meta["n"], meta["c"], meta["cot_flags"]
@@ -318,9 +343,9 @@ def check_layout(tokens: Seq[int], meta: dict, vocab: Vocabulary) -> tuple[np.nd
     # then the DAG, which bounds a c that the length leaves free when every
     # example is plain
     check_record_dag(meta)
-    keep = keep_cells(n, c, cot_flags)
-    template, _ = example_template(n, c, vocab)
-    expected = np.concatenate(([vocab.bos], np.broadcast_to(template, keep.shape)[keep]))
+    cells = layout(n, c)
+    keep = cells.keep_cells(cot_flags)
+    expected = np.concatenate(([vocab.bos], np.broadcast_to(cells.template, keep.shape)[keep]))
     fixed = expected != NORMAL
     wrong = np.flatnonzero(fixed & (stream != expected))
     if wrong.size:
@@ -347,13 +372,13 @@ def render_sequence(
         if bad.size:
             raise ConfigError(f"token {int(bad[0])} is not a normal token")
     n, c = inputs.shape[1], chains.shape[1]
-    template, mask_row = example_template(n, c, vocab)
-    grid = np.tile(template, (len(inputs), 1))
+    cells = layout(n, c)
+    grid = np.empty((len(inputs), n + c + 7), dtype=np.int64)
+    grid[:] = cells.template
     grid[:, 1 : n + 1] = inputs
     grid[:, n + 3 : n + c + 2] = chains[:, :-1]
     grid[:, n + c + 4] = chains[:, -1]
-    keep = keep_cells(n, c, cot_flags)
-    return [vocab.bos, *grid[keep].tolist()], [0, *np.broadcast_to(mask_row, keep.shape)[keep].tolist()]
+    return [vocab.bos] + grid[cells.keep_cells(cot_flags)].tolist(), cells.mask(cot_flags)
 
 
 def generate_sequence(
@@ -373,7 +398,7 @@ def generate_sequence(
     proc_ids = sample_processors(cache, c, rng)
 
     inputs = N_SPECIAL + rng.integers(0, vocab.n_normal, size=(config.k, n))
-    flags = [bool(r >= draw) for draw in rng.random(config.k)]
+    flags = [int(r >= draw) for draw in rng.random(config.k).tolist()]
 
     procs = [cache[i] for i in proc_ids]
     chains = chain_tokens_batch(dag.parents, procs, emb, inputs)
@@ -387,7 +412,7 @@ def generate_sequence(
         "r_cot": r,
         "dag": dag.to_json(),
         "proc_ids": proc_ids,
-        "cot_flags": [int(f) for f in flags],
+        "cot_flags": flags,
         "seed": seed,
     }
     return {"seq_id": j, "tokens": tokens, "loss_mask": mask, "meta": meta}

@@ -34,7 +34,7 @@ from .errors import ConfigError, FormatError
 from .harness import strip_sequence_record
 from .langsym import LangSymConfig, generate_langsym_prompt, strip_chat_prompt
 from .recipe import TaskConfig
-from .rng import choose_distinct, derive_seed, make_rng
+from .rng import ItemStream, choose_distinct, derive_seed, make_rng
 from .sequences import DatasetConfig, build_artifacts, generate_sequence
 
 KIND_ABSTRACT = "abstract"
@@ -190,7 +190,7 @@ def _gen_line(j: int) -> bytes:
     spec, config, arts = _WORKER["spec"], _WORKER["config"], _WORKER["artifacts"]
     record = spec.generate(config, arts, j)
     for tf in _WORKER["transforms"]:
-        rng = make_rng(derive_seed(tf["seed"], j))
+        rng = ItemStream(derive_seed(tf["seed"], j))
         record = spec.strip(record, tf["k_prime"], rng, config, arts)
     return encode_record(record)
 

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the package's own vectorized code paths:
 the chain-token oracle is an explicit per-step loop, reachability is an
-exhaustive path enumeration, dataset and prompt stripping parse and
+exhaustive path enumeration, items of both kinds are drawn with make_rng
+Generator calls, one per value (LangSym: per word), not the package's
+ItemStream, and rendered example by example, dataset and prompt stripping parse and
 re-render every example with the per-example renderers, eval prompts come
 from a token-by-token parse, and the distribution checks use textbook formulas (scipy only
 supplies critical values).
@@ -14,16 +16,23 @@ import math
 
 import numpy as np
 
+from cotforge.dag import sample_dag
 from cotforge.errors import ConfigError
 from cotforge.harness import EvalPrompt
-from cotforge.recipe import choose_stripped
+from cotforge.langsym import random_word, render_assistant, render_question, string_transform
+from cotforge.processors import chain_tokens_batch
+from cotforge.recipe import choose_stripped, r_cot
+from cotforge.rng import derive_seed, make_rng, pick
 from cotforge.sequences import (
     cot_example_mask,
     parse_examples,
     parse_sequence,
+    render_cot_example,
     render_example_tokens,
+    render_standard_example,
     standard_example_mask,
 )
+from cotforge.vocab import N_SPECIAL
 
 
 def oracle_chain_token(weights, slope, emb_f32, parent_ids, n_special):
@@ -49,6 +58,62 @@ def oracle_chain_token(weights, slope, emb_f32, parent_ids, n_special):
         if score > best_score:
             best_id, best_score = tid, score
     return best_id
+
+
+def reference_start_item(config, j: int):
+    """config.start_item(j) with a make_rng Generator in place of the item's ItemStream.
+
+    Returns the Generator, left where the start's draws leave it.
+    """
+    seed = derive_seed(config.master_seed, j)
+    rng = make_rng(seed)
+    n = pick(rng, sorted(config.n_choices))
+    m = pick(rng, sorted(config.m_choices))
+    c = pick(rng, sorted(config.c_choices))
+    return seed, rng, r_cot(config.recipe, j, config.t), n, m, c, sample_dag(n, m, c, rng)
+
+
+def reference_sequence(config, j: int, vocab, emb, cache) -> dict:
+    """generate_sequence as one Generator call per draw, rendered example by example."""
+    seed, rng, r, n, m, c, dag = reference_start_item(config, j)
+    proc_ids = [int(rng.integers(len(cache))) for _ in range(c)]
+    inputs = [[N_SPECIAL + int(rng.integers(vocab.n_normal)) for _ in range(n)] for _ in range(config.k)]
+    flags = [int(r >= rng.random()) for _ in range(config.k)]
+    chains = chain_tokens_batch(dag.parents, [cache[i] for i in proc_ids], emb, np.array(inputs)).tolist()
+    tokens, mask = [vocab.bos], [0]
+    for x, chain, is_cot in zip(inputs, chains, flags):
+        if is_cot:
+            tokens += render_cot_example(x, chain, vocab)
+            mask += cot_example_mask(n, c)
+        else:
+            tokens += render_standard_example(x, chain[-1], vocab)
+            mask += standard_example_mask(n)
+    meta = {"n": n, "m": m, "c": c, "k": config.k, "r_cot": r, "dag": dag.to_json(), "proc_ids": proc_ids,
+            "cot_flags": flags, "seed": seed}
+    return {"seq_id": j, "tokens": tokens, "loss_mask": mask, "meta": meta}
+
+
+def reference_prompt(config, j: int) -> dict:
+    """generate_langsym_prompt as one Generator call per word and variate and
+    one string_transform per chain word."""
+    seed, rng, r, n, m, c, dag = reference_start_item(config, j)
+    messages = [{"role": "system", "content": config.templates.system_prompt}]
+    inputs, chains, flags = [], [], []
+    for _ in range(config.k):
+        words = [random_word(config.w, rng, config.distinct_letters) for _ in range(n)]
+        pool = list(words)
+        for parents in dag.parents:
+            pool.append(string_transform([pool[p] for p in parents]))
+        chain = pool[n:]
+        is_cot = r >= rng.random()
+        messages.append({"role": "user", "content": render_question(words, config.templates)})
+        messages.append({"role": "assistant", "content": render_assistant(chain, is_cot, config.templates)})
+        inputs.append(words)
+        chains.append(chain)
+        flags.append(int(is_cot))
+    meta = {"n": n, "m": m, "c": c, "k": config.k, "w": config.w, "r_cot": r, "dag": dag.to_json(),
+            "inputs": inputs, "chains": chains, "cot_flags": flags, "seed": seed}
+    return {"prompt_id": j, "messages": messages, "meta": meta}
 
 
 def all_paths_reach(dag, src: int, dst: int) -> bool:

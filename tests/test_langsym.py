@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,12 +25,12 @@ from cotforge.langsym import (
     evaluate_langsym,
     make_langsym_eval_prompt,
     render_assistant,
-    render_question,
     strip_chat_prompt,
 )
-from cotforge.rng import bulk_rounds, make_rng
+from cotforge.rng import ItemStream, make_rng
 
-from helpers import chi_square_critical, chi_square_uniform
+import helpers
+from helpers import chi_square_critical, chi_square_uniform, reference_prompt, reference_start_item
 
 
 def small_config(**over):
@@ -218,50 +219,11 @@ def test_prompt_independent_of_dataset_iteration():
     assert generate_langsym_prompt(cfg, 5) == full[5]
 
 
-def reference_prompt(config: LangSymConfig, j: int) -> dict:
-    """generate_langsym_prompt as one Generator call per word and variate and
-    one string_transform per chain word: the reference for the bulk path."""
-    seed, rng, r, n, m, c, dag = config.start_item(j)
-    messages = [{"role": "system", "content": config.templates.system_prompt}]
-    inputs, chains, flags = [], [], []
-    for _ in range(config.k):
-        words = [random_word(config.w, rng, config.distinct_letters) for _ in range(n)]
-        pool = list(words)
-        for parents in dag.parents:
-            pool.append(string_transform([pool[p] for p in parents]))
-        chain = pool[n:]
-        is_cot = r >= rng.random()
-        messages.append({"role": "user", "content": render_question(words, config.templates)})
-        messages.append({"role": "assistant", "content": render_assistant(chain, is_cot, config.templates)})
-        inputs.append(words)
-        chains.append(chain)
-        flags.append(int(is_cot))
-    meta = {"n": n, "m": m, "c": c, "k": config.k, "w": config.w, "r_cot": r, "dag": dag.to_json(),
-            "inputs": inputs, "chains": chains, "cot_flags": flags, "seed": seed}
-    return {"prompt_id": j, "messages": messages, "meta": meta}
-
-
 def record_bytes(chat: dict) -> bytes:
     return json.dumps(chat).encode()
 
 
-def watch_start(monkeypatch, poke=None) -> set[int]:
-    """Record has_uint32 after every start_item; `poke` may then edit the generator."""
-    seen: set[int] = set()
-    start_item = LangSymConfig.start_item
-
-    def watched(self, j):
-        seed, rng, *rest = start_item(self, j)
-        seen.add(rng.bit_generator.state["has_uint32"])
-        if poke:
-            poke(rng)
-        return (seed, rng, *rest)
-
-    monkeypatch.setattr(LangSymConfig, "start_item", watched)
-    return seen
-
-
-BULK_CONFIGS = [  # (config fields, has_uint32 values seen after start_item)
+BULK_CONFIGS = [  # (config fields, has_uint32 values seen after the start's draws)
     (dict(w=5, n_choices=(1, 3, 5), m_choices=(1, 2, 3), c_choices=(1, 4), k=7), {0, 1}),  # odd N*w
     (dict(w=3, n_choices=(1, 2, 3), m_choices=(2,), c_choices=(2, 3), k=12), {0, 1}),  # odd and even N*w
     # the reference config: its DAG always takes an odd count of 32-bit draws
@@ -270,11 +232,12 @@ BULK_CONFIGS = [  # (config fields, has_uint32 values seen after start_item)
 
 
 @pytest.mark.parametrize("over, parities", BULK_CONFIGS)
-def test_prompts_equal_the_per_draw_reference(over, parities, monkeypatch):
-    seen = watch_start(monkeypatch)
+def test_prompts_equal_the_per_draw_reference(over, parities):
     cfg = small_config(t=60, **over)
+    seen = set()
     for j in range(cfg.t):
         assert record_bytes(generate_langsym_prompt(cfg, j)) == record_bytes(reference_prompt(cfg, j))
+        seen.add(reference_start_item(cfg, j)[1].bit_generator.state["has_uint32"])
     assert seen == parities
 
 
@@ -284,34 +247,43 @@ def test_distinct_letter_prompts_equal_the_per_draw_reference():
         assert record_bytes(generate_langsym_prompt(cfg, j)) == record_bytes(reference_prompt(cfg, j))
 
 
-def test_a_rejected_letter_falls_back_to_per_example_draws(monkeypatch):
-    def zero_next_word(rng):
-        # a raw word of 0 gives a 32-bit draw of 0, which Lemire rejects
-        state = rng.bit_generator.state
-        if state["buffer_pos"] < 4:
-            state["buffer"][state["buffer_pos"]] = 0
-        else:
-            state["has_uint32"], state["uinteger"] = 1, 0
-        rng.bit_generator.state = state
+def zero_next_word(rng) -> None:
+    """Make the next raw word of an ItemStream or a Generator 0, a 32-bit draw Lemire rejects."""
+    if isinstance(rng, ItemStream):
+        rng._words(1)
+        rng._raw[rng._pos] = 0
+        return
+    state = rng.bit_generator.state
+    if state["buffer_pos"] == 4:  # the next word opens a new 4-word block: fill it now
+        philox = np.random.Philox(key=0)
+        philox.state = state
+        philox.random_raw(4)
+        state = {**philox.state, "buffer_pos": 0}
+    state["buffer"][state["buffer_pos"]] = 0
+    rng.bit_generator.state = state
 
-    drawn = []
 
-    def spy(*args):
-        drawn.append(bulk_rounds(*args))
-        return drawn[-1]
+def test_a_rejected_letter_is_redrawn_in_place(monkeypatch):
+    # the first example's first or second letter is a rejected draw, so the
+    # letters' bulk_rounds redraws it in place in the first round
+    def poked(start):
+        def start_and_poke(*args):
+            seed, rng, *rest = start(*args)
+            zero_next_word(rng)
+            return (seed, rng, *rest)
+        return start_and_poke
 
-    monkeypatch.setattr(langsym, "bulk_rounds", spy)
-    watch_start(monkeypatch, zero_next_word)
+    monkeypatch.setattr(LangSymConfig, "start_item", poked(LangSymConfig.start_item))
+    monkeypatch.setattr(helpers, "reference_start_item", poked(helpers.reference_start_item))
     cfg = small_config(t=12, **BULK_CONFIGS[0][0])
     for j in range(cfg.t):
         assert record_bytes(generate_langsym_prompt(cfg, j)) == record_bytes(reference_prompt(cfg, j))
-    assert drawn == [None] * cfg.t
 
 
 @pytest.mark.parametrize("distinct", [False, True])
 def test_example_draws_equal_per_example_draws(distinct):
     for seed in range(6):
-        rng, twin = make_rng(seed), make_rng(seed)
+        rng, twin = ItemStream(seed), make_rng(seed)
         if seed % 2:
             rng.integers(0, 26), twin.integers(0, 26)
         codes, variates = langsym._draw_examples(rng, 9, 3, 5, distinct)

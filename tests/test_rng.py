@@ -1,31 +1,40 @@
-"""Array draws that must give the stream of the scalar draws they replace.
+"""Draws that must give the stream of the Generator calls they replace.
 
-permutation and bulk_rounds take their values from array calls where
-the reference takes one Generator call per value. Each test runs both on
-twin generators and compares the values and then the draws that follow,
-so a stream that only matches up to its last value is caught too.
+ItemStream answers integers and random from raw Philox words, and
+bulk_rounds and permutation take many values at once where the reference
+makes one Generator call per value. Each test runs both on twins of one
+seed, an ItemStream or a Generator against a make_rng Generator, and
+compares the values and then the draws that follow, so a stream that only
+matches up to its last value is caught too.
 """
 
 import numpy as np
 import pytest
 
-from cotforge.rng import bulk_rounds, make_rng, permutation
+from cotforge.langsym import LangSymConfig, generate_langsym_prompt
+from cotforge.recipe import Recipe
+from cotforge.rng import ItemStream, make_rng, permutation
+from cotforge.sequences import DatasetConfig, build_artifacts, generate_sequence
+from cotforge.storage import encode_record
+
+from helpers import reference_prompt, reference_sequence
 
 
-def twins(seed: int, buffered: bool) -> tuple[np.random.Generator, np.random.Generator]:
-    """Two generators in one state; `buffered` leaves a 32-bit half in Philox's buffer."""
-    a, b = make_rng(seed), make_rng(seed)
+def twins(seed: int, buffered: bool) -> tuple[ItemStream, np.random.Generator]:
+    """An ItemStream and a Generator in one state; `buffered` leaves a 32-bit half in the buffer."""
+    a, b = ItemStream(seed), make_rng(seed)
     if buffered:
-        a.integers(0, 26), b.integers(0, 26)
-    assert a.bit_generator.state["has_uint32"] == int(buffered)
+        assert a.integers(0, 26) == b.integers(0, 26)
+    assert b.bit_generator.state["has_uint32"] == int(buffered)
     return a, b
 
 
-def assert_same_next_draws(a: np.random.Generator, b: np.random.Generator) -> None:
-    for name in ("has_uint32", "uinteger"):
-        assert a.bit_generator.state[name] == b.bit_generator.state[name]
-    assert a.integers(0, 26, size=3).tolist() == b.integers(0, 26, size=3).tolist()
+def assert_same_next_draws(a, b) -> None:
+    # bound 2**32 returns the raw 32-bit halves, so the buffered half, the
+    # next words and the half an odd count leaves buffered are compared exactly
+    assert a.integers(0, 2**32, size=3).tolist() == b.integers(0, 2**32, size=3).tolist()
     assert a.random() == b.random()
+    assert a.integers(0, 2**32) == b.integers(0, 2**32)
 
 
 def per_round(rng: np.random.Generator, rounds: int, size: int, high: int):
@@ -34,6 +43,18 @@ def per_round(rng: np.random.Generator, rounds: int, size: int, high: int):
         codes.append(rng.integers(0, high, size=size).tolist())
         variates.append(rng.random())
     return codes, variates
+
+
+def lemire(halves, span: int) -> tuple[list[int], list[int]]:
+    """Lemire's bounded draws over a list of 32-bit values: the values and the redrawn indices."""
+    values, redrawn = [], []
+    threshold = (2**32 - span) % span
+    for i, u in enumerate(halves):
+        if u * span % 2**32 < threshold:
+            redrawn.append(i)
+        else:
+            values.append(u * span >> 32)
+    return values, redrawn
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000, 100003])
@@ -48,6 +69,59 @@ def test_permutation_is_the_stream_of_scalar_draws(n):
 
 
 @pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("span", [1, 2, 26, 2**31 + 1, 2**32])
+def test_scalar_integers_are_the_generator_stream(span, buffered):
+    # 2**31 + 1 redraws about half of its draws; a span of 1 draws nothing
+    for seed in range(5):
+        a, b = twins(seed, buffered)
+        assert [a.integers(7, 7 + span) for _ in range(60)] == [int(b.integers(7, 7 + span)) for _ in range(60)]
+        assert a.integers(span) == b.integers(span)
+        assert_same_next_draws(a, b)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_array_with_a_redraw_in_the_middle(buffered):
+    span, size = 2**31 + 1, 9
+    for seed in range(8):
+        a, b = twins(seed, buffered)
+        raw = twins(seed, buffered)[1].integers(0, 2**32, size=4 * size).tolist()
+        want, redrawn = lemire(raw, span)
+        drawn = a.integers(-3, span - 3, size=(3, 3))
+        assert drawn.dtype == np.int64 and drawn.shape == (3, 3)
+        assert (drawn + 3).ravel().tolist() == want[:size] == b.integers(0, span, size=size).tolist()
+        if any(0 < i < size for i in redrawn[:1]):
+            break
+    else:
+        pytest.fail("no seed put the first redraw inside the array")
+    assert_same_next_draws(a, b)
+
+
+@pytest.mark.parametrize("halves", [0, 1, 2, 3])
+def test_random_passes_the_buffered_half_by(halves):
+    # after an odd count of 32-bit draws a half is buffered: random() takes
+    # the next whole word and the half waits for the next 32-bit draw
+    for seed in range(4):
+        a, b = ItemStream(seed), make_rng(seed)
+        assert a.integers(0, 26, size=halves).tolist() == b.integers(0, 26, size=halves).tolist()
+        assert a.random() == b.random()
+        assert a.random(3).tolist() == b.random(3).tolist()
+        assert_same_next_draws(a, b)
+
+
+def test_reads_past_the_first_block():
+    # a few thousand words, in draws that end and start on either side of
+    # each block boundary
+    a, b = ItemStream(11), make_rng(11)
+    for i in range(300):
+        assert a.integers(0, 1000, size=i % 17).tolist() == b.integers(0, 1000, size=i % 17).tolist()
+        assert a.random() == b.random()
+        assert a.integers(0, 26) == b.integers(0, 26)
+        if i % 50 == 0:
+            assert a.random(i).tolist() == b.random(i).tolist()
+    assert_same_next_draws(a, b)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
 @pytest.mark.parametrize("size", [2, 5, 15, 32])
 @pytest.mark.parametrize("rounds", [1, 2, 7, 40])
 def test_bulk_rounds_are_the_stream_of_per_round_draws(rounds, size, buffered):
@@ -55,42 +129,80 @@ def test_bulk_rounds_are_the_stream_of_per_round_draws(rounds, size, buffered):
     # first integer takes after the variate's whole word
     for seed in range(5):
         bulk, twin = twins(seed, buffered)
-        codes, variates = bulk_rounds(bulk, rounds, size, 26)
-        assert codes.dtype == np.uint8 and codes.shape == (rounds, size)
+        codes, variates = bulk.bulk_rounds(rounds, size, 26)
+        assert codes.dtype == np.int64 and codes.shape == (rounds, size)
         assert (codes.tolist(), variates.tolist()) == per_round(twin, rounds, size, 26)
         assert_same_next_draws(bulk, twin)
 
 
-@pytest.mark.parametrize("high", [2, 3, 26, 256])
+@pytest.mark.parametrize("high", [2, 3, 26, 256, 3 * 2**30, 2**31 + 1, 2**32])
 def test_bulk_rounds_other_bounds(high):
-    bulk, twin = twins(high, True)
-    codes, variates = bulk_rounds(bulk, 9, 7, high)
-    assert (codes.tolist(), variates.tolist()) == per_round(twin, 9, 7, high)
-    assert_same_next_draws(bulk, twin)
+    # 3 * 2**30 redraws a quarter of its draws and 2**31 + 1 about half, so
+    # rounds before a redraw are taken at once and the rest call by call
+    for seed in range(4):
+        bulk, twin = twins(high + seed, seed % 2 == 1)
+        codes, variates = bulk.bulk_rounds(9, 7, high)
+        assert (codes.tolist(), variates.tolist()) == per_round(twin, 9, 7, high)
+        assert_same_next_draws(bulk, twin)
 
 
-def rejecting(seed: int, where: str) -> np.random.Generator:
-    """A generator whose next few 32-bit draws include a 0, which Lemire redraws.
+def rejecting(seed: int, where: str) -> tuple[ItemStream, np.random.Generator]:
+    """Twins whose next few 32-bit draws include a 0, which Lemire redraws for any bound.
 
     where="buffer": the next raw word is 0, so its low half is the first
     integer (no half buffered) or the second (one buffered). where="half":
     the buffered half itself is 0.
     """
-    rng = make_rng(seed)
-    rng.integers(0, 26)
-    state = rng.bit_generator.state
+    a, b = twins(seed, True)
+    state = b.bit_generator.state
+    a._words(1)  # the block holding the next raw word
     if where == "half":
-        state["uinteger"] = 0
+        state["uinteger"] = a._half = 0
     else:
         assert state["buffer_pos"] < 4  # the next raw word comes from the buffer
-        state["buffer"][state["buffer_pos"]] = 0
+        state["buffer"][state["buffer_pos"]] = a._raw[a._pos] = 0
         state["has_uint32"] = seed % 2
-    rng.bit_generator.state = state
-    return rng
+        if not seed % 2:
+            a._half = None
+    b.bit_generator.state = state
+    return a, b
 
 
 @pytest.mark.parametrize("seed, where", [(2, "buffer"), (3, "buffer"), (4, "half")])
-def test_bulk_rounds_restores_the_generator_on_a_rejected_draw(seed, where):
-    rng, twin = rejecting(seed, where), rejecting(seed, where)
-    assert bulk_rounds(rng, 4, 5, 26) is None
+def test_bulk_rounds_redraw_a_rejected_draw_in_place(seed, where):
+    rng, twin = rejecting(seed, where)
+    codes, variates = rng.bulk_rounds(4, 5, 26)
+    assert (codes.tolist(), variates.tolist()) == per_round(twin, 4, 5, 26)
     assert_same_next_draws(rng, twin)
+
+
+def test_cursors_drawn_alternately_keep_their_own_streams():
+    # both re-key the one process-wide Philox whenever they read a block
+    cursors = [ItemStream(seed) for seed in (5, 6)]
+    gens = [make_rng(seed) for seed in (5, 6)]
+    for i in range(200):
+        for a, b in zip(cursors, gens):
+            assert a.integers(0, 26, size=i % 9).tolist() == b.integers(0, 26, size=i % 9).tolist()
+            assert a.random() == b.random()
+    for a, b in zip(cursors, gens):
+        assert_same_next_draws(a, b)
+
+
+GRID = [  # (n_choices, m_choices, c_choices, cache_size)
+    ((4,), (4,), (4,), 64),  # the reference shape
+    ((1, 3, 5), (1, 2, 7), (1, 4), 1),  # several members, m > n, c = 1, one processor
+    ((2,), (5,), (1,), 3),  # m > n and c = 1 in every item
+    ((1, 2, 3), (2, 3), (2, 3, 6), 1),
+]
+
+
+@pytest.mark.parametrize("n_choices, m_choices, c_choices, cache_size", GRID)
+def test_items_equal_the_per_draw_reference(n_choices, m_choices, c_choices, cache_size):
+    shape = dict(n_choices=n_choices, m_choices=m_choices, c_choices=c_choices, recipe=Recipe(2.0, 0.5, 0.5))
+    cfg = DatasetConfig(**shape, k=9, t=40, master_seed=8, vocab_size=64, dim=6, cache_size=cache_size)
+    arts = build_artifacts(cfg)
+    for j in range(cfg.t):
+        assert encode_record(generate_sequence(cfg, j, *arts)) == encode_record(reference_sequence(cfg, j, *arts))
+    lcfg = LangSymConfig(**shape, k=7, t=40, master_seed=9, w=3)
+    for j in range(lcfg.t):
+        assert encode_record(generate_langsym_prompt(lcfg, j)) == encode_record(reference_prompt(lcfg, j))

@@ -256,6 +256,10 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         # str.format fails on any field but {words}, or on a lone brace
         *[("langsym", {"templates": {"question_template": q}}) for q in ["{words} {x}", "{words} {0}", "{words} {"]],
         ("abstract", [ABSTRACT_CFG]),  # not a JSON object, so --seed has nothing to override
+        # an escaped {{words}} renders a literal {words}: no field for the words
+        ("langsym", {"templates": {"question_template": "The input words are: {{words}}. What is the final word?"}}),
+        # JSON booleans are not recipe numbers, though float(true) is 1.0
+        ("abstract", {"recipe": {"alpha": True, "a": False, "b": True}}),
     ],
 )
 def test_cli_bad_config_value_exit_code(tmp_path, capsys, kind, bad):
