@@ -62,7 +62,7 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested past the parser's depth
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object, got {type(obj).__name__}")
@@ -100,12 +100,13 @@ def _write_report(report: EvalReport, path: str) -> None:
 
 
 def _backend_cmd(args: argparse.Namespace) -> list[str]:
-    if not args.backend_cmd:
-        raise ConfigError(f"--backend {args.backend} requires --backend-cmd")
     try:
-        return shlex.split(args.backend_cmd)
+        cmd = shlex.split(args.backend_cmd or "")  # shlex.split(None) would read stdin
     except ValueError as exc:
         raise ConfigError(f"--backend-cmd {args.backend_cmd!r}: {exc}") from exc
+    if not cmd:
+        raise ConfigError(f"--backend {args.backend} requires a --backend-cmd that names a program")
+    return cmd
 
 
 @contextlib.contextmanager

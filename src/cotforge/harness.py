@@ -11,8 +11,8 @@ stateless. Reference backends:
   * RandomBackend is the oracle of uniformly random normal chains: it
     follows the output format, giving the 1/|normal vocabulary| chance
     baseline.
-  * StdioBackend drives an external process over a JSON-lines pipe:
-    one request ``{"tokens": [...]}`` per line, one reply ``{"next": id}``.
+  * StdioBackend drives an external process over a JSON-lines pipe: one
+    request ``{"tokens": [...]}`` per line, one reply ``{"next": <int>}``.
     Every request still carries the full prefix, but the backend encodes
     a prompt's prefix once: while each request extends the previous one
     it appends only the new tokens to the previous request's JSON.
@@ -20,7 +20,9 @@ stateless. Reference backends:
 The prompt type, the forcing config, the eval loop, the JSON-lines
 process transport and the strip selection are shared with the
 string-symbolic kind in langsym, whose prompts are built and stripped
-the same way: from the shard record.
+the same way: from the shard record. So is failure: the transport turns
+every stdio fault into a BackendError, and evaluate_prompts turns any
+backend exception into that prompt's error record.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def strip_sequence_record(record: dict, k_prime: int, rng: ItemStream | np.rando
 
 
 def force_generate(backend, prompt: EvalPrompt, forcing: ForcingConfig, vocab: Vocabulary) -> list[int]:
-    """Greedy single-token loop under a forcing strategy.
+    """Greedy single-token loop under a forcing strategy; a backend's exception propagates.
 
     Returns the generated suffix, including the forced delimiter when the
     strategy has one. Stops on eos or after `budget` backend calls.
@@ -152,11 +154,7 @@ def force_generate(backend, prompt: EvalPrompt, forcing: ForcingConfig, vocab: V
         out.append(vocab.ans_start)
     seq.extend(out)
     for _ in range(budget):
-        try:
-            tok = int(next_token(seq))
-        except Exception as exc:
-            pid = prompt.meta.get("seq_id", "?")
-            raise BackendError(f"backend failed on prompt {pid}: {exc}") from exc
+        tok = int(next_token(seq))
         out.append(tok)
         seq.append(tok)
         if tok == vocab.eos:
@@ -215,35 +213,36 @@ class EvalReport:
 
 
 def evaluate_prompts(prompts: list, generate: Callable, score: Callable) -> EvalReport:
-    """The eval loop of both dataset kinds.
+    """The eval loop of both dataset kinds, and the one place a backend failure is recorded.
 
-    `generate(prompt)` asks the backend for the prompt's completion and may
-    raise BackendError. `score(output)` returns the predicted answer (None
-    on a format failure), the thinking steps it emitted and the list recorded as
-    `generated`. Step i is correct when the i-th emitted step equals the
-    i-th ground-truth intermediate; absent steps count as wrong. Prompts are
-    evaluated in order; per-prompt backend failures are recorded
-    (indicator 0) and only an all-prompt failure raises.
+    `generate(prompt)` asks the backend for the prompt's completion;
+    `score(output)` returns the predicted answer (None on a format failure),
+    the thinking steps emitted and the list recorded as `generated`. Step i
+    is correct when it equals the i-th ground-truth intermediate; absent
+    steps count as wrong. Any exception but a ConfigError from `generate`
+    fails only its prompt, with indicator 0 and the error "backend failed
+    on prompt <seq_id>: <exc>"; only an all-prompt failure raises BackendError.
     """
     if not prompts:
         raise ConfigError("prompts must be non-empty")
     records: list[PromptRecord] = []
-    failures = 0
     for idx, prompt in enumerate(prompts):
         dag = Dag.from_json(prompt.meta["dag"])
         in_dag = [int(dag.reaches_answer(dag.n_inputs + c - 1)) for c in range(1, dag.n_chain)]
         truth = prompt.ground_truth_chain
+        pid = prompt.meta.get("seq_id", idx)
         try:
             output = generate(prompt)
-        except BackendError as exc:
-            failures += 1
-            predicted, steps, generated, error = None, [], [], str(exc)
+        except ConfigError:
+            raise
+        except Exception as exc:  # a backend's fault, whatever its type, costs only this prompt
+            predicted, steps, generated, error = None, [], [], f"backend failed on prompt {pid}: {exc}"
         else:
             (predicted, steps, generated), error = score(output), None
         failed = predicted is None
         records.append(
             PromptRecord(
-                prompt_id=prompt.meta.get("seq_id", idx),
+                prompt_id=pid,
                 predicted=predicted,
                 format_failure=failed,
                 indicator=int(not failed and predicted == truth[-1]),
@@ -253,8 +252,8 @@ def evaluate_prompts(prompts: list, generate: Callable, score: Callable) -> Eval
                 error=error,
             )
         )
-    if failures == len(prompts):
-        raise BackendError(f"backend failed on all {failures} prompts")
+    if all(r.error for r in records):
+        raise BackendError(f"backend failed on all {len(records)} prompts; {records[0].error}")
     accuracy = sum(r.indicator for r in records) / len(records)
     return EvalReport(records=records, accuracy=accuracy)
 
@@ -375,34 +374,36 @@ CLOSE_GRACE_S = 5.0
 class JsonLinesProcess:
     """An external process spoken to in JSON lines on stdio.
 
-    Each request is one line in and one reply line out. The process starts
-    on the first request and again after it exits or its pipes fail; pipe
-    faults, a closed output and malformed replies all raise BackendError.
+    Each request is one line in and one reply line out, over byte pipes.
+    The process starts on the first request and again after it exits. Any
+    fault of a request (no program, a broken pipe, a closed output, a
+    malformed reply) closes the process and raises BackendError.
     """
 
     def __init__(self, cmd: list[str]):
         self._cmd = cmd
         self._proc: subprocess.Popen | None = None
 
-    def send_line(self, line: str, key: str, convert: Callable):
-        """Send one encoded request line; returns convert(reply[key])."""
-        if self._proc is None or self._proc.poll() is not None:
-            self.close()
-            self._proc = subprocess.Popen(self._cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1)
+    def send_line(self, line: str, key: str, kind: type):
+        """Send one request line; returns reply[key], which must be of type `kind` (a bool is no int)."""
         try:
-            self._proc.stdin.write(line)
+            if self._proc is None or self._proc.poll() is not None:
+                self.close()
+                self._proc = subprocess.Popen(self._cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            self._proc.stdin.write(line.encode())
             self._proc.stdin.flush()
             reply = self._proc.stdout.readline()
         except OSError as exc:
             self.close()
-            raise BackendError(f"stdio backend pipe failure: {exc}") from exc
-        if not reply:
-            self.close()
-            raise BackendError("stdio backend closed its output")
+            raise BackendError(f"stdio backend failed: {exc}") from exc
         try:
-            return convert(json.loads(reply)[key])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BackendError(f"stdio backend sent malformed reply {reply!r}") from exc
+            value = json.loads(reply)[key]  # from bytes: a reply that is not UTF-8 is a ValueError
+        except (KeyError, TypeError, ValueError, RecursionError):
+            value = None
+        if type(value) is not kind:
+            self.close()
+            raise BackendError(f"stdio backend sent malformed reply {reply!r}" if reply else "stdio backend closed its output")
+        return value
 
     def close(self) -> None:
         """Close the pipes; a live process is sent SIGTERM, and killed after CLOSE_GRACE_S."""

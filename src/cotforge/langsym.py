@@ -327,8 +327,7 @@ def force_generate_text(backend, prompt: EvalPrompt, forcing: ForcingConfig, tem
         raise ConfigError(f"unsupported text strategy {forcing.strategy!r}")
     messages = [dict(m) for m in prompt.context]
     messages.append({"role": "assistant", "content": marker})
-    completion = backend.complete(messages)
-    return marker + completion[: forcing.budget]
+    return marker + backend.complete(messages)[: forcing.budget]
 
 
 class TextOracleBackend:

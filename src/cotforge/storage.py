@@ -163,7 +163,7 @@ class Manifest:
         with open(path) as fh:
             try:
                 return cls.from_json(json.load(fh))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ConfigError(f"{path}: malformed manifest ({exc!r})") from exc
 
 
@@ -290,7 +290,7 @@ def read_records(path: str):
                 if line.strip():
                     try:
                         record = json.loads(line)
-                    except ValueError as exc:
+                    except (ValueError, RecursionError) as exc:  # nested past the parser's depth
                         raise FormatError(f"{shard} line {lineno}: invalid JSON ({exc})") from exc
                     yield record
 

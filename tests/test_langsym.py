@@ -410,6 +410,22 @@ def test_text_no_forcing_is_a_config_error_before_any_backend_call():
     assert backend.calls == 0
 
 
+def test_an_in_process_text_backend_exception_fails_only_its_prompt():
+    cfg = small_config(t=3)
+    prompts = [make_langsym_eval_prompt(c) for c in (generate_langsym_prompt(cfg, j) for j in cfg.output_order())]
+    oracle = TextOracleBackend(prompts, cfg.templates)
+
+    class FailsOnce:
+        def complete(self, messages):
+            if messages[-2] == prompts[1].context[-1]:
+                raise RuntimeError("no model here")
+            return oracle.complete(messages)
+
+    report = evaluate_langsym(FailsOnce(), prompts, ForcingConfig(FORCE_THINK), cfg.templates)
+    assert [r.error for r in report.records] == [None, f"backend failed on prompt {prompts[1].meta['seq_id']}: no model here", None]
+    assert [r.indicator for r in report.records] == [1, 0, 1]
+
+
 @pytest.mark.parametrize("budget, kept", [
     (None, "Step 1: abcd\n"), (1, "S"), (7, "Step 1:"), (13, "Step 1: abcd\n"), (14, "Step 1: abcd\n"), (1000, "Step 1: abcd\n"),
 ])

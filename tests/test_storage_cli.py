@@ -11,8 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cotforge import DatasetConfig, Recipe, harness, storage
+from cotforge import DatasetConfig, Recipe, Vocabulary, harness, make_eval_prompt, storage
 from cotforge.cli import main
+from cotforge.langsym import make_langsym_eval_prompt
 from cotforge.sequences import build_artifacts, parse_sequence
 from cotforge.storage import (
     KIND_ABSTRACT,
@@ -198,8 +199,9 @@ def test_strip_langsym_dataset(tmp_path):
 # --- CLI ---------------------------------------------------------------------
 
 def _write_cfg(tmp_path, cfg):
+    """cfg.json holding `cfg` as JSON, or a str as the file's text."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     return str(path)
 
 
@@ -233,6 +235,10 @@ def test_cli_missing_shard_is_io_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+# JSON text nested past the parser's depth: json.loads raises RecursionError.
+_DEEP = "[" * 200_000 + "]" * 200_000
+
+
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     bad = dict(ABSTRACT_CFG, k=0)
     cfg = _write_cfg(tmp_path, bad)
@@ -260,6 +266,8 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("langsym", {"templates": {"question_template": "The input words are: {{words}}. What is the final word?"}}),
         # JSON booleans are not recipe numbers, though float(true) is 1.0
         ("abstract", {"recipe": {"alpha": True, "a": False, "b": True}}),
+        # the file's text, nested past the JSON parser's depth: a RecursionError
+        pytest.param("abstract", _DEEP, id="abstract-nested-json"),
     ],
 )
 def test_cli_bad_config_value_exit_code(tmp_path, capsys, kind, bad):
@@ -300,9 +308,10 @@ def test_cli_verify_sample_below_one_exit_code(tmp_path, capsys, sample):
 def test_cli_malformed_manifest_exit_code(tmp_path, capsys):
     ds = tmp_path / "ds"
     ds.mkdir()
-    (ds / "manifest.json").write_text('{"kind": "abstract", "config": ')
-    assert main(["verify", "--manifest", str(ds)]) == 2
-    assert "malformed manifest" in capsys.readouterr().err
+    for text in ('{"kind": "abstract", "config": ', '{"kind": "abstract", "config": %s}' % _DEEP):
+        (ds / "manifest.json").write_text(text)
+        assert main(["verify", "--manifest", str(ds)]) == 2
+        assert "malformed manifest" in capsys.readouterr().err
 
 
 def test_cli_budget_json_first_line(tmp_path, capsys):
@@ -473,67 +482,126 @@ def test_cli_shuffled_dataset_verifies(tmp_path, capsys):
     capsys.readouterr()
 
 
-# A text backend that knows each prompt's answer: answers.json maps the query
-# question to [final word, action]; action "malformed" replies with a
-# non-JSON line and "close" exits without replying.
-_TEXT_BOT = textwrap.dedent(
+# A backend for both eval commands that knows each prompt's answer.
+# answers.json holds [answers, faults]: answers maps a prompt's key (its
+# query question, or its token context up to the last inp_end) to [the
+# replies of its steps, action]. The bot replies in turn, but on a prompt's
+# last step an action other than "ok" exits without replying ("close"),
+# sends a string token or an integer completion ("other-type"), or sends
+# the fault line of that name with NAME replaced by the reply's key. So a
+# token prompt fails mid-prompt, after two good replies.
+_BOT = textwrap.dedent(
     """
     import json, sys
     with open(sys.argv[1]) as fh:
-        answers = json.load(fh)
+        answers, faults = json.load(fh)
     for line in sys.stdin:
-        question = [m["content"] for m in json.loads(line)["messages"] if m["role"] == "user"][-1]
-        word, action = answers[question]
-        if action == "close":
+        request = json.loads(line)
+        if "messages" in request:  # the query question, then the forced assistant turn
+            name, key, step = "completion", request["messages"][-2]["content"], 0
+        else:
+            toks = request["tokens"]
+            split = len(toks) - toks[::-1].index(4)  # just past the last inp_end
+            name, key, step = "next", json.dumps(toks[:split]), len(toks) - split - 1
+        replies, action = answers[key]
+        if action == "ok" or step < len(replies) - 1:
+            reply = json.dumps({name: replies[step]})
+        elif action == "close":
             break
-        print("nonsense" if action == "malformed" else json.dumps({"completion": "\\\\boxed{%s}" % word}), flush=True)
+        elif action == "other-type":
+            reply = json.dumps({name: "7" if name == "next" else 7})
+        else:
+            reply = faults[action].replace("NAME", name)
+        sys.stdout.buffer.write(reply.encode("latin-1") + b"\\n")
+        sys.stdout.buffer.flush()
     """
 )
 
+# Fault lines the bot can send; latin-1 encodes "\xff" as a byte that is not UTF-8.
+_FAULTS = {
+    "non-utf8": '{"NAME": "\xff"}',
+    "null": '{"NAME": null}',
+    "float": '{"NAME": 4.9}',
+    "bool": '{"NAME": true}',
+    "malformed": "nonsense",
+    "nested": '{"NAME": %s}' % _DEEP,
+}
+# What a failed prompt's error says, after "backend failed on prompt <id>: ", per bot action.
+_ERRORS = {**{action: "stdio backend sent malformed reply" for action in [*_FAULTS, "other-type"]},
+           "close": "stdio backend closed its output", "no-program": "stdio backend failed: [Errno 2]"}
 
-def _text_bot_eval(tmp_path, actions):
-    """eval-langsym --strategy answer through _TEXT_BOT; returns (exit code, report path, records)."""
-    cfg = _write_cfg(tmp_path, LANGSYM_CFG)
-    ds = str(tmp_path / "ls")
-    assert main(["gen-langsym", "--config", cfg, "--out", ds]) == 0
-    records = list(read_records(ds))
-    bots = tmp_path / "text bots"  # the space must survive --backend-cmd parsing
+
+def _bot_eval(tmp_path, command, actions, backend_cmd=None, t=None):
+    """`command` --strategy answer through _BOT on a fresh all-CoT dataset; returns (exit code, report path, prompts).
+
+    actions(i) is the bot's action on prompt i; `backend_cmd` replaces the
+    bot's command line and `t` the dataset size.
+    """
+    abstract = command == "eval"
+    base = ABSTRACT_CFG if abstract else LANGSYM_CFG
+    cfg = _write_cfg(tmp_path, dict(base, t=t or base["t"]))
+    ds = str(tmp_path / "ds")
+    assert main([f"gen-{KIND_ABSTRACT if abstract else KIND_LANGSYM}", "--config", cfg, "--out", ds]) == 0
+    if abstract:
+        vocab = Vocabulary(base["vocab_size"])
+        prompts = [make_eval_prompt(rec, vocab) for rec in read_records(ds)]
+        keys = [json.dumps(list(p.context)) for p in prompts]
+        replies = [[p.ground_truth_chain[-1], vocab.ans_end, vocab.eos] for p in prompts]
+    else:
+        prompts = [make_langsym_eval_prompt(rec) for rec in read_records(ds)]
+        keys = [p.context[-1]["content"] for p in prompts]
+        replies = [["\\boxed{%s}" % p.ground_truth_chain[-1]] for p in prompts]
+    bots = tmp_path / "bots dir"  # the space must survive --backend-cmd parsing
     bots.mkdir()
-    answers = {rec["messages"][-2]["content"]: [rec["meta"]["chains"][-1][-1], actions(i)] for i, rec in enumerate(records)}
-    (bots / "answers.json").write_text(json.dumps(answers))
-    (bots / "text bot.py").write_text(_TEXT_BOT)
-    cmd = shlex.join([sys.executable, str(bots / "text bot.py"), str(bots / "answers.json")])
+    answers = {key: [reply, actions(i)] for i, (key, reply) in enumerate(zip(keys, replies))}
+    (bots / "answers.json").write_text(json.dumps([answers, _FAULTS]))
+    (bots / "the bot.py").write_text(_BOT)
+    if backend_cmd is None:
+        backend_cmd = shlex.join([sys.executable, str(bots / "the bot.py"), str(bots / "answers.json")])
     report = tmp_path / "rep.json"
-    code = main(["eval-langsym", "--prompts", ds, "--backend", "stdio-text", "--backend-cmd", cmd,
+    code = main([command, "--prompts", ds, "--backend", "stdio" if abstract else "stdio-text", "--backend-cmd", backend_cmd,
                  "--strategy", "answer", "--report", str(report)])
-    return code, report, records
+    return code, report, prompts
 
 
 def test_cli_text_stdio_bot_scores_one(tmp_path, capsys):
-    code, report, _ = _text_bot_eval(tmp_path, lambda i: "ok")
+    code, report, _ = _bot_eval(tmp_path, "eval-langsym", lambda i: "ok")
     assert code == 0, capsys.readouterr().err
     doc = json.loads(report.read_text())
     assert doc["accuracy"] == 1.0
     assert all(r["error"] is None for r in doc["records"])
 
 
-def test_cli_text_stdio_faults_become_error_records(tmp_path, capsys):
-    code, report, records = _text_bot_eval(tmp_path, lambda i: {0: "malformed", 1: "close"}.get(i, "ok"))
+@pytest.mark.parametrize("command", ["eval", "eval-langsym"])
+def test_cli_stdio_faults_become_error_records(tmp_path, capsys, command):
+    faults = [action for action in _ERRORS if action != "no-program"]
+    code, report, prompts = _bot_eval(tmp_path, command, lambda i: faults[i] if i < len(faults) else "ok")
     assert code == 0, capsys.readouterr().err
-    doc = json.loads(report.read_text())
-    errors = [r["error"] for r in doc["records"]]
-    assert "malformed reply" in errors[0]
-    assert "closed its output" in errors[1]
-    assert errors[2:] == [None] * (len(records) - 2)
-    assert [r["indicator"] for r in doc["records"]] == [0, 0] + [1] * (len(records) - 2)
+    records = json.loads(report.read_text())["records"]
+    for prompt, rec, action in zip(prompts, records, faults):
+        assert rec["error"].startswith(f"backend failed on prompt {prompt.meta['seq_id']}: {_ERRORS[action]}"), action
+        assert (rec["predicted"], rec["format_failure"], rec["generated"]) == (None, True, [])
+    ok = len(records) - len(faults)
+    assert [r["error"] for r in records[len(faults):]] == [None] * ok
+    assert [r["indicator"] for r in records] == [0] * len(faults) + [1] * ok
 
 
-@pytest.mark.parametrize("action", ["malformed", "close"])
-def test_cli_text_stdio_all_failing_exits_3(tmp_path, capsys, action):
-    code, report, _ = _text_bot_eval(tmp_path, lambda i: action)
+@pytest.mark.parametrize("action", ["malformed", "close", "no-program"])
+@pytest.mark.parametrize("command", ["eval", "eval-langsym"])
+def test_cli_stdio_all_failing_exits_3(tmp_path, capsys, command, action):
+    missing = shlex.quote(str(tmp_path / "no such program")) if action == "no-program" else None
+    code, report, prompts = _bot_eval(tmp_path, command, lambda i: action, backend_cmd=missing, t=3)
     assert code == 3
-    assert "backend failed on all" in capsys.readouterr().err
+    first = prompts[0].meta["seq_id"]
+    assert f"backend failed on all 3 prompts; backend failed on prompt {first}: {_ERRORS[action]}" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "eval-langsym"])
+def test_cli_empty_backend_cmd_is_a_config_error(tmp_path, capsys, command):
+    code, report, _ = _bot_eval(tmp_path, command, lambda i: "ok", backend_cmd="   ", t=2)
+    assert code == 2
+    assert "names a program" in capsys.readouterr().err and not report.exists()
 
 
 # A token bot that ignores SIGTERM and lingers after its stdin closes; it
@@ -604,7 +672,7 @@ _MALFORMED = {
 
 @pytest.mark.parametrize("kind, command, key, corrupt", [
     *[(kind, command, key, corrupt) for kind, command, key in [("abstract", "eval", "c"), ("langsym", "eval-langsym", "k")]
-      for corrupt in ["truncated", "missing-key"]],
+      for corrupt in ["truncated", "missing-key", "nested"]],
     ("abstract", "eval", "cot_flags", "nested-flags"),
     ("langsym", "eval-langsym", "chains", "short-chains"),
     ("langsym", "eval-langsym", "messages", "no-query"),
@@ -620,8 +688,8 @@ def test_cli_eval_malformed_record_exits_3(tmp_path, capsys, corrupt, kind, comm
     assert main([f"gen-{kind}", "--config", cfg, "--out", ds]) == 0
     shard = os.path.join(ds, "part-0000.jsonl")
     lines = Path(shard).read_text().splitlines()
-    if corrupt == "truncated":
-        lines[2] = lines[2][: len(lines[2]) // 2]
+    if corrupt in ("truncated", "nested"):
+        lines[2] = lines[2][: len(lines[2]) // 2] if corrupt == "truncated" else _DEEP
         want = f"{shard} line 3: invalid JSON"
     else:
         rec = json.loads(lines[1])
@@ -641,6 +709,9 @@ def test_cli_eval_malformed_record_exits_3(tmp_path, capsys, corrupt, kind, comm
     err = capsys.readouterr().err
     assert code == 3, err
     assert want in err and not report.exists()
+    if corrupt in ("truncated", "nested"):  # inspect reads every line while it looks for an index none has
+        assert main(["inspect", "--in", ds, "--index", "-1"]) == 3
+        assert want in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dag, want", [(None, "KeyError: 'dag'"), ({"n_inputs": 2}, "KeyError: 'n_chain'"),
