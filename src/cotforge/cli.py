@@ -134,11 +134,11 @@ def _abstract_eval(config: DatasetConfig, records, args: argparse.Namespace, for
     vocab = Vocabulary(config.vocab_size)
     prompts = _prompts(records, lambda rec: make_eval_prompt(rec, vocab), args.prompts)
     if args.backend == "oracle":
-        return evaluate(OracleBackend(prompts, vocab), prompts, forcing, vocab)
+        return evaluate(OracleBackend(prompts), prompts, forcing)
     if args.backend == "random":
-        return evaluate(RandomBackend(prompts, vocab, seed=args.seed or 0), prompts, forcing, vocab)
+        return evaluate(RandomBackend(prompts, vocab, seed=args.seed or 0), prompts, forcing)
     with StdioBackend(_backend_cmd(args)) as backend:
-        return evaluate(backend, prompts, forcing, vocab)
+        return evaluate(backend, prompts, forcing)
 
 
 def _langsym_eval(config, records, args: argparse.Namespace, forcing: ForcingConfig) -> EvalReport:

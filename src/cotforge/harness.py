@@ -2,9 +2,11 @@
 generation against a pluggable backend, answer extraction, and accuracy
 plus step-level breakdowns.
 
-A token backend is anything exposing ``next_token(tokens) -> int``. The
-harness re-sends the full prefix on every step, so backends can be
-stateless. Reference backends:
+A token backend is anything exposing ``next_token(tokens) -> int``, and a
+reply that is a bool or not an integer fails its prompt. The harness
+re-sends the full prefix on every step, so backends can be stateless.
+Delimiter ids are `Vocabulary` class constants: a Vocabulary is passed
+only where its size is read. Reference backends:
 
   * OracleBackend replays the ground-truth completion for each prompt and
     must score accuracy 1.0 under every forcing strategy.
@@ -136,7 +138,7 @@ def strip_sequence_record(record: dict, k_prime: int, rng: ItemStream | np.rando
     return {"seq_id": record["seq_id"], "tokens": tokens, "loss_mask": mask, "meta": {**meta, "cot_flags": flags}}
 
 
-def force_generate(backend, prompt: EvalPrompt, forcing: ForcingConfig, vocab: Vocabulary) -> list[int]:
+def force_generate(backend, prompt: EvalPrompt, forcing: ForcingConfig) -> list[int]:
     """Greedy single-token loop under a forcing strategy; a backend's exception propagates.
 
     Returns the generated suffix, including the forced delimiter when the
@@ -149,36 +151,39 @@ def force_generate(backend, prompt: EvalPrompt, forcing: ForcingConfig, vocab: V
     seq = list(prompt.context)
     out: list[int] = []
     if forcing.strategy == FORCE_THINK:
-        out.append(vocab.think_start)
+        out.append(Vocabulary.think_start)
     elif forcing.strategy == FORCE_ANSWER:
-        out.append(vocab.ans_start)
+        out.append(Vocabulary.ans_start)
     seq.extend(out)
     for _ in range(budget):
-        tok = int(next_token(seq))
+        tok = next_token(seq)
+        if isinstance(tok, bool) or not isinstance(tok, (int, np.integer)):
+            raise BackendError(f"backend sent a {type(tok).__name__}, not a token id")
+        tok = int(tok)
         out.append(tok)
         seq.append(tok)
-        if tok == vocab.eos:
+        if tok == Vocabulary.eos:
             break
     return out
 
 
-def extract_answer(generated: Seq[int], vocab: Vocabulary) -> int | None:
+def extract_answer(generated: Seq[int]) -> int | None:
     """Answer token of the first (ans_start, token, ans_end) pattern, or None."""
     for i in range(len(generated) - 2):
-        if generated[i] == vocab.ans_start and generated[i + 2] == vocab.ans_end:
+        if generated[i] == Vocabulary.ans_start and generated[i + 2] == Vocabulary.ans_end:
             return int(generated[i + 1])
     return None
 
 
-def extract_thinking(generated: Seq[int], vocab: Vocabulary) -> list[int]:
+def extract_thinking(generated: Seq[int]) -> list[int]:
     """Tokens between the first think_start and its think_end, else []."""
     try:
-        start = list(generated).index(vocab.think_start)
+        start = list(generated).index(Vocabulary.think_start)
     except ValueError:
         return []
     out = []
     for tok in generated[start + 1 :]:
-        if tok == vocab.think_end:
+        if tok == Vocabulary.think_end:
             return out
         out.append(tok)
     return out
@@ -258,12 +263,12 @@ def evaluate_prompts(prompts: list, generate: Callable, score: Callable) -> Eval
     return EvalReport(records=records, accuracy=accuracy)
 
 
-def evaluate(backend, prompts: list[EvalPrompt], forcing: ForcingConfig, vocab: Vocabulary) -> EvalReport:
+def evaluate(backend, prompts: list[EvalPrompt], forcing: ForcingConfig) -> EvalReport:
     """Run every prompt through force_generate and score the answers."""
     return evaluate_prompts(
         prompts,
-        lambda prompt: force_generate(backend, prompt, forcing, vocab),
-        lambda generated: (extract_answer(generated, vocab), extract_thinking(generated, vocab), generated),
+        lambda prompt: force_generate(backend, prompt, forcing),
+        lambda generated: (extract_answer(generated), extract_thinking(generated), generated),
     )
 
 
@@ -329,28 +334,24 @@ class OracleBackend:
     ans_start.
     """
 
-    def __init__(self, prompts: list[EvalPrompt], vocab: Vocabulary):
-        self._vocab = vocab
+    def __init__(self, prompts: list[EvalPrompt]):
         self._chains = {prompt.context: prompt.ground_truth_chain for prompt in prompts}
 
     def next_token(self, tokens: Seq[int]) -> int:
-        vocab = self._vocab
-        split = None
-        for i in range(len(tokens) - 1, -1, -1):
-            if tokens[i] == vocab.inp_end:
-                split = i + 1
-                break
-        if split is None:
+        reverse = list(tokens)[::-1]
+        if Vocabulary.inp_end not in reverse:
             raise BackendError("no input segment found in prompt")
+        split = len(reverse) - reverse.index(Vocabulary.inp_end)
         chain = self._chains.get(tuple(tokens[:split]))
         if chain is None:
             raise BackendError("unknown prompt prefix")
         suffix = tokens[split:]
-        tail = [vocab.think_start, *chain[:-1], vocab.think_end, vocab.ans_start, chain[-1], vocab.ans_end, vocab.eos]
-        if suffix and suffix[0] == vocab.ans_start:
+        tail = [Vocabulary.think_start, *chain[:-1], Vocabulary.think_end,
+                Vocabulary.ans_start, chain[-1], Vocabulary.ans_end, Vocabulary.eos]
+        if suffix and suffix[0] == Vocabulary.ans_start:
             tail = tail[-4:]
         if len(suffix) >= len(tail):
-            return vocab.eos
+            return Vocabulary.eos
         return tail[len(suffix)]
 
 
@@ -363,7 +364,7 @@ class RandomBackend(OracleBackend):
         lo, hi = vocab.normal_ids.start, vocab.normal_ids.stop
         drawn = [replace(p, ground_truth_chain=tuple(rng.integers(lo, hi, size=len(p.ground_truth_chain)).tolist()))
                  for p in prompts]
-        super().__init__(drawn, vocab)
+        super().__init__(drawn)
 
 
 # Seconds a backend gets to exit after its stdin closes and it is sent
@@ -402,7 +403,8 @@ class JsonLinesProcess:
             value = None
         if type(value) is not kind:
             self.close()
-            raise BackendError(f"stdio backend sent malformed reply {reply!r}" if reply else "stdio backend closed its output")
+            raise BackendError(f"stdio backend sent malformed reply {repr(reply)[:200]} ({len(reply)} bytes)"
+                               if reply else "stdio backend closed its output")
         return value
 
     def close(self) -> None:

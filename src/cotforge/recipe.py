@@ -248,10 +248,10 @@ class TaskConfig:
         c = pick(rng, sorted(self.c_choices))
         return seed, rng, r, n, m, c, sample_dag(n, m, c, rng)
 
-    def output_order(self) -> list[int]:
-        """Order in which item ids are emitted (identity unless shuffling)."""
+    def output_order(self) -> range | list[int]:
+        """Order in which item ids are emitted: range(t) unless shuffling."""
         if not self.shuffle:
-            return list(range(self.t))
+            return range(self.t)
         return permutation(make_rng(self.master_seed + 1), self.t)
 
 

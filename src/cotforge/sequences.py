@@ -35,8 +35,10 @@ its `to_record`/`from_record`, which is all that keeps them here: no
 package code builds a `Sequence`, since generation returns the shard
 record dict.
 
-Every sequence is generated from its own Philox stream derived from
-(master_seed, j), read through an rng.ItemStream, with a fixed draw order:
+Every sequence is generated from its config alone (the vocabulary,
+embedding matrix and processor cache are `DatasetConfig.artifacts`, built
+on first use) and its own Philox stream derived from (master_seed, j),
+read through an rng.ItemStream, with a fixed draw order:
 
     1. N, M, C each as one uniform index into its (sorted) choice list
     2. the DAG (parent lists in chain-node order)
@@ -125,6 +127,11 @@ class DatasetConfig(TaskConfig):
             check_int(name, getattr(self, name))
         if isinstance(self.slope, bool) or not isinstance(self.slope, (int, float)) or not 0.0 < self.slope <= 1.0:
             raise ConfigError(f"slope must be a number in (0, 1], got {self.slope!r}")
+
+    @functools.cached_property
+    def artifacts(self) -> tuple[Vocabulary, EmbeddingMatrix, tuple[Mlp, ...]]:
+        """`build_artifacts(self)`, built on first use and kept with this config."""
+        return build_artifacts(self)
 
 
 def build_artifacts(config: DatasetConfig) -> tuple[Vocabulary, EmbeddingMatrix, tuple[Mlp, ...]]:
@@ -381,19 +388,14 @@ def render_sequence(
     return [vocab.bos] + grid[cells.keep_cells(cot_flags)].tolist(), cells.mask(cot_flags)
 
 
-def generate_sequence(
-    config: DatasetConfig,
-    j: int,
-    vocab: Vocabulary,
-    emb: EmbeddingMatrix,
-    cache: tuple[Mlp, ...],
-) -> dict:
+def generate_sequence(config: DatasetConfig, j: int) -> dict:
     """Shard record of sequence j, independent of all other indices.
 
     The record is {"seq_id", "tokens", "loss_mask", "meta"} with lists of
     ints; the meta keys are n, m, c, k, r_cot, dag (Dag.to_json), proc_ids,
     cot_flags (0/1 per example) and seed, in this order.
     """
+    vocab, emb, cache = config.artifacts
     seed, rng, r, n, m, c, dag = config.start_item(j)
     proc_ids = sample_processors(cache, c, rng)
 
@@ -418,14 +420,15 @@ def generate_sequence(
     return {"seq_id": j, "tokens": tokens, "loss_mask": mask, "meta": meta}
 
 
-def recompute_chains(record: dict, emb: EmbeddingMatrix, cache: tuple[Mlp, ...], vocab: Vocabulary) -> np.ndarray:
-    """Chains for every example of a sequence record, recomputed from its meta.
+def recompute_chains(record: dict, config: DatasetConfig) -> np.ndarray:
+    """Chains for every example of a sequence record of `config`, recomputed from its meta.
 
     Reads the inputs from the cells of the stored layout (`check_layout`)
     and replays the chain computation through the stored DAG and processor
     ids. Shares the exact arithmetic of generation, so equality with the
     stored chain tokens is an integrity check, not a tolerance comparison.
     """
+    vocab, emb, cache = config.artifacts
     meta = record["meta"]
     stream, keep = check_layout(record["tokens"], meta, vocab)
     cells = np.zeros(keep.shape, dtype=np.int64)

@@ -35,7 +35,7 @@ from .harness import strip_sequence_record
 from .langsym import LangSymConfig, generate_langsym_prompt, strip_chat_prompt
 from .recipe import TaskConfig
 from .rng import ItemStream, choose_distinct, derive_seed, make_rng
-from .sequences import DatasetConfig, build_artifacts, generate_sequence
+from .sequences import DatasetConfig, generate_sequence
 
 KIND_ABSTRACT = "abstract"
 KIND_LANGSYM = "langsym"
@@ -44,13 +44,12 @@ KIND_LANGSYM = "langsym"
 class Kind(NamedTuple):
     """What storage needs to know about one dataset kind.
 
-    `setup(config)` builds the per-process artifacts; `generate(config,
-    artifacts, j)` returns record j; `strip(record, k_prime, rng, config,
-    artifacts)` re-renders k_prime of its thinking examples plain.
+    `generate(config, j)` returns record j and `strip(record, k_prime, rng,
+    config)` re-renders k_prime of its thinking examples plain; neither
+    takes anything derived from the config.
     """
 
     config: type[TaskConfig]
-    setup: Callable
     generate: Callable
     strip: Callable
 
@@ -60,15 +59,13 @@ class Kind(NamedTuple):
 KINDS = {
     KIND_ABSTRACT: Kind(
         DatasetConfig,
-        setup=lambda config: build_artifacts(config),
-        generate=lambda config, arts, j: generate_sequence(config, j, *arts),
-        strip=lambda record, k_prime, rng, config, arts: strip_sequence_record(record, k_prime, rng, arts[0]),
+        generate=lambda config, j: generate_sequence(config, j),
+        strip=lambda record, k_prime, rng, config: strip_sequence_record(record, k_prime, rng, config.artifacts[0]),
     ),
     KIND_LANGSYM: Kind(
         LangSymConfig,
-        setup=lambda config: None,
-        generate=lambda config, arts, j: generate_langsym_prompt(config, j),
-        strip=lambda record, k_prime, rng, config, arts: strip_chat_prompt(record, k_prime, rng, config.templates),
+        generate=lambda config, j: generate_langsym_prompt(config, j),
+        strip=lambda record, k_prime, rng, config: strip_chat_prompt(record, k_prime, rng, config.templates),
     ),
 }
 
@@ -180,18 +177,16 @@ _WORKER = {}
 
 
 def _init_worker(kind: str, config_json: dict, transforms: list[dict]) -> None:
-    config = parse_config(kind, config_json)
-    spec = KINDS[kind]
     _WORKER.clear()
-    _WORKER.update(spec=spec, config=config, artifacts=spec.setup(config), transforms=transforms)
+    _WORKER.update(spec=KINDS[kind], config=parse_config(kind, config_json), transforms=transforms)
 
 
 def _gen_line(j: int) -> bytes:
-    spec, config, arts = _WORKER["spec"], _WORKER["config"], _WORKER["artifacts"]
-    record = spec.generate(config, arts, j)
+    spec, config = _WORKER["spec"], _WORKER["config"]
+    record = spec.generate(config, j)
     for tf in _WORKER["transforms"]:
         rng = ItemStream(derive_seed(tf["seed"], j))
-        record = spec.strip(record, tf["k_prime"], rng, config, arts)
+        record = spec.strip(record, tf["k_prime"], rng, config)
     return encode_record(record)
 
 

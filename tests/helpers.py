@@ -73,8 +73,9 @@ def reference_start_item(config, j: int):
     return seed, rng, r_cot(config.recipe, j, config.t), n, m, c, sample_dag(n, m, c, rng)
 
 
-def reference_sequence(config, j: int, vocab, emb, cache) -> dict:
+def reference_sequence(config, j: int) -> dict:
     """generate_sequence as one Generator call per draw, rendered example by example."""
+    vocab, emb, cache = config.artifacts
     seed, rng, r, n, m, c, dag = reference_start_item(config, j)
     proc_ids = [int(rng.integers(len(cache))) for _ in range(c)]
     inputs = [[N_SPECIAL + int(rng.integers(vocab.n_normal)) for _ in range(n)] for _ in range(config.k)]

@@ -44,7 +44,7 @@ from cotforge.langsym import (
 from cotforge.recipe import r_cot_vector
 from cotforge.rng import make_rng
 from cotforge.processors import chain_tokens_batch
-from cotforge.sequences import build_artifacts, generate_sequence, parse_sequence, recompute_chains
+from cotforge.sequences import generate_sequence, parse_sequence, recompute_chains
 from cotforge.storage import KIND_ABSTRACT, Manifest, verify_dataset, write_dataset
 from cotforge.vocab import N_SPECIAL
 
@@ -108,10 +108,9 @@ def test_budget_quadratic_ratio_at_training_scale():
 def _count_cot(args) -> int:
     config_json, j_start, j_stop = args
     config = DatasetConfig.from_json(config_json)
-    vocab, emb, cache = build_artifacts(config)
     total = 0
     for j in range(j_start, j_stop):
-        seq = generate_sequence(config, j, vocab, emb, cache)
+        seq = generate_sequence(config, j)
         total += sum(seq["meta"]["cot_flags"])
     return total
 
@@ -147,10 +146,10 @@ def test_monte_carlo_cot_totals_match_expectation():
 def _check_structure(args) -> int:
     config_json, j_start, j_stop = args
     config = DatasetConfig.from_json(config_json)
-    vocab, emb, cache = build_artifacts(config)
+    vocab = config.artifacts[0]
     checked = 0
     for j in range(j_start, j_stop):
-        seq = generate_sequence(config, j, vocab, emb, cache)
+        seq = generate_sequence(config, j)
         n, c = seq["meta"]["n"], seq["meta"]["c"]
         n_cot = sum(seq["meta"]["cot_flags"])
         expected_len = 1 + n_cot * (n + c + 7) + (config.k - n_cot) * (n + 6)
@@ -167,7 +166,7 @@ def _check_structure(args) -> int:
             rebuilt.extend(render_example_tokens(ex, vocab, as_cot=ex.is_cot))
         assert rebuilt == seq["tokens"], f"seq {j}: parse/render identity"
         # chain self-consistency against stored metadata
-        chains = recompute_chains(seq, emb, cache, vocab)
+        chains = recompute_chains(seq, config)
         for i, ex in enumerate(parsed):
             assert ex.answer == chains[i][-1], f"seq {j} ex {i}: answer"
             if ex.is_cot:
@@ -189,18 +188,18 @@ def test_structural_invariants_bulk():
 def test_oracle_and_random_evaluation_protocol():
     started = time.monotonic()
     config = _reference_config(0.0, 1000, master_seed=777_777)  # all-CoT rendering
-    vocab, emb, cache = build_artifacts(config)
-    records = [generate_sequence(config, j, vocab, emb, cache) for j in range(config.t)]
+    vocab = config.artifacts[0]
+    records = [generate_sequence(config, j) for j in range(config.t)]
     base = [make_eval_prompt(rec, vocab) for rec in records]
     for k_prime in (0, 10, 20, 30, 39):
         rng = make_rng(4242 + k_prime)
         prompts = [make_eval_prompt(strip_sequence_record(rec, k_prime, rng, vocab), vocab) for rec in records]
-        backend = OracleBackend(prompts, vocab)
+        backend = OracleBackend(prompts)
         for strategy in (FORCE_THINK, FORCE_ANSWER, NO_FORCING):
-            report = evaluate(backend, prompts, ForcingConfig(strategy=strategy), vocab)
+            report = evaluate(backend, prompts, ForcingConfig(strategy=strategy))
             assert report.accuracy == 1.0, (k_prime, strategy, report.accuracy)
     random_report = evaluate(
-        RandomBackend(base, vocab, seed=11), base, ForcingConfig(strategy=FORCE_ANSWER), vocab
+        RandomBackend(base, vocab, seed=11), base, ForcingConfig(strategy=FORCE_ANSWER)
     )
     hits = sum(r.indicator for r in random_report.records)
     lo, hi = binomial_interval(len(base), 1.0 / vocab.n_normal, 0.99)
@@ -275,13 +274,13 @@ def test_dag_sampling_and_breakdown_tables():
 
     # breakdown tables partition their prompt counts exactly
     config = _reference_config(0.0, 300, master_seed=98_765)
-    vocab, emb, cache = build_artifacts(config)
+    vocab = config.artifacts[0]
     prompts = [
-        make_eval_prompt(generate_sequence(config, j, vocab, emb, cache), vocab)
+        make_eval_prompt(generate_sequence(config, j), vocab)
         for j in range(config.t)
     ]
     report = evaluate(
-        RandomBackend(prompts, vocab, seed=2), prompts, ForcingConfig(strategy=FORCE_THINK), vocab
+        RandomBackend(prompts, vocab, seed=2), prompts, ForcingConfig(strategy=FORCE_THINK)
     )
     n_correct = sum(1 for r in report.records if r.indicator)
     n_wrong = len(report.records) - n_correct

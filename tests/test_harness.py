@@ -4,6 +4,7 @@ import re
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from cotforge import (
@@ -26,7 +27,6 @@ from cotforge import (
 from cotforge.harness import FORCE_ANSWER, FORCE_THINK, NO_FORCING, strip_sequence_record
 from cotforge.rng import make_rng
 from cotforge.sequences import (
-    build_artifacts,
     generate_sequence,
     parse_sequence,
     recompute_chains,
@@ -62,14 +62,14 @@ def all_cot_config(**over):
 @pytest.fixture(scope="module")
 def world():
     cfg = all_cot_config()
-    vocab, emb, cache = build_artifacts(cfg)
-    seqs = [generate_sequence(cfg, j, vocab, emb, cache) for j in range(cfg.t)]
+    vocab = cfg.artifacts[0]
+    seqs = [generate_sequence(cfg, j) for j in range(cfg.t)]
     prompts = [make_eval_prompt(s, vocab) for s in seqs]
-    return cfg, vocab, emb, cache, seqs, prompts
+    return cfg, vocab, seqs, prompts
 
 
 def test_prompt_context_has_k_minus_one_examples(world):
-    cfg, vocab, _, _, _, prompts = world
+    cfg, vocab, _, prompts = world
     for p in prompts:
         query_segment = p.context[-(p.meta["n"] + 2) :]
         assert p.context.count(vocab.eos) == cfg.k - 1
@@ -79,22 +79,22 @@ def test_prompt_context_has_k_minus_one_examples(world):
 
 def test_minimal_two_example_prompt():
     cfg = all_cot_config(k=2, t=4)
-    vocab, emb, cache = build_artifacts(cfg)
-    p = make_eval_prompt(generate_sequence(cfg, 0, vocab, emb, cache), vocab)
+    vocab = cfg.artifacts[0]
+    p = make_eval_prompt(generate_sequence(cfg, 0), vocab)
     assert p.context.count(vocab.eos) == 1
 
 
 def test_single_example_prompt_rejected():
     cfg = all_cot_config(k=1, t=4)
-    vocab, emb, cache = build_artifacts(cfg)
+    vocab = cfg.artifacts[0]
     with pytest.raises(ConfigError):
-        make_eval_prompt(generate_sequence(cfg, 0, vocab, emb, cache), vocab)
+        make_eval_prompt(generate_sequence(cfg, 0), vocab)
 
 
 def test_ground_truth_matches_recomputation(world):
-    cfg, vocab, emb, cache, seqs, prompts = world
+    cfg, _, seqs, prompts = world
     for seq, prompt in zip(seqs, prompts):
-        chains = recompute_chains(seq, emb, cache, vocab)
+        chains = recompute_chains(seq, cfg)
         assert list(prompt.ground_truth_chain) == [int(v) for v in chains[-1]]
 
 
@@ -104,14 +104,14 @@ def stripped_prompt(seq, k_prime, rng, vocab):
 
 
 def test_strip_zero_is_identity(world):
-    _, vocab, _, _, seqs, prompts = world
+    _, vocab, seqs, prompts = world
     rec = seqs[0]
     assert strip_sequence_record(rec, 0, make_rng(0), vocab) == rec
     assert stripped_prompt(seqs[0], 0, make_rng(0), vocab) == prompts[0]
 
 
 def test_strip_all_context(world):
-    cfg, vocab, _, _, seqs, prompts = world
+    cfg, vocab, seqs, prompts = world
     p = stripped_prompt(seqs[0], cfg.k - 1, make_rng(1), vocab)
     split = len(p.context) - (p.meta["n"] + 2)
     parsed = parse_sequence(list(p.context[:split]), vocab)
@@ -121,7 +121,7 @@ def test_strip_all_context(world):
 
 
 def test_strip_token_delta(world):
-    cfg, vocab, _, _, seqs, prompts = world
+    cfg, vocab, seqs, prompts = world
     c = prompts[0].meta["c"]
     for k_prime in (1, 3, cfg.k - 1):
         stripped = stripped_prompt(seqs[0], k_prime, make_rng(2), vocab)
@@ -130,13 +130,13 @@ def test_strip_token_delta(world):
 
 
 def test_strip_out_of_range(world):
-    cfg, vocab, _, _, seqs, _ = world
+    cfg, vocab, seqs, _ = world
     with pytest.raises(ConfigError):
         strip_sequence_record(seqs[0], cfg.k, make_rng(0), vocab)
 
 
 def test_strip_sequence_record_counts(world):
-    cfg, vocab, _, _, seqs, _ = world
+    cfg, vocab, seqs, _ = world
     rec = strip_sequence_record(seqs[0], 3, make_rng(5), vocab)
     flags = rec["meta"]["cot_flags"]
     assert sum(flags) == cfg.k - 3
@@ -151,8 +151,8 @@ def test_strip_sequence_record_counts(world):
 def mixed_records():
     """Records whose first K-1 examples mix both renderings, over several (n, c)."""
     cfg = all_cot_config(n_choices=(1, 3, 5), c_choices=(1, 2, 6), recipe=Recipe(alpha=1.0), t=40, k=10)
-    vocab, emb, cache = build_artifacts(cfg)
-    records = [generate_sequence(cfg, j, vocab, emb, cache) for j in range(cfg.t)]
+    vocab = cfg.artifacts[0]
+    records = [generate_sequence(cfg, j) for j in range(cfg.t)]
     return vocab, [r for r in records if 0 < sum(r["meta"]["cot_flags"][:-1]) < cfg.k - 1]
 
 
@@ -216,8 +216,8 @@ def test_all_plain_record_with_a_huge_c_fails_on_its_dag_before_any_layout_array
     # every example plain, so c never enters the stream length; a layout of
     # n+c+7 cells per example would ask numpy for terabytes
     cfg = all_cot_config(recipe=Recipe(alpha=math.inf), t=2)
-    vocab, emb, cache = build_artifacts(cfg)
-    rec = json.loads(encode_record(generate_sequence(cfg, 1, vocab, emb, cache)))
+    vocab = cfg.artifacts[0]
+    rec = json.loads(encode_record(generate_sequence(cfg, 1)))
     assert not any(rec["meta"]["cot_flags"])
     rec["meta"]["c"] = 10**12
     want = "dag over 4 inputs and 4 chain nodes, meta has n=4 c=1000000000000"
@@ -253,9 +253,9 @@ def layout_sequences():
         for alpha in (0.0, 1.0):
             cfg = all_cot_config(n_choices=tuple(range(1, 7)), m_choices=(1, 2), c_choices=tuple(range(1, 7)),
                                  k=k, t=12, recipe=Recipe(alpha=alpha), master_seed=100 * k + int(alpha))
-            vocab, emb, cache = build_artifacts(cfg)
+            vocab = cfg.artifacts[0]
             for j in range(cfg.t):
-                rec = generate_sequence(cfg, j, vocab, emb, cache)
+                rec = generate_sequence(cfg, j)
                 records.append(rec)
                 if alpha:
                     n_cot = sum(rec["meta"]["cot_flags"][:-1])
@@ -306,7 +306,7 @@ def test_strip_cot_matches_parse_based_reference(layout_sequences):
 
 
 def test_strip_cot_twice_keeps_meta_flags_equal_to_the_context(world):
-    cfg, vocab, _, _, seqs, _ = world
+    cfg, vocab, seqs, _ = world
     for j, seq in enumerate(seqs[:6]):
         rec = seq
         once = strip_sequence_record(rec, 2, make_rng(j), vocab)
@@ -333,7 +333,7 @@ def _answer_to_delimiter(rec, vocab):
 @pytest.mark.parametrize("corrupt", [_flip_last_flag, _c_plus_one, _truncate, _answer_to_delimiter],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_eval_prompt_rejects_a_record_that_disagrees_with_its_layout(world, corrupt):
-    _, vocab, _, _, seqs, _ = world
+    _, vocab, seqs, _ = world
     rec = json.loads(encode_record(seqs[0]))
     corrupt(rec, vocab)
     with pytest.raises(FormatError):
@@ -341,68 +341,93 @@ def test_eval_prompt_rejects_a_record_that_disagrees_with_its_layout(world, corr
 
 
 def test_oracle_emits_canonical_thinking_tail(world):
-    _, vocab, _, _, _, prompts = world
+    _, vocab, _, prompts = world
     p = prompts[0]
-    backend = OracleBackend(prompts, vocab)
-    out = force_generate(backend, p, ForcingConfig(strategy=FORCE_THINK), vocab)
+    backend = OracleBackend(prompts)
+    out = force_generate(backend, p, ForcingConfig(strategy=FORCE_THINK))
     chain = list(p.ground_truth_chain)
     assert out == [vocab.think_start, *chain[:-1], vocab.think_end, vocab.ans_start, chain[-1], vocab.ans_end, vocab.eos]
 
 
 def test_force_answer_appends_ans_start(world):
-    _, vocab, _, _, _, prompts = world
-    backend = OracleBackend(prompts, vocab)
-    out = force_generate(backend, prompts[1], ForcingConfig(strategy=FORCE_ANSWER), vocab)
+    _, vocab, _, prompts = world
+    backend = OracleBackend(prompts)
+    out = force_generate(backend, prompts[1], ForcingConfig(strategy=FORCE_ANSWER))
     assert out[0] == vocab.ans_start
     assert out == [vocab.ans_start, prompts[1].ground_truth_chain[-1], vocab.ans_end, vocab.eos]
 
 
 def test_budget_one_generates_one_token(world):
-    _, vocab, _, _, _, prompts = world
-    backend = OracleBackend(prompts, vocab)
-    out = force_generate(backend, prompts[0], ForcingConfig(strategy=NO_FORCING, budget=1), vocab)
+    _, vocab, _, prompts = world
+    backend = OracleBackend(prompts)
+    out = force_generate(backend, prompts[0], ForcingConfig(strategy=NO_FORCING, budget=1))
     assert len(out) == 1
-    out = force_generate(backend, prompts[0], ForcingConfig(strategy=FORCE_THINK, budget=1), vocab)
+    out = force_generate(backend, prompts[0], ForcingConfig(strategy=FORCE_THINK, budget=1))
     assert len(out) == 2  # forced token + one generated token
+
+
+_REPLIES = {"float": lambda tok: 4.9, "bool": lambda tok: True, "str": lambda tok: "7", "numpy": np.int64}
+
+
+@pytest.mark.parametrize("kind", list(_REPLIES))
+def test_a_reply_that_is_not_an_integer_fails_its_prompt(world, kind):
+    _, _, _, prompts = world
+    oracle = OracleBackend(prompts)
+    first = prompts[0].context
+
+    class Stub:
+        def next_token(self, tokens):
+            tok = oracle.next_token(tokens)
+            return _REPLIES[kind](tok) if tuple(tokens[: len(first)]) == first else tok
+
+    report = evaluate(Stub(), prompts[:3], ForcingConfig(strategy=FORCE_ANSWER))
+    rec = report.records[0]
+    if kind == "numpy":
+        assert (rec.error, rec.indicator) == (None, 1) and all(type(t) is int for t in rec.generated)
+    else:
+        name = type(_REPLIES[kind](0)).__name__
+        assert rec.error == f"backend failed on prompt {prompts[0].meta['seq_id']}: backend sent a {name}, not a token id"
+        assert (rec.predicted, rec.generated) == (None, [])
+    assert [r.indicator for r in report.records[1:]] == [1, 1]
 
 
 def test_extract_answer_patterns():
     from cotforge import Vocabulary
 
     v = Vocabulary(64)
-    assert extract_answer([v.think_start, 17, 23, v.think_end, v.ans_start, 42, v.ans_end, v.eos], v) == 42
-    assert extract_answer([v.ans_start, 42], v) is None
-    assert extract_answer([], v) is None
+    assert extract_answer([v.think_start, 17, 23, v.think_end, v.ans_start, 42, v.ans_end, v.eos]) == 42
+    assert extract_answer([v.ans_start, 42]) is None
+    assert extract_answer([]) is None
     # two patterns: first wins
-    assert extract_answer([v.ans_start, 9, v.ans_end, v.ans_start, 10, v.ans_end], v) == 9
+    assert extract_answer([v.ans_start, 9, v.ans_end, v.ans_start, 10, v.ans_end]) == 9
 
 
 def test_extract_answer_recovers_rendered_answer():
     from cotforge import Vocabulary, render_cot_example, render_standard_example
 
     v = Vocabulary(64)
-    assert extract_answer(render_standard_example([10, 11], 33, v), v) == 33
-    assert extract_answer(render_cot_example([10, 11], [20, 21, 33], v), v) == 33
+    assert extract_answer(render_standard_example([10, 11], 33, v)) == 33
+    assert extract_answer(render_cot_example([10, 11], [20, 21, 33], v)) == 33
 
 
 def test_oracle_accuracy_one_under_everything(world):
-    cfg, vocab, _, _, seqs, _ = world
+    cfg, vocab, seqs, _ = world
     for k_prime in (0, 3, cfg.k - 1):
         stripped = [stripped_prompt(s, k_prime, make_rng(100 + k_prime), vocab) for s in seqs]
-        backend = OracleBackend(stripped, vocab)
+        backend = OracleBackend(stripped)
         for strategy in (FORCE_THINK, FORCE_ANSWER, NO_FORCING):
-            report = evaluate(backend, stripped, ForcingConfig(strategy=strategy), vocab)
+            report = evaluate(backend, stripped, ForcingConfig(strategy=strategy))
             assert report.accuracy == 1.0
             assert all(r.step_correct == [True, True, True] for r in report.records if strategy == FORCE_THINK)
 
 
 def test_random_backend_within_binomial_interval(world):
-    _, vocab, _, _, _, prompts = world
+    _, vocab, _, prompts = world
     hits = 0
     trials = 0
     for seed in range(40):
         backend = RandomBackend(prompts, vocab, seed=seed)
-        report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_ANSWER), vocab)
+        report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_ANSWER))
         hits += sum(r.indicator for r in report.records)
         trials += len(report.records)
     lo, hi = binomial_interval(trials, 1 / vocab.n_normal, 0.99)
@@ -410,16 +435,16 @@ def test_random_backend_within_binomial_interval(world):
 
 
 def test_random_backend_never_format_fails(world):
-    _, vocab, _, _, _, prompts = world
+    _, vocab, _, prompts = world
     backend = RandomBackend(prompts, vocab, seed=3)
-    report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_THINK), vocab)
+    report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_THINK))
     assert not any(r.format_failure for r in report.records)
 
 
 def test_report_accounting(world):
-    _, vocab, _, _, _, prompts = world
+    _, vocab, _, prompts = world
     backend = RandomBackend(prompts, vocab, seed=7)
-    report = evaluate(backend, prompts, ForcingConfig(strategy=NO_FORCING), vocab)
+    report = evaluate(backend, prompts, ForcingConfig(strategy=NO_FORCING))
     assert 0.0 <= report.accuracy <= 1.0
     matched = sum(0 if r.format_failure else 1 for r in report.records)
     failures = sum(1 if r.format_failure else 0 for r in report.records)
@@ -427,9 +452,9 @@ def test_report_accounting(world):
 
 
 def test_step_grid_partitions_counts(world):
-    _, vocab, _, _, _, prompts = world
+    _, vocab, _, prompts = world
     backend = RandomBackend(prompts, vocab, seed=11)
-    report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_THINK), vocab)
+    report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_THINK))
     grid = step_correctness_grid(report)
     total = grid["answer_correct"]["n"] + grid["answer_wrong"]["n"]
     assert total == len(prompts)
@@ -441,9 +466,9 @@ def test_step_grid_partitions_counts(world):
 
 
 def test_oracle_grid_all_mass_in_correct_cells(world):
-    _, vocab, _, _, _, prompts = world
-    backend = OracleBackend(prompts, vocab)
-    report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_THINK), vocab)
+    _, vocab, _, prompts = world
+    backend = OracleBackend(prompts)
+    report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_THINK))
     grid = step_correctness_grid(report)
     assert grid["answer_correct"]["correct"]["correct"] == len(prompts)
     assert grid["answer_wrong"]["n"] == 0
@@ -455,9 +480,9 @@ def test_oracle_grid_all_mass_in_correct_cells(world):
 
 
 def test_dag_breakdown_margins(world):
-    _, vocab, _, _, _, prompts = world
+    _, vocab, _, prompts = world
     backend = RandomBackend(prompts, vocab, seed=13)
-    report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_THINK), vocab)
+    report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_THINK))
     breakdown = step_dag_breakdown(report)
     n_correct = sum(1 for r in report.records if r.indicator)
     n_wrong = len(report.records) - n_correct
@@ -468,9 +493,9 @@ def test_dag_breakdown_margins(world):
 
 
 def test_evaluate_requires_prompts(world):
-    _, vocab, _, _, _, prompts = world
+    _, vocab, _, prompts = world
     with pytest.raises(ConfigError):
-        evaluate(OracleBackend(prompts, vocab), [], ForcingConfig(strategy=NO_FORCING), vocab)
+        evaluate(OracleBackend(prompts), [], ForcingConfig(strategy=NO_FORCING))
 
 
 def test_unknown_strategy_rejected():
@@ -496,17 +521,17 @@ _STDIO_BOT = textwrap.dedent(
 
 
 def test_stdio_backend_round_trip(tmp_path, world):
-    _, vocab, _, _, _, prompts = world
+    _, vocab, _, prompts = world
     bot = tmp_path / "bot.py"
     bot.write_text(_STDIO_BOT)
     with StdioBackend([sys.executable, str(bot)]) as backend:
-        report = evaluate(backend, prompts[:5], ForcingConfig(strategy=FORCE_ANSWER), vocab)
+        report = evaluate(backend, prompts[:5], ForcingConfig(strategy=FORCE_ANSWER))
     assert not any(r.format_failure for r in report.records)
     assert all(r.predicted == 9 for r in report.records)
 
 
 def test_stdio_backend_malformed_reply(tmp_path, world):
-    _, vocab, _, _, _, prompts = world
+    _, vocab, _, prompts = world
     bot = tmp_path / "bad_bot.py"
     bot.write_text("import sys\nfor line in sys.stdin:\n    print('nonsense', flush=True)\n")
     with StdioBackend([sys.executable, str(bot)]) as backend:
@@ -515,7 +540,7 @@ def test_stdio_backend_malformed_reply(tmp_path, world):
 
 
 def test_stdio_request_lines_equal_json_dumps(world):
-    _, _, _, _, _, prompts = world
+    _, _, _, prompts = world
     backend = StdioBackend(["unused"])
     sent = []
     backend.send_line = lambda line, key, convert: sent.append(line) or 0
@@ -568,7 +593,7 @@ _RESTARTING_BOT = textwrap.dedent(
 
 
 def test_stdio_backend_restart_mid_prompt_gets_the_full_prefix(tmp_path, world):
-    _, vocab, _, _, _, prompts = world
+    _, vocab, _, prompts = world
     bot, pids = tmp_path / "bot.py", tmp_path / "pids.txt"
     bot.write_text(_RESTARTING_BOT)
     with StdioBackend([sys.executable, str(bot), str(pids)]) as backend:
@@ -579,7 +604,7 @@ def test_stdio_backend_restart_mid_prompt_gets_the_full_prefix(tmp_path, world):
         seq.append(9)
         assert backend.next_token(seq) == vocab.ans_end  # answered from the whole prefix by a new bot
         assert first.stdin.closed and first.stdout.closed
-        report = evaluate(backend, prompts[1:4], ForcingConfig(strategy=FORCE_ANSWER), vocab)
+        report = evaluate(backend, prompts[1:4], ForcingConfig(strategy=FORCE_ANSWER))
         second = backend._proc
     assert [r.predicted for r in report.records] == [9, 9, 9]
     assert len(pids.read_text().split()) == 2
@@ -587,11 +612,11 @@ def test_stdio_backend_restart_mid_prompt_gets_the_full_prefix(tmp_path, world):
 
 
 def test_all_prompts_failing_raises(world):
-    _, vocab, _, _, _, prompts = world
+    _, vocab, _, prompts = world
 
     class Broken:
         def next_token(self, tokens):
             raise RuntimeError("no model here")
 
     with pytest.raises(BackendError):
-        evaluate(Broken(), prompts[:3], ForcingConfig(strategy=NO_FORCING), vocab)
+        evaluate(Broken(), prompts[:3], ForcingConfig(strategy=NO_FORCING))

@@ -14,7 +14,7 @@ import pytest
 from cotforge.langsym import LangSymConfig, generate_langsym_prompt
 from cotforge.recipe import Recipe
 from cotforge.rng import ItemStream, make_rng, permutation
-from cotforge.sequences import DatasetConfig, build_artifacts, generate_sequence
+from cotforge.sequences import DatasetConfig, generate_sequence
 from cotforge.storage import encode_record
 
 from helpers import reference_prompt, reference_sequence
@@ -200,9 +200,8 @@ GRID = [  # (n_choices, m_choices, c_choices, cache_size)
 def test_items_equal_the_per_draw_reference(n_choices, m_choices, c_choices, cache_size):
     shape = dict(n_choices=n_choices, m_choices=m_choices, c_choices=c_choices, recipe=Recipe(2.0, 0.5, 0.5))
     cfg = DatasetConfig(**shape, k=9, t=40, master_seed=8, vocab_size=64, dim=6, cache_size=cache_size)
-    arts = build_artifacts(cfg)
     for j in range(cfg.t):
-        assert encode_record(generate_sequence(cfg, j, *arts)) == encode_record(reference_sequence(cfg, j, *arts))
+        assert encode_record(generate_sequence(cfg, j)) == encode_record(reference_sequence(cfg, j))
     lcfg = LangSymConfig(**shape, k=7, t=40, master_seed=9, w=3)
     for j in range(lcfg.t):
         assert encode_record(generate_langsym_prompt(lcfg, j)) == encode_record(reference_prompt(lcfg, j))

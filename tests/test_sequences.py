@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from cotforge import (
 )
 from cotforge.sequences import (
     Sequence,
-    build_artifacts,
     cot_example_mask,
     recompute_chains,
     render_sequence,
@@ -107,8 +107,7 @@ def test_parse_render_round_trip(n, c, seed, as_cot):
 
 def test_all_cot_sequence_length():
     cfg = small_config(recipe=Recipe(alpha=0.0))  # r_cot = 1 everywhere
-    vocab, emb, cache = build_artifacts(cfg)
-    seq = generate_sequence(cfg, 3, vocab, emb, cache)
+    seq = generate_sequence(cfg, 3)
     n, c, k = seq["meta"]["n"], seq["meta"]["c"], cfg.k
     assert all(seq["meta"]["cot_flags"])
     assert len(seq["tokens"]) == 1 + k * (n + c + 7)
@@ -117,8 +116,7 @@ def test_all_cot_sequence_length():
 
 def test_all_standard_sequence_length():
     cfg = small_config(recipe=Recipe(alpha=math.inf))  # r_cot = 0 everywhere
-    vocab, emb, cache = build_artifacts(cfg)
-    seq = generate_sequence(cfg, 3, vocab, emb, cache)
+    seq = generate_sequence(cfg, 3)
     n, k = seq["meta"]["n"], cfg.k
     assert not any(seq["meta"]["cot_flags"])
     assert len(seq["tokens"]) == 1 + k * (n + 6)
@@ -127,8 +125,8 @@ def test_all_standard_sequence_length():
 
 def test_sequence_starts_with_bos_and_mask_shape():
     cfg = small_config()
-    vocab, emb, cache = build_artifacts(cfg)
-    seq = generate_sequence(cfg, 10, vocab, emb, cache)
+    vocab = cfg.artifacts[0]
+    seq = generate_sequence(cfg, 10)
     assert seq["tokens"][0] == vocab.bos
     assert len(seq["loss_mask"]) == len(seq["tokens"])
     assert seq["loss_mask"][0] == 0
@@ -136,8 +134,8 @@ def test_sequence_starts_with_bos_and_mask_shape():
 
 def test_mask_never_covers_input_segment():
     cfg = small_config()
-    vocab, emb, cache = build_artifacts(cfg)
-    seq = generate_sequence(cfg, 11, vocab, emb, cache)
+    vocab = cfg.artifacts[0]
+    seq = generate_sequence(cfg, 11)
     for pos, (tok, m) in enumerate(zip(seq["tokens"], seq["loss_mask"])):
         if tok in (vocab.bos, vocab.inp_start, vocab.inp_end):
             assert m == 0, f"supervised delimiter at {pos}"
@@ -145,25 +143,23 @@ def test_mask_never_covers_input_segment():
 
 def test_generation_deterministic():
     cfg = small_config()
-    vocab, emb, cache = build_artifacts(cfg)
-    a = generate_sequence(cfg, 17, vocab, emb, cache)
-    b = generate_sequence(cfg, 17, vocab, emb, cache)
+    a = generate_sequence(cfg, 17)
+    b = generate_sequence(cfg, 17)
     assert a == b
 
 
 def test_generation_order_independent():
     # generating j alone equals sequence j out of a full run
     cfg = small_config(t=12)
-    vocab, emb, cache = build_artifacts(cfg)
-    full = {s["seq_id"]: s for s in (generate_sequence(cfg, j, vocab, emb, cache) for j in cfg.output_order())}
+    full = {s["seq_id"]: s for s in (generate_sequence(cfg, j) for j in cfg.output_order())}
     for j in (0, 5, 11):
-        assert generate_sequence(cfg, j, vocab, emb, cache) == full[j]
+        assert generate_sequence(cfg, j) == full[j]
 
 
 def test_is_cot_flag_consistent_with_r():
     cfg = small_config(recipe=Recipe(alpha=1.0), t=40)
-    vocab, emb, cache = build_artifacts(cfg)
-    seq = generate_sequence(cfg, 20, vocab, emb, cache)
+    vocab = cfg.artifacts[0]
+    seq = generate_sequence(cfg, 20)
     parsed = parse_sequence(list(seq["tokens"]), vocab)
     assert [p.is_cot for p in parsed] == list(seq["meta"]["cot_flags"])
     assert seq["meta"]["r_cot"] == 0.5
@@ -171,10 +167,10 @@ def test_is_cot_flag_consistent_with_r():
 
 def test_chain_self_consistency():
     cfg = small_config(t=20)
-    vocab, emb, cache = build_artifacts(cfg)
+    vocab = cfg.artifacts[0]
     for j in range(20):
-        seq = generate_sequence(cfg, j, vocab, emb, cache)
-        chains = recompute_chains(seq, emb, cache, vocab)
+        seq = generate_sequence(cfg, j)
+        chains = recompute_chains(seq, cfg)
         parsed = parse_sequence(list(seq["tokens"]), vocab)
         for i, ex in enumerate(parsed):
             assert ex.answer == chains[i][-1]
@@ -184,9 +180,8 @@ def test_chain_self_consistency():
 
 def test_varying_choice_sets():
     cfg = small_config(n_choices=(3, 4), m_choices=(3, 4), c_choices=(3, 4), t=60)
-    vocab, emb, cache = build_artifacts(cfg)
     seen = set()
-    for seq in (generate_sequence(cfg, j, vocab, emb, cache) for j in cfg.output_order()):
+    for seq in (generate_sequence(cfg, j) for j in cfg.output_order()):
         seen.add((seq["meta"]["n"], seq["meta"]["m"], seq["meta"]["c"]))
         assert seq["meta"]["n"] in (3, 4) and seq["meta"]["m"] in (3, 4) and seq["meta"]["c"] in (3, 4)
     assert len(seen) > 1
@@ -194,9 +189,8 @@ def test_varying_choice_sets():
 
 def test_shuffle_permutes_order_but_not_content():
     plain_cfg, shuffled_cfg = small_config(t=16), small_config(t=16, shuffle=True)
-    arts = build_artifacts(plain_cfg)
-    plain = [generate_sequence(plain_cfg, j, *arts) for j in plain_cfg.output_order()]
-    shuffled = [generate_sequence(shuffled_cfg, j, *arts) for j in shuffled_cfg.output_order()]
+    plain = [generate_sequence(plain_cfg, j) for j in plain_cfg.output_order()]
+    shuffled = [generate_sequence(shuffled_cfg, j) for j in shuffled_cfg.output_order()]
     assert [s["seq_id"] for s in shuffled] != list(range(16))
     assert sorted(s["seq_id"] for s in shuffled) == list(range(16))
     by_id = {s["seq_id"]: s for s in shuffled}
@@ -204,10 +198,22 @@ def test_shuffle_permutes_order_but_not_content():
         assert by_id[seq["seq_id"]] == seq
 
 
+def test_unshuffled_order_is_a_range():
+    order = small_config(t=16).output_order()
+    assert isinstance(order, range) and order == range(16)
+
+
+def test_a_replaced_config_builds_its_own_artifacts():
+    cfg = small_config()
+    vocab, emb, cache = cfg.artifacts
+    other = dataclasses.replace(cfg, master_seed=cfg.master_seed + 1)
+    assert not np.array_equal(other.artifacts[1].data, emb.data)
+    assert cfg.artifacts[1] is emb and cfg.artifacts[2] is cache
+
+
 def test_record_round_trip():
     cfg = small_config()
-    vocab, emb, cache = build_artifacts(cfg)
-    record = generate_sequence(cfg, 0, vocab, emb, cache)
+    record = generate_sequence(cfg, 0)
     assert Sequence.from_record(record).to_record() == record
     assert set(record) == {"seq_id", "tokens", "loss_mask", "meta"}
     assert set(record["meta"]) == {"n", "m", "c", "k", "r_cot", "dag", "proc_ids", "cot_flags", "seed"}
@@ -223,7 +229,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(vocab_size=9)
     with pytest.raises(ConfigError):
-        generate_sequence(small_config(), 40, *build_artifacts(small_config()))
+        generate_sequence(small_config(), 40)
 
 
 def test_config_json_round_trip():

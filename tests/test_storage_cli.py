@@ -11,10 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cotforge import DatasetConfig, Recipe, Vocabulary, harness, make_eval_prompt, storage
+from cotforge import DatasetConfig, Recipe, Vocabulary, harness, make_eval_prompt, sequences, storage
 from cotforge.cli import main
 from cotforge.langsym import make_langsym_eval_prompt
-from cotforge.sequences import build_artifacts, parse_sequence
+from cotforge.sequences import parse_sequence
 from cotforge.storage import (
     KIND_ABSTRACT,
     KIND_LANGSYM,
@@ -130,6 +130,33 @@ def test_one_pool_per_command(tmp_path, pools):
     assert pools == [2, 2]
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the artifact builds of abstract configs."""
+    calls = []
+
+    def counting(config):
+        calls.append(config.master_seed)
+        return build(config)
+
+    build = sequences.build_artifacts
+    monkeypatch.setattr(sequences, "build_artifacts", counting)
+    return calls
+
+
+def test_each_one_worker_command_builds_the_artifacts_once(tmp_path, builds):
+    src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
+    write_dataset(src, KIND_ABSTRACT, ABSTRACT_CFG, shards=3)
+    assert len(builds) == 1
+    assert verify_dataset(src) == []
+    assert len(builds) == 2
+    strip_dataset(src, dst, k_prime=1, seed=4)
+    assert len(builds) == 3
+    report = str(tmp_path / "rep.json")
+    assert main(["eval", "--prompts", dst, "--backend", "oracle", "--strategy", "think", "--report", report]) == 0
+    assert len(builds) == 3  # eval reads the vocabulary size only
+
+
 def test_one_item_dataset_starts_no_pool(tmp_path, pools):
     out = str(tmp_path / "one")
     one = write_dataset(out, KIND_LANGSYM, dict(LANGSYM_CFG, t=1), shards=2, workers=2)
@@ -178,7 +205,7 @@ def test_strip_dataset_regenerable(tmp_path):
     assert manifest.transforms == [{"kind": "strip-cot", "k_prime": 2, "seed": 9}]
     assert verify_dataset(dst) == []
     cfg = DatasetConfig.from_json(ABSTRACT_CFG)
-    vocab, _, _ = build_artifacts(cfg)
+    vocab = cfg.artifacts[0]
     for rec in read_records(dst):
         parsed = parse_sequence(rec["tokens"], vocab)
         assert sum(ex.is_cot for ex in parsed[:-1]) == cfg.k - 1 - 2
@@ -581,6 +608,7 @@ def test_cli_stdio_faults_become_error_records(tmp_path, capsys, command):
     for prompt, rec, action in zip(prompts, records, faults):
         assert rec["error"].startswith(f"backend failed on prompt {prompt.meta['seq_id']}: {_ERRORS[action]}"), action
         assert (rec["predicted"], rec["format_failure"], rec["generated"]) == (None, True, [])
+        assert len(rec["error"]) < 300, action  # the nested reply is 400,050 characters
     ok = len(records) - len(faults)
     assert [r["error"] for r in records[len(faults):]] == [None] * ok
     assert [r["indicator"] for r in records] == [0] * len(faults) + [1] * ok
