@@ -173,8 +173,8 @@ def cmd_budget(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     manifest = Manifest.load(args.inp)
+    parse_config(manifest.kind, manifest.config)  # a malformed config exits 2 here too
     abstract = manifest.kind == KIND_ABSTRACT
-    vocab = Vocabulary(parse_config(manifest.kind, manifest.config).vocab_size) if abstract else None
     for i, rec in enumerate(read_records(args.inp)):
         with _record(args.inp, i):
             if rec["seq_id" if abstract else "prompt_id"] != args.index:
@@ -184,7 +184,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             lines = [f"{'sequence' if abstract else 'prompt'} {args.index}  ({shape})"]
             if abstract:
                 for pos, (tok, mask) in enumerate(zip(rec["tokens"], rec["loss_mask"])):
-                    lines.append(f"[{pos:5d}] {tok:6d}  {vocab.token_name(tok)}{' *' if mask else ''}")
+                    lines.append(f"[{pos:5d}] {tok:6d}  {Vocabulary.token_name(tok)}{' *' if mask else ''}")
             else:
                 lines += [line for msg in rec["messages"] for line in (f"--- {msg['role']} ---", msg["content"])]
             text = "\n".join(lines)  # built whole first, so a malformed record prints nothing

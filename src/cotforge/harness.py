@@ -39,9 +39,8 @@ import numpy as np
 
 from .dag import Dag
 from .errors import BackendError, ConfigError
-from .recipe import choose_stripped
 from .rng import ItemStream, make_rng
-from .sequences import check_layout, layout
+from .sequences import check_layout, layout, strip_flags
 from .vocab import Vocabulary
 
 FORCE_THINK = "force_think"
@@ -116,7 +115,7 @@ def make_eval_prompt(record: dict, vocab: Vocabulary) -> EvalPrompt:
 def strip_sequence_record(record: dict, k_prime: int, rng: ItemStream | np.random.Generator, vocab: Vocabulary) -> dict:
     """Drop the thinking segments of k_prime context examples of a stored sequence record.
 
-    The stripped examples are drawn with choose_stripped, uniformly without
+    The stripped examples are drawn with `strip_flags`, uniformly without
     replacement among the thinking-rendered first K-1 examples; the last
     one is the future query and is never touched, and k_prime=0 is the
     identity. The layout comes from the record's meta (n, c, cot_flags),
@@ -125,14 +124,13 @@ def strip_sequence_record(record: dict, k_prime: int, rng: ItemStream | np.rando
     one.
     Stripping then deletes the thinking spans of the chosen examples from
     the stream, with no parse or re-render; the loss mask and cot_flags are
-    rebuilt from the same layout. Returns a new record.
+    rebuilt from the same layout. Returns a new record. This is the strip of
+    a stored record; storage strips fresh items with sequences.sequence_line.
     """
     meta = record["meta"]
-    n, c, flags = meta["n"], meta["c"], meta["cot_flags"]
     stream, keep = check_layout(record["tokens"], meta, vocab)
-    chosen = choose_stripped(flags[:-1], k_prime, rng)
-    flags = [int(bool(f) and i not in chosen) for i, f in enumerate(flags)]
-    cells = layout(n, c)
+    flags = strip_flags(meta["cot_flags"], k_prime, rng)
+    cells = layout(meta["n"], meta["c"])
     tokens = [vocab.bos] + stream[1:][cells.keep_cells(flags)[keep]].tolist()
     mask = cells.mask(flags)
     return {"seq_id": record["seq_id"], "tokens": tokens, "loss_mask": mask, "meta": {**meta, "cot_flags": flags}}

@@ -27,7 +27,17 @@ against it and returns the stream with its kept cells, so
 `recompute_chains` reads the inputs from their cells and
 harness.make_eval_prompt cuts the query at a known offset; stripping a
 stored record deletes thinking spans from the stream
-(harness.strip_sequence_record). None of them parses or re-renders. The
+(harness.strip_sequence_record). None of them parses or re-renders.
+
+Storage writes each shard line straight from the layout (`sequence_line`):
+a strip-cot transform re-draws the item's cot_flags first (`strip_flags`,
+the rule strip_sequence_record applies to a stored record), and the kept
+cells are then written once, through a table of token-id text and the
+layout's mask text, with only the meta going through json. No token list
+is built and nothing is re-checked, since no stored stream exists yet.
+`generate_sequence` (the record), storage.encode_record (its bytes) and
+harness.strip_sequence_record (its strip) are the record API, and the
+tests' reference for those lines. The
 per-example renderers, masks and parsers below are not called by the
 package: they are the tests' reference implementations of the same rule,
 and the benchmark tracer names them. The tracer also names `Sequence` and
@@ -56,6 +66,7 @@ draws is a compatibility break.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence as Seq
 
@@ -64,8 +75,8 @@ import numpy as np
 from .dag import check_record_dag
 from .errors import ConfigError, FormatError
 from .processors import Mlp, chain_tokens_batch, new_cache, sample_processors
-from .recipe import TaskConfig, check_int
-from .rng import STREAM_CACHE, STREAM_EMBED, derive_seed
+from .recipe import TaskConfig, check_int, choose_stripped
+from .rng import STREAM_CACHE, STREAM_EMBED, ItemStream, derive_seed
 from .vocab import EmbeddingMatrix, N_SPECIAL, Vocabulary, read_only, sample_embedding_matrix
 
 
@@ -281,13 +292,15 @@ class Layout(NamedTuple):
     input or chain token goes; `keep` row 0 marks the cells a plain example
     renders and row 1 those of a thinking one (all of them); `masks` are
     the loss masks of a plain and of a thinking example,
-    `standard_example_mask(n)` and `cot_example_mask(n, c)`. The arrays are
-    read-only.
+    `standard_example_mask(n)` and `cot_example_mask(n, c)`, and
+    `mask_text` each of them as JSON text, every bit after a comma. The
+    arrays are read-only.
     """
 
     template: np.ndarray
     keep: np.ndarray
     masks: tuple[tuple[int, ...], tuple[int, ...]]
+    mask_text: tuple[bytes, bytes]
 
     def keep_cells(self, cot_flags: Seq[bool]) -> np.ndarray:
         """(K, N+C+7) bool: the cells each example renders, by its flag."""
@@ -316,9 +329,9 @@ def layout(n: int, c: int) -> Layout:
     )
     keep = np.ones((2, n + c + 7), dtype=bool)
     keep[0, n + 2 : n + c + 3] = False
-    return Layout(
-        read_only(template), read_only(keep), (tuple(standard_example_mask(n)), tuple(cot_example_mask(n, c)))
-    )
+    masks = (tuple(standard_example_mask(n)), tuple(cot_example_mask(n, c)))
+    mask_text = tuple(b"".join(b",%d" % bit for bit in mask) for mask in masks)
+    return Layout(read_only(template), read_only(keep), masks, mask_text)
 
 
 def _abnormal(tokens: np.ndarray, vocab: Vocabulary) -> np.ndarray:
@@ -364,15 +377,11 @@ def check_layout(tokens: Seq[int], meta: dict, vocab: Vocabulary) -> tuple[np.nd
     return stream, keep
 
 
-def render_sequence(
-    inputs: np.ndarray, chains: np.ndarray, cot_flags: Seq[bool], vocab: Vocabulary
-) -> tuple[list[int], list[int]]:
-    """Tokens and loss mask of bos plus K examples, from (K, N) inputs and (K, C) chains.
+def _kept_cells(inputs: np.ndarray, chains: np.ndarray, cot_flags: Seq[bool], vocab: Vocabulary):
+    """(Layout, int64 kept cells of K examples after bos) from (K, N) inputs and (K, C) chains.
 
-    Fills the thinking template of every example and keeps its cells; the
-    same result as rendering each example with `render_cot_example` or
-    `render_standard_example` and its `*_example_mask`. Every input and
-    chain token must be normal (ConfigError otherwise).
+    Fills the thinking template of every example and keeps its cells.
+    Every input and chain token must be normal (ConfigError otherwise).
     """
     for part in (inputs, chains):
         bad = _abnormal(part, vocab)
@@ -385,16 +394,43 @@ def render_sequence(
     grid[:, 1 : n + 1] = inputs
     grid[:, n + 3 : n + c + 2] = chains[:, :-1]
     grid[:, n + c + 4] = chains[:, -1]
-    return [vocab.bos] + grid[cells.keep_cells(cot_flags)].tolist(), cells.mask(cot_flags)
+    return cells, grid[cells.keep_cells(cot_flags)]
 
 
-def generate_sequence(config: DatasetConfig, j: int) -> dict:
-    """Shard record of sequence j, independent of all other indices.
+def render_sequence(
+    inputs: np.ndarray, chains: np.ndarray, cot_flags: Seq[bool], vocab: Vocabulary
+) -> tuple[list[int], list[int]]:
+    """Tokens and loss mask of bos plus K examples, from (K, N) inputs and (K, C) chains.
 
-    The record is {"seq_id", "tokens", "loss_mask", "meta"} with lists of
-    ints; the meta keys are n, m, c, k, r_cot, dag (Dag.to_json), proc_ids,
-    cot_flags (0/1 per example) and seed, in this order.
+    The same result as rendering each example with `render_cot_example` or
+    `render_standard_example` and its `*_example_mask`. Every input and
+    chain token must be normal (ConfigError otherwise).
     """
+    cells, kept = _kept_cells(inputs, chains, cot_flags, vocab)
+    return [vocab.bos] + kept.tolist(), cells.mask(cot_flags)
+
+
+# Token ids below this bound are written through one shared table of their
+# text (8 bytes a row, 512 KiB at most); a vocabulary that reaches past it
+# writes every id with str.
+ID_TEXT_BOUND = 1 << 16
+_ID_TEXT = np.zeros(0, dtype=np.uint64)
+
+
+def _id_text(size: int) -> np.ndarray:
+    """The table of ids below `size` (<= ID_TEXT_BOUND): row i is b"," + str(i), zero-padded to 8 bytes.
+
+    Built for the largest size asked for so far in this process.
+    """
+    global _ID_TEXT
+    if len(_ID_TEXT) < size:
+        rows = b"".join([(b",%d" % i).ljust(8, b"\0") for i in range(size)])
+        _ID_TEXT = np.frombuffer(rows, dtype=np.uint64)
+    return _ID_TEXT
+
+
+def _draw(config: DatasetConfig, j: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(K, N) inputs, (K, C) chains and meta of sequence j, drawn in the documented order."""
     vocab, emb, cache = config.artifacts
     seed, rng, r, n, m, c, dag = config.start_item(j)
     proc_ids = sample_processors(cache, c, rng)
@@ -404,8 +440,6 @@ def generate_sequence(config: DatasetConfig, j: int) -> dict:
 
     procs = [cache[i] for i in proc_ids]
     chains = chain_tokens_batch(dag.parents, procs, emb, inputs)
-    tokens, mask = render_sequence(inputs, chains, flags, vocab)
-
     meta = {
         "n": n,
         "m": m,
@@ -417,7 +451,52 @@ def generate_sequence(config: DatasetConfig, j: int) -> dict:
         "cot_flags": flags,
         "seed": seed,
     }
+    return inputs, chains, meta
+
+
+def generate_sequence(config: DatasetConfig, j: int) -> dict:
+    """Shard record of sequence j, independent of all other indices.
+
+    The record is {"seq_id", "tokens", "loss_mask", "meta"} with lists of
+    ints; the meta keys are n, m, c, k, r_cot, dag (Dag.to_json), proc_ids,
+    cot_flags (0/1 per example) and seed, in this order.
+    """
+    inputs, chains, meta = _draw(config, j)
+    tokens, mask = render_sequence(inputs, chains, meta["cot_flags"], config.artifacts[0])
     return {"seq_id": j, "tokens": tokens, "loss_mask": mask, "meta": meta}
+
+
+def strip_flags(cot_flags: list[int], k_prime: int, rng: ItemStream | np.random.Generator) -> list[int]:
+    """cot_flags with k_prime thinking context examples set plain, drawn by choose_stripped.
+
+    The last example is the future query and keeps its flag; k_prime=0 is
+    the identity.
+    """
+    chosen = choose_stripped(cot_flags[:-1], k_prime, rng)
+    return [int(bool(f) and i not in chosen) for i, f in enumerate(cot_flags)]
+
+
+def sequence_line(config: DatasetConfig, j: int, transforms: Seq[dict] = ()) -> bytes:
+    """Shard line of sequence j after each strip-cot transform in turn, written from its arrays.
+
+    Byte for byte `encode_record` of `generate_sequence(config, j)` passed
+    through `strip_sequence_record` with ItemStream(derive_seed(seed, j))
+    for each transform: the strips re-draw the flags before the kept cells
+    are written, so the item is rendered once.
+    """
+    vocab = config.artifacts[0]
+    inputs, chains, meta = _draw(config, j)
+    for tf in transforms:
+        meta["cot_flags"] = strip_flags(meta["cot_flags"], tf["k_prime"], ItemStream(derive_seed(tf["seed"], j)))
+    flags = meta["cot_flags"]
+    cells, kept = _kept_cells(inputs, chains, flags, vocab)
+    if vocab.size <= ID_TEXT_BOUND:
+        tokens = _id_text(vocab.size)[kept].tobytes().translate(None, b"\0")
+    else:
+        tokens = b"".join([b",%d" % t for t in kept.tolist()])
+    mask = b"".join([cells.mask_text[f] for f in flags])
+    meta_text = json.dumps(meta, separators=(",", ":")).encode()
+    return b'{"seq_id":%d,"tokens":[%d%b],"loss_mask":[0%b],"meta":%b}\n' % (j, vocab.bos, tokens, mask, meta_text)
 
 
 def recompute_chains(record: dict, config: DatasetConfig) -> np.ndarray:

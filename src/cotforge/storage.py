@@ -8,11 +8,21 @@ regenerate every byte, which is what `verify` checks.
 
 Record serialization is pinned: compact separators, ASCII escapes, and
 field order fixed by construction, so hashes are stable across runs,
-platforms, and worker counts. Generation parallelizes over item indices;
-shard s holds the contiguous block [s*ceil(T/S), ...) of output positions.
-A command (write, verify) runs at most one worker pool: it generates the
-records of all its shards as one ordered stream, which the caller cuts at
-shard boundaries, so the pool starts once and never drains between shards.
+platforms, and worker counts. Each kind writes item j's line, after the
+manifest's strip-cot transforms, with its `line(config, j, transforms)`.
+Abstract lines come straight from the item's layout
+(sequences.sequence_line): the strips re-draw the cot_flags before the
+one rendering. A LangSym line is `encode_record` of its strips of its
+record. The record API, `generate_sequence`, `encode_record` and
+harness.strip_sequence_record, gives the same bytes the long way and is
+the tests' reference for the abstract lines.
+
+Generation parallelizes over item indices; shard s holds the contiguous
+block [s*ceil(T/S), ...) of output positions. A command (write, verify)
+runs at most one worker pool: it generates the records of all its shards
+as one ordered stream, which the caller cuts at shard boundaries, so the
+pool starts once and never drains between shards. The pool machinery is
+imported only when a pool starts.
 """
 
 from __future__ import annotations
@@ -25,49 +35,47 @@ import math
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import ConfigError, FormatError
-from .harness import strip_sequence_record
 from .langsym import LangSymConfig, generate_langsym_prompt, strip_chat_prompt
 from .recipe import TaskConfig
 from .rng import ItemStream, choose_distinct, derive_seed, make_rng
-from .sequences import DatasetConfig, generate_sequence
+from .sequences import DatasetConfig, generate_sequence, sequence_line  # noqa: F401 (generate_sequence: the record API)
 
 KIND_ABSTRACT = "abstract"
 KIND_LANGSYM = "langsym"
 
 
+def encode_record(record: dict) -> bytes:
+    return (json.dumps(record, separators=(",", ":"), ensure_ascii=True) + "\n").encode("utf-8")
+
+
 class Kind(NamedTuple):
     """What storage needs to know about one dataset kind.
 
-    `generate(config, j)` returns record j and `strip(record, k_prime, rng,
-    config)` re-renders k_prime of its thinking examples plain; neither
-    takes anything derived from the config.
+    `line(config, j, transforms)` returns the shard line of item j after
+    each strip-cot transform in turn, the strip of item j drawing from
+    ItemStream(derive_seed(seed, j)); it takes nothing derived from the
+    config.
     """
 
     config: type[TaskConfig]
-    generate: Callable
-    strip: Callable
+    line: Callable
 
 
-# The lambdas look their functions up when called, so a caller that
-# replaces a module-level function (a tracer, a test) reaches this path too.
-KINDS = {
-    KIND_ABSTRACT: Kind(
-        DatasetConfig,
-        generate=lambda config, j: generate_sequence(config, j),
-        strip=lambda record, k_prime, rng, config: strip_sequence_record(record, k_prime, rng, config.artifacts[0]),
-    ),
-    KIND_LANGSYM: Kind(
-        LangSymConfig,
-        generate=lambda config, j: generate_langsym_prompt(config, j),
-        strip=lambda record, k_prime, rng, config: strip_chat_prompt(record, k_prime, rng, config.templates),
-    ),
-}
+def _langsym_line(config: LangSymConfig, j: int, transforms: list[dict]) -> bytes:
+    # The record functions are looked up when called, so a caller that
+    # replaces one at module level (a tracer, a test) reaches this path too.
+    record = generate_langsym_prompt(config, j)
+    for tf in transforms:
+        record = strip_chat_prompt(record, tf["k_prime"], ItemStream(derive_seed(tf["seed"], j)), config.templates)
+    return encode_record(record)
+
+
+KINDS = {KIND_ABSTRACT: Kind(DatasetConfig, line=sequence_line), KIND_LANGSYM: Kind(LangSymConfig, line=_langsym_line)}
 
 
 def parse_config(kind: str, config_json: dict) -> TaskConfig:
@@ -79,10 +87,6 @@ def parse_config(kind: str, config_json: dict) -> TaskConfig:
 
 MANIFEST_NAME = "manifest.json"
 SHARD_RE = re.compile(r"part-\d{4,}\.jsonl")
-
-
-def encode_record(record: dict) -> bytes:
-    return (json.dumps(record, separators=(",", ":"), ensure_ascii=True) + "\n").encode("utf-8")
 
 
 def sha256_file(path: str) -> str:
@@ -182,12 +186,7 @@ def _init_worker(kind: str, config_json: dict, transforms: list[dict]) -> None:
 
 
 def _gen_line(j: int) -> bytes:
-    spec, config = _WORKER["spec"], _WORKER["config"]
-    record = spec.generate(config, j)
-    for tf in _WORKER["transforms"]:
-        rng = ItemStream(derive_seed(tf["seed"], j))
-        record = spec.strip(record, tf["k_prime"], rng, config)
-    return encode_record(record)
+    return _WORKER["spec"].line(_WORKER["config"], j, _WORKER["transforms"])
 
 
 def _emit_lines(kind: str, config_json: dict, transforms: list[dict], indices: list[int], workers: int, shards: int):
@@ -204,6 +203,8 @@ def _emit_lines(kind: str, config_json: dict, transforms: list[dict], indices: l
             yield _gen_line(j)
         return
     chunk = max(1, len(indices) // (shards * workers * 8))
+    from concurrent.futures import ProcessPoolExecutor  # here, so a command without a pool never imports it
+
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(kind, config_json, transforms)
     ) as pool:
@@ -273,8 +274,9 @@ def write_dataset(
 def read_records(path: str):
     """Iterate records of every shard listed in the manifest of the dataset at `path`.
 
-    A line that is not valid JSON raises FormatError naming its shard file
-    and line number.
+    A line that is not UTF-8 JSON (a cut line, say) or whose value is not
+    an object raises FormatError naming its shard file and line number; a
+    listed shard that cannot be read raises OSError.
     """
     manifest = Manifest.load(path)
     directory = dataset_paths(path)[0]
@@ -284,9 +286,11 @@ def read_records(path: str):
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
                     try:
-                        record = json.loads(line)
+                        record = json.loads(line.decode("utf-8"))  # strict: json.loads(bytes) would pass surrogates
                     except (ValueError, RecursionError) as exc:  # nested past the parser's depth
                         raise FormatError(f"{shard} line {lineno}: invalid JSON ({exc})") from exc
+                    if not isinstance(record, dict):
+                        raise FormatError(f"{shard} line {lineno}: not a JSON object ({type(record).__name__})")
                     yield record
 
 

@@ -64,9 +64,10 @@ class Vocabulary:
     def is_normal(self, token_id: int) -> bool:
         return N_SPECIAL <= token_id < self.size
 
-    def token_name(self, token_id: int) -> str:
-        """Role name for delimiters, "tok<i>" for normal ids."""
-        if self.is_special(token_id):
+    @staticmethod
+    def token_name(token_id: int) -> str:
+        """Role name for delimiters, "tok<i>" for any other id; needs no instance."""
+        if 0 <= token_id < N_SPECIAL:
             return SPECIAL_ROLES[token_id]
         return f"tok{token_id}"
 

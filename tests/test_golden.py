@@ -8,11 +8,22 @@ and committed, and a refactor must reproduce it byte for byte.
 Each dataset hash covers the concatenated shards in manifest order, so it
 does not depend on the shard count. Report hashes cover the report file
 written by the CLI.
+
+Chain tokens are argmaxes over float64 BLAS products, and OpenBLAS picks
+its kernel by CPU. On an x86-64 OpenBLAS built with DYNAMIC_ARCH, the
+hashes are also recomputed in subprocesses forced onto older and newer
+kernels, so the golden bytes cannot depend on which one runs.
 """
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cotforge.cli import main
@@ -94,9 +105,8 @@ def strip(tmp, src, k_prime: int, seed: int):
     return out
 
 
-@pytest.fixture(scope="module")
-def hashes(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("golden")
+def compute_hashes(tmp: Path) -> dict:
+    """Every golden hash, from datasets and reports written under `tmp`."""
     found = {}
 
     mixed = gen(tmp, "abstract-mixed", "abstract", dict(ABSTRACT, recipe=MIXED))
@@ -130,7 +140,50 @@ def hashes(tmp_path_factory):
     return found
 
 
+@pytest.fixture(scope="module")
+def hashes(tmp_path_factory):
+    return compute_hashes(tmp_path_factory.mktemp("golden"))
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_output_matches_pinned_sha256(hashes, name, capsys):
     capsys.readouterr()
     assert hashes[name] == PINNED[name]
+
+
+# OpenBLAS x86-64 kernels, each with the instruction set it needs beyond SSE4.2
+FORCED_KERNELS = {"Nehalem": None, "Sandybridge": "avx", "Haswell": "avx2"}
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+def _dynamic_arch_openblas() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.parametrize("core", sorted(FORCED_KERNELS))
+def test_golden_hashes_under_a_forced_openblas_kernel(tmp_path, core):
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"OpenBLAS x86-64 kernels do not run on {platform.machine()}")
+    if not _dynamic_arch_openblas():
+        pytest.skip("numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH")
+    needs = FORCED_KERNELS[core]
+    if needs and needs not in _cpu_flags():
+        pytest.skip(f"this CPU lacks {needs}, which the {core} kernel needs")
+    tests = Path(__file__).resolve().parent
+    src = tests.parent / "src"
+    script = ("import json, sys, pathlib; from test_golden import compute_hashes; "
+              f"print(json.dumps(compute_hashes(pathlib.Path({str(tmp_path)!r}))))")
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(tests), str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert f"Core: {core}" in proc.stderr  # OpenBLAS ran the forced kernel
+    assert json.loads(proc.stdout.splitlines()[-1]) == PINNED

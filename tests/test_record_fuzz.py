@@ -8,13 +8,18 @@ raise the exceptions `cli._record` maps to exit 3 (or ConfigError, exit
 2); anything else, an IndexError say, would be a traceback in `eval`.
 Configs and manifests, nested dicts included, get the same mutations with
 a float, a bool, a list and a dict among the swaps; parsing them may only
-raise what the CLI maps to exit 2.
+raise what the CLI maps to exit 2. Shard files of both kinds get byte
+faults: a cut line, bytes that are not UTF-8, a line that is JSON but no
+object, or a listed shard that is gone; reading them may only raise
+FormatError or OSError, which every command that reads records maps to
+exit 3.
 """
 
 import functools
 import json
 import math
 import operator
+import os
 from dataclasses import replace
 
 import pytest
@@ -26,7 +31,8 @@ from cotforge.harness import make_eval_prompt, strip_sequence_record
 from cotforge.langsym import make_langsym_eval_prompt
 from cotforge.rng import make_rng
 from cotforge.sequences import generate_sequence
-from cotforge.storage import KIND_ABSTRACT, KIND_LANGSYM, Manifest, parse_config
+from cotforge.cli import main
+from cotforge.storage import KIND_ABSTRACT, KIND_LANGSYM, Manifest, parse_config, read_records, write_dataset
 
 ALLOWED = (ConfigError, FormatError, KeyError, TypeError, ValueError)
 
@@ -160,3 +166,102 @@ def test_manifest_from_a_mutated_document_raises_only_what_load_maps_to_exit_2(d
         Manifest.from_json(doc)
     except (KeyError, TypeError, ValueError):
         pass
+
+
+# Byte faults of a shard file. Each takes the shard's lines (with their
+# newlines) and a draw, and returns the faulty file's bytes, or None for a
+# shard that is gone.
+NOT_OBJECTS = {"list": b"[1,2]", "number": b"3", "null": b"null", "string": b'"seq"'}
+INVALID_UTF8 = (b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xf0\x9f\x98")  # stray, cut, surrogate, truncated
+
+
+@st.composite
+def shard_fault(draw):
+    kind = draw(st.sampled_from(("truncated", "utf-8", *NOT_OBJECTS, "missing")))
+    if kind == "missing":
+        return kind, lambda lines: None
+    line = draw(st.integers(0, 99))
+    at = draw(st.floats(0, 1, exclude_max=True))
+    bad = draw(st.sampled_from(INVALID_UTF8))
+
+    def fault(lines):
+        i = line % len(lines)
+        text = lines[i]
+        cut = 1 + int(at * (len(text) - 2))  # inside the line, past its first byte
+        if kind == "truncated":  # the file ends mid-line, or a line lost its tail
+            return b"".join(lines[:i]) + text[:cut] + (b"" if i == len(lines) - 1 else b"\n" + b"".join(lines[i + 1:]))
+        if kind == "utf-8":
+            new = text[:cut] + bad + text[cut:]
+        else:
+            new = NOT_OBJECTS[kind] + b"\n"
+        return b"".join([*lines[:i], new, *lines[i + 1:]])
+
+    return kind, fault
+
+
+@pytest.fixture(scope="module")
+def shard_datasets(tmp_path_factory):
+    """A two-shard dataset of each kind, all of whose records make prompts."""
+    out = {}
+    for kind, config in _CONFIGS.items():
+        path = str(tmp_path_factory.mktemp(kind))
+        write_dataset(path, kind, config, shards=2)
+        out[kind] = path
+    return out
+
+
+def _with_fault(path, fault, shard_index):
+    """Apply `fault` to shard `shard_index` of the dataset at `path`; returns a function that undoes it."""
+    shard = os.path.join(path, Manifest.load(path).outputs[shard_index]["path"])
+    with open(shard, "rb") as fh:
+        pristine = fh.read()
+    faulty = fault(pristine.splitlines(keepends=True))
+    if faulty is None:
+        os.remove(shard)
+    else:
+        with open(shard, "wb") as fh:
+            fh.write(faulty)
+
+    def undo():
+        with open(shard, "wb") as fh:
+            fh.write(pristine)
+
+    return undo
+
+
+@pytest.mark.parametrize("kind", sorted(_CONFIGS))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fault=shard_fault(), shard_index=st.integers(0, 1))
+def test_read_records_of_a_faulty_shard_raises_only_format_or_os_errors(shard_datasets, kind, fault, shard_index):
+    path = shard_datasets[kind]
+    undo = _with_fault(path, fault[1], shard_index)
+    try:
+        with pytest.raises((FormatError, OSError)):
+            list(read_records(path))
+    finally:
+        undo()
+    assert len(list(read_records(path))) == _CONFIGS[kind]["t"]
+
+
+@pytest.mark.parametrize("fault", ["truncated", "utf-8", *NOT_OBJECTS, "missing"])
+@pytest.mark.parametrize("kind", sorted(_CONFIGS))
+def test_commands_that_read_a_faulty_shard_exit_3(shard_datasets, tmp_path, capsys, kind, fault):
+    faults = {
+        "truncated": lambda lines: b"".join(lines)[:-5],
+        "utf-8": lambda lines: b"".join([lines[0][:9] + b"\xff" + lines[0][9:], *lines[1:]]),
+        **{name: (lambda text: lambda lines: b"".join([*lines[:-1], text + b"\n"]))(text)
+           for name, text in NOT_OBJECTS.items()},
+        "missing": lambda lines: None,
+    }
+    path = shard_datasets[kind]
+    undo = _with_fault(path, faults[fault], 1)
+    evaluate = "eval" if kind == KIND_ABSTRACT else "eval-langsym"
+    try:
+        for argv in ([evaluate, "--prompts", path, "--backend", "oracle", "--strategy", "think",
+                      "--report", str(tmp_path / "report.json")], ["inspect", "--in", path, "--index", "-1"]):
+            capsys.readouterr()
+            assert main(argv) == 3, argv
+            assert "error: " in capsys.readouterr().err
+    finally:
+        undo()
+    assert not (tmp_path / "report.json").exists()

@@ -16,13 +16,19 @@ from cotforge import (
     render_cot_example,
     render_standard_example,
 )
+from cotforge import sequences
+from cotforge.harness import strip_sequence_record
+from cotforge.rng import ItemStream, derive_seed
 from cotforge.sequences import (
+    ID_TEXT_BOUND,
     Sequence,
     cot_example_mask,
     recompute_chains,
     render_sequence,
+    sequence_line,
     standard_example_mask,
 )
+from cotforge.storage import encode_record
 from cotforge.vocab import N_SPECIAL
 
 
@@ -277,3 +283,66 @@ def test_array_renderer_rejects_abnormal_tokens(where, bad):
     {"input": inputs, "intermediate": chains, "answer": chains}[where][0, -1 if where == "answer" else 1] = bad
     with pytest.raises(ConfigError, match=f"token {bad} is not a normal token"):
         render_sequence(inputs, chains, [True, False], VOCAB)
+
+
+def _record_line(config, j, transforms):
+    """The record path: encode_record of generate_sequence, stripped by each transform in turn."""
+    record = generate_sequence(config, j)
+    for tf in transforms:
+        record = strip_sequence_record(record, tf["k_prime"], ItemStream(derive_seed(tf["seed"], j)),
+                                       config.artifacts[0])
+    return encode_record(record)
+
+
+def _outcome(write, *args):
+    try:
+        return "line", write(*args)
+    except ConfigError as exc:
+        return "ConfigError", str(exc)
+
+
+def _strips(*k_primes):
+    return [{"kind": "strip-cot", "k_prime": k, "seed": 40 + i} for i, k in enumerate(k_primes)]
+
+
+LINE_CONFIGS = {
+    "reference": dict(n_choices=(4,), m_choices=(4,), c_choices=(4,), k=40, vocab_size=1024, dim=10, cache_size=64,
+                      recipe=Recipe(alpha=2.0, a=0.5, b=0.5)),
+    "choices": dict(n_choices=(1, 3, 6), m_choices=(1, 2, 5), c_choices=(1, 2, 7), k=5, vocab_size=16, dim=3,
+                    cache_size=5, recipe=Recipe(alpha=1.0)),
+    "depth-2-shuffled": dict(n_choices=(2, 5), m_choices=(3,), c_choices=(3, 4), k=7, vocab_size=200, dim=6,
+                             cache_size=6, depth=2, shuffle=True, recipe=Recipe(alpha=0.0)),
+    "vocab-12000": dict(n_choices=(3,), m_choices=(2,), c_choices=(3,), k=6, vocab_size=12000, dim=4,
+                        cache_size=4, recipe=Recipe(alpha=0.5)),
+    "vocab-at-bound": dict(n_choices=(2,), m_choices=(2,), c_choices=(2,), k=4, vocab_size=ID_TEXT_BOUND, dim=2,
+                           cache_size=3, recipe=Recipe(alpha=0.0)),
+    "vocab-past-bound": dict(n_choices=(3,), m_choices=(2,), c_choices=(3,), k=4, vocab_size=2 * ID_TEXT_BOUND,
+                             dim=2, cache_size=3, recipe=Recipe(alpha=0.0)),
+}
+TRANSFORMS = [[], _strips(0), _strips(1), _strips(2), _strips(1, 0), _strips(1, 2), _strips(0, 3)]
+
+
+@pytest.mark.parametrize("name", sorted(LINE_CONFIGS))
+def test_sequence_line_equals_the_record_path(name):
+    config = small_config(t=12, master_seed=77, **LINE_CONFIGS[name])
+    outcomes = set()
+    for j in range(config.t):
+        for transforms in TRANSFORMS:
+            got = _outcome(sequence_line, config, j, transforms)
+            assert got == _outcome(_record_line, config, j, transforms), (j, transforms)
+            outcomes.add(got[0])
+        # a k' past the item's thinking context examples is the same error both ways
+        too_many = _strips(config.k)
+        assert _outcome(sequence_line, config, j, too_many) == _outcome(_record_line, config, j, too_many)
+        assert _outcome(sequence_line, config, j, too_many)[0] == "ConfigError"
+    assert "line" in outcomes
+    if name == "vocab-past-bound":  # ids past the text table's bound were written
+        assert max(max(generate_sequence(config, j)["tokens"]) for j in range(config.t)) >= ID_TEXT_BOUND
+    assert len(sequences._ID_TEXT) <= ID_TEXT_BOUND
+
+
+def test_id_text_table_holds_the_text_of_every_id_below_its_bound():
+    table = sequences._id_text(ID_TEXT_BOUND)
+    assert len(table) == ID_TEXT_BOUND
+    assert table.tobytes().translate(None, b"\0") == "".join(f",{i}" for i in range(ID_TEXT_BOUND)).encode()
+    assert sequences._id_text(5) is table  # never rebuilt smaller

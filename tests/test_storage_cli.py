@@ -1,8 +1,10 @@
+import concurrent.futures
 import copy
 import json
 import math
 import os
 import shlex
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 from cotforge import DatasetConfig, Recipe, Vocabulary, harness, make_eval_prompt, sequences, storage
 from cotforge.cli import main
 from cotforge.langsym import make_langsym_eval_prompt
-from cotforge.sequences import parse_sequence
+from cotforge.rng import ItemStream, derive_seed
+from cotforge.sequences import generate_sequence, parse_sequence
 from cotforge.storage import (
     KIND_ABSTRACT,
     KIND_LANGSYM,
@@ -107,15 +110,15 @@ def test_verify_detects_corruption(tmp_path):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Counts the process pools storage starts."""
+    """Counts the process pools storage starts (it imports the pool class when it starts one)."""
     started = []
 
-    class CountingPool(storage.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(storage, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return started
 
 
@@ -128,6 +131,54 @@ def test_one_pool_per_command(tmp_path, pools):
     assert pooled.outputs == serial.outputs
     assert verify_dataset(out, workers=2) == []
     assert pools == [2, 2]
+
+
+def test_no_pool_machinery_is_imported_without_a_pool(tmp_path):
+    """The commands that start no pool leave the pool module unimported (it costs every such process ~30 ms)."""
+    abstract, langsym = tmp_path / "abstract.json", tmp_path / "langsym.json"
+    abstract.write_text(json.dumps(ABSTRACT_CFG))
+    langsym.write_text(json.dumps(LANGSYM_CFG))
+    script = textwrap.dedent(f"""
+        import sys
+        from cotforge.cli import main
+        tmp = {str(tmp_path)!r}
+        def run(*argv):
+            assert main(list(argv)) == 0, argv
+            assert "concurrent.futures.process" not in sys.modules, argv
+        run("gen-abstract", "--config", {str(abstract)!r}, "--out", tmp + "/one", "--t", "1", "--workers", "2")
+        run("gen-abstract", "--config", {str(abstract)!r}, "--out", tmp + "/ds")
+        run("verify", "--manifest", tmp + "/ds", "--workers", "1")
+        run("eval", "--prompts", tmp + "/ds", "--backend", "oracle", "--strategy", "think", "--report", tmp + "/r.json")
+        run("gen-langsym", "--config", {str(langsym)!r}, "--out", tmp + "/ls")
+        run("eval-langsym", "--prompts", tmp + "/ls", "--backend", "oracle", "--strategy", "think",
+            "--report", tmp + "/rl.json")
+        assert main(["verify", "--manifest", tmp + "/ds", "--workers", "2"]) == 0
+        assert "concurrent.futures.process" in sys.modules  # the check above can see the import
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(storage.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_shards_hold_the_record_path_lines(tmp_path):
+    """Generated and stripped shards, shuffled and at two workers, equal the record API's bytes in output order."""
+    cfg = dict(ABSTRACT_CFG, shuffle=True, recipe={"alpha": 1.0, "a": 0.5, "b": 0.5})
+    config = DatasetConfig.from_json(cfg)
+    vocab = config.artifacts[0]
+    src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
+    write_dataset(src, KIND_ABSTRACT, cfg, shards=3, workers=2)
+    strip_dataset(src, dst, k_prime=0, seed=5, workers=2)
+    strip_dataset(dst, str(tmp_path / "dst2"), k_prime=1, seed=6, workers=1)
+    records = [generate_sequence(config, j) for j in config.output_order()]
+    assert list(read_records(src)) == records
+    stripped = [harness.strip_sequence_record(rec, 0, ItemStream(derive_seed(5, rec["seq_id"])), vocab)
+                for rec in records]
+    stripped = [harness.strip_sequence_record(rec, 1, ItemStream(derive_seed(6, rec["seq_id"])), vocab)
+                for rec in stripped]
+    for path, want in ((src, records), (str(tmp_path / "dst2"), stripped)):
+        shards = [Path(path, out["path"]).read_bytes() for out in Manifest.load(path).outputs]
+        assert b"".join(shards) == b"".join(map(storage.encode_record, want))
 
 
 @pytest.fixture
@@ -450,6 +501,21 @@ def test_cli_inspect_lists_every_token(tmp_path, capsys):
     assert len(token_lines) == len(rec["tokens"])
     shown = [int(l.split("]")[1].split()[0]) for l in token_lines]
     assert shown == rec["tokens"]
+    names = [l.split("]")[1].split()[1] for l in token_lines]
+    assert names == [Vocabulary.token_name(tok) for tok in rec["tokens"]]
+    assert names[:3] == ["bos", "inp_start", f"tok{rec['tokens'][2]}"]
+
+
+@pytest.mark.parametrize("kind", ["abstract", "langsym"])
+def test_cli_inspect_of_a_dataset_with_a_malformed_config_exits_2(tmp_path, capsys, kind):
+    ds = _edit_record(tmp_path, kind, lambda rec: None)
+    manifest = json.loads(Path(ds, "manifest.json").read_text())
+    manifest["config"]["k"] = "six"
+    Path(ds, "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["inspect", "--in", ds, "--index", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "config error: " in captured.err and captured.out == ""
 
 
 def test_cli_inspect_langsym(tmp_path, capsys):

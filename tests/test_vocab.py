@@ -26,6 +26,12 @@ def test_vocab_too_small_rejected():
         Vocabulary(9)
 
 
+def test_token_name_needs_no_instance():
+    names = [Vocabulary.token_name(i) for i in (0, 1, 8, 9, 1023, 10**6)]
+    assert names == ["pad", "bos", "ans_end", "tok9", "tok1023", "tok1000000"]
+    assert [Vocabulary(64).token_name(i) for i in (2, 40)] == ["eos", "tok40"]
+
+
 def test_special_role_order_is_fixed():
     v = Vocabulary(64)
     assert SPECIAL_ROLES == (

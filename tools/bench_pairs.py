@@ -14,7 +14,11 @@ BENCHMARK.json the file holds q1/median/q3 on each side, the per-pair
 change/parent ratios and the number of pairs the change wins (better in the
 metric's direction; a tie is no win). --trace W adds one `--trace 1` run of
 workload W per tree. Each tree is identified by its git HEAD, whether its
-working tree differs from HEAD, and a sha256 over its src/ files.
+working tree differs from HEAD, a sha256 over its src/ files and whether its
+src/ holds any __pycache__. Where the environment sets
+PYTHONDONTWRITEBYTECODE, a tree with bytecode skips the compile that the
+other pays in every CLI stage, so the script exits with status 2 before
+the first run when the two trees differ in that.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def tree_id(tree: Path) -> dict:
     for path in sorted(p for p in (tree / "src").rglob("*") if p.is_file() and "__pycache__" not in p.parts):
         digest.update(str(path.relative_to(tree)).encode() + b"\0" + path.read_bytes())
     return {"head": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--", "src")),
-            "src_sha256": digest.hexdigest()}
+            "src_sha256": digest.hexdigest(), "pycache": any((tree / "src").rglob("__pycache__"))}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -90,6 +94,11 @@ def main() -> int:
     metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     doc = {"trees": {side: tree_id(tree) for side, tree in trees.items()}, "machine": machine(),
            "command": f"bench/run.py --workload W --seed S --seconds {args.seconds} --trace 0", "workloads": {}}
+    if doc["trees"]["parent"]["pycache"] != doc["trees"]["change"]["pycache"]:
+        with_bytecode = next(side for side, tree in doc["trees"].items() if tree["pycache"])
+        print(f"only the {with_bytecode} tree's src/ holds __pycache__; remove it, or compile both trees",
+              file=sys.stderr)
+        return 2
     for spec in args.pairs:
         workload, count = spec.split("=")
         runs = []
