@@ -410,9 +410,10 @@ def render_sequence(
     return [vocab.bos] + kept.tolist(), cells.mask(cot_flags)
 
 
-# Token ids below this bound are written through one shared table of their
-# text (8 bytes a row, 512 KiB at most); a vocabulary that reaches past it
-# writes every id with str.
+# Token ids below this bound are written through one table of their text (8
+# bytes a row, 512 KiB at most), which every caller in the process shares: a
+# row depends only on its id. A vocabulary that reaches past the bound
+# writes every id with %d.
 ID_TEXT_BOUND = 1 << 16
 _ID_TEXT = np.zeros(0, dtype=np.uint64)
 
@@ -476,7 +477,7 @@ def strip_flags(cot_flags: list[int], k_prime: int, rng: ItemStream | np.random.
     return [int(bool(f) and i not in chosen) for i, f in enumerate(cot_flags)]
 
 
-def sequence_line(config: DatasetConfig, j: int, transforms: Seq[dict] = ()) -> bytes:
+def sequence_line(config: DatasetConfig, j: int, transforms: Seq[dict]) -> bytes:
     """Shard line of sequence j after each strip-cot transform in turn, written from its arrays.
 
     Byte for byte `encode_record` of `generate_sequence(config, j)` passed

@@ -43,7 +43,9 @@ from .errors import ConfigError, FormatError
 from .langsym import LangSymConfig, generate_langsym_prompt, strip_chat_prompt
 from .recipe import TaskConfig
 from .rng import ItemStream, choose_distinct, derive_seed, make_rng
-from .sequences import DatasetConfig, generate_sequence, sequence_line  # noqa: F401 (generate_sequence: the record API)
+# generate_sequence is not called here: it is the record API, which the
+# benchmark's tracer tests look up under this module's name too
+from .sequences import DatasetConfig, generate_sequence, sequence_line  # noqa: F401
 
 KIND_ABSTRACT = "abstract"
 KIND_LANGSYM = "langsym"

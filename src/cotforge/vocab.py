@@ -58,7 +58,8 @@ class Vocabulary:
     def n_normal(self) -> int:
         return self.size - N_SPECIAL
 
-    def is_special(self, token_id: int) -> bool:
+    @staticmethod
+    def is_special(token_id: int) -> bool:
         return 0 <= token_id < N_SPECIAL
 
     def is_normal(self, token_id: int) -> bool:
@@ -67,7 +68,7 @@ class Vocabulary:
     @staticmethod
     def token_name(token_id: int) -> str:
         """Role name for delimiters, "tok<i>" for any other id; needs no instance."""
-        if 0 <= token_id < N_SPECIAL:
+        if Vocabulary.is_special(token_id):
             return SPECIAL_ROLES[token_id]
         return f"tok{token_id}"
 
