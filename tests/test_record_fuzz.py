@@ -168,11 +168,12 @@ def test_manifest_from_a_mutated_document_raises_only_what_load_maps_to_exit_2(d
         pass
 
 
-# Byte faults of a shard file. Each takes the shard's lines (with their
-# newlines) and a draw, and returns the faulty file's bytes, or None for a
-# shard that is gone.
+# Byte faults of a shard file. Each fault takes the shard's lines (with
+# their newlines) and returns the faulty file's bytes, or None for a shard
+# that is gone.
 NOT_OBJECTS = {"list": b"[1,2]", "number": b"3", "null": b"null", "string": b'"seq"'}
-INVALID_UTF8 = (b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xf0\x9f\x98")  # stray, cut, surrogate, truncated
+# a stray byte, a bad continuation byte, an encoded surrogate, a cut 4-byte sequence
+INVALID_UTF8 = (b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xf0\x9f\x98")
 
 
 @st.composite

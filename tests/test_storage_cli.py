@@ -134,7 +134,7 @@ def test_one_pool_per_command(tmp_path, pools):
 
 
 def test_no_pool_machinery_is_imported_without_a_pool(tmp_path):
-    """The commands that start no pool leave the pool module unimported (it costs every such process ~30 ms)."""
+    """The commands that start no pool do not import the pool machinery; a pooled verify does."""
     abstract, langsym = tmp_path / "abstract.json", tmp_path / "langsym.json"
     abstract.write_text(json.dumps(ABSTRACT_CFG))
     langsym.write_text(json.dumps(LANGSYM_CFG))
