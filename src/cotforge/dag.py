@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import ConfigError
 from .rng import ItemStream, choose_distinct
 
@@ -66,7 +64,7 @@ class Dag:
         return self._answer_ancestors[node]
 
 
-def sample_dag(n_inputs: int, fan_in: int, n_chain: int, rng: ItemStream | np.random.Generator) -> Dag:
+def sample_dag(n_inputs: int, fan_in: int, n_chain: int, rng: ItemStream) -> Dag:
     """Uniform DAG from the (N, M, C) structure class.
 
     Chain node c picks min(M, N) distinct parents uniformly from the N + c - 1

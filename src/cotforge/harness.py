@@ -39,8 +39,9 @@ import numpy as np
 
 from .dag import Dag
 from .errors import BackendError, ConfigError
-from .rng import ItemStream, make_rng
-from .sequences import check_layout, layout, strip_flags
+from .recipe import strip_flags
+from .rng import ItemStream
+from .sequences import check_layout, layout
 from .vocab import Vocabulary
 
 FORCE_THINK = "force_think"
@@ -112,7 +113,7 @@ def make_eval_prompt(record: dict, vocab: Vocabulary) -> EvalPrompt:
     )
 
 
-def strip_sequence_record(record: dict, k_prime: int, rng: ItemStream | np.random.Generator, vocab: Vocabulary) -> dict:
+def strip_sequence_record(record: dict, k_prime: int, rng: ItemStream, vocab: Vocabulary) -> dict:
     """Drop the thinking segments of k_prime context examples of a stored sequence record.
 
     The stripped examples are drawn with `strip_flags`, uniformly without
@@ -358,7 +359,7 @@ class RandomBackend(OracleBackend):
     chance baseline. The chains are drawn from Philox(seed) in prompt order."""
 
     def __init__(self, prompts: list[EvalPrompt], vocab: Vocabulary, seed: int = 0):
-        rng = make_rng(seed)
+        rng = ItemStream(seed)
         lo, hi = vocab.normal_ids.start, vocab.normal_ids.stop
         drawn = [replace(p, ground_truth_chain=tuple(rng.integers(lo, hi, size=len(p.ground_truth_chain)).tolist()))
                  for p in prompts]

@@ -29,7 +29,7 @@ from .harness import (
     FORCE_ANSWER, FORCE_THINK, EvalPrompt, EvalReport, ForcingConfig,
     JsonLinesProcess, evaluate_prompts,
 )
-from .recipe import TaskConfig, check_int, choose_stripped
+from .recipe import TaskConfig, check_int, strip_flags
 from .rng import ItemStream, choose_distinct
 
 ALPHABET = string.ascii_lowercase
@@ -109,7 +109,7 @@ class LangSymConfig(TaskConfig):
         self.templates.validate()
 
 
-def random_word(w: int, rng: ItemStream | np.random.Generator, distinct: bool = False) -> str:
+def random_word(w: int, rng: ItemStream, distinct: bool = False) -> str:
     """w lowercase letters; i.i.d. by default, distinct in `distinct` mode."""
     if w < 1:
         raise ConfigError(f"word length must be >= 1, got {w}")
@@ -233,30 +233,22 @@ def generate_langsym_prompt(config: LangSymConfig, j: int) -> dict:
     return {"prompt_id": j, "messages": messages, "meta": meta}
 
 
-def strip_chat_prompt(
-    record: dict,
-    k_prime: int,
-    rng: ItemStream | np.random.Generator,
-    templates: Templates,
-) -> dict:
+def strip_chat_prompt(record: dict, k_prime: int, rng: ItemStream, templates: Templates) -> dict:
     """Re-render k_prime thinking assistant turns as answer-only turns.
 
-    Mirrors the token-level stripping: uniform without replacement among the
-    first K-1 examples' thinking turns; the final exchange is never touched.
-    Takes and returns a prompt record; `templates` are the dataset's.
+    The turns whose flags `strip_flags` clears, the rule of the token-level
+    strip, are re-rendered. Takes and returns a prompt record; `templates`
+    are the dataset's.
     """
     meta = record["meta"]
-    flags = [bool(f) for f in meta["cot_flags"]]
-    chosen = choose_stripped(flags[: meta["k"] - 1], k_prime, rng)
+    flags = strip_flags(meta["cot_flags"], k_prime, rng)
     messages = list(record["messages"])
-    for i in chosen:
-        flags[i] = False
-        # message layout: system at 0, example i's user at 1+2i, assistant at 2+2i
-        messages[2 + 2 * i] = {
-            "role": "assistant",
-            "content": render_assistant(list(meta["chains"][i]), False, templates),
-        }
-    meta = {**meta, "cot_flags": [int(f) for f in flags]}
+    for i, (old, new) in enumerate(zip(meta["cot_flags"], flags)):
+        if old and not new:
+            # message layout: system at 0, example i's user at 1+2i, assistant at 2+2i
+            content = render_assistant(list(meta["chains"][i]), False, templates)
+            messages[2 + 2 * i] = {"role": "assistant", "content": content}
+    meta = {**meta, "cot_flags": flags}
     return {"prompt_id": record["prompt_id"], "messages": messages, "meta": meta}
 
 

@@ -85,7 +85,7 @@ def new_cache(cache_size: int, dim: int, depth: int, slope: float, seed: int) ->
     return tuple(procs)
 
 
-def sample_processors(cache: tuple[Mlp, ...], n_chain: int, rng: ItemStream | np.random.Generator) -> list[int]:
+def sample_processors(cache: tuple[Mlp, ...], n_chain: int, rng: ItemStream) -> list[int]:
     """n_chain uniform cache indices, with replacement (one per chain node)."""
     if n_chain < 1:
         raise ConfigError(f"n_chain must be >= 1, got {n_chain}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dag import Dag, sample_dag
 from .errors import ConfigError
-from .rng import MAX_ITEM_STREAM, ItemStream, choose_distinct, derive_seed, make_rng, permutation, pick
+from .rng import MAX_ITEM_STREAM, ItemStream, choose_distinct, derive_seed, permutation, pick
 
 _SUM_CHUNK = 1 << 22
 
@@ -252,18 +252,18 @@ class TaskConfig:
         """Order in which item ids are emitted: range(t) unless shuffling."""
         if not self.shuffle:
             return range(self.t)
-        return permutation(make_rng(self.master_seed + 1), self.t)
+        return permutation(ItemStream(self.master_seed + 1), self.t)
 
 
-def choose_stripped(cot_flags, k_prime: int, rng: ItemStream | np.random.Generator) -> set[int]:
-    """Positions of k_prime thinking examples to re-render plain.
+def strip_flags(cot_flags: list[int], k_prime: int, rng: ItemStream) -> list[int]:
+    """cot_flags with k_prime thinking context examples set plain, the rule of strip-cot.
 
-    Chosen uniformly without replacement among the positions whose flag is
-    set; k_prime=0 chooses none and draws nothing.
+    They are drawn uniformly without replacement among the thinking
+    examples but the last, the future query, which keeps its flag;
+    k_prime=0 draws nothing and is the identity.
     """
-    cot_positions = [i for i, flag in enumerate(cot_flags) if flag]
-    if not 0 <= k_prime <= len(cot_positions):
-        raise ConfigError(f"k_prime {k_prime} outside [0, {len(cot_positions)}] thinking context examples")
-    if not k_prime:
-        return set()
-    return {cot_positions[i] for i in choose_distinct(rng, len(cot_positions), k_prime)}
+    positions = [i for i, flag in enumerate(cot_flags[:-1]) if flag]
+    if not 0 <= k_prime <= len(positions):
+        raise ConfigError(f"k_prime {k_prime} outside [0, {len(positions)}] thinking context examples")
+    chosen = {positions[i] for i in choose_distinct(rng, len(positions), k_prime)}
+    return [int(bool(f) and i not in chosen) for i, f in enumerate(cot_flags)]

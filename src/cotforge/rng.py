@@ -16,17 +16,15 @@ Stream layout for a master seed s:
 
 Streams keyed by a seed given on the command line, not by s:
   - strip-cot of item j     -> derive_seed(transform seed, j)
-  - verify --sample shards  -> make_rng(seed) directly
-  - RandomBackend chains    -> make_rng(seed) directly
+  - verify --sample shards  -> Philox keyed with the seed directly
+  - RandomBackend chains    -> Philox keyed with the seed directly
 
-A stream is read in one of two ways:
-  - ItemStream, for dataset items (generation and verify) and their
-    strip-cot streams. It is a cursor over the raw words of one
-    process-wide Philox, re-keyed through its state for each stream, so no
-    Generator is built or called per item.
-  - make_rng, a numpy Generator, for the embedding matrix and the processor
-    cache (standard_normal), the output shuffle, verify --sample and
-    RandomBackend.
+Every discrete draw (items, strip-cot, the output shuffle, verify --sample
+and RandomBackend) is read through ItemStream, a cursor over the raw words
+of one process-wide Philox, re-keyed through its state for each stream, so
+no Generator is built or called per stream. The normals of the embedding
+matrix and the processor cache are the one other reader: standard_normal
+of a make_rng Generator.
 
 ItemStream gives the values and the stream positions of the Generator
 calls it replaces, from raw words and this module's code:
@@ -36,14 +34,15 @@ calls it replaces, from raw words and this module's code:
     the buffer by.
   - Lemire bounded draws. integers(0, h) for 2 <= h <= 2**32 maps a 32-bit
     value u to (u * h) >> 32 and redraws when the low 32 bits of u * h are
-    below the threshold (2**32 - h) mod h; h = 1 draws nothing.
+    below the threshold (2**32 - h) mod h; h = 1 draws nothing. An array
+    of lower bounds draws element by element, as Generator.integers does.
   - random() is (word >> 11) * 2**-53.
-So item and strip-cot bytes depend on Philox's raw words and this code,
-not on numpy's integers or random. numpy >= 1.26 is required. NEP 19
-freezes only the legacy RandomState, not Generator, so a numpy release may
-change the Generator streams that make_rng's users read (standard_normal,
-integers). tests/test_golden.py and bench/golden.json pin the resulting
-bytes, and tests/test_rng.py pins ItemStream against Generator.
+So every discrete draw depends on Philox's raw words and this code, not on
+numpy's integers or random. numpy >= 1.26 is required. NEP 19 freezes only
+the legacy RandomState, not Generator, so a numpy release may change the
+standard_normal stream that make_rng's users read. tests/test_golden.py and
+bench/golden.json pin the resulting bytes, and tests/test_rng.py pins
+ItemStream against Generator.
 """
 
 from __future__ import annotations
@@ -96,10 +95,11 @@ class ItemStream:
 
     integers(low, high[, size]) and random([size]) return what the same
     Generator calls return and leave the stream where they leave it, for
-    1 <= high - low <= 2**32; bulk_rounds is a batch of such calls. Raw
-    words come in blocks from the process-wide Philox, re-keyed to this
-    stream's key and counter for each block. The cursor owns its position:
-    cursors drawn alternately each keep their own stream.
+    1 <= high - low <= 2**32 (>= 2 for an array of lows); bulk_rounds is a
+    batch of such calls. Raw words come in blocks from the process-wide
+    Philox, re-keyed to this stream's key and counter for each block. The
+    cursor owns its position: cursors drawn alternately each keep their own
+    stream.
     """
 
     __slots__ = ("_key", "_blocks", "_raw", "_pos", "_half")
@@ -159,12 +159,21 @@ class ItemStream:
         if count % 2:
             self._half = int(self._raw[self._pos - 1]) >> 32
 
-    def integers(self, low: int, high: int | None = None, size=None):
-        """Generator.integers(low, high, size): an int, or an int64 array of shape `size`."""
+    def integers(self, low, high: int | None = None, size=None):
+        """Generator.integers(low, high, size): an int, or an int64 array of shape `size`.
+
+        An int64 array `low` holds one lower bound per draw and gives the shape.
+        """
         if high is None:
             low, high = 0, low
         span = high - low
-        if not 1 <= span <= 1 << 32:
+        many = isinstance(span, np.ndarray)  # a span per draw, sliced from the first undrawn one
+        if many:
+            size = span.shape
+            if span.size and not (span.min() >= 2 and span.max() <= 1 << 32):
+                raise ValueError(f"ItemStream array draws need 2 <= high - low <= 2**32, got high {high}")
+            span = span.reshape(-1).astype(np.uint64)
+        elif not 1 <= span <= 1 << 32:
             raise ValueError(f"ItemStream draws need 1 <= high - low <= 2**32, got [{low}, {high})")
         threshold = ((1 << 32) - span) % span
         if size is None:
@@ -176,10 +185,10 @@ class ItemStream:
                     return low + (m >> 32)
         out = np.zeros(size, dtype=np.int64)
         flat = out.reshape(-1)
-        done = 0 if span > 1 else flat.size
+        done = 0 if many or span > 1 else flat.size
         while done < flat.size:
-            wide = self._halves(flat.size - done).astype(np.uint64) * span
-            rejected = np.flatnonzero(wide.astype(np.uint32) < threshold)
+            wide = self._halves(flat.size - done).astype(np.uint64) * (span[done:] if many else span)
+            rejected = np.flatnonzero(wide.astype(np.uint32) < (threshold[done:] if many else threshold))
             # values up to the first rejected draw stand; the rejected draw
             # is consumed and the rest are drawn again after it
             take = int(rejected[0]) if rejected.size else len(wide)
@@ -259,7 +268,7 @@ def _shared_philox() -> tuple[np.random.Philox, dict]:
     return philox, philox.state
 
 
-def choose_distinct(rng: ItemStream | np.random.Generator, pool_size: int, k: int) -> list[int]:
+def choose_distinct(rng: ItemStream, pool_size: int, k: int) -> list[int]:
     """k distinct uniform draws from range(pool_size), via partial Fisher-Yates.
 
     Implemented here rather than with Generator.choice so the exact draw
@@ -272,20 +281,21 @@ def choose_distinct(rng: ItemStream | np.random.Generator, pool_size: int, k: in
     return idx[:k]
 
 
-def permutation(rng: np.random.Generator, n: int) -> list[int]:
+def permutation(rng: ItemStream, n: int) -> list[int]:
     """Uniform permutation of range(n) by full Fisher-Yates (draw order pinned).
 
     The swap targets are drawn as arrays of up to _DRAW_CHUNK, the same
-    stream as choose_distinct's n scalar draws integers(i, n).
+    stream as choose_distinct's scalar draws integers(i, n). The last step,
+    integers(n - 1, n), draws nothing and is left out.
     """
     idx = list(range(n))
-    for lo in range(0, n, _DRAW_CHUNK):
-        targets = rng.integers(np.arange(lo, min(lo + _DRAW_CHUNK, n)), n).tolist()
+    for lo in range(0, n - 1, _DRAW_CHUNK):
+        targets = rng.integers(np.arange(lo, min(lo + _DRAW_CHUNK, n - 1)), n).tolist()
         for i, j in enumerate(targets, lo):
             idx[i], idx[j] = idx[j], idx[i]
     return idx
 
 
-def pick(rng: ItemStream | np.random.Generator, choices: list[int]) -> int:
+def pick(rng: ItemStream, choices: list[int]) -> int:
     """Uniform element of a non-empty choice list: one draw, none for a single choice."""
     return choices[int(rng.integers(len(choices)))]

@@ -30,11 +30,12 @@ stored record deletes thinking spans from the stream
 (harness.strip_sequence_record). None of them parses or re-renders.
 
 Storage writes each shard line straight from the layout (`sequence_line`):
-a strip-cot transform re-draws the item's cot_flags first (`strip_flags`,
-the rule strip_sequence_record applies to a stored record), and the kept
-cells are then written once, through a table of token-id text and the
-layout's mask text, with only the meta going through json. No token list
-is built and nothing is re-checked, since no stored stream exists yet.
+a strip-cot transform re-draws the item's cot_flags first
+(`recipe.strip_flags`, the rule strip_sequence_record applies to a stored
+record), and the kept cells are then written once, through a table of
+token-id text and the layout's mask text, with only the meta going through
+json. No token list is built and nothing is re-checked, since no stored
+stream exists yet.
 `generate_sequence` (the record), storage.encode_record (its bytes) and
 harness.strip_sequence_record (its strip) are the record API, and the
 tests' reference for those lines. The
@@ -75,7 +76,7 @@ import numpy as np
 from .dag import check_record_dag
 from .errors import ConfigError, FormatError
 from .processors import Mlp, chain_tokens_batch, new_cache, sample_processors
-from .recipe import TaskConfig, check_int, choose_stripped
+from .recipe import TaskConfig, check_int, strip_flags
 from .rng import STREAM_CACHE, STREAM_EMBED, ItemStream, derive_seed
 from .vocab import EmbeddingMatrix, N_SPECIAL, Vocabulary, read_only, sample_embedding_matrix
 
@@ -134,6 +135,8 @@ class DatasetConfig(TaskConfig):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_int("vocab_size", self.vocab_size, N_SPECIAL + 1)
+        if self.vocab_size - N_SPECIAL > 1 << 32:  # normal tokens are drawn with spans of at most 2**32
+            raise ConfigError(f"vocab_size must be <= 2**32 + {N_SPECIAL}, got {self.vocab_size}")
         for name in ("dim", "cache_size", "depth"):
             check_int(name, getattr(self, name))
         if isinstance(self.slope, bool) or not isinstance(self.slope, (int, float)) or not 0.0 < self.slope <= 1.0:
@@ -149,10 +152,14 @@ def build_artifacts(config: DatasetConfig) -> tuple[Vocabulary, EmbeddingMatrix,
     """Vocabulary, embedding matrix, and processor cache for a config.
 
     Embedding and cache seeds are derived from the master seed on reserved
-    streams, so the whole dataset regenerates from the config alone.
+    streams, so the whole dataset regenerates from the config alone. An
+    embedding matrix too large to allocate is a ConfigError.
     """
     vocab = Vocabulary(config.vocab_size)
-    emb = sample_embedding_matrix(vocab, config.dim, derive_seed(config.master_seed, STREAM_EMBED))
+    try:
+        emb = sample_embedding_matrix(vocab, config.dim, derive_seed(config.master_seed, STREAM_EMBED))
+    except MemoryError as exc:
+        raise ConfigError(f"no memory for a {config.vocab_size} x {config.dim} embedding (vocab_size x dim)") from exc
     cache = new_cache(
         config.cache_size,
         config.dim,
@@ -465,16 +472,6 @@ def generate_sequence(config: DatasetConfig, j: int) -> dict:
     inputs, chains, meta = _draw(config, j)
     tokens, mask = render_sequence(inputs, chains, meta["cot_flags"], config.artifacts[0])
     return {"seq_id": j, "tokens": tokens, "loss_mask": mask, "meta": meta}
-
-
-def strip_flags(cot_flags: list[int], k_prime: int, rng: ItemStream | np.random.Generator) -> list[int]:
-    """cot_flags with k_prime thinking context examples set plain, drawn by choose_stripped.
-
-    The last example is the future query and keeps its flag; k_prime=0 is
-    the identity.
-    """
-    chosen = choose_stripped(cot_flags[:-1], k_prime, rng)
-    return [int(bool(f) and i not in chosen) for i, f in enumerate(cot_flags)]
 
 
 def sequence_line(config: DatasetConfig, j: int, transforms: Seq[dict]) -> bytes:

@@ -42,7 +42,7 @@ from . import __version__
 from .errors import ConfigError, FormatError
 from .langsym import LangSymConfig, generate_langsym_prompt, strip_chat_prompt
 from .recipe import TaskConfig
-from .rng import ItemStream, choose_distinct, derive_seed, make_rng
+from .rng import ItemStream, choose_distinct, derive_seed
 # generate_sequence is not called here: it is the record API, which the
 # benchmark's tracer tests look up under this module's name too
 from .sequences import DatasetConfig, generate_sequence, sequence_line  # noqa: F401
@@ -313,8 +313,7 @@ def verify_dataset(path: str, sample: int | None = None, seed: int = 0, workers:
         return [f"manifest lists {len(manifest.outputs)} shards but config implies {len(ranges)}"]
     checked = list(range(len(manifest.outputs)))
     if sample is not None and sample < len(checked):
-        rng = make_rng(seed)
-        checked = sorted(choose_distinct(rng, len(checked), sample))
+        checked = sorted(choose_distinct(ItemStream(seed), len(checked), sample))
     items = [j for s in checked for j in order[slice(*ranges[s])]]
     problems = []
     stream = _emit_lines(manifest.kind, manifest.config, manifest.transforms, items, workers, len(checked))

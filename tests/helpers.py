@@ -21,7 +21,7 @@ from cotforge.errors import ConfigError
 from cotforge.harness import EvalPrompt
 from cotforge.langsym import random_word, render_assistant, render_question, string_transform
 from cotforge.processors import chain_tokens_batch
-from cotforge.recipe import choose_stripped, r_cot
+from cotforge.recipe import r_cot
 from cotforge.rng import derive_seed, make_rng, pick
 from cotforge.sequences import (
     cot_example_mask,
@@ -132,6 +132,17 @@ def all_paths_reach(dag, src: int, dst: int) -> bool:
     return walk(src)
 
 
+def reference_stripped(cot_flags, k_prime: int, rng) -> set[int]:
+    """Positions of k_prime of the set flags, by partial Fisher-Yates over the positions, one draw per swap."""
+    positions = [i for i, flag in enumerate(cot_flags) if flag]
+    if not 0 <= k_prime <= len(positions):
+        raise ConfigError(f"k_prime {k_prime} outside [0, {len(positions)}] thinking context examples")
+    for i in range(k_prime):
+        j = int(rng.integers(i, len(positions)))
+        positions[i], positions[j] = positions[j], positions[i]
+    return set(positions[:k_prime])
+
+
 def reference_strip_sequence_record(record: dict, k_prime: int, rng, vocab) -> dict:
     """Dataset-level stripping by parse and re-render, one example at a time.
 
@@ -139,7 +150,7 @@ def reference_strip_sequence_record(record: dict, k_prime: int, rng, vocab) -> d
     does, then renders every example again in its new mode.
     """
     parsed = parse_sequence(list(record["tokens"]), vocab)
-    chosen = choose_stripped([ex.is_cot for ex in parsed[:-1]], k_prime, rng)
+    chosen = reference_stripped([ex.is_cot for ex in parsed[:-1]], k_prime, rng)
     n, c = record["meta"]["n"], record["meta"]["c"]
     tokens, mask, flags = [vocab.bos], [0], []
     for i, ex in enumerate(parsed):
@@ -161,7 +172,7 @@ def reference_strip_cot(prompt: EvalPrompt, k_prime: int, rng, vocab) -> EvalPro
     """
     split = len(prompt.context) - (prompt.meta["n"] + 2)
     parsed = parse_examples(list(prompt.context[:split]), vocab, start=1)
-    chosen = choose_stripped([ex.is_cot for ex in parsed], k_prime, rng)
+    chosen = reference_stripped([ex.is_cot for ex in parsed], k_prime, rng)
     context, flags = [vocab.bos], []
     for i, ex in enumerate(parsed):
         as_cot = ex.is_cot and i not in chosen

@@ -27,6 +27,7 @@ from cotforge.langsym import (
     render_assistant,
     strip_chat_prompt,
 )
+from cotforge.recipe import strip_flags
 from cotforge.rng import ItemStream, make_rng
 
 import helpers
@@ -367,6 +368,21 @@ def test_strip_chat_zero_identity():
     cfg = small_config()
     chat = generate_langsym_prompt(cfg, 1)
     assert strip_chat_prompt(chat, 0, make_rng(0), cfg.templates) == chat
+
+
+def test_strip_chat_prompt_rerenders_only_the_turns_strip_flags_clears():
+    # mixed flags: the draw is among the thinking context turns, the rule of the token-level strip
+    cfg = small_config(recipe=Recipe(alpha=1.0), k=8)
+    for j in range(cfg.t):
+        chat = generate_langsym_prompt(cfg, j)
+        flags = chat["meta"]["cot_flags"]
+        k_prime = min(2, sum(flags[:-1]))
+        stripped = strip_chat_prompt(chat, k_prime, ItemStream(j), cfg.templates)
+        want = strip_flags(flags, k_prime, ItemStream(j))
+        assert stripped["meta"]["cot_flags"] == want
+        changed = [i for i, (a, b) in enumerate(zip(chat["messages"], stripped["messages"])) if a != b]
+        assert changed == [2 + 2 * i for i, (old, new) in enumerate(zip(flags, want)) if old and not new]
+        assert len(changed) == k_prime
 
 
 def test_text_oracle_both_strategies():

@@ -1,8 +1,8 @@
 """Draws that must give the stream of the Generator calls they replace.
 
 ItemStream answers integers and random from raw Philox words, and
-bulk_rounds and permutation take many values at once where the reference
-makes one Generator call per value. Each test runs both on twins of one
+bulk_rounds, an array of lower bounds and permutation take many values at
+once where the reference makes one Generator call per value. Each test runs both on twins of one
 seed, an ItemStream or a Generator against a make_rng Generator, and
 compares the values and then the draws that follow, so a stream that only
 matches up to its last value is caught too.
@@ -57,15 +57,53 @@ def lemire(halves, span: int) -> tuple[list[int], list[int]]:
     return values, redrawn
 
 
+def halves_drawn(rng: np.random.Generator) -> int:
+    """32-bit draws a fresh Generator has taken: its whole words, less a buffered half."""
+    state = rng.bit_generator.state
+    words = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+    return 2 * words - state["has_uint32"]
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 1000, 100003])
 def test_permutation_is_the_stream_of_scalar_draws(n):
-    bulk, twin = make_rng(n), make_rng(n)
-    idx = list(range(n))
-    for i in range(n):
-        j = int(twin.integers(i, n))
-        idx[i], idx[j] = idx[j], idx[i]
-    assert permutation(bulk, n) == idx
-    assert_same_next_draws(bulk, twin)
+    # 100003 takes two chunks of array draws; seeds 0 and 2 redraw one swap target there
+    redraws = 0
+    for seed in (0, 2, 2**64 - 1):
+        bulk, twin = ItemStream(seed), make_rng(seed)
+        idx = list(range(n))
+        for i in range(n):
+            j = int(twin.integers(i, n))
+            idx[i], idx[j] = idx[j], idx[i]
+        redraws += halves_drawn(twin) - (n - 1)
+        assert permutation(bulk, n) == idx
+        assert_same_next_draws(bulk, twin)
+    assert redraws == (2 if n == 100003 else 0)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("lows, high", [
+    (np.arange(24), 26),
+    (np.arange(40).reshape(4, 10), 2**31 + 41),  # spans around 2**31 + 1 redraw about half their draws
+    (np.arange(40), 2**32),  # spans 2**32 - 39 to 2**32, which takes the raw half
+])
+def test_array_of_lows_is_the_stream_of_scalar_draws(lows, high, buffered):
+    redraws = 0
+    for seed in range(5):
+        a, b = twins(seed, buffered)
+        scalar = twins(seed, buffered)[1]
+        drawn = a.integers(lows, high)
+        assert drawn.dtype == np.int64 and drawn.shape == lows.shape
+        assert drawn.tolist() == b.integers(lows, high).tolist()
+        assert drawn.ravel().tolist() == [int(scalar.integers(lo, high)) for lo in lows.ravel().tolist()]
+        redraws += halves_drawn(scalar) - buffered - lows.size
+        assert_same_next_draws(a, scalar)
+    assert (redraws > 0) == (high == 2**31 + 41)
+
+
+def test_array_of_lows_needs_spans_from_two_to_two_to_the_32():
+    for lows in (np.arange(3, 6), np.array([5 - 2**32])):  # a span of 1; one of 2**32 + 1
+        with pytest.raises(ValueError):
+            ItemStream(0).integers(lows, 6)
 
 
 @pytest.mark.parametrize("buffered", [False, True])

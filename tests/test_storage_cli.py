@@ -9,6 +9,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from cotforge import DatasetConfig, Recipe, Vocabulary, harness, make_eval_prompt, sequences, storage
 from cotforge.cli import main
 from cotforge.langsym import make_langsym_eval_prompt
-from cotforge.rng import ItemStream, derive_seed
+from cotforge.rng import STREAM_CACHE, STREAM_EMBED, ItemStream, derive_seed
 from cotforge.sequences import generate_sequence, parse_sequence
 from cotforge.storage import (
     KIND_ABSTRACT,
@@ -94,6 +95,24 @@ def test_verify_sampled_subset(tmp_path):
     with open(path, "wb") as fh:
         fh.write(blob)
     assert verify_dataset(out) != []
+
+
+def test_verify_sample_checks_the_shards_its_seed_draws(tmp_path):
+    # one planted corrupt shard at a time: a sampled verify flags it when its seed draws that shard
+    out = str(tmp_path / "ds")
+    outputs = write_dataset(out, KIND_ABSTRACT, ABSTRACT_CFG, shards=8).outputs
+    flagged = {seed: [] for seed in (0, 1, 7)}
+    for s, o in enumerate(outputs):
+        path = Path(out, o["path"])
+        good = path.read_bytes()
+        path.write_bytes(good[:10] + bytes([good[10] ^ 0xFF]) + good[11:])
+        for seed, shards in flagged.items():
+            problems = verify_dataset(out, sample=2, seed=seed)
+            assert all(p.startswith(o["path"]) for p in problems)
+            if problems:
+                shards.append(s)
+        path.write_bytes(good)
+    assert flagged == {0: [0, 1], 1: [0, 3], 7: [1, 7]}
 
 
 def test_verify_detects_corruption(tmp_path):
@@ -346,6 +365,9 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("abstract", {"recipe": {"alpha": True, "a": False, "b": True}}),
         # the file's text, nested past the JSON parser's depth: a RecursionError
         pytest.param("abstract", _DEEP, id="abstract-nested-json"),
+        # normal tokens are drawn with spans of at most 2**32
+        ("abstract", {"vocab_size": 2**32 + 10}),
+        ("abstract", {"vocab_size": 2**40}),
     ],
 )
 def test_cli_bad_config_value_exit_code(tmp_path, capsys, kind, bad):
@@ -561,6 +583,43 @@ def test_cli_seed_override_changes_output(tmp_path, capsys):
     hb = Manifest.load(b).outputs[0]["sha256"]
     assert ha != hb
     assert Manifest.load(b).config["master_seed"] == 999
+    capsys.readouterr()
+
+
+def test_cli_embedding_matrix_without_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def no_memory(vocab, dim, seed):
+        raise MemoryError
+
+    monkeypatch.setattr(sequences, "sample_embedding_matrix", no_memory)
+    cfg = _write_cfg(tmp_path, dict(ABSTRACT_CFG, vocab_size=2**32 + 9))
+    out = tmp_path / "x"
+    assert main(["gen-abstract", "--config", cfg, "--out", str(out)]) == 2
+    assert "no memory for a 4294967305 x 8 embedding (vocab_size x dim)" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_generators_are_built_only_for_the_normals(tmp_path, capsys, monkeypatch):
+    # shuffle, verify --sample and RandomBackend read ItemStream: the one Generator
+    # per artifact is the embedding matrix's and the processor cache's, in each
+    # command that regenerates items
+    keys = []
+    generator = np.random.Generator
+
+    def counting(bit_generator):
+        keys.append(int(bit_generator.state["state"]["key"][0]))
+        return generator(bit_generator)
+
+    monkeypatch.setattr(np.random, "Generator", counting)
+    normals = [derive_seed(ABSTRACT_CFG["master_seed"], stream) for stream in (STREAM_EMBED, STREAM_CACHE)]
+    cfg = _write_cfg(tmp_path, dict(ABSTRACT_CFG, shuffle=True))
+    ds, report = str(tmp_path / "ds"), str(tmp_path / "rep.json")
+    assert main(["gen-abstract", "--config", cfg, "--out", ds, "--shards", "4"]) == 0
+    assert keys == normals
+    assert main(["verify", "--manifest", ds, "--sample", "2", "--seed", "5"]) == 0
+    assert keys == normals * 2
+    assert main(["eval", "--prompts", ds, "--backend", "random", "--strategy", "answer", "--seed", "3",
+                 "--report", report]) == 0
+    assert keys == normals * 2
     capsys.readouterr()
 
 

@@ -19,6 +19,11 @@ src/ holds any __pycache__. Where the environment sets
 PYTHONDONTWRITEBYTECODE, a tree with bytecode skips the compile that the
 other pays in every CLI stage, so the script exits with status 2 before
 the first run when the two trees differ in that.
+
+A run that exits non-zero ends the session with status 1. The file is
+still written: it holds every pair finished so far (a workload cut short
+has its runs but no summary) and, under "failed", the failing run's side,
+workload, seed, exit code and the tail of its stderr.
 """
 
 from __future__ import annotations
@@ -34,10 +39,17 @@ import sys
 from pathlib import Path
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+class RunFailed(Exception):
+    """A bench/run.py run that exited non-zero; args[0] describes it."""
+
+
+def run_bench(trees: dict, side: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
+    proc = subprocess.run(argv, cwd=trees[side], capture_output=True, text=True)
+    if proc.returncode:
+        raise RunFailed({"side": side, "workload": workload, "seed": seed, "trace": trace,
+                         "returncode": proc.returncode, "stderr_tail": proc.stderr[-4000:]})
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -99,21 +111,26 @@ def main() -> int:
         print(f"only the {with_bytecode} tree's src/ holds __pycache__; remove it, or compile both trees",
               file=sys.stderr)
         return 2
-    for spec in args.pairs:
-        workload, count = spec.split("=")
-        runs = []
-        for i in range(int(count)):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            run = {"seed": i + 1, "first": order[0]}
-            for side in order:
-                run[side] = run_bench(trees[side], workload, i + 1, args.seconds, 0)
-            runs.append(run)
-            print(workload, i, {side: run[side]["metrics"]["items_per_s"]["value"] for side in order}, flush=True)
-        doc["workloads"][workload] = {"runs": runs, "summary": summarize(runs, metrics)}
-    doc["traced"] = {w: {side: run_bench(tree, w, 1, args.seconds, 1) for side, tree in trees.items()}
-                     for w in args.trace}
+    try:
+        for spec in args.pairs:
+            workload, count = spec.split("=")
+            runs = doc["workloads"].setdefault(workload, {"runs": []})["runs"]
+            for i in range(int(count)):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                run = {"seed": i + 1, "first": order[0]}
+                for side in order:
+                    run[side] = run_bench(trees, side, workload, i + 1, args.seconds, 0)
+                runs.append(run)
+                print(workload, i, {side: run[side]["metrics"]["items_per_s"]["value"] for side in order}, flush=True)
+            doc["workloads"][workload]["summary"] = summarize(runs, metrics)
+        doc["traced"] = {w: {side: run_bench(trees, side, w, 1, args.seconds, 1) for side in trees}
+                         for w in args.trace}
+    except RunFailed as exc:
+        doc["failed"] = exc.args[0]
+        print(f"{doc['failed']['side']} run of {doc['failed']['workload']} failed with exit code "
+              f"{doc['failed']['returncode']}:\n{doc['failed']['stderr_tail']}", file=sys.stderr)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    return 1 if "failed" in doc else 0
 
 
 if __name__ == "__main__":
