@@ -162,14 +162,13 @@ class ItemStream:
     def integers(self, low, high: int | None = None, size=None):
         """Generator.integers(low, high, size): an int, or an int64 array of shape `size`.
 
-        An int64 array `low` holds one lower bound per draw and gives the shape.
+        With a size, `low` may be an int64 array of that shape: one lower bound per draw.
         """
         if high is None:
             low, high = 0, low
         span = high - low
-        many = isinstance(span, np.ndarray)  # a span per draw, sliced from the first undrawn one
+        many = size is not None and isinstance(span, np.ndarray)  # a span per draw, sliced from the first undrawn one
         if many:
-            size = span.shape
             if span.size and not (span.min() >= 2 and span.max() <= 1 << 32):
                 raise ValueError(f"ItemStream array draws need 2 <= high - low <= 2**32, got high {high}")
             span = span.reshape(-1).astype(np.uint64)
@@ -290,7 +289,8 @@ def permutation(rng: ItemStream, n: int) -> list[int]:
     """
     idx = list(range(n))
     for lo in range(0, n - 1, _DRAW_CHUNK):
-        targets = rng.integers(np.arange(lo, min(lo + _DRAW_CHUNK, n - 1)), n).tolist()
+        lows = np.arange(lo, min(lo + _DRAW_CHUNK, n - 1))
+        targets = rng.integers(lows, n, size=len(lows)).tolist()
         for i, j in enumerate(targets, lo):
             idx[i], idx[j] = idx[j], idx[i]
     return idx

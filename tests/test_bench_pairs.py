@@ -8,11 +8,11 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
-# A bench/run.py that knows the one workload "ok" and exits 1 on any other.
+# A bench/run.py that exits 1 on the workload "none" and runs any other.
 _RUN = """
 import json, sys
 workload = sys.argv[sys.argv.index("--workload") + 1]
-if workload != "ok":
+if workload == "none":
     sys.exit(f"no workload {workload}")
 print(json.dumps({"metrics": {"items_per_s": {"value": 1.0}}}))
 """
@@ -57,13 +57,16 @@ def test_trees_alike_in_bytecode_go_on_to_the_runs(tmp_path):
 
 
 def test_a_failed_run_keeps_the_finished_pairs(tmp_path):
-    proc = _pair(tmp_path, parent_bytecode=False, change_bytecode=False, runner=True, pairs=("ok=2", "none=1"))
+    proc = _pair(tmp_path, parent_bytecode=False, change_bytecode=False, runner=True,
+                 pairs=("ok=2", "single=1", "none=1"))
     assert proc.returncode == 1
     assert "no workload none" in proc.stderr and "Traceback" not in proc.stderr
     doc = json.loads((tmp_path / "out.json").read_text())
     ok = doc["workloads"]["ok"]
     assert [(run["seed"], run["first"]) for run in ok["runs"]] == [(1, "parent"), (2, "change")]
     assert ok["summary"]["items_per_s"]["pairs"] == 2
+    # one pair has quartiles too: its one value
+    assert doc["workloads"]["single"]["summary"]["items_per_s"]["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.0}
     assert doc["workloads"]["none"] == {"runs": []}
     failed = doc["failed"]
     assert {key: failed[key] for key in ("side", "workload", "seed", "returncode")} == {

@@ -91,9 +91,9 @@ def test_array_of_lows_is_the_stream_of_scalar_draws(lows, high, buffered):
     for seed in range(5):
         a, b = twins(seed, buffered)
         scalar = twins(seed, buffered)[1]
-        drawn = a.integers(lows, high)
+        drawn = a.integers(lows, high, size=lows.shape)
         assert drawn.dtype == np.int64 and drawn.shape == lows.shape
-        assert drawn.tolist() == b.integers(lows, high).tolist()
+        assert drawn.tolist() == b.integers(lows, high, size=lows.shape).tolist()
         assert drawn.ravel().tolist() == [int(scalar.integers(lo, high)) for lo in lows.ravel().tolist()]
         redraws += halves_drawn(scalar) - buffered - lows.size
         assert_same_next_draws(a, scalar)
@@ -103,7 +103,7 @@ def test_array_of_lows_is_the_stream_of_scalar_draws(lows, high, buffered):
 def test_array_of_lows_needs_spans_from_two_to_two_to_the_32():
     for lows in (np.arange(3, 6), np.array([5 - 2**32])):  # a span of 1; one of 2**32 + 1
         with pytest.raises(ValueError):
-            ItemStream(0).integers(lows, 6)
+            ItemStream(0).integers(lows, 6, size=lows.shape)
 
 
 @pytest.mark.parametrize("buffered", [False, True])

@@ -65,6 +65,8 @@ def tree_id(tree: Path) -> dict:
 
 
 def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:  # statistics.quantiles needs two
+        return dict.fromkeys(("q1", "median", "q3"), values[0])
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
 
