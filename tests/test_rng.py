@@ -81,13 +81,15 @@ def test_permutation_is_the_stream_of_scalar_draws(n):
 
 
 @pytest.mark.parametrize("buffered", [False, True])
-@pytest.mark.parametrize("lows, high", [
-    (np.arange(24), 26),
-    (np.arange(40).reshape(4, 10), 2**31 + 41),  # spans around 2**31 + 1 redraw about half their draws
-    (np.arange(40), 2**32),  # spans 2**32 - 39 to 2**32, which takes the raw half
+@pytest.mark.parametrize("lows, high, redraws", [
+    (np.arange(24), 26, False),
+    (np.arange(40).reshape(4, 10), 2**31 + 41, True),  # spans around 2**31 + 1 redraw about half their draws
+    (np.arange(40), 2**32, False),  # spans 2**32 - 39 to 2**32, which takes the raw half
+    # thresholds from 1 to 2**31 - 1 side by side, so each redraw must shift the spans and thresholds alike
+    (2**32 + 10 - np.array([2**31 + 1, 3, 3 * 2**30, 2**32 - 1, 5, 2**31 + 3] * 4), 2**32 + 10, True),
 ])
-def test_array_of_lows_is_the_stream_of_scalar_draws(lows, high, buffered):
-    redraws = 0
+def test_array_of_lows_is_the_stream_of_scalar_draws(lows, high, redraws, buffered):
+    redrawn = 0
     for seed in range(5):
         a, b = twins(seed, buffered)
         scalar = twins(seed, buffered)[1]
@@ -95,9 +97,9 @@ def test_array_of_lows_is_the_stream_of_scalar_draws(lows, high, buffered):
         assert drawn.dtype == np.int64 and drawn.shape == lows.shape
         assert drawn.tolist() == b.integers(lows, high, size=lows.shape).tolist()
         assert drawn.ravel().tolist() == [int(scalar.integers(lo, high)) for lo in lows.ravel().tolist()]
-        redraws += halves_drawn(scalar) - buffered - lows.size
+        redrawn += halves_drawn(scalar) - buffered - lows.size
         assert_same_next_draws(a, scalar)
-    assert (redraws > 0) == (high == 2**31 + 41)
+    assert (redrawn > 0) == redraws
 
 
 def test_array_of_lows_needs_spans_from_two_to_two_to_the_32():

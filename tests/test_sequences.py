@@ -234,6 +234,9 @@ def test_config_validation():
         small_config(k=0)
     with pytest.raises(ConfigError):
         small_config(vocab_size=9)
+    small_config(vocab_size=2**32 + 9)  # 2**32 normal tokens, the widest span a draw takes; nothing is allocated
+    with pytest.raises(ConfigError, match=r"vocab_size must be <= 2\*\*32 \+ 9, got 4294967306"):
+        small_config(vocab_size=2**32 + 10)
     with pytest.raises(ConfigError):
         generate_sequence(small_config(), 40)
 

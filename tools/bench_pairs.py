@@ -116,7 +116,8 @@ def main() -> int:
     try:
         for spec in args.pairs:
             workload, count = spec.split("=")
-            runs = doc["workloads"].setdefault(workload, {"runs": []})["runs"]
+            runs = []
+            doc["workloads"][workload] = {"runs": runs}
             for i in range(int(count)):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 run = {"seed": i + 1, "first": order[0]}
@@ -128,9 +129,9 @@ def main() -> int:
         doc["traced"] = {w: {side: run_bench(trees, side, w, 1, args.seconds, 1) for side in trees}
                          for w in args.trace}
     except RunFailed as exc:
-        doc["failed"] = exc.args[0]
-        print(f"{doc['failed']['side']} run of {doc['failed']['workload']} failed with exit code "
-              f"{doc['failed']['returncode']}:\n{doc['failed']['stderr_tail']}", file=sys.stderr)
+        failed = doc["failed"] = exc.args[0]
+        print(f"{failed['side']} run of {failed['workload']} failed with exit code {failed['returncode']}:\n"
+              f"{failed['stderr_tail']}", file=sys.stderr)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 1 if "failed" in doc else 0
 
