@@ -12,14 +12,27 @@ The word transform takes the trailing portion of each parent word (from the
 midpoint, rounded down, to the end), concatenates those pieces in parent
 order, then advances every character one place in the alphabet with z
 wrapping to a.
+
+Storage writes each shard line with `prompt_line`, straight from the
+item's letter codes: a strip-cot transform re-draws the cot_flags first
+(recipe.strip_flags), then the K examples fill copies of one byte row of
+JSON-escaped template text, cached per (templates, N, node lengths) since
+every example of an item has words of the same lengths, and only the
+meta's scalars and DAG go through json. No message dict, word list or
+record is built. `generate_langsym_prompt` (the record),
+storage.encode_record (its bytes) and `strip_chat_prompt` (its strip) are
+the record API, and the tests' reference for those lines.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import re
 import string
 from dataclasses import dataclass, field, asdict, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,13 +43,15 @@ from .harness import (
     JsonLinesProcess, evaluate_prompts,
 )
 from .recipe import TaskConfig, check_int, strip_flags
-from .rng import ItemStream, choose_distinct
+from .rng import ItemStream, choose_distinct, derive_seed
+from .vocab import read_only
 
 ALPHABET = string.ascii_lowercase
-_SPACE = 255
-# bytes.translate table: byte x -> the letter x places after a, wrapping at
-# z, for a letter code advanced up to 25 places; _SPACE -> " "
-_LETTER_OF_CODE = bytes(ALPHABET.encode("ascii")[x % len(ALPHABET)] for x in range(_SPACE)) + b" "
+# bytes.translate table: byte x -> the letter x places after a, wrapping at z
+_LETTER_OF_CODE = bytes(ALPHABET.encode("ascii")[x % len(ALPHABET)] for x in range(256))
+# row a, column x: the letter x places after a, advanced a more places, as ASCII
+_ADVANCED = np.array([[ord(ALPHABET[(x + a) % len(ALPHABET)]) for x in range(len(ALPHABET))]
+                      for a in range(len(ALPHABET))], dtype=np.uint8)
 _ADVANCE = str.maketrans(ALPHABET, ALPHABET[1:] + ALPHABET[0])
 _WORD_RE = re.compile(r"[a-z]+")
 _BOXED_RE = re.compile(r"\\boxed\{([^{}]*)\}")
@@ -71,12 +86,17 @@ class Templates:
             if not isinstance(value, str) or not value:
                 raise ConfigError(f"template field {f.name} must be a non-empty string, got {value!r}")
         try:
-            fields_named = {name for _, name, _, _ in string.Formatter().parse(self.question_template)}
+            named = [(name, spec) for _, name, spec, _ in string.Formatter().parse(self.question_template) if name]
             render_question([], self)
         except Exception as exc:  # a field other than {words}, or bad str.format syntax
             raise ConfigError(f"question_template {self.question_template!r}: {exc!r}") from exc
-        if "words" not in fields_named:  # an escaped {{words}} is text, not a field
+        if not named:  # an escaped {{words}} is text, not a field
             raise ConfigError("question_template must contain a {words} placeholder")
+        # so every letter of the words lands at a place fixed by the word lengths (see _question_pieces)
+        for name, spec in named:
+            if name != "words" or "{" in spec:
+                raise ConfigError(f"question_template field {{{name}:{spec}}}: only {{words}}, with a conversion "
+                                  "and a format spec without nested fields, is allowed")
         task_text = (self.system_prompt + " " + self.question_template).lower()
         for marker in LEAK_MARKERS:
             if marker in task_text:
@@ -168,18 +188,26 @@ def _draw_examples(rng: ItemStream, k: int, n: int, w: int, distinct: bool) -> t
     return codes, variates
 
 
-def _node_letters(dag: Dag, w: int) -> list[list[tuple[int, int]]]:
-    """Per DAG node, (input letter column, places advanced mod 26) of each letter.
+def _advanced_letters(codes: np.ndarray, c: int) -> np.ndarray:
+    """(K, (C+1)*N*w) ASCII of (K, N*w) letter codes: column a*N*w + i is code column i advanced a places.
+
+    a runs 0..C, as far as a chain word can be advanced.
+    """
+    advanced = _ADVANCED.take(np.arange(c + 1), axis=0, mode="wrap").take(codes, axis=1)
+    return advanced.transpose(1, 0, 2).reshape(len(codes), -1)
+
+
+def _node_letters(dag: Dag, w: int) -> list[list[int]]:
+    """Per DAG node, the _advanced_letters column of each letter.
 
     Input i's letters are columns i*w .. i*w+w-1, unadvanced; a chain node's
-    are its parents' trailing portions, advanced once more: string_transform
-    on columns instead of words.
+    are its parents' trailing portions, advanced once more (N*w columns
+    on): string_transform on columns instead of words.
     """
-    nodes = [[(col, 0) for col in range(i * w, i * w + w)] for i in range(dag.n_inputs)]
+    advance = dag.n_inputs * w
+    nodes = [list(range(i * w, i * w + w)) for i in range(dag.n_inputs)]
     for parents in dag.parents:
-        nodes.append(
-            [(col, (s + 1) % len(ALPHABET)) for p in parents for col, s in nodes[p][len(nodes[p]) // 2 :]]
-        )
+        nodes.append([x + advance for p in parents for x in nodes[p][len(nodes[p]) // 2 :]])
     return nodes
 
 
@@ -198,12 +226,10 @@ def generate_langsym_prompt(config: LangSymConfig, j: int) -> dict:
     w, templates = config.w, config.templates
     codes, variates = _draw_examples(rng, config.k, n, w, config.distinct_letters)
     # each node's letters and then a space, gathered from an extra column of
-    # _SPACE codes, so the decoded text splits into all K*(N+C) words
-    codes = np.concatenate((codes, np.full((config.k, 1), _SPACE, dtype=np.uint8)), axis=1)
-    space = (n * w, 0)
-    columns, shifts = zip(*[letter for node in _node_letters(dag, w) for letter in (*node, space)])
-    letters = codes[:, columns] + np.array(shifts, dtype=np.uint8)
-    pool = letters.tobytes().translate(_LETTER_OF_CODE).decode("ascii").split(" ")
+    # spaces, so the decoded text splits into all K*(N+C) words
+    letters = np.concatenate((_advanced_letters(codes, c), np.full((config.k, 1), ord(" "), dtype=np.uint8)), axis=1)
+    space = letters.shape[1] - 1
+    pool = letters[:, [x for node in _node_letters(dag, w) for x in (*node, space)]].tobytes().decode("ascii").split(" ")
     messages: list[dict] = [{"role": "system", "content": templates.system_prompt}]
     all_inputs: list[list[str]] = []
     all_chains: list[list[str]] = []
@@ -250,6 +276,142 @@ def strip_chat_prompt(record: dict, k_prime: int, rng: ItemStream, templates: Te
             messages[2 + 2 * i] = {"role": "assistant", "content": content}
     meta = {**meta, "cot_flags": flags}
     return {"prompt_id": record["prompt_id"], "messages": messages, "meta": meta}
+
+
+# --- shard lines ------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def _question_pieces(question_template: str, n: int, w: int) -> tuple[str | range, ...]:
+    """The question of n words of w letters as text and runs of input letter indices, in order.
+
+    A {words} field renders the words through a conversion and a format
+    spec only (Templates.validate), which place each letter by position: so
+    rendering all letters "a", then all "b", shows where letters go, and one
+    rendering per bit of the letter index, letter i being "b" where that bit
+    is set, shows which letter goes there.
+    """
+    def render(letter) -> str:
+        return question_template.format(words=", ".join("".join(letter(i * w + p) for p in range(w)) for i in range(n)))
+
+    text = render(lambda i: "a")
+    places = dict.fromkeys([p for p, (x, y) in enumerate(zip(text, render(lambda i: "b"))) if x != y], 0)
+    for bit in range((n * w - 1).bit_length()):
+        probe = render(lambda i: "ab"[i >> bit & 1])
+        for p in places:
+            places[p] |= (probe[p] == "b") << bit
+    pieces: list[str | range] = []
+    start = 0
+    for p, letter in places.items():
+        if p == start and pieces and pieces[-1].stop == letter:  # the run goes on
+            pieces[-1] = range(pieces[-1].start, letter + 1)
+        else:
+            pieces += [text[start:p], range(letter, letter + 1)]
+        start = p + 1
+    return (*pieces, text[start:])
+
+
+class _Rows(NamedTuple):
+    """The bytes of one example in a prompt line, for one (templates, n, node lengths).
+
+    `template` is the example's user and thinking assistant messages, then
+    its meta `inputs` entry and its `chains` entry, each part after a
+    comma, as ASCII-escaped JSON text; `slots` are the places where a word
+    letter goes and `letters` the letter each one takes, an index into the
+    item's node letters in node order (_node_letters, flattened). `widths`
+    are the byte counts of the three parts; `keep` row 0 marks the message
+    bytes a plain example keeps (all but the think span) and row 1 those of
+    a thinking one (all of them). `system` is the system message.
+    """
+
+    template: np.ndarray
+    slots: np.ndarray
+    letters: np.ndarray
+    widths: tuple[int, int, int]
+    keep: np.ndarray
+    system: bytes
+
+
+@functools.lru_cache(maxsize=256)
+def _rows(templates: Templates, n: int, w: int, chain_lengths: tuple[int, ...]) -> _Rows:
+    """The _Rows of an item whose N words have w letters and whose chain words have `chain_lengths`.
+
+    Every example of an item has the same word lengths, so one row serves
+    them all; a piece of a part is raw JSON (bytes), text to escape (str) or
+    a run of letters (range).
+    """
+    offsets = list(itertools.accumulate((w,) * n + chain_lengths, initial=0))
+
+    def word(node: int) -> range:
+        return range(offsets[node], offsets[node + 1])
+
+    def words(nodes: range) -> list[bytes | range]:
+        return [b",[", *itertools.chain.from_iterable([b',"' if i else b'"', word(node), b'"']
+                                                      for i, node in enumerate(nodes)), b"]"]
+
+    c = len(chain_lengths)
+    steps = [piece for i in range(1, c) for piece in (f"Step {i}: ", word(n + i - 1), "\n")]
+    user = [b',{"role":"user","content":"', *_question_pieces(templates.question_template, n, w),
+            b'"},{"role":"assistant","content":"']
+    think = [templates.think_open, *steps, templates.think_close]
+    answer = [templates.answer_open, "\\boxed{", word(n + c - 1), "}", b'"}']
+    template, slots, letters = bytearray(), [], []
+    ends = []
+    for part in (user, think, answer, words(range(n)), words(range(n, n + c))):
+        for piece in part:
+            if isinstance(piece, range):
+                slots += range(len(template), len(template) + len(piece))
+                letters += piece
+                template += bytes(len(piece))
+            else:
+                template += piece if isinstance(piece, bytes) else json.dumps(piece)[1:-1].encode("ascii")
+        ends.append(len(template))
+    keep = np.ones((2, ends[2]), dtype=bool)
+    keep[0, ends[0] : ends[1]] = False
+    return _Rows(
+        read_only(np.frombuffer(template, dtype=np.uint8).copy()),
+        read_only(np.array(slots, dtype=np.intp)),
+        read_only(np.array(letters, dtype=np.intp)),
+        (ends[2], ends[3] - ends[2], ends[4] - ends[3]),
+        read_only(keep),
+        b'{"role":"system","content":%b}' % json.dumps(templates.system_prompt).encode("ascii"),
+    )
+
+
+def prompt_line(config: LangSymConfig, j: int, transforms: list[dict]) -> bytes:
+    """Shard line of prompt j after each strip-cot transform in turn, written from its letter codes.
+
+    Byte for byte storage.encode_record of `generate_langsym_prompt(config,
+    j)` passed through `strip_chat_prompt` with
+    ItemStream(derive_seed(seed, j)) for each transform: the strips re-draw
+    the cot_flags (recipe.strip_flags) before the messages and the meta are
+    written once. The K examples fill copies of the item's _Rows template
+    from their letter codes; only the meta's scalars and DAG go through
+    json.
+    """
+    seed, rng, r, n, m, c, dag = config.start_item(j)
+    codes, variates = _draw_examples(rng, config.k, n, config.w, config.distinct_letters)
+    flags = (variates <= r).view(np.int8).tolist()
+    for tf in transforms:
+        flags = strip_flags(flags, tf["k_prime"], ItemStream(derive_seed(tf["seed"], j)))
+    nodes = _node_letters(dag, config.w)
+    rows = _rows(config.templates, n, config.w, tuple(len(node) for node in nodes[n:]))
+    columns = np.fromiter(itertools.chain.from_iterable(nodes), np.intp)[rows.letters]
+    grid = np.empty((config.k, len(rows.template)), dtype=np.uint8)
+    grid[:] = rows.template
+    grid[:, rows.slots] = _advanced_letters(codes, c)[:, columns]
+    messages, inputs, _ = itertools.accumulate(rows.widths)
+    head = json.dumps({"n": n, "m": m, "c": c, "k": config.k, "w": config.w, "r_cot": r, "dag": dag.to_json()},
+                      separators=(",", ":"))
+    return b'{"prompt_id":%d,"messages":[%b%b],"meta":%b,"inputs":[%b],"chains":[%b],"cot_flags":[%b],"seed":%d}}\n' % (
+        j,
+        rows.system,
+        grid[:, :messages][rows.keep[flags]].tobytes(),
+        head[:-1].encode("ascii"),
+        grid[:, messages:inputs].tobytes()[1:],
+        grid[:, inputs:].tobytes()[1:],
+        b",".join([b"%d" % flag for flag in flags]),
+        seed,
+    )
 
 
 def extract_langsym_answer(text: str) -> str | None:

@@ -9,13 +9,15 @@ regenerate every byte, which is what `verify` checks.
 Record serialization is pinned: compact separators, ASCII escapes, and
 field order fixed by construction, so hashes are stable across runs,
 platforms, and worker counts. Each kind writes item j's line, after the
-manifest's strip-cot transforms, with its `line(config, j, transforms)`.
-Abstract lines come straight from the item's layout
-(sequences.sequence_line): the strips re-draw the cot_flags before the
-one rendering. A LangSym line is `encode_record` of its strips of its
-record. The record API, `generate_sequence`, `encode_record` and
-harness.strip_sequence_record, gives the same bytes the long way and is
-the tests' reference for the abstract lines.
+manifest's strip-cot transforms, with its `line(config, j, transforms)`,
+straight from the item's arrays: abstract lines from the item's token
+layout (sequences.sequence_line), LangSym lines from byte rows filled with
+the item's letters (langsym.prompt_line). In both, the strips re-draw the
+cot_flags before the one rendering, and no record is built. The record
+API gives the same bytes the long way and is the tests' reference for the
+lines: `encode_record` of `generate_sequence` stripped by
+harness.strip_sequence_record, and of `generate_langsym_prompt` stripped
+by langsym.strip_chat_prompt.
 
 Generation parallelizes over item indices; shard s holds the contiguous
 block [s*ceil(T/S), ...) of output positions. A command (write, verify)
@@ -40,9 +42,9 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import ConfigError, FormatError
-from .langsym import LangSymConfig, generate_langsym_prompt, strip_chat_prompt
+from .langsym import LangSymConfig, prompt_line
 from .recipe import TaskConfig
-from .rng import ItemStream, choose_distinct, derive_seed
+from .rng import ItemStream, choose_distinct
 # generate_sequence is not called here: it is the record API, which the
 # benchmark's tracer tests look up under this module's name too
 from .sequences import DatasetConfig, generate_sequence, sequence_line  # noqa: F401
@@ -68,16 +70,7 @@ class Kind(NamedTuple):
     line: Callable
 
 
-def _langsym_line(config: LangSymConfig, j: int, transforms: list[dict]) -> bytes:
-    # The record functions are looked up when called, so a caller that
-    # replaces one at module level (a tracer, a test) reaches this path too.
-    record = generate_langsym_prompt(config, j)
-    for tf in transforms:
-        record = strip_chat_prompt(record, tf["k_prime"], ItemStream(derive_seed(tf["seed"], j)), config.templates)
-    return encode_record(record)
-
-
-KINDS = {KIND_ABSTRACT: Kind(DatasetConfig, line=sequence_line), KIND_LANGSYM: Kind(LangSymConfig, line=_langsym_line)}
+KINDS = {KIND_ABSTRACT: Kind(DatasetConfig, line=sequence_line), KIND_LANGSYM: Kind(LangSymConfig, line=prompt_line)}
 
 
 def parse_config(kind: str, config_json: dict) -> TaskConfig:
@@ -242,20 +235,24 @@ def write_dataset(
 ) -> Manifest:
     """Generate a full dataset into `out_dir` and write its manifest.
 
-    Any manifest already in `out_dir` is removed before the first shard is
-    written and the new one is written last, after part files from an
-    earlier run that the new manifest does not list are deleted. A run that
-    fails midway leaves no manifest, so it never looks like a valid dataset.
+    The first line is generated before `out_dir` is touched, so an error
+    that the first item shows (a config the artifacts or a strip cannot
+    serve) leaves a dataset already there as it was. Then any manifest in
+    `out_dir` is removed before the first shard is written and the new one
+    is written last, after part files from an earlier run that the new
+    manifest does not list are deleted. A run that fails past the first
+    line leaves no manifest, so it never looks like a valid dataset.
     """
     transforms = transforms or []
     order = parse_config(kind, config_json).output_order()
     ranges = shard_ranges(len(order), shards)
-    os.makedirs(out_dir, exist_ok=True)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, MANIFEST_NAME))
     started = time.monotonic()
     outputs = []
-    with contextlib.closing(_emit_lines(kind, config_json, transforms, order, workers, len(ranges))) as lines:
+    with contextlib.closing(_emit_lines(kind, config_json, transforms, order, workers, len(ranges))) as stream:
+        lines = itertools.chain(list(itertools.islice(stream, 1)), stream)
+        os.makedirs(out_dir, exist_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, MANIFEST_NAME))
         for s, (start, stop) in enumerate(ranges):
             path = os.path.join(out_dir, f"part-{s:04d}.jsonl")
             with open(path, "wb") as fh:

@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py refuses to pair trees that differ in compiled bytecode, and keeps
-the finished pairs when a run fails."""
+"""tools/bench_pairs.py refuses to pair trees that differ in compiled bytecode, keeps
+the finished pairs when a run fails, and states each metric's verdicts."""
 
 import json
 import subprocess
@@ -18,13 +18,14 @@ print(json.dumps({"metrics": {"items_per_s": {"value": 1.0}}}))
 """
 
 
-def _tree(root: Path, bytecode: bool, runner: bool = False) -> Path:
+def _tree(root: Path, bytecode: bool, runner: str | None = None,
+          metrics: tuple[dict, ...] = ({"name": "items_per_s", "better": "higher", "bound": 0.25},)) -> Path:
     (root / "src" / "pkg").mkdir(parents=True)
     (root / "src" / "pkg" / "__init__.py").write_text("")
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "items_per_s", "better": "higher"}]}))
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(metrics)}))
     if runner:
         (root / "bench").mkdir()
-        (root / "bench" / "run.py").write_text(_RUN)
+        (root / "bench" / "run.py").write_text(runner)
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(root)]
     for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "tree"]):
         subprocess.run([*git, *args], check=True)
@@ -35,8 +36,8 @@ def _tree(root: Path, bytecode: bool, runner: bool = False) -> Path:
 
 def _pair(tmp_path: Path, parent_bytecode: bool, change_bytecode: bool, runner: bool = False,
           pairs: tuple[str, ...] = ("none=1",)) -> subprocess.CompletedProcess:
-    parent = _tree(tmp_path / "parent", parent_bytecode, runner)
-    change = _tree(tmp_path / "change", change_bytecode, runner)
+    parent = _tree(tmp_path / "parent", parent_bytecode, _RUN if runner else None)
+    change = _tree(tmp_path / "change", change_bytecode, _RUN if runner else None)
     argv = [sys.executable, str(TOOL), "--parent", str(parent), "--change", str(change),
             *[arg for spec in pairs for arg in ("--pairs", spec)], "--out", str(tmp_path / "out.json")]
     return subprocess.run(argv, capture_output=True, text=True, timeout=60)
@@ -72,3 +73,39 @@ def test_a_failed_run_keeps_the_finished_pairs(tmp_path):
     assert {key: failed[key] for key in ("side", "workload", "seed", "returncode")} == {
         "side": "parent", "workload": "none", "seed": 1, "returncode": 1}
     assert "no workload none" in failed["stderr_tail"]
+
+
+# A bench/run.py that prints, for each metric, the value its tree's table holds at the run's seed.
+_TABLE_RUN = """
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+print(json.dumps({"metrics": {name: {"value": values[seed - 1]} for name, values in TABLE.items()}}))
+"""
+
+VERDICT_METRICS = (  # name, better, bound, parent values, change values, gain_resolved, within_bound
+    # 10/10 wins by more than the parent's spread, and every change run better than every parent run
+    ("items_per_s", "higher", 0.25, [100 + i for i in range(10)], [120 + i for i in range(10)], True, True),
+    # 9/10 wins, but both medians are 104.5, inside the parent's q3 - q1 of 4.5
+    ("spread", "higher", 0.25, [100 + i for i in range(10)], [101 + i for i in range(9)] + [50], False, True),
+    # a lower-is-better metric 5% worse in every pair, inside its 10% bound
+    ("flat", "lower", 0.1, [10.0] * 10, [10.5] * 10, False, True),
+    # 20% worse, outside its 10% bound
+    ("worse", "lower", 0.1, [10.0] * 10, [12.0] * 10, False, False),
+    # the parent's q3 - q1 (120) is wider than 10% of its median (120): unresolved, though 12.5% worse
+    ("noisy", "higher", 0.1, [60, 180] * 5, [84, 126] * 5, False, "unresolved"),
+)
+
+
+def test_each_metric_states_its_gain_and_bound_verdicts(tmp_path):
+    metrics = tuple({"name": name, "better": better, "bound": bound} for name, better, bound, *_ in VERDICT_METRICS)
+    trees = {}
+    for side, column in (("parent", 3), ("change", 4)):
+        table = {row[0]: row[column] for row in VERDICT_METRICS}
+        trees[side] = _tree(tmp_path / side, False, f"TABLE = {table!r}\n" + _TABLE_RUN, metrics)
+    argv = [sys.executable, str(TOOL), "--parent", str(trees["parent"]), "--change", str(trees["change"]),
+            "--pairs", "w=10", "--out", str(tmp_path / "out.json")]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "out.json").read_text())["workloads"]["w"]["summary"]
+    for name, _, _, _, _, gain_resolved, within_bound in VERDICT_METRICS:
+        assert (summary[name]["gain_resolved"], summary[name]["within_bound"]) == (gain_resolved, within_bound), name

@@ -247,14 +247,40 @@ def test_regenerating_with_fewer_shards_removes_stale_ones(tmp_path, capsys):
 
 
 def test_failed_strip_leaves_no_manifest(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, LANGSYM_CFG)
+    # r(j) = 1 - j/T: the first prompt thinks in all K-1 context examples and
+    # later ones in fewer, so the strip fails past the first line
+    cfg = _write_cfg(tmp_path, dict(LANGSYM_CFG, recipe={"alpha": 1.0, "a": -1, "b": 1}))
     src, out = tmp_path / "src", tmp_path / "out"
     assert main(["gen-langsym", "--config", cfg, "--out", str(src)]) == 0
     assert main(["gen-langsym", "--config", cfg, "--out", str(out)]) == 0  # a valid dataset to overwrite
-    too_many = LANGSYM_CFG["k"]  # more than the K-1 context examples
-    argv = ["strip-cot", "--in", str(src), "--k-prime", str(too_many), "--seed", "1", "--out", str(out)]
+    all_of_them = LANGSYM_CFG["k"] - 1
+    argv = ["strip-cot", "--in", str(src), "--k-prime", str(all_of_them), "--seed", "1", "--out", str(out)]
     assert main(argv) == 2
+    assert "config error: k_prime 3 outside [0, " in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+    assert (out / "part-0000.jsonl").stat().st_size > 0  # the first line was written
+
+
+@pytest.mark.parametrize("kind", ["abstract", "langsym"])
+def test_an_error_at_the_first_item_leaves_the_old_dataset_whole(tmp_path, capsys, monkeypatch, kind):
+    cfg = _write_cfg(tmp_path, ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG)
+    out = tmp_path / "ds"
+    assert main([f"gen-{kind}", "--config", cfg, "--out", str(out), "--shards", "3"]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    if kind == "abstract":  # the artifacts are built by the first line
+        def no_memory(vocab, dim, seed):
+            raise MemoryError
+
+        monkeypatch.setattr(sequences, "sample_embedding_matrix", no_memory)
+        argv = ["gen-abstract", "--config", cfg, "--out", str(out), "--shards", "3"]
+    else:  # a strip of the dataset over itself, of more than the K-1 context examples of every prompt
+        argv = ["strip-cot", "--in", str(out), "--k-prime", str(LANGSYM_CFG["k"]), "--seed", "1", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert main(["verify", "--manifest", str(out)]) == 0
     capsys.readouterr()
 
 

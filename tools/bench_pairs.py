@@ -12,7 +12,11 @@ slows down during the session weighs on both sides. Every run's result line
 is kept as bench/run.py printed it. Per workload and end-to-end metric of
 BENCHMARK.json the file holds q1/median/q3 on each side, the per-pair
 change/parent ratios and the number of pairs the change wins (better in the
-metric's direction; a tie is no win). --trace W adds one `--trace 1` run of
+metric's direction; a tie is no win) and two verdicts, so the file states
+its own outcome: `gain_resolved` (at least nine tenths of the pairs won,
+and the medians apart by more than the parent's q3 - q1) and
+`within_bound` (true, false, or "unresolved" where the parent's q3 - q1
+exceeds the metric's bound). --trace W adds one `--trace 1` run of
 workload W per tree. Each tree is identified by its git HEAD, whether its
 working tree differs from HEAD, a sha256 over its src/ files and whether its
 src/ holds any __pycache__. Where the environment sets
@@ -71,6 +75,30 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def verdicts(parent: list[float], change: list[float], wins: int, metric: dict) -> dict:
+    """Whether the change's runs resolve a gain, and whether they stay within the metric's bound.
+
+    gain_resolved: the change wins at least nine tenths of the pairs and its
+    median is better than the parent's by more than the parent's q3 - q1.
+    within_bound: true when every change run is better than every parent
+    run; else "unresolved" when the parent's q3 - q1 exceeds the bound (a
+    fraction of the parent's median); else whether the change's median is
+    worse than the parent's by at most the bound.
+    """
+    sign = 1 if metric["better"] == "higher" else -1
+    p, c = quartiles(parent), quartiles(change)
+    spread = p["q3"] - p["q1"]
+    gain = sign * (c["median"] - p["median"])
+    allowed = metric["bound"] * abs(p["median"])
+    if min(sign * v for v in change) > max(sign * v for v in parent):
+        within = True
+    elif spread > allowed:
+        within = "unresolved"
+    else:
+        within = -gain <= allowed
+    return {"gain_resolved": wins >= 0.9 * len(parent) and gain > spread, "within_bound": within}
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     out = {}
     for metric in metrics:
@@ -81,7 +109,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         wins = sum((c > p) if higher else (c < p) for p, c in zip(sides["parent"], sides["change"]))
         out[name] = {"better": metric["better"], "parent": quartiles(sides["parent"]),
                      "change": quartiles(sides["change"]), "ratios": ratios,
-                     "median_ratio": statistics.median(ratios), "wins": wins, "pairs": len(runs)}
+                     "median_ratio": statistics.median(ratios), "wins": wins, "pairs": len(runs),
+                     **verdicts(sides["parent"], sides["change"], wins, metric)}
     return out
 
 
