@@ -229,7 +229,8 @@ def generate_langsym_prompt(config: LangSymConfig, j: int) -> dict:
     # spaces, so the decoded text splits into all K*(N+C) words
     letters = np.concatenate((_advanced_letters(codes, c), np.full((config.k, 1), ord(" "), dtype=np.uint8)), axis=1)
     space = letters.shape[1] - 1
-    pool = letters[:, [x for node in _node_letters(dag, w) for x in (*node, space)]].tobytes().decode("ascii").split(" ")
+    columns = [x for node in _node_letters(dag, w) for x in (*node, space)]
+    pool = letters[:, columns].tobytes().decode("ascii").split(" ")
     messages: list[dict] = [{"role": "system", "content": templates.system_prompt}]
     all_inputs: list[list[str]] = []
     all_chains: list[list[str]] = []

@@ -85,14 +85,16 @@ print(json.dumps({"metrics": {name: {"value": values[seed - 1]} for name, values
 VERDICT_METRICS = (  # name, better, bound, parent values, change values, gain_resolved, within_bound
     # 10/10 wins by more than the parent's spread, and every change run better than every parent run
     ("items_per_s", "higher", 0.25, [100 + i for i in range(10)], [120 + i for i in range(10)], True, True),
-    # 9/10 wins, but both medians are 104.5, inside the parent's q3 - q1 of 4.5
-    ("spread", "higher", 0.25, [100 + i for i in range(10)], [101 + i for i in range(9)] + [50], False, True),
+    # 9/10 wins, but the medians are 1.0 apart, inside the parent's q3 - q1 of 4.5
+    ("spread", "higher", 0.25, [100 + i for i in range(10)], [102 + i for i in range(9)] + [50], False, True),
     # a lower-is-better metric 5% worse in every pair, inside its 10% bound
     ("flat", "lower", 0.1, [10.0] * 10, [10.5] * 10, False, True),
     # 20% worse, outside its 10% bound
     ("worse", "lower", 0.1, [10.0] * 10, [12.0] * 10, False, False),
     # the parent's q3 - q1 (120) is wider than 10% of its median (120): unresolved, though 12.5% worse
     ("noisy", "higher", 0.1, [60, 180] * 5, [84, 126] * 5, False, "unresolved"),
+    # as wide, but every change run beats every parent run; 80 better in the median is inside the spread
+    ("clear", "higher", 0.1, [60, 180] * 5, [200] * 10, False, True),
 )
 
 

@@ -27,8 +27,10 @@ from cotforge.langsym import (
     render_assistant,
     strip_chat_prompt,
 )
+from cotforge import storage
+from cotforge.cli import main
 from cotforge.recipe import strip_flags
-from cotforge.rng import ItemStream, make_rng
+from cotforge.rng import ItemStream, derive_seed, make_rng
 
 import helpers
 from helpers import chi_square_critical, chi_square_uniform, reference_prompt, reference_start_item
@@ -281,6 +283,15 @@ def test_a_rejected_letter_is_redrawn_in_place(monkeypatch):
         assert record_bytes(generate_langsym_prompt(cfg, j)) == record_bytes(reference_prompt(cfg, j))
 
 
+def test_advanced_letters_wrap_past_z_at_any_depth():
+    codes = np.array([[0, 7, 25], [24, 1, 13]], dtype=np.uint8)
+    letters = langsym._advanced_letters(codes, 60)
+    for a in range(61):
+        for e, row in enumerate(codes):
+            word = bytes(letters[e, a * 3 : a * 3 + 3]).decode()
+            assert word == "".join(chr(ord("a") + (int(x) + a) % 26) for x in row)
+
+
 @pytest.mark.parametrize("distinct", [False, True])
 def test_example_draws_equal_per_example_draws(distinct):
     for seed in range(6):
@@ -315,6 +326,13 @@ def test_leaking_task_text_rejected(marker):
 def test_question_template_needs_placeholder():
     with pytest.raises(ConfigError):
         Templates(question_template="What is the answer?").validate()
+
+
+@pytest.mark.parametrize("template", ["{words} {words.upper}", "{words.__class__}", "{words:{words}}"])
+def test_question_template_fields_only_format_the_words(template):
+    # an attribute or a nested field could put text of its own where the words go
+    with pytest.raises(ConfigError, match="only {words}"):
+        Templates(question_template=template).validate()
 
 
 # --- extraction -----------------------------------------------------------------
@@ -481,3 +499,88 @@ def test_text_oracle_tells_apart_prompts_with_the_same_question():
         assert t.answer_open + backend.complete(forced) == render_assistant(list(p.ground_truth_chain), False, t)
     with pytest.raises(BackendError):
         backend.complete([*prompt("context c", ("ab", "cd")).context])
+
+
+# --- shard lines -----------------------------------------------------------------
+
+def _record_line(config, j, transforms):
+    """The record path: encode_record of generate_langsym_prompt, stripped by each transform in turn."""
+    record = generate_langsym_prompt(config, j)
+    for tf in transforms:
+        record = strip_chat_prompt(record, tf["k_prime"], ItemStream(derive_seed(tf["seed"], j)), config.templates)
+    return storage.encode_record(record)
+
+
+def _outcome(write, *args):
+    try:
+        return "line", write(*args)
+    except ConfigError as exc:
+        return "ConfigError", str(exc)
+
+
+def _strips(*k_primes):
+    return [{"kind": "strip-cot", "k_prime": k, "seed": 40 + i} for i, k in enumerate(k_primes)]
+
+
+ESCAPED = Templates(  # quotes, a backslash, newlines, non-ASCII (a non-BMP character too) and an escaped brace
+    system_prompt='Solve "these" \\ puzzles.\nÉtape: 漢字 \U0001F600',
+    question_template='Words: "{words}" \\ {{x}}\né {words!r}?',
+    think_open='<think q="1">\n',
+    think_close="</think>\\\n",
+    answer_open="réponse\n",
+)
+LINE_CONFIGS = {
+    "reference": dict(n_choices=(4,), m_choices=(4,), c_choices=(4,), k=40, recipe=Recipe(alpha=2.0, a=0.5, b=0.5)),
+    "odd-w": dict(w=5, n_choices=(1, 3, 5), m_choices=(1, 2, 3), c_choices=(1, 4), k=7, recipe=Recipe(alpha=1.0)),
+    "distinct": dict(w=7, n_choices=(3, 4), distinct_letters=True, k=6, recipe=Recipe(alpha=0.5)),
+    "choices-c1": dict(w=3, n_choices=(1, 2, 6), m_choices=(1, 3), c_choices=(1,), k=5, recipe=Recipe(alpha=1.0)),
+    "shuffled": dict(w=4, n_choices=(2, 3), m_choices=(2,), c_choices=(2, 6), k=9, shuffle=True,
+                     recipe=Recipe(alpha=0.0, a=0.7, b=0.0)),
+    "escaped-templates": dict(w=6, n_choices=(2, 3), c_choices=(2, 3), k=8, templates=ESCAPED, recipe=Recipe(alpha=1.0)),
+    "two-fields": dict(k=6, templates=Templates(question_template="{words} and then {words} once more"),
+                       recipe=Recipe(alpha=1.0)),
+    "right-aligned": dict(w=3, n_choices=(2, 5), k=6, templates=Templates(question_template="[{words:>60}]"),
+                          recipe=Recipe(alpha=1.0)),
+    "cut-short": dict(w=5, k=6, templates=Templates(question_template="Begins {words:.5}... then {words:*^9.3}"),
+                      recipe=Recipe(alpha=1.0)),
+}
+TRANSFORMS = [[], _strips(0), _strips(1), _strips(2), _strips(1, 1), _strips(0, 2)]
+
+
+@pytest.mark.parametrize("name", sorted(LINE_CONFIGS))
+def test_prompt_line_equals_the_record_path(name):
+    config = small_config(t=12, master_seed=77, **LINE_CONFIGS[name])
+    outcomes = set()
+    for j in config.output_order():
+        for transforms in TRANSFORMS:
+            got = _outcome(langsym.prompt_line, config, j, transforms)
+            assert got == _outcome(_record_line, config, j, transforms), (j, transforms)
+            outcomes.add(got[0])
+        # a k' past the item's thinking context examples is the same error both ways
+        too_many = _strips(config.k)
+        assert _outcome(langsym.prompt_line, config, j, too_many) == _outcome(_record_line, config, j, too_many)
+        assert _outcome(langsym.prompt_line, config, j, too_many)[0] == "ConfigError"
+    assert "line" in outcomes
+    assert storage.KINDS["langsym"].line is langsym.prompt_line
+
+
+def test_gen_verify_and_strip_build_no_record(tmp_path, capsys, monkeypatch):
+    def record_api(*args, **kwargs):
+        raise AssertionError("the line path built a record")
+
+    for module, name in ((langsym, "generate_langsym_prompt"), (langsym, "strip_chat_prompt"),
+                         (storage, "encode_record")):
+        monkeypatch.setattr(module, name, record_api)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_choices": [3, 4], "m_choices": [2], "c_choices": [2, 3], "k": 6, "t": 16,
+                               "recipe": {"alpha": 0.0, "a": 0.0, "b": 0.8}, "master_seed": 5, "w": 5}))
+    src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
+    assert main(["gen-langsym", "--config", str(cfg), "--out", src, "--shards", "3", "--workers", "2"]) == 0
+    assert main(["verify", "--manifest", src, "--workers", "2"]) == 0
+    assert main(["strip-cot", "--in", src, "--k-prime", "1", "--seed", "3", "--out", dst, "--workers", "2"]) == 0
+    assert main(["verify", "--manifest", dst]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    config = LangSymConfig.from_json(json.loads(cfg.read_text()))
+    want = [_record_line(config, j, [{"kind": "strip-cot", "k_prime": 1, "seed": 3}]) for j in config.output_order()]
+    assert b"".join(path.read_bytes() for path in sorted((tmp_path / "dst").glob("part-*.jsonl"))) == b"".join(want)
