@@ -267,3 +267,16 @@ def binomial_interval(n: int, p: float, confidence: float = 0.99) -> tuple[int, 
             hi = k
             break
     return lo, hi
+
+
+def line_outcome(write, *args):
+    """("line", the bytes) of write(*args), or ("ConfigError", its text)."""
+    try:
+        return "line", write(*args)
+    except ConfigError as exc:
+        return "ConfigError", str(exc)
+
+
+def strips(*k_primes):
+    """One strip-cot transform per k', seeded 40, 41, ..."""
+    return [{"kind": "strip-cot", "k_prime": k, "seed": 40 + i} for i, k in enumerate(k_primes)]

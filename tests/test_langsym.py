@@ -33,7 +33,9 @@ from cotforge.recipe import strip_flags
 from cotforge.rng import ItemStream, derive_seed, make_rng
 
 import helpers
-from helpers import chi_square_critical, chi_square_uniform, reference_prompt, reference_start_item
+from helpers import (
+    chi_square_critical, chi_square_uniform, line_outcome, reference_prompt, reference_start_item, strips,
+)
 
 
 def small_config(**over):
@@ -511,17 +513,6 @@ def _record_line(config, j, transforms):
     return storage.encode_record(record)
 
 
-def _outcome(write, *args):
-    try:
-        return "line", write(*args)
-    except ConfigError as exc:
-        return "ConfigError", str(exc)
-
-
-def _strips(*k_primes):
-    return [{"kind": "strip-cot", "k_prime": k, "seed": 40 + i} for i, k in enumerate(k_primes)]
-
-
 ESCAPED = Templates(  # quotes, a backslash, newlines, non-ASCII (a non-BMP character too) and an escaped brace
     system_prompt='Solve "these" \\ puzzles.\nÉtape: 漢字 \U0001F600',
     question_template='Words: "{words}" \\ {{x}}\né {words!r}?',
@@ -544,7 +535,7 @@ LINE_CONFIGS = {
     "cut-short": dict(w=5, k=6, templates=Templates(question_template="Begins {words:.5}... then {words:*^9.3}"),
                       recipe=Recipe(alpha=1.0)),
 }
-TRANSFORMS = [[], _strips(0), _strips(1), _strips(2), _strips(1, 1), _strips(0, 2)]
+TRANSFORMS = [[], strips(0), strips(1), strips(2), strips(1, 1), strips(0, 2)]
 
 
 @pytest.mark.parametrize("name", sorted(LINE_CONFIGS))
@@ -553,13 +544,13 @@ def test_prompt_line_equals_the_record_path(name):
     outcomes = set()
     for j in config.output_order():
         for transforms in TRANSFORMS:
-            got = _outcome(langsym.prompt_line, config, j, transforms)
-            assert got == _outcome(_record_line, config, j, transforms), (j, transforms)
+            got = line_outcome(langsym.prompt_line, config, j, transforms)
+            assert got == line_outcome(_record_line, config, j, transforms), (j, transforms)
             outcomes.add(got[0])
         # a k' past the item's thinking context examples is the same error both ways
-        too_many = _strips(config.k)
-        assert _outcome(langsym.prompt_line, config, j, too_many) == _outcome(_record_line, config, j, too_many)
-        assert _outcome(langsym.prompt_line, config, j, too_many)[0] == "ConfigError"
+        too_many = strips(config.k)
+        assert line_outcome(langsym.prompt_line, config, j, too_many) == line_outcome(_record_line, config, j, too_many)
+        assert line_outcome(langsym.prompt_line, config, j, too_many)[0] == "ConfigError"
     assert "line" in outcomes
     assert storage.KINDS["langsym"].line is langsym.prompt_line
 

@@ -31,6 +31,8 @@ from cotforge.sequences import (
 from cotforge.storage import encode_record
 from cotforge.vocab import N_SPECIAL
 
+from helpers import line_outcome, strips
+
 
 def small_config(**over):
     base = dict(
@@ -297,17 +299,6 @@ def _record_line(config, j, transforms):
     return encode_record(record)
 
 
-def _outcome(write, *args):
-    try:
-        return "line", write(*args)
-    except ConfigError as exc:
-        return "ConfigError", str(exc)
-
-
-def _strips(*k_primes):
-    return [{"kind": "strip-cot", "k_prime": k, "seed": 40 + i} for i, k in enumerate(k_primes)]
-
-
 LINE_CONFIGS = {
     "reference": dict(n_choices=(4,), m_choices=(4,), c_choices=(4,), k=40, vocab_size=1024, dim=10, cache_size=64,
                       recipe=Recipe(alpha=2.0, a=0.5, b=0.5)),
@@ -322,7 +313,7 @@ LINE_CONFIGS = {
     "vocab-past-bound": dict(n_choices=(3,), m_choices=(2,), c_choices=(3,), k=4, vocab_size=2 * ID_TEXT_BOUND,
                              dim=2, cache_size=3, recipe=Recipe(alpha=0.0)),
 }
-TRANSFORMS = [[], _strips(0), _strips(1), _strips(2), _strips(1, 0), _strips(1, 2), _strips(0, 3)]
+TRANSFORMS = [[], strips(0), strips(1), strips(2), strips(1, 0), strips(1, 2), strips(0, 3)]
 
 
 @pytest.mark.parametrize("name", sorted(LINE_CONFIGS))
@@ -331,13 +322,13 @@ def test_sequence_line_equals_the_record_path(name):
     outcomes = set()
     for j in range(config.t):
         for transforms in TRANSFORMS:
-            got = _outcome(sequence_line, config, j, transforms)
-            assert got == _outcome(_record_line, config, j, transforms), (j, transforms)
+            got = line_outcome(sequence_line, config, j, transforms)
+            assert got == line_outcome(_record_line, config, j, transforms), (j, transforms)
             outcomes.add(got[0])
         # a k' past the item's thinking context examples is the same error both ways
-        too_many = _strips(config.k)
-        assert _outcome(sequence_line, config, j, too_many) == _outcome(_record_line, config, j, too_many)
-        assert _outcome(sequence_line, config, j, too_many)[0] == "ConfigError"
+        too_many = strips(config.k)
+        assert line_outcome(sequence_line, config, j, too_many) == line_outcome(_record_line, config, j, too_many)
+        assert line_outcome(sequence_line, config, j, too_many)[0] == "ConfigError"
     assert "line" in outcomes
     if name == "vocab-past-bound":  # ids past the text table's bound were written
         assert max(max(generate_sequence(config, j)["tokens"]) for j in range(config.t)) >= ID_TEXT_BOUND
