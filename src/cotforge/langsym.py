@@ -281,9 +281,19 @@ def strip_chat_prompt(record: dict, k_prime: int, rng: ItemStream, templates: Te
 
 # --- shard lines ------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _question_pieces(question_template: str, n: int, w: int) -> tuple[str | range, ...]:
-    """The question of n words of w letters as text and runs of input letter indices, in order.
+# Bytes no row writes: escaped JSON text and letters are ASCII. A _SLOT is a
+# letter's place in a row, and _CUT marks the bytes a line leaves out.
+_SLOT, _CUT = b"\xff", b"\xfe"
+
+
+def _escaped(text: str) -> bytes:
+    """`text` as the inside of a JSON string, ASCII-escaped as json.dumps writes it."""
+    return json.dumps(text)[1:-1].encode("ascii")
+
+
+@functools.lru_cache(maxsize=16)
+def _question_pieces(question_template: str, n: int, w: int) -> tuple[bytes | range, ...]:
+    """The question of n words of w letters as escaped text and runs of input letter indices, in order.
 
     A {words} field renders the words through a conversion and a format
     spec only (Templates.validate), which place each letter by position: so
@@ -300,15 +310,15 @@ def _question_pieces(question_template: str, n: int, w: int) -> tuple[str | rang
         probe = render(lambda i: "ab"[i >> bit & 1])
         for p in places:
             places[p] |= (probe[p] == "b") << bit
-    pieces: list[str | range] = []
+    pieces: list[bytes | range] = []
     start = 0
     for p, letter in places.items():
         if p == start and pieces and pieces[-1].stop == letter:  # the run goes on
             pieces[-1] = range(pieces[-1].start, letter + 1)
         else:
-            pieces += [text[start:p], range(letter, letter + 1)]
+            pieces += [_escaped(text[start:p]), range(letter, letter + 1)]
         start = p + 1
-    return (*pieces, text[start:])
+    return (*pieces, _escaped(text[start:]))
 
 
 class _Rows(NamedTuple):
@@ -319,62 +329,56 @@ class _Rows(NamedTuple):
     comma, as ASCII-escaped JSON text; `slots` are the places where a word
     letter goes and `letters` the letter each one takes, an index into the
     item's node letters in node order (_node_letters, flattened). `widths`
-    are the byte counts of the three parts; `keep` row 0 marks the message
-    bytes a plain example keeps (all but the think span) and row 1 those of
-    a thinking one (all of them). `system` is the system message.
+    are the byte counts of the three parts; `think` is the span of the
+    messages that a plain example leaves out. `system` is the system
+    message.
     """
 
     template: np.ndarray
     slots: np.ndarray
     letters: np.ndarray
     widths: tuple[int, int, int]
-    keep: np.ndarray
+    think: slice
     system: bytes
 
 
+# Each process starts with an empty cache. On the reference config (N=4,
+# C=4, w=8, 400 items) the two workers of gen-langsym --workers 2 hit on 150
+# of 186 and 178 of 214 items, and verify on 361 of 400; 20,000 items hold
+# 43 distinct keys. A miss costs about a fifth of a line and a row there
+# about 4.5 kB, so 256 rows leave room for several n and c choices.
 @functools.lru_cache(maxsize=256)
 def _rows(templates: Templates, n: int, w: int, chain_lengths: tuple[int, ...]) -> _Rows:
     """The _Rows of an item whose N words have w letters and whose chain words have `chain_lengths`.
 
     Every example of an item has the same word lengths, so one row serves
-    them all; a piece of a part is raw JSON (bytes), text to escape (str) or
-    a run of letters (range).
+    them all. A piece of a message is escaped text (bytes) or a run of
+    letters (range), written as _SLOT bytes; the meta entries are all the
+    N words, then all the chain words, in node order.
     """
     offsets = list(itertools.accumulate((w,) * n + chain_lengths, initial=0))
-
-    def word(node: int) -> range:
-        return range(offsets[node], offsets[node + 1])
-
-    def words(nodes: range) -> list[bytes | range]:
-        return [b",[", *itertools.chain.from_iterable([b',"' if i else b'"', word(node), b'"']
-                                                      for i, node in enumerate(nodes)), b"]"]
-
+    word = [range(a, b) for a, b in zip(offsets, offsets[1:])]
     c = len(chain_lengths)
-    steps = [piece for i in range(1, c) for piece in (f"Step {i}: ", word(n + i - 1), "\n")]
+    steps = [piece for i in range(1, c) for piece in (b"Step %d: " % i, word[n + i - 1], b"\\n")]
     user = [b',{"role":"user","content":"', *_question_pieces(templates.question_template, n, w),
             b'"},{"role":"assistant","content":"']
-    think = [templates.think_open, *steps, templates.think_close]
-    answer = [templates.answer_open, "\\boxed{", word(n + c - 1), "}", b'"}']
-    template, slots, letters = bytearray(), [], []
-    ends = []
-    for part in (user, think, answer, words(range(n)), words(range(n, n + c))):
-        for piece in part:
-            if isinstance(piece, range):
-                slots += range(len(template), len(template) + len(piece))
-                letters += piece
-                template += bytes(len(piece))
-            else:
-                template += piece if isinstance(piece, bytes) else json.dumps(piece)[1:-1].encode("ascii")
-        ends.append(len(template))
-    keep = np.ones((2, ends[2]), dtype=bool)
-    keep[0, ends[0] : ends[1]] = False
+    think = [_escaped(templates.think_open), *steps, _escaped(templates.think_close)]
+    answer = [_escaped(templates.answer_open), b"\\\\boxed{", word[n + c - 1], b'}"}']
+    parts = [b"".join(_SLOT * len(piece) if isinstance(piece, range) else piece for piece in part)
+             for part in (user, think, answer)]
+    parts += [b',["' + b'","'.join(_SLOT * len(word[node]) for node in nodes) + b'"]'
+              for nodes in (range(n), range(n, n + c))]
+    template = np.frombuffer(b"".join(parts), dtype=np.uint8)
+    # the messages' letters, then the meta's: every node's, in node order
+    letters = [x for piece in user + think + answer if isinstance(piece, range) for x in piece] + [*range(offsets[-1])]
+    widths = (len(parts[0]) + len(parts[1]) + len(parts[2]), len(parts[3]), len(parts[4]))
     return _Rows(
-        read_only(np.frombuffer(template, dtype=np.uint8).copy()),
-        read_only(np.array(slots, dtype=np.intp)),
+        template,
+        read_only(np.flatnonzero(template == _SLOT[0])),
         read_only(np.array(letters, dtype=np.intp)),
-        (ends[2], ends[3] - ends[2], ends[4] - ends[3]),
-        read_only(keep),
-        b'{"role":"system","content":%b}' % json.dumps(templates.system_prompt).encode("ascii"),
+        widths,
+        slice(len(parts[0]), len(parts[0]) + len(parts[1])),
+        b'{"role":"system","content":"%b"}' % _escaped(templates.system_prompt),
     )
 
 
@@ -400,13 +404,14 @@ def prompt_line(config: LangSymConfig, j: int, transforms: list[dict]) -> bytes:
     grid = np.empty((config.k, len(rows.template)), dtype=np.uint8)
     grid[:] = rows.template
     grid[:, rows.slots] = _advanced_letters(codes, c)[:, columns]
+    grid[np.equal(flags, 0), rows.think] = _CUT[0]
     messages, inputs, _ = itertools.accumulate(rows.widths)
     head = json.dumps({"n": n, "m": m, "c": c, "k": config.k, "w": config.w, "r_cot": r, "dag": dag.to_json()},
                       separators=(",", ":"))
     return b'{"prompt_id":%d,"messages":[%b%b],"meta":%b,"inputs":[%b],"chains":[%b],"cot_flags":[%b],"seed":%d}}\n' % (
         j,
         rows.system,
-        grid[:, :messages][rows.keep[flags]].tobytes(),
+        grid[:, :messages].tobytes().translate(None, _CUT),
         head[:-1].encode("ascii"),
         grid[:, messages:inputs].tobytes()[1:],
         grid[:, inputs:].tobytes()[1:],

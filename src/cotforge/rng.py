@@ -174,15 +174,14 @@ class ItemStream:
             span = span.reshape(-1).astype(np.uint64)
         elif not 1 <= span <= 1 << 32:
             raise ValueError(f"ItemStream draws need 1 <= high - low <= 2**32, got [{low}, {high})")
+        threshold = ((1 << 32) - span) % span
         if size is None:
             if span == 1:
                 return low
-            threshold = ((1 << 32) - span) % span
             while True:
                 m = self._half32() * span
                 if m & _M32 >= threshold:
                     return low + (m >> 32)
-        threshold = ((1 << 32) - span) % span
         out = np.zeros(size, dtype=np.int64)
         flat = out.reshape(-1)
         done = 0 if many or span > 1 else flat.size
@@ -228,17 +227,11 @@ class ItemStream:
         while done < rounds:
             left = rounds - done
             buffered = self._half is not None
-            if size % 2:
-                # round e's variate is word e + (size * (e + 1) - buffered + 1) // 2
-                variate_at = (np.arange(size + 2, (size + 2) * (left + 1), size + 2) - buffered - 1) // 2
-                raw = self._words(int(variate_at[-1]) + 1)
-                is_half = np.ones(len(raw), dtype=bool)
-                is_half[variate_at] = False
-                words, variate_words = raw[is_half], raw[variate_at]
-            else:  # every round takes size/2 words and then its variate's word
-                raw = self._words(left * (size // 2 + 1)).reshape(left, size // 2 + 1)
-                words, variate_words = raw[:, :-1].flatten(), raw[:, -1]
-            halves = words.astype("<u8", copy=False).view("<u4")
+            variate_at = np.arange(left) + (size * np.arange(1, left + 1) - buffered + 1) // 2
+            raw = self._words(int(variate_at[-1]) + 1)
+            is_half = np.ones(len(raw), dtype=bool)
+            is_half[variate_at] = False
+            halves = raw[is_half].astype("<u8", copy=False).view("<u4")
             if buffered:
                 halves = np.concatenate((np.array([self._half], dtype=np.uint32), halves))
             wide = halves[: left * size].astype(np.uint64) * high
@@ -246,8 +239,8 @@ class ItemStream:
             whole = int(rejected[0]) // size if rejected.size else left
             if whole:
                 codes[done : done + whole] = (wide[: whole * size] >> 32).reshape(whole, size)
-                variates[done : done + whole] = (variate_words[:whole] >> 11) * 2.0**-53
-                used = ((size + 2) * whole - buffered - 1) // 2 + 1  # through round whole-1's variate
+                variates[done : done + whole] = (raw[variate_at[:whole]] >> 11) * 2.0**-53
+                used = int(variate_at[whole - 1]) + 1
                 # halves of the used words that no draw took: 0, or 1 to buffer
                 spare = buffered + 2 * (used - whole) - whole * size
                 self._half = int(halves[whole * size]) if spare else None
