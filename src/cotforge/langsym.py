@@ -18,10 +18,8 @@ item's letter codes: a strip-cot transform re-draws the cot_flags first
 (recipe.strip_flags), then the K examples fill copies of one byte row of
 JSON-escaped template text, cached per (templates, N, node lengths) since
 every example of an item has words of the same lengths, and only the
-meta's scalars and DAG go through json. No message dict, word list or
-record is built. `generate_langsym_prompt` (the record),
-storage.encode_record (its bytes) and `strip_chat_prompt` (its strip) are
-the record API, and the tests' reference for those lines.
+meta's scalars and DAG go through json. A record is its line, decoded
+(`generate_langsym_prompt`); `strip_chat_prompt` strips a stored record.
 """
 
 from __future__ import annotations
@@ -212,52 +210,13 @@ def _node_letters(dag: Dag, w: int) -> list[list[int]]:
 
 
 def generate_langsym_prompt(config: LangSymConfig, j: int) -> dict:
-    """Record {"prompt_id", "messages", "meta"} of prompt j: fresh words, shared DAG, seeded turns.
+    """Record {"prompt_id", "messages", "meta"} of prompt j: its line, decoded.
 
-    Draw order per prompt: N, M, C choices, the DAG, then per example the
-    N*w letters of its N words followed by the rendering variate. In i.i.d.
-    mode the letters are one draw, the same stream as N per-word draws, and
-    all K examples' draws are one pass over the item stream's raw words
-    (rng.ItemStream.bulk_rounds); distinct-letter mode draws word by word. Every
-    example's words, chain words included, are then one array gathered
-    from the letter columns and decoded once.
+    The meta keys are n, m, c, k, w, r_cot, dag (Dag.to_json), inputs and
+    chains (the words of each example), cot_flags (0/1 per example) and
+    seed, in this order.
     """
-    seed, rng, r, n, m, c, dag = config.start_item(j)
-    w, templates = config.w, config.templates
-    codes, variates = _draw_examples(rng, config.k, n, w, config.distinct_letters)
-    # each node's letters and then a space, gathered from an extra column of
-    # spaces, so the decoded text splits into all K*(N+C) words
-    letters = np.concatenate((_advanced_letters(codes, c), np.full((config.k, 1), ord(" "), dtype=np.uint8)), axis=1)
-    space = letters.shape[1] - 1
-    columns = [x for node in _node_letters(dag, w) for x in (*node, space)]
-    pool = letters[:, columns].tobytes().decode("ascii").split(" ")
-    messages: list[dict] = [{"role": "system", "content": templates.system_prompt}]
-    all_inputs: list[list[str]] = []
-    all_chains: list[list[str]] = []
-    flags: list[bool] = []
-    for start, variate in zip(range(0, config.k * (n + c), n + c), variates.tolist()):
-        words, chain = pool[start : start + n], pool[start + n : start + n + c]
-        is_cot = r >= variate
-        messages.append({"role": "user", "content": render_question(words, templates)})
-        messages.append({"role": "assistant", "content": render_assistant(chain, is_cot, templates)})
-        all_inputs.append(words)
-        all_chains.append(chain)
-        flags.append(is_cot)
-
-    meta = {
-        "n": n,
-        "m": m,
-        "c": c,
-        "k": config.k,
-        "w": config.w,
-        "r_cot": r,
-        "dag": dag.to_json(),
-        "inputs": all_inputs,
-        "chains": all_chains,
-        "cot_flags": [int(f) for f in flags],
-        "seed": seed,
-    }
-    return {"prompt_id": j, "messages": messages, "meta": meta}
+    return json.loads(prompt_line(config, j, ()))
 
 
 def strip_chat_prompt(record: dict, k_prime: int, rng: ItemStream, templates: Templates) -> dict:
@@ -385,16 +344,19 @@ def _rows(templates: Templates, n: int, w: int, chain_lengths: tuple[int, ...]) 
 def prompt_line(config: LangSymConfig, j: int, transforms: list[dict]) -> bytes:
     """Shard line of prompt j after each strip-cot transform in turn, written from its letter codes.
 
-    Byte for byte storage.encode_record of `generate_langsym_prompt(config,
-    j)` passed through `strip_chat_prompt` with
-    ItemStream(derive_seed(seed, j)) for each transform: the strips re-draw
-    the cot_flags (recipe.strip_flags) before the messages and the meta are
-    written once. The K examples fill copies of the item's _Rows template
-    from their letter codes; only the meta's scalars and DAG go through
-    json.
+    Draw order per prompt: N, M, C choices, the DAG, then per example the
+    N*w letters of its N words followed by the rendering variate
+    (_draw_examples). Each strip re-draws the cot_flags with
+    ItemStream(derive_seed(seed, j)) before the messages and the meta are
+    written once: the K examples fill copies of the item's _Rows template
+    from their letter codes, and only the meta's scalars and DAG go through
+    json. An item whose letters cannot be allocated is a ConfigError.
     """
     seed, rng, r, n, m, c, dag = config.start_item(j)
-    codes, variates = _draw_examples(rng, config.k, n, config.w, config.distinct_letters)
+    try:
+        codes, variates = _draw_examples(rng, config.k, n, config.w, config.distinct_letters)
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array can address
+        raise ConfigError(f"no memory for the {config.k} x {n} x {config.w} letters of item {j} (k x N x w)") from exc
     flags = (variates <= r).view(np.int8).tolist()
     for tf in transforms:
         flags = strip_flags(flags, tf["k_prime"], ItemStream(derive_seed(tf["seed"], j)))

@@ -21,30 +21,22 @@ span, the C+1 cells think_start..think_end. Which cells a sequence keeps is
 therefore a pure function of (n, c, cot_flags), and so is which delimiter
 or normal token each kept cell must hold and its mask bit: `layout(n, c)`
 builds the template, the two keep rows and the two example masks once per
-(n, c). Generation fills the template from the input and chain arrays
-(`render_sequence`). `check_layout` validates a stored stream
+(n, c). `sequence_line` fills the template from the input and chain arrays
+and writes the shard line; a strip-cot transform re-draws the item's
+cot_flags first (`recipe.strip_flags`, the rule strip_sequence_record
+applies to a stored record). A record is its line, decoded
+(`generate_sequence`). `check_layout` validates a stored stream
 against it and returns the stream with its kept cells, so
 `recompute_chains` reads the inputs from their cells and
 harness.make_eval_prompt cuts the query at a known offset; stripping a
 stored record deletes thinking spans from the stream
 (harness.strip_sequence_record). None of them parses or re-renders.
 
-Storage writes each shard line straight from the layout (`sequence_line`):
-a strip-cot transform re-draws the item's cot_flags first
-(`recipe.strip_flags`, the rule strip_sequence_record applies to a stored
-record), and the kept cells are then written once, through a table of
-token-id text and the layout's mask text, with only the meta going through
-json. No token list is built and nothing is re-checked, since no stored
-stream exists yet.
-`generate_sequence` (the record), storage.encode_record (its bytes) and
-harness.strip_sequence_record (its strip) are the record API, and the
-tests' reference for those lines. The
-per-example renderers, masks and parsers below are not called by the
+The per-example renderers, masks and parsers below are not called by the
 package: they are the tests' reference implementations of the same rule,
 and the benchmark tracer names them. The tracer also names `Sequence` and
 its `to_record`/`from_record`, which is all that keeps them here: no
-package code builds a `Sequence`, since generation returns the shard
-record dict.
+package code builds a `Sequence`.
 
 Every sequence is generated from its config alone (the vocabulary,
 embedding matrix and processor cache are `DatasetConfig.artifacts`, built
@@ -404,19 +396,6 @@ def _kept_cells(inputs: np.ndarray, chains: np.ndarray, cot_flags: Seq[bool], vo
     return cells, grid[cells.keep_cells(cot_flags)]
 
 
-def render_sequence(
-    inputs: np.ndarray, chains: np.ndarray, cot_flags: Seq[bool], vocab: Vocabulary
-) -> tuple[list[int], list[int]]:
-    """Tokens and loss mask of bos plus K examples, from (K, N) inputs and (K, C) chains.
-
-    The same result as rendering each example with `render_cot_example` or
-    `render_standard_example` and its `*_example_mask`. Every input and
-    chain token must be normal (ConfigError otherwise).
-    """
-    cells, kept = _kept_cells(inputs, chains, cot_flags, vocab)
-    return [vocab.bos] + kept.tolist(), cells.mask(cot_flags)
-
-
 # Token ids below this bound are written through one table of their text (8
 # bytes a row, 512 KiB at most), which every caller in the process shares: a
 # row depends only on its id. A vocabulary that reaches past the bound
@@ -437,17 +416,43 @@ def _id_text(size: int) -> np.ndarray:
     return _ID_TEXT
 
 
-def _draw(config: DatasetConfig, j: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(K, N) inputs, (K, C) chains and meta of sequence j, drawn in the documented order."""
+def generate_sequence(config: DatasetConfig, j: int) -> dict:
+    """Shard record of sequence j, independent of all other indices: its line, decoded.
+
+    The record is {"seq_id", "tokens", "loss_mask", "meta"} with lists of
+    ints; the meta keys are n, m, c, k, r_cot, dag (Dag.to_json), proc_ids,
+    cot_flags (0/1 per example) and seed, in this order.
+    """
+    return json.loads(sequence_line(config, j, ()))
+
+
+def sequence_line(config: DatasetConfig, j: int, transforms: Seq[dict]) -> bytes:
+    """Shard line of sequence j after each strip-cot transform in turn, written from its arrays.
+
+    The item is drawn in the documented order; each strip re-draws the
+    cot_flags with ItemStream(derive_seed(seed, j)) before the kept cells
+    are written once, through a table of token-id text and the layout's
+    mask text, with only the meta going through json. An item whose inputs
+    cannot be allocated is a ConfigError.
+    """
     vocab, emb, cache = config.artifacts
     seed, rng, r, n, m, c, dag = config.start_item(j)
     proc_ids = sample_processors(cache, c, rng)
-
-    inputs = N_SPECIAL + rng.integers(0, vocab.n_normal, size=(config.k, n))
+    try:
+        inputs = N_SPECIAL + rng.integers(0, vocab.n_normal, size=(config.k, n))
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array can address
+        raise ConfigError(f"no memory for the {config.k} x {n} input tokens of item {j} (k x N)") from exc
     flags = [int(r >= draw) for draw in rng.random(config.k).tolist()]
-
     procs = [cache[i] for i in proc_ids]
     chains = chain_tokens_batch(dag.parents, procs, emb, inputs)
+    for tf in transforms:
+        flags = strip_flags(flags, tf["k_prime"], ItemStream(derive_seed(tf["seed"], j)))
+    cells, kept = _kept_cells(inputs, chains, flags, vocab)
+    if vocab.size <= ID_TEXT_BOUND:
+        tokens = _id_text(vocab.size)[kept].tobytes().translate(None, b"\0")
+    else:
+        tokens = b"".join([b",%d" % t for t in kept.tolist()])
+    mask = b"".join([cells.mask_text[f] for f in flags])
     meta = {
         "n": n,
         "m": m,
@@ -459,40 +464,6 @@ def _draw(config: DatasetConfig, j: int) -> tuple[np.ndarray, np.ndarray, dict]:
         "cot_flags": flags,
         "seed": seed,
     }
-    return inputs, chains, meta
-
-
-def generate_sequence(config: DatasetConfig, j: int) -> dict:
-    """Shard record of sequence j, independent of all other indices.
-
-    The record is {"seq_id", "tokens", "loss_mask", "meta"} with lists of
-    ints; the meta keys are n, m, c, k, r_cot, dag (Dag.to_json), proc_ids,
-    cot_flags (0/1 per example) and seed, in this order.
-    """
-    inputs, chains, meta = _draw(config, j)
-    tokens, mask = render_sequence(inputs, chains, meta["cot_flags"], config.artifacts[0])
-    return {"seq_id": j, "tokens": tokens, "loss_mask": mask, "meta": meta}
-
-
-def sequence_line(config: DatasetConfig, j: int, transforms: Seq[dict]) -> bytes:
-    """Shard line of sequence j after each strip-cot transform in turn, written from its arrays.
-
-    Byte for byte `encode_record` of `generate_sequence(config, j)` passed
-    through `strip_sequence_record` with ItemStream(derive_seed(seed, j))
-    for each transform: the strips re-draw the flags before the kept cells
-    are written, so the item is rendered once.
-    """
-    vocab = config.artifacts[0]
-    inputs, chains, meta = _draw(config, j)
-    for tf in transforms:
-        meta["cot_flags"] = strip_flags(meta["cot_flags"], tf["k_prime"], ItemStream(derive_seed(tf["seed"], j)))
-    flags = meta["cot_flags"]
-    cells, kept = _kept_cells(inputs, chains, flags, vocab)
-    if vocab.size <= ID_TEXT_BOUND:
-        tokens = _id_text(vocab.size)[kept].tobytes().translate(None, b"\0")
-    else:
-        tokens = b"".join([b",%d" % t for t in kept.tolist()])
-    mask = b"".join([cells.mask_text[f] for f in flags])
     meta_text = json.dumps(meta, separators=(",", ":")).encode()
     return b'{"seq_id":%d,"tokens":[%d%b],"loss_mask":[0%b],"meta":%b}\n' % (j, vocab.bos, tokens, mask, meta_text)
 

@@ -13,11 +13,7 @@ manifest's strip-cot transforms, with its `line(config, j, transforms)`,
 straight from the item's arrays: abstract lines from the item's token
 layout (sequences.sequence_line), LangSym lines from byte rows filled with
 the item's letters (langsym.prompt_line). In both, the strips re-draw the
-cot_flags before the one rendering, and no record is built. The record
-API gives the same bytes the long way and is the tests' reference for the
-lines: `encode_record` of `generate_sequence` stripped by
-harness.strip_sequence_record, and of `generate_langsym_prompt` stripped
-by langsym.strip_chat_prompt.
+cot_flags before the one rendering. A record is its line, decoded.
 
 Generation parallelizes over item indices; shard s holds the contiguous
 block [s*ceil(T/S), ...) of output positions. A command (write, verify)
@@ -45,8 +41,8 @@ from .errors import ConfigError, FormatError
 from .langsym import LangSymConfig, prompt_line
 from .recipe import TaskConfig
 from .rng import ItemStream, choose_distinct
-# generate_sequence is not called here: it is the record API, which the
-# benchmark's tracer tests look up under this module's name too
+# generate_sequence is not called here: the benchmark's tracer tests look
+# it up under this module's name too
 from .sequences import DatasetConfig, generate_sequence, sequence_line  # noqa: F401
 
 KIND_ABSTRACT = "abstract"

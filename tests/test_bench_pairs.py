@@ -1,20 +1,34 @@
 """tools/bench_pairs.py refuses to pair trees that differ in compiled bytecode, keeps
-the finished pairs when a run fails, and states each metric's verdicts."""
+the finished pairs when a run fails or prints no good result, keeps a traced run's
+detail, and states each metric's verdicts."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
-# A bench/run.py that exits 1 on the workload "none" and runs any other.
+# A bench/run.py that exits 1 on the workload "none", prints a non-JSON
+# last line on "garbage", a result with a failed check on "incorrect", and
+# otherwise a good detail and result line as bench/run.py prints them.
 _RUN = """
 import json, sys
 workload = sys.argv[sys.argv.index("--workload") + 1]
 if workload == "none":
     sys.exit(f"no workload {workload}")
-print(json.dumps({"metrics": {"items_per_s": {"value": 1.0}}}))
+if workload == "garbage":
+    print("half a line {")
+    sys.exit()
+failed = int(workload == "incorrect")
+detail = {"hashes": {}, "problems": ["golden hash differs"] * failed}
+if sys.argv[sys.argv.index("--trace") + 1] == "1":
+    detail.update(absent=[], time_split={"storage.write_dataset": 0.5}, traced_rates_per_s={"stdio_calls": 0.0},
+                  round_s={"untraced": [1.0], "traced": [1.2]})
+print(json.dumps(detail))
+print(json.dumps({"correct": not failed, "attempted": 3, "failed": failed, "metrics": {"items_per_s": {"value": 1.0}}}))
 """
 
 
@@ -35,11 +49,12 @@ def _tree(root: Path, bytecode: bool, runner: str | None = None,
 
 
 def _pair(tmp_path: Path, parent_bytecode: bool, change_bytecode: bool, runner: bool = False,
-          pairs: tuple[str, ...] = ("none=1",)) -> subprocess.CompletedProcess:
+          pairs: tuple[str, ...] = ("none=1",), trace: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
     parent = _tree(tmp_path / "parent", parent_bytecode, _RUN if runner else None)
     change = _tree(tmp_path / "change", change_bytecode, _RUN if runner else None)
     argv = [sys.executable, str(TOOL), "--parent", str(parent), "--change", str(change),
-            *[arg for spec in pairs for arg in ("--pairs", spec)], "--out", str(tmp_path / "out.json")]
+            *[arg for spec in pairs for arg in ("--pairs", spec)], *[arg for w in trace for arg in ("--trace", w)],
+            "--out", str(tmp_path / "out.json")]
     return subprocess.run(argv, capture_output=True, text=True, timeout=60)
 
 
@@ -75,11 +90,38 @@ def test_a_failed_run_keeps_the_finished_pairs(tmp_path):
     assert "no workload none" in failed["stderr_tail"]
 
 
+@pytest.mark.parametrize("workload, why", [
+    ("incorrect", {"result": {"correct": False, "attempted": 3, "failed": 1}, "problems": ["golden hash differs"]}),
+    ("garbage", {"stdout_tail": "half a line {\n"}),
+])
+def test_a_run_with_failed_checks_or_no_result_line_fails(tmp_path, workload, why):
+    proc = _pair(tmp_path, parent_bytecode=False, change_bytecode=False, runner=True, pairs=("ok=1", f"{workload}=1"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and f"parent run of {workload} failed (exit code 0)" in proc.stderr
+    doc = json.loads((tmp_path / "out.json").read_text())
+    assert doc["workloads"]["ok"]["summary"]["items_per_s"]["pairs"] == 1
+    assert doc["workloads"][workload] == {"runs": []}
+    assert doc["failed"] == {"side": "parent", "workload": workload, "seed": 1, "trace": 0, "returncode": 0, **why}
+
+
+def test_a_traced_run_keeps_its_detail(tmp_path):
+    proc = _pair(tmp_path, parent_bytecode=False, change_bytecode=False, runner=True, pairs=("ok=1",), trace=("ok",))
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads((tmp_path / "out.json").read_text())["traced"]["ok"]
+    for side in ("parent", "change"):
+        assert traced[side]["correct"] is True
+        assert traced[side]["detail"] == {"absent": [], "time_split": {"storage.write_dataset": 0.5},
+                                          "traced_rates_per_s": {"stdio_calls": 0.0},
+                                          "round_s": {"untraced": [1.0], "traced": [1.2]}}
+
+
 # A bench/run.py that prints, for each metric, the value its tree's table holds at the run's seed.
 _TABLE_RUN = """
 import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
-print(json.dumps({"metrics": {name: {"value": values[seed - 1]} for name, values in TABLE.items()}}))
+print(json.dumps({"problems": []}))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {name: {"value": values[seed - 1]} for name, values in TABLE.items()}}))
 """
 
 VERDICT_METRICS = (  # name, better, bound, parent values, change values, gain_resolved, within_bound

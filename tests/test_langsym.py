@@ -506,8 +506,8 @@ def test_text_oracle_tells_apart_prompts_with_the_same_question():
 # --- shard lines -----------------------------------------------------------------
 
 def _record_line(config, j, transforms):
-    """The record path: encode_record of generate_langsym_prompt, stripped by each transform in turn."""
-    record = generate_langsym_prompt(config, j)
+    """encode_record of the per-draw reference prompt, stripped by each transform in turn."""
+    record = reference_prompt(config, j)
     for tf in transforms:
         record = strip_chat_prompt(record, tf["k_prime"], ItemStream(derive_seed(tf["seed"], j)), config.templates)
     return storage.encode_record(record)

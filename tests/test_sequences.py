@@ -24,14 +24,13 @@ from cotforge.sequences import (
     Sequence,
     cot_example_mask,
     recompute_chains,
-    render_sequence,
     sequence_line,
     standard_example_mask,
 )
 from cotforge.storage import encode_record
 from cotforge.vocab import N_SPECIAL
 
-from helpers import line_outcome, strips
+from helpers import line_outcome, reference_sequence, strips
 
 
 def small_config(**over):
@@ -275,9 +274,9 @@ def test_array_renderer_matches_per_example_renderers(mode):
                 else:
                     want_tokens += render_standard_example(x, y[-1], VOCAB)
                     want_mask += standard_example_mask(n)
-            tokens, mask = render_sequence(inputs, chains, flags, VOCAB)
-            assert tokens == want_tokens, (n, c)
-            assert mask == want_mask, (n, c)
+            cells, kept = sequences._kept_cells(inputs, chains, flags, VOCAB)
+            assert [VOCAB.bos] + kept.tolist() == want_tokens, (n, c)
+            assert cells.mask(flags) == want_mask, (n, c)
 
 
 @pytest.mark.parametrize("where", ["input", "intermediate", "answer"])
@@ -287,12 +286,12 @@ def test_array_renderer_rejects_abnormal_tokens(where, bad):
     chains = np.full((2, 3), N_SPECIAL + 1, dtype=np.int64)
     {"input": inputs, "intermediate": chains, "answer": chains}[where][0, -1 if where == "answer" else 1] = bad
     with pytest.raises(ConfigError, match=f"token {bad} is not a normal token"):
-        render_sequence(inputs, chains, [True, False], VOCAB)
+        sequences._kept_cells(inputs, chains, [True, False], VOCAB)
 
 
 def _record_line(config, j, transforms):
-    """The record path: encode_record of generate_sequence, stripped by each transform in turn."""
-    record = generate_sequence(config, j)
+    """encode_record of the per-draw reference sequence, stripped by each transform in turn."""
+    record = reference_sequence(config, j)
     for tf in transforms:
         record = strip_sequence_record(record, tf["k_prime"], ItemStream(derive_seed(tf["seed"], j)),
                                        config.artifacts[0])

@@ -18,7 +18,7 @@ from cotforge import DatasetConfig, Recipe, Vocabulary, harness, make_eval_promp
 from cotforge.cli import main
 from cotforge.langsym import make_langsym_eval_prompt
 from cotforge.rng import STREAM_CACHE, STREAM_EMBED, ItemStream, derive_seed
-from cotforge.sequences import generate_sequence, parse_sequence
+from cotforge.sequences import parse_sequence
 from cotforge.storage import (
     KIND_ABSTRACT,
     KIND_LANGSYM,
@@ -29,6 +29,8 @@ from cotforge.storage import (
     verify_dataset,
     write_dataset,
 )
+
+from helpers import reference_sequence
 
 ABSTRACT_CFG = {
     "vocab_size": 256,
@@ -181,7 +183,7 @@ def test_no_pool_machinery_is_imported_without_a_pool(tmp_path):
 
 
 def test_shards_hold_the_record_path_lines(tmp_path):
-    """Generated and stripped shards, shuffled and at two workers, equal the record API's bytes in output order."""
+    """Generated and stripped shards, shuffled and at two workers, equal the per-draw reference's bytes in output order."""
     cfg = dict(ABSTRACT_CFG, shuffle=True, recipe={"alpha": 1.0, "a": 0.5, "b": 0.5})
     config = DatasetConfig.from_json(cfg)
     vocab = config.artifacts[0]
@@ -189,7 +191,7 @@ def test_shards_hold_the_record_path_lines(tmp_path):
     write_dataset(src, KIND_ABSTRACT, cfg, shards=3, workers=2)
     strip_dataset(src, dst, k_prime=0, seed=5, workers=2)
     strip_dataset(dst, str(tmp_path / "dst2"), k_prime=1, seed=6, workers=1)
-    records = [generate_sequence(config, j) for j in config.output_order()]
+    records = [reference_sequence(config, j) for j in config.output_order()]
     assert list(read_records(src)) == records
     stripped = [harness.strip_sequence_record(rec, 0, ItemStream(derive_seed(5, rec["seq_id"])), vocab)
                 for rec in records]
@@ -279,6 +281,41 @@ def test_an_error_at_the_first_item_leaves_the_old_dataset_whole(tmp_path, capsy
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
     monkeypatch.undo()
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert main(["verify", "--manifest", str(out)]) == 0
+    capsys.readouterr()
+
+
+# Items whose first array is past the 48-bit address space, so that no host
+# can allocate it lazily; the last one is more bytes than an array can address.
+_UNALLOCATABLE = {
+    "abstract-k": ("abstract", {"k": 10**14}, "the 100000000000000 x 4 input tokens of item 0 (k x N)"),
+    "langsym-w": ("langsym", {"w": 10**14}, "the 4 x 4 x 100000000000000 letters of item 0 (k x N x w)"),
+    "langsym-distinct-k": ("langsym", {"k": 10**14, "w": 8, "distinct_letters": True},
+                           "the 100000000000000 x 4 x 8 letters of item 0 (k x N x w)"),
+    "langsym-w-too-big": ("langsym", {"w": 10**18}, "the 4 x 4 x 1000000000000000000 letters of item 0 (k x N x w)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNALLOCATABLE))
+def test_an_unallocatable_item_is_a_config_error(tmp_path, capsys, name):
+    kind, over, what = _UNALLOCATABLE[name]
+    base = ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG
+    out, bad = tmp_path / "ds", tmp_path / "bad"
+    assert main([f"gen-{kind}", "--config", _write_cfg(tmp_path, base), "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    bad.mkdir()
+    for path in out.iterdir():
+        (bad / path.name).write_bytes(path.read_bytes())
+    manifest = json.loads((out / "manifest.json").read_text())
+    (bad / "manifest.json").write_text(json.dumps(dict(manifest, config=dict(base, **over))))
+    capsys.readouterr()
+    for argv in ([f"gen-{kind}", "--config", _write_cfg(tmp_path, dict(base, **over)), "--out", str(out),
+                  "--workers", "2"],
+                 ["verify", "--manifest", str(bad)],
+                 ["strip-cot", "--in", str(bad), "--k-prime", "0", "--seed", "1", "--out", str(tmp_path / "dst")]):
+        assert main(argv) == 2, argv
+        assert f"config error: no memory for {what}" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
     assert main(["verify", "--manifest", str(out)]) == 0
     capsys.readouterr()

@@ -17,17 +17,22 @@ its own outcome: `gain_resolved` (at least nine tenths of the pairs won,
 and the medians apart by more than the parent's q3 - q1) and
 `within_bound` (true, false, or "unresolved" where the parent's q3 - q1
 exceeds the metric's bound). --trace W adds one `--trace 1` run of
-workload W per tree. Each tree is identified by its git HEAD, whether its
-working tree differs from HEAD, a sha256 over its src/ files and whether its
-src/ holds any __pycache__. Where the environment sets
+workload W per tree, whose result keeps its detail line's `absent`,
+`time_split`, `traced_rates_per_s` and `round_s` under "detail". Each tree
+is identified by its git HEAD, whether its working tree differs from HEAD,
+a sha256 over its src/ files and whether its src/ holds any __pycache__. Where the environment sets
 PYTHONDONTWRITEBYTECODE, a tree with bytecode skips the compile that the
 other pays in every CLI stage, so the script exits with status 2 before
 the first run when the two trees differ in that.
 
-A run that exits non-zero ends the session with status 1. The file is
-still written: it holds every pair finished so far (a workload cut short
-has its runs but no summary) and, under "failed", the failing run's side,
-workload, seed, exit code and the tail of its stderr.
+A run fails when it exits non-zero, when its last two stdout lines are not
+the detail and result JSON lines bench/run.py prints, or when its result
+is not correct or counts a failed operation. A failed run ends the session
+with status 1. The file is still written: it holds every pair finished so
+far (a workload cut short has its runs but no summary) and, under
+"failed", the failing run's side, workload, seed and exit code with the
+tail of its stderr, the tail of its stdout, or its result counts and
+problems.
 """
 
 from __future__ import annotations
@@ -44,17 +49,32 @@ from pathlib import Path
 
 
 class RunFailed(Exception):
-    """A bench/run.py run that exited non-zero; args[0] describes it."""
+    """A bench/run.py run that failed (see the module docstring); args[0] describes it."""
+
+
+# what a traced run's detail line holds besides provenance, hashes and problems
+TRACE_DETAIL = ("absent", "time_split", "traced_rates_per_s", "round_s")
 
 
 def run_bench(trees: dict, side: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """The result line of a good run, with the TRACE_DETAIL of its detail line under "detail" when traced."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=trees[side], capture_output=True, text=True)
+    failure = {"side": side, "workload": workload, "seed": seed, "trace": trace, "returncode": proc.returncode}
     if proc.returncode:
-        raise RunFailed({"side": side, "workload": workload, "seed": seed, "trace": trace,
-                         "returncode": proc.returncode, "stderr_tail": proc.stderr[-4000:]})
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        raise RunFailed({**failure, "stderr_tail": proc.stderr[-4000:]})
+    try:
+        detail, result = map(json.loads, proc.stdout.strip().splitlines()[-2:])
+        counts = {key: result[key] for key in ("correct", "attempted", "failed")}
+        problems = None if counts["correct"] is True and counts["failed"] == 0 else detail["problems"]
+        if trace:
+            result["detail"] = {key: detail[key] for key in TRACE_DETAIL}
+    except (ValueError, LookupError, TypeError):  # fewer than two lines, not JSON, or not bench/run.py's keys
+        raise RunFailed({**failure, "stdout_tail": proc.stdout[-4000:]}) from None
+    if problems is not None:
+        raise RunFailed({**failure, "result": counts, "problems": problems})
+    return result
 
 
 def tree_id(tree: Path) -> dict:
@@ -159,8 +179,9 @@ def main() -> int:
                          for w in args.trace}
     except RunFailed as exc:
         failed = doc["failed"] = exc.args[0]
-        print(f"{failed['side']} run of {failed['workload']} failed with exit code {failed['returncode']}:\n"
-              f"{failed['stderr_tail']}", file=sys.stderr)
+        why = next(failed[key] for key in ("stderr_tail", "stdout_tail", "problems") if key in failed)
+        print(f"{failed['side']} run of {failed['workload']} failed (exit code {failed['returncode']}):\n{why}",
+              file=sys.stderr)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 1 if "failed" in doc else 0
 
