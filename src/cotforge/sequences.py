@@ -26,7 +26,7 @@ and writes the shard line; a strip-cot transform re-draws the item's
 cot_flags first (`recipe.strip_flags`, the rule strip_sequence_record
 applies to a stored record). A record is its line, decoded
 (`generate_sequence`). `check_layout` validates a stored stream
-against it and returns the stream with its kept cells, so
+against the layout and returns the stream with its kept cells, so
 `recompute_chains` reads the inputs from their cells and
 harness.make_eval_prompt cuts the query at a known offset; stripping a
 stored record deletes thinking spans from the stream
