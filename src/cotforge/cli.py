@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import shlex
 import sys
+import tempfile
 from typing import Callable
 
 from . import __version__
@@ -56,6 +58,25 @@ EXIT_IO = 3
 EXIT_VERIFY = 4
 
 _STRATEGY_FLAGS = {"think": FORCE_THINK, "answer": FORCE_ANSWER, "none": NO_FORCING}
+
+
+def _int_in(low: int, high: int | None, bounds: str) -> Callable[[str], int]:
+    """An argparse type: an int in [low, high) (no upper end when high is None), else a usage error naming `bounds`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value >= high):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message names the type
+    return parse
+
+
+# Worker counts are at least 1; every seed is a 64-bit Philox key or
+# SplitMix64 state, so a seed outside [0, 2**64) would alias another one.
+_WORKERS = _int_in(1, None, ">= 1")
+_SEED = _int_in(0, 1 << 64, "in [0, 2**64)")
 
 
 def _load_config_file(path: str) -> dict:
@@ -120,13 +141,12 @@ def _record(source: str, i: int):
         raise FormatError(f"{source}: record {i} is malformed ({type(exc).__name__}: {exc})") from exc
 
 
-def _prompts(records, to_prompt: Callable, source: str) -> list:
-    """to_prompt of every record; a malformed record raises FormatError naming it."""
-    prompts = []
+def _prompts(records, to_prompt: Callable, source: str):
+    """Yield to_prompt of each record as it is read; a malformed record raises FormatError naming it."""
     for i, rec in enumerate(records):
         with _record(source, i):
-            prompts.append(to_prompt(rec))
-    return prompts
+            prompt = to_prompt(rec)
+        yield prompt
 
 
 def _abstract_eval(config: DatasetConfig, records, args: argparse.Namespace, forcing: ForcingConfig) -> EvalReport:
@@ -134,20 +154,32 @@ def _abstract_eval(config: DatasetConfig, records, args: argparse.Namespace, for
     vocab = Vocabulary(config.vocab_size)
     prompts = _prompts(records, lambda rec: make_eval_prompt(rec, vocab), args.prompts)
     if args.backend == "oracle":
-        return evaluate(OracleBackend(prompts), prompts, forcing)
-    if args.backend == "random":
-        return evaluate(RandomBackend(prompts, vocab, seed=args.seed or 0), prompts, forcing)
-    with StdioBackend(_backend_cmd(args)) as backend:
-        return evaluate(backend, prompts, forcing)
+        oracle = OracleBackend()
+    elif args.backend == "random":
+        oracle = RandomBackend((), vocab, seed=args.seed or 0)
+    else:
+        with StdioBackend(_backend_cmd(args)) as backend:
+            return evaluate(backend, prompts, forcing)
+    return evaluate(oracle, oracle.one_at_a_time(prompts), forcing)
 
 
 def _langsym_eval(config, records, args: argparse.Namespace, forcing: ForcingConfig) -> EvalReport:
     """`eval-langsym`: the report of chat prompts under a forcing, from the backend `args` names."""
     prompts = _prompts(records, make_langsym_eval_prompt, args.prompts)
     if args.backend == "oracle":
-        return evaluate_langsym(TextOracleBackend(prompts, config.templates), prompts, forcing, config.templates)
+        oracle = TextOracleBackend((), config.templates)
+        return evaluate_langsym(oracle, oracle.one_at_a_time(prompts), forcing, config.templates)
     with TextStdioBackend(_backend_cmd(args)) as backend:
         return evaluate_langsym(backend, prompts, forcing, config.templates)
+
+
+def _check_writable(path: str) -> None:
+    """OSError unless a file can be created beside `path` (created, then removed) and `path` is no directory."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--report {path} is a directory")
+    directory, name = os.path.split(os.path.abspath(path))
+    with tempfile.NamedTemporaryFile(dir=directory, prefix=f".{name}.", suffix=".tmp"):
+        pass
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -156,6 +188,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if manifest.kind != args.kind:
         raise ConfigError(f"{args.command} expects a {args.kind!r} dataset, found kind {manifest.kind!r}")
     config = parse_config(args.kind, manifest.config)
+    _check_writable(args.report)  # before the first backend call, not after the whole eval
     report = args.run(config, read_records(args.prompts), args, forcing)
     _write_report(report, args.report)
     print(f"accuracy {report.accuracy:.4f} over {len(report.records)} prompts -> {args.report}")
@@ -212,18 +245,18 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(f"gen-{kind}", help=f"generate {what} dataset")
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output dataset directory")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_WORKERS, default=1)
         p.add_argument("--shards", type=int, default=1)
-        p.add_argument("--seed", type=int, help="override master_seed")
+        p.add_argument("--seed", type=_SEED, help="override master_seed")
         p.add_argument("--t", type=int, help="override dataset size")
         p.set_defaults(func=cmd_gen, kind=kind, items=items)
 
     p = sub.add_parser("strip-cot", help="re-render K' thinking examples as plain ones")
     p.add_argument("--in", dest="inp", required=True, help="input dataset directory")
     p.add_argument("--k-prime", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_WORKERS, default=1)
     p.set_defaults(func=cmd_strip_cot)
 
     p = sub.add_parser("eval", help="evaluate a token backend on abstract prompts")
@@ -232,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend-cmd", help="command line for the stdio backend")
     p.add_argument("--strategy", choices=list(_STRATEGY_FLAGS), required=True)
     p.add_argument("--budget", type=int, help="max generated tokens (default C+6)")
-    p.add_argument("--seed", type=int, help="seed for the random backend")
+    p.add_argument("--seed", type=_SEED, help="seed for the random backend")
     p.add_argument("--report", required=True, help="output report JSON path")
     p.set_defaults(func=cmd_eval, kind=KIND_ABSTRACT, run=_abstract_eval)
 
@@ -263,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="regenerate from a manifest and compare hashes")
     p.add_argument("--manifest", required=True, help="dataset directory or manifest.json")
     p.add_argument("--sample", type=int, help="check only this many shards")
-    p.add_argument("--seed", type=int, help="shard sampling seed")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--seed", type=_SEED, help="shard sampling seed")
+    p.add_argument("--workers", type=_WORKERS, default=1)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -103,9 +103,9 @@ def check_record_dag(meta: dict) -> None:
     """Reject a record meta whose DAG is malformed or does not span its n and c.
 
     Scoring reads the DAG, so both dataset kinds check it while building a
-    prompt, before any backend call; it also bounds the c of an abstract
-    record whose examples are all plain, where c never enters the stream
-    length. KeyError or TypeError for a missing or mistyped field,
+    prompt, before that prompt reaches a backend; it also bounds the c of
+    an abstract record whose examples are all plain, where c never enters
+    the stream length. KeyError or TypeError for a missing or mistyped field,
     ValueError for a violated invariant.
     """
     dag = Dag.from_json(meta["dag"])

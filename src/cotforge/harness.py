@@ -13,11 +13,16 @@ only where its size is read. Reference backends:
   * RandomBackend is the oracle of uniformly random normal chains: it
     follows the output format, giving the 1/|normal vocabulary| chance
     baseline.
+  * Both oracles know the prompts they were built with, or, through
+    `one_at_a_time`, each prompt of a stream as the eval reaches it.
   * StdioBackend drives an external process over a JSON-lines pipe: one
     request ``{"tokens": [...]}`` per line, one reply ``{"next": <int>}``.
     Every request still carries the full prefix, but the backend encodes
     a prompt's prefix once: while each request extends the previous one
     it appends only the new tokens to the previous request's JSON.
+
+The eval loop reads its prompts lazily, so an eval over a stream of
+records holds one prompt in memory at a time.
 
 The prompt type, the forcing config, the eval loop, the JSON-lines
 process transport and the strip selection are shared with the
@@ -33,7 +38,7 @@ import contextlib
 import json
 import subprocess
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence as Seq
+from typing import Callable, Iterable, Iterator, Sequence as Seq
 
 import numpy as np
 
@@ -216,19 +221,22 @@ class EvalReport:
         }
 
 
-def evaluate_prompts(prompts: list, generate: Callable, score: Callable) -> EvalReport:
+def evaluate_prompts(prompts: Iterable[EvalPrompt], generate: Callable, score: Callable) -> EvalReport:
     """The eval loop of both dataset kinds, and the one place a backend failure is recorded.
 
+    `prompts` is read lazily: each prompt is taken from it, evaluated and
+    dropped before the next one is taken, so a generator of prompts is held
+    one at a time, and an exception raised while taking a prompt (a
+    malformed record, say) stops the eval there with no report.
     `generate(prompt)` asks the backend for the prompt's completion;
     `score(output)` returns the predicted answer (None on a format failure),
     the thinking steps emitted and the list recorded as `generated`. Step i
     is correct when it equals the i-th ground-truth intermediate; absent
     steps count as wrong. Any exception but a ConfigError from `generate`
     fails only its prompt, with indicator 0 and the error "backend failed
-    on prompt <seq_id>: <exc>"; only an all-prompt failure raises BackendError.
+    on prompt <seq_id>: <exc>". Once the prompts run out, no prompt at all
+    is a ConfigError and an all-prompt failure a BackendError.
     """
-    if not prompts:
-        raise ConfigError("prompts must be non-empty")
     records: list[PromptRecord] = []
     for idx, prompt in enumerate(prompts):
         dag = Dag.from_json(prompt.meta["dag"])
@@ -256,13 +264,15 @@ def evaluate_prompts(prompts: list, generate: Callable, score: Callable) -> Eval
                 error=error,
             )
         )
+    if not records:
+        raise ConfigError("prompts must be non-empty")
     if all(r.error for r in records):
         raise BackendError(f"backend failed on all {len(records)} prompts; {records[0].error}")
     accuracy = sum(r.indicator for r in records) / len(records)
     return EvalReport(records=records, accuracy=accuracy)
 
 
-def evaluate(backend, prompts: list[EvalPrompt], forcing: ForcingConfig) -> EvalReport:
+def evaluate(backend, prompts: Iterable[EvalPrompt], forcing: ForcingConfig) -> EvalReport:
     """Run every prompt through force_generate and score the answers."""
     return evaluate_prompts(
         prompts,
@@ -323,7 +333,36 @@ def step_dag_breakdown(report: EvalReport) -> dict:
     return out
 
 
-class OracleBackend:
+class PromptOracle:
+    """A reference backend that answers from a table of the prompts it knows.
+
+    A subclass fills the table with `_learn(prompt)`: the constructor's
+    prompts all at once, or `one_at_a_time` one per prompt of a stream.
+    """
+
+    def __init__(self, prompts: Iterable[EvalPrompt] = ()):
+        self._known: dict = {}
+        for prompt in prompts:
+            self._learn(prompt)
+
+    def _learn(self, prompt: EvalPrompt) -> None:
+        raise NotImplementedError
+
+    def one_at_a_time(self, prompts: Iterable[EvalPrompt]) -> Iterator[EvalPrompt]:
+        """Yield each of `prompts` once it is the only prompt this oracle knows.
+
+        The streaming form of building the oracle from every prompt:
+        evaluating `oracle.one_at_a_time(prompts)` with this oracle reads
+        the prompts lazily, and gives the report of the oracle built from
+        the list of them wherever no two prompts share a context.
+        """
+        for prompt in prompts:
+            self._known = {}
+            self._learn(prompt)
+            yield prompt
+
+
+class OracleBackend(PromptOracle):
     """Replays each prompt's ground-truth chain; accuracy must be 1.0.
 
     Splits incoming tokens at the last inp_end: everything before it is a
@@ -333,15 +372,15 @@ class OracleBackend:
     ans_start.
     """
 
-    def __init__(self, prompts: list[EvalPrompt]):
-        self._chains = {prompt.context: prompt.ground_truth_chain for prompt in prompts}
+    def _learn(self, prompt: EvalPrompt) -> None:
+        self._known[prompt.context] = prompt.ground_truth_chain
 
     def next_token(self, tokens: Seq[int]) -> int:
         reverse = list(tokens)[::-1]
         if Vocabulary.inp_end not in reverse:
             raise BackendError("no input segment found in prompt")
         split = len(reverse) - reverse.index(Vocabulary.inp_end)
-        chain = self._chains.get(tuple(tokens[:split]))
+        chain = self._known.get(tuple(tokens[:split]))
         if chain is None:
             raise BackendError("unknown prompt prefix")
         suffix = tokens[split:]
@@ -356,14 +395,21 @@ class OracleBackend:
 
 class RandomBackend(OracleBackend):
     """The oracle of uniformly random normal chains: a format-following
-    chance baseline. The chains are drawn from Philox(seed) in prompt order."""
+    chance baseline.
 
-    def __init__(self, prompts: list[EvalPrompt], vocab: Vocabulary, seed: int = 0):
-        rng = ItemStream(seed)
-        lo, hi = vocab.normal_ids.start, vocab.normal_ids.stop
-        drawn = [replace(p, ground_truth_chain=tuple(rng.integers(lo, hi, size=len(p.ground_truth_chain)).tolist()))
-                 for p in prompts]
-        super().__init__(drawn)
+    Each prompt's chain is drawn from Philox(seed) when the oracle learns
+    the prompt: in list order for the constructor's prompts, and as each
+    prompt arrives through `one_at_a_time`, so both give the same chains.
+    """
+
+    def __init__(self, prompts: Iterable[EvalPrompt], vocab: Vocabulary, seed: int = 0):
+        self._rng = ItemStream(seed)
+        self._normal = (vocab.normal_ids.start, vocab.normal_ids.stop)
+        super().__init__(prompts)
+
+    def _learn(self, prompt: EvalPrompt) -> None:
+        chain = self._rng.integers(*self._normal, size=len(prompt.ground_truth_chain))
+        super()._learn(replace(prompt, ground_truth_chain=tuple(chain.tolist())))
 
 
 # Seconds a backend gets to exit after its stdin closes and it is sent

@@ -30,7 +30,7 @@ import json
 import re
 import string
 from dataclasses import dataclass, field, asdict, fields
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .dag import Dag, check_record_dag
 from .errors import BackendError, ConfigError
 from .harness import (
     FORCE_ANSWER, FORCE_THINK, EvalPrompt, EvalReport, ForcingConfig,
-    JsonLinesProcess, evaluate_prompts,
+    JsonLinesProcess, PromptOracle, evaluate_prompts,
 )
 from .recipe import TaskConfig, check_int, strip_flags
 from .rng import ItemStream, choose_distinct, derive_seed
@@ -413,8 +413,8 @@ def make_langsym_eval_prompt(record: dict) -> EvalPrompt:
     The record must hold its K examples whole: 2K+1 messages (the system
     turn, then one user and one assistant turn of text per example) and K
     chains of c words. Scoring reads the meta's DAG, checked with
-    dag.check_record_dag, so a malformed record fails before any
-    backend call (KeyError, TypeError or ValueError).
+    dag.check_record_dag, so a malformed record fails before its prompt
+    reaches a backend (KeyError, TypeError or ValueError).
     """
     meta = record["meta"]
     check_record_dag(meta)
@@ -452,18 +452,19 @@ def force_generate_text(backend, prompt: EvalPrompt, forcing: ForcingConfig, tem
     return marker + backend.complete(messages)[: forcing.budget]
 
 
-class TextOracleBackend:
+class TextOracleBackend(PromptOracle):
     """Continues each known prompt with its ground-truth assistant turn."""
 
-    def __init__(self, prompts: list[EvalPrompt], templates: Templates):
+    def __init__(self, prompts: Iterable[EvalPrompt], templates: Templates):
         self._templates = templates
+        super().__init__(prompts)
+
+    def _learn(self, prompt: EvalPrompt) -> None:
         # Indexed by the final message, the query question, which is unique
         # per prompt with overwhelming probability; a hit is confirmed by
         # comparing the whole context, so the lookup stays exact.
-        self._prompts: dict[str, list[tuple[tuple[dict, ...], list[str]]]] = {}
-        for p in prompts:
-            entry = (p.context, list(p.ground_truth_chain))
-            self._prompts.setdefault(p.context[-1]["content"], []).append(entry)
+        entry = (prompt.context, list(prompt.ground_truth_chain))
+        self._known.setdefault(prompt.context[-1]["content"], []).append(entry)
 
     def complete(self, messages: list[dict]) -> str:
         partial = ""
@@ -471,7 +472,7 @@ class TextOracleBackend:
         if context and context[-1]["role"] == "assistant":
             partial, context = context[-1]["content"], context[:-1]
         final = context[-1]["content"] if context else None
-        chain = next((chain for known, chain in self._prompts.get(final, ()) if known == context), None)
+        chain = next((chain for known, chain in self._known.get(final, ()) if known == context), None)
         if chain is None:
             raise BackendError("unknown prompt context")
         for as_cot in (True, False):
@@ -488,7 +489,7 @@ class TextStdioBackend(JsonLinesProcess):
         return self.send_line(json.dumps({"messages": messages}) + "\n", "completion", str)
 
 
-def evaluate_langsym(backend, prompts: list[EvalPrompt], forcing: ForcingConfig, templates: Templates) -> EvalReport:
+def evaluate_langsym(backend, prompts: Iterable[EvalPrompt], forcing: ForcingConfig, templates: Templates) -> EvalReport:
     """Text analogue of harness.evaluate: boxed-answer accuracy plus step flags."""
     return evaluate_prompts(
         prompts,

@@ -1122,3 +1122,43 @@ def test_cli_verify_of_any_broken_manifest_exits_2_3_or_4(stripped_dataset, data
         assert main(["verify", "--manifest", ds]) in (2, 3, 4)
     finally:
         Path(ds, "manifest.json").write_text(json.dumps(valid))
+
+
+# Each command's argv before the option under test, from a dataset directory
+# `ds`, a config file `cfg` and an output directory `out`; a bad value must
+# stop the command before it reads or writes anything.
+_RANGED = {
+    "gen-abstract": "gen-abstract --config {cfg} --out {out}",
+    "gen-langsym": "gen-langsym --config {cfg} --out {out}",
+    "strip-cot": "strip-cot --in {ds} --k-prime 1 --out {out}",
+    "eval": "eval --prompts {ds} --backend random --strategy think --report {out}",
+    "verify": "verify --manifest {ds}",
+}
+
+
+@pytest.mark.parametrize("command, option, value", [
+    *[(command, "--workers", value) for command in ["gen-abstract", "gen-langsym", "strip-cot", "verify"] for value in ["0", "-3"]],
+    *[(command, "--seed", value) for command in _RANGED for value in ["-1", str(2**64), str(5 + 2**64)]],
+])
+def test_cli_workers_below_1_or_seed_outside_64_bits_exits_2(tmp_path, capsys, command, option, value):
+    ds, out = tmp_path / "missing-ds", tmp_path / "out"
+    argv = _RANGED[command].format(ds=ds, cfg=tmp_path / "missing.json", out=out).split()
+    if command == "strip-cot" and option != "--seed":
+        argv += ["--seed", "1"]
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, option, value])
+    assert stop.value.code == 2
+    assert f"argument {option}: must be {'>= 1' if option == '--workers' else 'in [0, 2**64)'}, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-abstract", "strip-cot", "eval", "verify"])
+def test_cli_seed_at_the_ends_of_its_range_is_accepted(tmp_path, capsys, command):
+    cfg = _write_cfg(tmp_path, dict(ABSTRACT_CFG, t=4))
+    ds, out = tmp_path / "ds", tmp_path / "out"
+    assert main(["gen-abstract", "--config", cfg, "--out", str(ds)]) == 0
+    if command == "gen-abstract":
+        out = tmp_path / "out-ds"
+    argv = _RANGED[command].format(ds=ds, cfg=cfg, out=out).split()
+    for seed in ["0", str(2**64 - 1)]:
+        assert main([*argv, "--seed", seed]) == 0, capsys.readouterr().err
