@@ -153,13 +153,10 @@ def _abstract_eval(config: DatasetConfig, records, args: argparse.Namespace, for
     """`eval`: the report of token prompts under a forcing, from the backend `args` names."""
     vocab = Vocabulary(config.vocab_size)
     prompts = _prompts(records, lambda rec: make_eval_prompt(rec, vocab), args.prompts)
-    if args.backend == "oracle":
-        oracle = OracleBackend()
-    elif args.backend == "random":
-        oracle = RandomBackend((), vocab, seed=args.seed or 0)
-    else:
+    if args.backend == "stdio":
         with StdioBackend(_backend_cmd(args)) as backend:
             return evaluate(backend, prompts, forcing)
+    oracle = OracleBackend() if args.backend == "oracle" else RandomBackend((), vocab, seed=args.seed or 0)
     return evaluate(oracle, oracle.one_at_a_time(prompts), forcing)
 
 

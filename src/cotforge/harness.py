@@ -13,7 +13,8 @@ only where its size is read. Reference backends:
   * RandomBackend is the oracle of uniformly random normal chains: it
     follows the output format, giving the 1/|normal vocabulary| chance
     baseline.
-  * Both oracles know the prompts they were built with, or, through
+  * Both oracles, and langsym's TextOracleBackend, are PromptOracles:
+    they know the prompts they were built with, or, through
     `one_at_a_time`, each prompt of a stream as the eval reaches it.
   * StdioBackend drives an external process over a JSON-lines pipe: one
     request ``{"tokens": [...]}`` per line, one reply ``{"next": <int>}``.

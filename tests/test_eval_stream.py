@@ -32,7 +32,7 @@ LANGSYM_CFG = {
 # the reference LangSym config of the benchmark (k=40, n=m=c=4), about 66 KB per prompt
 LANGSYM_REF_CFG = {
     "n_choices": [4], "m_choices": [4], "c_choices": [4], "k": 40,
-    "recipe": {"alpha": 2.0, "a": 1, "b": 0}, "master_seed": 1,
+    "recipe": {"alpha": 2.0, "a": 0.5, "b": 0.5}, "master_seed": 1,
 }
 
 # Answers every request, noting in the file argv[1] its pid, the end of its
@@ -64,10 +64,11 @@ BACKENDS = [
 ]
 
 
-def _dataset(tmp_path: Path, command: str, **overrides) -> str:
+def _dataset(tmp_path: Path, command: str) -> str:
+    """A fresh all-CoT dataset of six prompts for `command`."""
     kind = "abstract" if command == "eval" else "langsym"
     cfg = tmp_path / f"{kind}.json"
-    cfg.write_text(json.dumps({**(ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG), **overrides}))
+    cfg.write_text(json.dumps(ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG))
     ds = str(tmp_path / f"{kind}-ds")
     assert main([f"gen-{kind}", "--config", str(cfg), "--out", ds]) == 0
     return ds

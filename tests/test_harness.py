@@ -492,10 +492,46 @@ def test_dag_breakdown_margins(world):
         assert table["n"] == n_wrong
 
 
-def test_evaluate_requires_prompts(world):
+@pytest.mark.parametrize("empty", [list, iter], ids=["list", "iterator"])
+def test_evaluate_requires_prompts(world, empty):
     _, vocab, _, prompts = world
     with pytest.raises(ConfigError):
-        evaluate(OracleBackend(prompts), [], ForcingConfig(strategy=NO_FORCING))
+        evaluate(OracleBackend(prompts), empty(()), ForcingConfig(strategy=NO_FORCING))
+
+
+@pytest.mark.parametrize("random", [False, True], ids=["oracle", "random"])
+@pytest.mark.parametrize("strategy", [FORCE_THINK, FORCE_ANSWER])
+def test_an_oracle_learning_one_prompt_at_a_time_gives_the_report_of_the_whole_list(world, random, strategy):
+    _, vocab, _, prompts = world
+    forcing = ForcingConfig(strategy=strategy)
+
+    def make(prompts):
+        return RandomBackend(prompts, vocab, seed=5) if random else OracleBackend(prompts)
+
+    whole = evaluate(make(prompts), prompts, forcing)
+    oracle = make(())
+    streamed = evaluate(oracle, oracle.one_at_a_time(iter(prompts)), forcing)
+    assert streamed.to_json() == whole.to_json()
+    assert len(oracle._known) == 1  # only the last prompt is still known
+
+
+def test_an_error_taking_a_prompt_stops_the_eval_and_is_no_prompt_error(world):
+    _, _, _, prompts = world
+    seen = []
+
+    class Counting(OracleBackend):
+        def next_token(self, tokens):
+            seen.append(len(tokens))
+            return super().next_token(tokens)
+
+    def stream():
+        yield prompts[0]
+        raise FormatError("record 1 is malformed")
+
+    oracle = Counting()
+    with pytest.raises(FormatError, match="record 1 is malformed"):
+        evaluate(oracle, oracle.one_at_a_time(stream()), ForcingConfig(strategy=FORCE_ANSWER))
+    assert len(seen) == 3  # prompt 0 was evaluated: its answer, ans_end and eos
 
 
 def test_unknown_strategy_rejected():

@@ -412,6 +412,9 @@ def test_text_oracle_both_strategies():
     for strategy in (FORCE_THINK, FORCE_ANSWER):
         report = evaluate_langsym(backend, prompts, ForcingConfig(strategy, 1000), cfg.templates)
         assert report.accuracy == 1.0
+        oracle = TextOracleBackend((), cfg.templates)  # the streamed form: each prompt learned as it arrives
+        streamed = evaluate_langsym(oracle, oracle.one_at_a_time(iter(prompts)), ForcingConfig(strategy, 1000), cfg.templates)
+        assert streamed.to_json() == report.to_json()
         if strategy == FORCE_THINK:
             assert all(all(r.step_correct) for r in report.records)
 
