@@ -1157,8 +1157,6 @@ def test_cli_seed_at_the_ends_of_its_range_is_accepted(tmp_path, capsys, command
     cfg = _write_cfg(tmp_path, dict(ABSTRACT_CFG, t=4))
     ds, out = tmp_path / "ds", tmp_path / "out"
     assert main(["gen-abstract", "--config", cfg, "--out", str(ds)]) == 0
-    if command == "gen-abstract":
-        out = tmp_path / "out-ds"
     argv = _RANGED[command].format(ds=ds, cfg=cfg, out=out).split()
     for seed in ["0", str(2**64 - 1)]:
         assert main([*argv, "--seed", seed]) == 0, capsys.readouterr().err
