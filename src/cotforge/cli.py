@@ -39,6 +39,7 @@ from .langsym import (
     make_langsym_eval_prompt,
 )
 from .recipe import Recipe, expected_tokens
+from .rng import SEED_BOUND
 from .sequences import DatasetConfig
 from .storage import (
     KIND_ABSTRACT,
@@ -73,10 +74,8 @@ def _int_in(low: int, high: int | None, bounds: str) -> Callable[[str], int]:
     return parse
 
 
-# Worker counts are at least 1; every seed is a 64-bit Philox key or
-# SplitMix64 state, so a seed outside [0, 2**64) would alias another one.
 _WORKERS = _int_in(1, None, ">= 1")
-_SEED = _int_in(0, 1 << 64, "in [0, 2**64)")
+_SEED = _int_in(0, SEED_BOUND, "in [0, 2**64)")
 
 
 def _load_config_file(path: str) -> dict:
@@ -156,7 +155,7 @@ def _abstract_eval(config: DatasetConfig, records, args: argparse.Namespace, for
     if args.backend == "stdio":
         with StdioBackend(_backend_cmd(args)) as backend:
             return evaluate(backend, prompts, forcing)
-    oracle = OracleBackend() if args.backend == "oracle" else RandomBackend((), vocab, seed=args.seed or 0)
+    oracle = OracleBackend() if args.backend == "oracle" else RandomBackend(vocab, seed=args.seed or 0)
     return evaluate(oracle, oracle.one_at_a_time(prompts), forcing)
 
 
@@ -164,7 +163,7 @@ def _langsym_eval(config, records, args: argparse.Namespace, forcing: ForcingCon
     """`eval-langsym`: the report of chat prompts under a forcing, from the backend `args` names."""
     prompts = _prompts(records, make_langsym_eval_prompt, args.prompts)
     if args.backend == "oracle":
-        oracle = TextOracleBackend((), config.templates)
+        oracle = TextOracleBackend(config.templates)
         return evaluate_langsym(oracle, oracle.one_at_a_time(prompts), forcing, config.templates)
     with TextStdioBackend(_backend_cmd(args)) as backend:
         return evaluate_langsym(backend, prompts, forcing, config.templates)

@@ -14,8 +14,9 @@ only where its size is read. Reference backends:
     follows the output format, giving the 1/|normal vocabulary| chance
     baseline.
   * Both oracles, and langsym's TextOracleBackend, are PromptOracles:
-    they know the prompts they were built with, or, through
-    `one_at_a_time`, each prompt of a stream as the eval reaches it.
+    each knows one prompt, the one it was last shown, and
+    `one_at_a_time` shows it each prompt of a stream as the eval reaches
+    it.
   * StdioBackend drives an external process over a JSON-lines pipe: one
     request ``{"tokens": [...]}`` per line, one reply ``{"next": <int>}``.
     Every request still carries the full prefix, but the backend encodes
@@ -335,32 +336,28 @@ def step_dag_breakdown(report: EvalReport) -> dict:
 
 
 class PromptOracle:
-    """A reference backend that answers from a table of the prompts it knows.
+    """A reference backend that knows one prompt: the one it was last shown.
 
-    A subclass fills the table with `_learn(prompt)`: the constructor's
-    prompts all at once, or `one_at_a_time` one per prompt of a stream.
+    It answers a request only when the request's context is that prompt's
+    context, and a subclass may redraw the chain it answers with in `_show`.
     """
 
-    def __init__(self, prompts: Iterable[EvalPrompt] = ()):
-        self._known: dict = {}
-        for prompt in prompts:
-            self._learn(prompt)
+    _shown: EvalPrompt | None = None
 
-    def _learn(self, prompt: EvalPrompt) -> None:
-        raise NotImplementedError
+    def _show(self, prompt: EvalPrompt) -> EvalPrompt:
+        return prompt
 
     def one_at_a_time(self, prompts: Iterable[EvalPrompt]) -> Iterator[EvalPrompt]:
-        """Yield each of `prompts` once it is the only prompt this oracle knows.
-
-        The streaming form of building the oracle from every prompt:
-        evaluating `oracle.one_at_a_time(prompts)` with this oracle reads
-        the prompts lazily, and gives the report of the oracle built from
-        the list of them wherever no two prompts share a context.
-        """
+        """Yield each of `prompts` once this oracle has been shown it; evaluating the result reads them lazily."""
         for prompt in prompts:
-            self._known = {}
-            self._learn(prompt)
+            self._shown = self._show(prompt)
             yield prompt
+
+    def _chain(self, context: tuple, unknown: str) -> tuple:
+        """The shown prompt's ground-truth chain if `context` is its context, else BackendError(unknown)."""
+        if self._shown is None or self._shown.context != context:
+            raise BackendError(unknown)
+        return self._shown.ground_truth_chain
 
 
 class OracleBackend(PromptOracle):
@@ -373,17 +370,12 @@ class OracleBackend(PromptOracle):
     ans_start.
     """
 
-    def _learn(self, prompt: EvalPrompt) -> None:
-        self._known[prompt.context] = prompt.ground_truth_chain
-
     def next_token(self, tokens: Seq[int]) -> int:
         reverse = list(tokens)[::-1]
         if Vocabulary.inp_end not in reverse:
             raise BackendError("no input segment found in prompt")
         split = len(reverse) - reverse.index(Vocabulary.inp_end)
-        chain = self._known.get(tuple(tokens[:split]))
-        if chain is None:
-            raise BackendError("unknown prompt prefix")
+        chain = self._chain(tuple(tokens[:split]), "unknown prompt prefix")
         suffix = tokens[split:]
         tail = [Vocabulary.think_start, *chain[:-1], Vocabulary.think_end,
                 Vocabulary.ans_start, chain[-1], Vocabulary.ans_end, Vocabulary.eos]
@@ -398,19 +390,17 @@ class RandomBackend(OracleBackend):
     """The oracle of uniformly random normal chains: a format-following
     chance baseline.
 
-    Each prompt's chain is drawn from Philox(seed) when the oracle learns
-    the prompt: in list order for the constructor's prompts, and as each
-    prompt arrives through `one_at_a_time`, so both give the same chains.
+    Each prompt's chain is drawn from Philox(seed) when the oracle is shown
+    the prompt, so the chains follow the order of the stream.
     """
 
-    def __init__(self, prompts: Iterable[EvalPrompt], vocab: Vocabulary, seed: int = 0):
+    def __init__(self, vocab: Vocabulary, seed: int = 0):
         self._rng = ItemStream(seed)
         self._normal = (vocab.normal_ids.start, vocab.normal_ids.stop)
-        super().__init__(prompts)
 
-    def _learn(self, prompt: EvalPrompt) -> None:
+    def _show(self, prompt: EvalPrompt) -> EvalPrompt:
         chain = self._rng.integers(*self._normal, size=len(prompt.ground_truth_chain))
-        super()._learn(replace(prompt, ground_truth_chain=tuple(chain.tolist())))
+        return replace(prompt, ground_truth_chain=tuple(chain.tolist()))
 
 
 # Seconds a backend gets to exit after its stdin closes and it is sent

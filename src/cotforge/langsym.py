@@ -14,11 +14,11 @@ order, then advances every character one place in the alphabet with z
 wrapping to a.
 
 Storage writes each shard line with `prompt_line`, straight from the
-item's letter codes: a strip-cot transform re-draws the cot_flags first
-(recipe.strip_flags), then the K examples fill copies of one byte row of
-JSON-escaped template text, cached per (templates, N, node lengths) since
-every example of an item has words of the same lengths, and only the
-meta's scalars and DAG go through json. A record is its line, decoded
+item's letter codes: the cot_flags come first (recipe.cot_flags, which
+applies each strip-cot transform), then the K examples fill copies of one
+byte row of JSON-escaped template text, cached per (templates, N, node
+lengths) since every example of an item has words of the same lengths,
+and only the meta's scalars and DAG go through json. A record is its line, decoded
 (`generate_langsym_prompt`); `strip_chat_prompt` strips a stored record.
 """
 
@@ -40,8 +40,8 @@ from .harness import (
     FORCE_ANSWER, FORCE_THINK, EvalPrompt, EvalReport, ForcingConfig,
     JsonLinesProcess, PromptOracle, evaluate_prompts,
 )
-from .recipe import TaskConfig, check_int, strip_flags
-from .rng import ItemStream, choose_distinct, derive_seed
+from .recipe import TaskConfig, check_int, cot_flags, strip_flags
+from .rng import ItemStream, choose_distinct
 from .vocab import read_only
 
 ALPHABET = string.ascii_lowercase
@@ -346,20 +346,17 @@ def prompt_line(config: LangSymConfig, j: int, transforms: list[dict]) -> bytes:
 
     Draw order per prompt: N, M, C choices, the DAG, then per example the
     N*w letters of its N words followed by the rendering variate
-    (_draw_examples). Each strip re-draws the cot_flags with
-    ItemStream(derive_seed(seed, j)) before the messages and the meta are
-    written once: the K examples fill copies of the item's _Rows template
-    from their letter codes, and only the meta's scalars and DAG go through
-    json. An item whose letters cannot be allocated is a ConfigError.
+    (_draw_examples). The cot_flags, strips included, come from
+    recipe.cot_flags before the messages and the meta are written once:
+    the K examples fill copies of the item's _Rows template from their
+    letter codes, and only the meta's scalars and DAG go through json. An item whose letters cannot be allocated is a ConfigError.
     """
     seed, rng, r, n, m, c, dag = config.start_item(j)
     try:
         codes, variates = _draw_examples(rng, config.k, n, config.w, config.distinct_letters)
     except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array can address
         raise ConfigError(f"no memory for the {config.k} x {n} x {config.w} letters of item {j} (k x N x w)") from exc
-    flags = (variates <= r).view(np.int8).tolist()
-    for tf in transforms:
-        flags = strip_flags(flags, tf["k_prime"], ItemStream(derive_seed(tf["seed"], j)))
+    flags = cot_flags(r, variates, j, transforms)
     nodes = _node_letters(dag, config.w)
     rows = _rows(config.templates, n, config.w, tuple(len(node) for node in nodes[n:]))
     columns = np.fromiter(itertools.chain.from_iterable(nodes), np.intp)[rows.letters]
@@ -453,28 +450,17 @@ def force_generate_text(backend, prompt: EvalPrompt, forcing: ForcingConfig, tem
 
 
 class TextOracleBackend(PromptOracle):
-    """Continues each known prompt with its ground-truth assistant turn."""
+    """Continues the prompt it was last shown with its ground-truth assistant turn."""
 
-    def __init__(self, prompts: Iterable[EvalPrompt], templates: Templates):
+    def __init__(self, templates: Templates):
         self._templates = templates
-        super().__init__(prompts)
-
-    def _learn(self, prompt: EvalPrompt) -> None:
-        # Indexed by the final message, the query question, which is unique
-        # per prompt with overwhelming probability; a hit is confirmed by
-        # comparing the whole context, so the lookup stays exact.
-        entry = (prompt.context, list(prompt.ground_truth_chain))
-        self._known.setdefault(prompt.context[-1]["content"], []).append(entry)
 
     def complete(self, messages: list[dict]) -> str:
         partial = ""
         context = tuple(messages)
         if context and context[-1]["role"] == "assistant":
             partial, context = context[-1]["content"], context[:-1]
-        final = context[-1]["content"] if context else None
-        chain = next((chain for known, chain in self._known.get(final, ()) if known == context), None)
-        if chain is None:
-            raise BackendError("unknown prompt context")
+        chain = self._chain(context, "unknown prompt context")
         for as_cot in (True, False):
             full = render_assistant(chain, as_cot, self._templates)
             if full.startswith(partial):

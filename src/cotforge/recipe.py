@@ -15,7 +15,8 @@ N+C+7 for a thinking one, plus one bos per item.
 Both dataset kinds run one pipeline over this schedule, and the parts they
 share live here too: the config base (TaskConfig), the per-item start
 (seed, Philox stream, r(j), the (N, M, C) draw and the DAG), the output
-order, and the rule that picks which thinking examples strip-cot rewrites.
+order, the rule that flags an example as thinking, and the rule that picks
+which thinking examples strip-cot rewrites.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .dag import Dag, sample_dag
 from .errors import ConfigError
-from .rng import MAX_ITEM_STREAM, ItemStream, choose_distinct, derive_seed, permutation, pick
+from .rng import MAX_ITEM_STREAM, SEED_BOUND, ItemStream, choose_distinct, derive_seed, pick
 
 _SUM_CHUNK = 1 << 22
 
@@ -160,11 +161,11 @@ def expected_tokens(recipe: Recipe, n: int, c: int, k: int, t: int) -> BudgetRep
 _CHOICES = ("n_choices", "m_choices", "c_choices")
 
 
-def check_int(name: str, value, minimum: int | None = 1) -> None:
+def check_int(name: str, value, minimum: int = 1) -> None:
     """ConfigError unless `value` is an int (not a bool) and at least `minimum`."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
@@ -199,7 +200,9 @@ class TaskConfig:
         # item streams must stay below the reserved artifact streams
         if self.t >= MAX_ITEM_STREAM:
             raise ConfigError(f"t must be < 2**62, got {self.t}")
-        check_int("master_seed", self.master_seed, minimum=None)
+        check_int("master_seed", self.master_seed, minimum=0)
+        if self.master_seed >= SEED_BOUND:
+            raise ConfigError(f"master_seed must be < 2**64, got {self.master_seed}")
 
     def to_json(self) -> dict:
         out = {}
@@ -252,7 +255,7 @@ class TaskConfig:
         """Order in which item ids are emitted: range(t) unless shuffling."""
         if not self.shuffle:
             return range(self.t)
-        return permutation(ItemStream(self.master_seed + 1), self.t)
+        return choose_distinct(ItemStream(self.master_seed + 1), self.t, self.t)
 
 
 def strip_flags(cot_flags: list[int], k_prime: int, rng: ItemStream) -> list[int]:
@@ -267,3 +270,15 @@ def strip_flags(cot_flags: list[int], k_prime: int, rng: ItemStream) -> list[int
         raise ConfigError(f"k_prime {k_prime} outside [0, {len(positions)}] thinking context examples")
     chosen = {positions[i] for i in choose_distinct(rng, len(positions), k_prime)}
     return [int(bool(f) and i not in chosen) for i, f in enumerate(cot_flags)]
+
+
+def cot_flags(r: float, variates: np.ndarray, j: int, transforms) -> list[int]:
+    """0/1 per example of item j: 1 where its variate is <= r(j), then each strip-cot transform in turn.
+
+    The strip of item j draws from ItemStream(derive_seed(seed, j)) with
+    the transform's seed.
+    """
+    flags = (variates <= r).view(np.int8).tolist()
+    for tf in transforms:
+        flags = strip_flags(flags, tf["k_prime"], ItemStream(derive_seed(tf["seed"], j)))
+    return flags

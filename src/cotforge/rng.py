@@ -12,7 +12,8 @@ Stream layout for a master seed s:
   - dataset item j          -> derive_seed(s, j)          (j < 2**62)
   - embedding matrix        -> derive_seed(s, STREAM_EMBED)
   - token-processor cache   -> derive_seed(s, STREAM_CACHE)
-  - output shuffle          -> Philox keyed with s + 1 directly
+  - output shuffle          -> Philox keyed with s + 1 directly, read by
+                               choose_distinct over range(t)
 
 Streams keyed by a seed given on the command line, not by s:
   - strip-cot of item j     -> derive_seed(transform seed, j)
@@ -34,8 +35,7 @@ calls it replaces, from raw words and this module's code:
     the buffer by.
   - Lemire bounded draws. integers(0, h) for 2 <= h <= 2**32 maps a 32-bit
     value u to (u * h) >> 32 and redraws when the low 32 bits of u * h are
-    below the threshold (2**32 - h) mod h; h = 1 draws nothing. An array
-    of lower bounds draws element by element, as Generator.integers does.
+    below the threshold (2**32 - h) mod h; h = 1 draws nothing.
   - random() is (word >> 11) * 2**-53.
 So every discrete draw depends on Philox's raw words and this code, not on
 numpy's integers or random. numpy >= 1.26 is required. NEP 19 freezes only
@@ -51,7 +51,10 @@ import functools
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+# Every seed is a 64-bit Philox key or SplitMix64 state, so a seed outside
+# [0, SEED_BOUND) would alias another one.
+SEED_BOUND = 1 << 64
+_MASK64 = SEED_BOUND - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 # High-bit stream ids reserved for per-dataset artifacts; item indices are
@@ -63,8 +66,6 @@ MAX_ITEM_STREAM = 1 << 62
 
 _M32 = (1 << 32) - 1
 _BLOCK = 256  # raw words per ItemStream refill, about two reference items' draws
-
-_DRAW_CHUNK = 1 << 16  # swap targets per array draw in permutation
 
 
 def splitmix64(x: int) -> int:
@@ -95,11 +96,10 @@ class ItemStream:
 
     integers(low, high[, size]) and random([size]) return what the same
     Generator calls return and leave the stream where they leave it, for
-    1 <= high - low <= 2**32 (>= 2 for an array of lows); bulk_rounds is a
-    batch of such calls. Raw words come in blocks from the process-wide
-    Philox, re-keyed to this stream's key and counter for each block. The
-    cursor owns its position: cursors drawn alternately each keep their own
-    stream.
+    1 <= high - low <= 2**32; bulk_rounds is a batch of such calls. Raw
+    words come in blocks from the process-wide Philox, re-keyed to this
+    stream's key and counter for each block. The cursor owns its position:
+    cursors drawn alternately each keep their own stream.
     """
 
     __slots__ = ("_key", "_blocks", "_raw", "_pos", "_half")
@@ -160,19 +160,11 @@ class ItemStream:
             self._half = int(self._raw[self._pos - 1]) >> 32
 
     def integers(self, low, high: int | None = None, size=None):
-        """Generator.integers(low, high, size): an int, or an int64 array of shape `size`.
-
-        With a size, `low` may be an int64 array of that shape: one lower bound per draw.
-        """
+        """Generator.integers(low, high, size): an int, or an int64 array of shape `size`."""
         if high is None:
             low, high = 0, low
         span = high - low
-        many = size is not None and isinstance(span, np.ndarray)  # a span per draw, sliced from the first undrawn one
-        if many:
-            if span.size and not (span.min() >= 2 and span.max() <= 1 << 32):
-                raise ValueError(f"ItemStream array draws need 2 <= high - low <= 2**32, got high {high}")
-            span = span.reshape(-1).astype(np.uint64)
-        elif not 1 <= span <= 1 << 32:
+        if not 1 <= span <= 1 << 32:
             raise ValueError(f"ItemStream draws need 1 <= high - low <= 2**32, got [{low}, {high})")
         threshold = ((1 << 32) - span) % span
         if size is None:
@@ -184,10 +176,10 @@ class ItemStream:
                     return low + (m >> 32)
         out = np.zeros(size, dtype=np.int64)
         flat = out.reshape(-1)
-        done = 0 if many or span > 1 else flat.size
+        done = 0 if span > 1 else flat.size
         while done < flat.size:
-            wide = self._halves(flat.size - done).astype(np.uint64) * (span[done:] if many else span)
-            rejected = np.flatnonzero(wide.astype(np.uint32) < (threshold[done:] if many else threshold))
+            wide = self._halves(flat.size - done).astype(np.uint64) * span
+            rejected = np.flatnonzero(wide.astype(np.uint32) < threshold)
             # values up to the first rejected draw stand; the rejected draw
             # is consumed and the rest are drawn again after it
             take = int(rejected[0]) if rejected.size else len(wide)
@@ -271,29 +263,14 @@ def choose_distinct(rng: ItemStream, pool_size: int, k: int) -> list[int]:
     """k distinct uniform draws from range(pool_size), via partial Fisher-Yates.
 
     Implemented here rather than with Generator.choice so the exact draw
-    sequence is pinned by this code, not by numpy internals.
+    sequence is pinned by this code, not by numpy internals. With k equal
+    to pool_size it is a uniform permutation, returned without a copy.
     """
     idx = list(range(pool_size))
     for i in range(k):
         j = int(rng.integers(i, pool_size))
         idx[i], idx[j] = idx[j], idx[i]
-    return idx[:k]
-
-
-def permutation(rng: ItemStream, n: int) -> list[int]:
-    """Uniform permutation of range(n) by full Fisher-Yates (draw order pinned).
-
-    The swap targets are drawn as arrays of up to _DRAW_CHUNK, the same
-    stream as choose_distinct's scalar draws integers(i, n). The last step,
-    integers(n - 1, n), draws nothing and is left out.
-    """
-    idx = list(range(n))
-    for lo in range(0, n - 1, _DRAW_CHUNK):
-        lows = np.arange(lo, min(lo + _DRAW_CHUNK, n - 1))
-        targets = rng.integers(lows, n, size=len(lows)).tolist()
-        for i, j in enumerate(targets, lo):
-            idx[i], idx[j] = idx[j], idx[i]
-    return idx
+    return idx if k == pool_size else idx[:k]
 
 
 def pick(rng: ItemStream, choices: list[int]) -> int:

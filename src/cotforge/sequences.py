@@ -22,10 +22,10 @@ therefore a pure function of (n, c, cot_flags), and so is which delimiter
 or normal token each kept cell must hold and its mask bit: `layout(n, c)`
 builds the template, the two keep rows and the two example masks once per
 (n, c). `sequence_line` fills the template from the input and chain arrays
-and writes the shard line; a strip-cot transform re-draws the item's
-cot_flags first (`recipe.strip_flags`, the rule strip_sequence_record
-applies to a stored record). A record is its line, decoded
-(`generate_sequence`). `check_layout` validates a stored stream
+and writes the shard line, with the cot_flags of `recipe.cot_flags`: a
+strip-cot transform re-draws them there (`recipe.strip_flags`, the rule
+strip_sequence_record applies to a stored record). A record is its line,
+decoded (`generate_sequence`). `check_layout` validates a stored stream
 against the layout and returns the stream with its kept cells, so
 `recompute_chains` reads the inputs from their cells and
 harness.make_eval_prompt cuts the query at a known offset; stripping a
@@ -68,8 +68,8 @@ import numpy as np
 from .dag import check_record_dag
 from .errors import ConfigError, FormatError
 from .processors import Mlp, chain_tokens_batch, new_cache, sample_processors
-from .recipe import TaskConfig, check_int, strip_flags
-from .rng import STREAM_CACHE, STREAM_EMBED, ItemStream, derive_seed
+from .recipe import TaskConfig, check_int, cot_flags
+from .rng import STREAM_CACHE, STREAM_EMBED, derive_seed
 from .vocab import EmbeddingMatrix, N_SPECIAL, Vocabulary, read_only, sample_embedding_matrix
 
 
@@ -429,10 +429,10 @@ def generate_sequence(config: DatasetConfig, j: int) -> dict:
 def sequence_line(config: DatasetConfig, j: int, transforms: Seq[dict]) -> bytes:
     """Shard line of sequence j after each strip-cot transform in turn, written from its arrays.
 
-    The item is drawn in the documented order; each strip re-draws the
-    cot_flags with ItemStream(derive_seed(seed, j)) before the kept cells
-    are written once, through a table of token-id text and the layout's
-    mask text, with only the meta going through json. An item whose inputs
+    The item is drawn in the documented order and its cot_flags, strips
+    included, come from recipe.cot_flags before the kept cells are written
+    once, through a table of token-id text and the layout's mask text,
+    with only the meta going through json. An item whose inputs
     cannot be allocated is a ConfigError.
     """
     vocab, emb, cache = config.artifacts
@@ -442,11 +442,9 @@ def sequence_line(config: DatasetConfig, j: int, transforms: Seq[dict]) -> bytes
         inputs = N_SPECIAL + rng.integers(0, vocab.n_normal, size=(config.k, n))
     except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array can address
         raise ConfigError(f"no memory for the {config.k} x {n} input tokens of item {j} (k x N)") from exc
-    flags = [int(r >= draw) for draw in rng.random(config.k).tolist()]
+    flags = cot_flags(r, rng.random(config.k), j, transforms)
     procs = [cache[i] for i in proc_ids]
     chains = chain_tokens_batch(dag.parents, procs, emb, inputs)
-    for tf in transforms:
-        flags = strip_flags(flags, tf["k_prime"], ItemStream(derive_seed(tf["seed"], j)))
     cells, kept = _kept_cells(inputs, chains, flags, vocab)
     if vocab.size <= ID_TEXT_BOUND:
         tokens = _id_text(vocab.size)[kept].tobytes().translate(None, b"\0")

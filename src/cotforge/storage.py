@@ -40,7 +40,7 @@ from . import __version__
 from .errors import ConfigError, FormatError
 from .langsym import LangSymConfig, prompt_line
 from .recipe import TaskConfig
-from .rng import ItemStream, choose_distinct
+from .rng import SEED_BOUND, ItemStream, choose_distinct
 # generate_sequence is not called here: the benchmark's tracer tests look
 # it up under this module's name too
 from .sequences import DatasetConfig, generate_sequence, sequence_line  # noqa: F401
@@ -97,7 +97,8 @@ def dataset_paths(path: str) -> tuple[str, str]:
 
 def _valid_transform(tf) -> bool:
     return (isinstance(tf, dict) and tf.keys() == {"kind", "k_prime", "seed"} and tf["kind"] == "strip-cot"
-            and type(tf["k_prime"]) is int and tf["k_prime"] >= 0 and type(tf["seed"]) is int)
+            and type(tf["k_prime"]) is int and tf["k_prime"] >= 0 and type(tf["seed"]) is int
+            and 0 <= tf["seed"] < SEED_BOUND)
 
 
 def _valid_output(out) -> bool:
@@ -125,8 +126,9 @@ class Manifest:
         """KeyError, TypeError or ValueError when `obj` is malformed.
 
         Every transform is {"kind": "strip-cot", "k_prime": int >= 0, "seed":
-        int}, every output {"path", "sha256", "count"} with a shard name as
-        its path, so no command opens a file outside the dataset.
+        int in [0, 2**64)}, every output {"path", "sha256", "count"} with a
+        shard name as its path, so no command opens a file outside the
+        dataset.
         """
         if not isinstance(obj, dict) or not isinstance(obj["kind"], str):
             raise TypeError("a manifest is a JSON object with a string kind")
@@ -160,11 +162,11 @@ class Manifest:
 
 
 def shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
-    """Contiguous [start, stop) output-position blocks, one per shard."""
+    """Contiguous [start, stop) output-position blocks of ceil(total / shards), one per shard that gets any."""
     if shards < 1:
         raise ConfigError(f"shards must be >= 1, got {shards}")
-    per = math.ceil(total / shards)
-    return [(s * per, min((s + 1) * per, total)) for s in range(shards) if s * per < total]
+    per = max(1, math.ceil(total / shards))
+    return [(start, min(start + per, total)) for start in range(0, total, per)]
 
 
 # Per-worker state, built once per process from the pickled manifest payload.

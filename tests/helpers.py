@@ -269,6 +269,12 @@ def binomial_interval(n: int, p: float, confidence: float = 0.99) -> tuple[int, 
     return lo, hi
 
 
+def shown(oracle, prompt: EvalPrompt):
+    """`oracle` once it has been shown `prompt`, as an eval through its one_at_a_time shows it."""
+    next(oracle.one_at_a_time([prompt]))
+    return oracle
+
+
 def line_outcome(write, *args):
     """("line", the bytes) of write(*args), or ("ConfigError", its text)."""
     try:

@@ -194,13 +194,12 @@ def test_oracle_and_random_evaluation_protocol():
     for k_prime in (0, 10, 20, 30, 39):
         rng = make_rng(4242 + k_prime)
         prompts = [make_eval_prompt(strip_sequence_record(rec, k_prime, rng, vocab), vocab) for rec in records]
-        backend = OracleBackend(prompts)
+        backend = OracleBackend()
         for strategy in (FORCE_THINK, FORCE_ANSWER, NO_FORCING):
-            report = evaluate(backend, prompts, ForcingConfig(strategy=strategy))
+            report = evaluate(backend, backend.one_at_a_time(prompts), ForcingConfig(strategy=strategy))
             assert report.accuracy == 1.0, (k_prime, strategy, report.accuracy)
-    random_report = evaluate(
-        RandomBackend(base, vocab, seed=11), base, ForcingConfig(strategy=FORCE_ANSWER)
-    )
+    random_backend = RandomBackend(vocab, seed=11)
+    random_report = evaluate(random_backend, random_backend.one_at_a_time(base), ForcingConfig(strategy=FORCE_ANSWER))
     hits = sum(r.indicator for r in random_report.records)
     lo, hi = binomial_interval(len(base), 1.0 / vocab.n_normal, 0.99)
     assert lo <= hits <= hi, (hits, lo, hi)
@@ -279,9 +278,8 @@ def test_dag_sampling_and_breakdown_tables():
         make_eval_prompt(generate_sequence(config, j), vocab)
         for j in range(config.t)
     ]
-    report = evaluate(
-        RandomBackend(prompts, vocab, seed=2), prompts, ForcingConfig(strategy=FORCE_THINK)
-    )
+    backend = RandomBackend(vocab, seed=2)
+    report = evaluate(backend, backend.one_at_a_time(prompts), ForcingConfig(strategy=FORCE_THINK))
     n_correct = sum(1 for r in report.records if r.indicator)
     n_wrong = len(report.records) - n_correct
     grid = step_correctness_grid(report)

@@ -24,8 +24,8 @@ from cotforge import (
     step_correctness_grid,
     step_dag_breakdown,
 )
-from cotforge.harness import FORCE_ANSWER, FORCE_THINK, NO_FORCING, strip_sequence_record
-from cotforge.rng import make_rng
+from cotforge.harness import FORCE_ANSWER, FORCE_THINK, NO_FORCING, extract_thinking, strip_sequence_record
+from cotforge.rng import ItemStream, make_rng
 from cotforge.sequences import (
     generate_sequence,
     parse_sequence,
@@ -39,6 +39,7 @@ from helpers import (
     reference_make_eval_prompt,
     reference_strip_cot,
     reference_strip_sequence_record,
+    shown,
 )
 
 
@@ -343,7 +344,7 @@ def test_eval_prompt_rejects_a_record_that_disagrees_with_its_layout(world, corr
 def test_oracle_emits_canonical_thinking_tail(world):
     _, vocab, _, prompts = world
     p = prompts[0]
-    backend = OracleBackend(prompts)
+    backend = shown(OracleBackend(), p)
     out = force_generate(backend, p, ForcingConfig(strategy=FORCE_THINK))
     chain = list(p.ground_truth_chain)
     assert out == [vocab.think_start, *chain[:-1], vocab.think_end, vocab.ans_start, chain[-1], vocab.ans_end, vocab.eos]
@@ -351,7 +352,7 @@ def test_oracle_emits_canonical_thinking_tail(world):
 
 def test_force_answer_appends_ans_start(world):
     _, vocab, _, prompts = world
-    backend = OracleBackend(prompts)
+    backend = shown(OracleBackend(), prompts[1])
     out = force_generate(backend, prompts[1], ForcingConfig(strategy=FORCE_ANSWER))
     assert out[0] == vocab.ans_start
     assert out == [vocab.ans_start, prompts[1].ground_truth_chain[-1], vocab.ans_end, vocab.eos]
@@ -359,7 +360,7 @@ def test_force_answer_appends_ans_start(world):
 
 def test_budget_one_generates_one_token(world):
     _, vocab, _, prompts = world
-    backend = OracleBackend(prompts)
+    backend = shown(OracleBackend(), prompts[0])
     out = force_generate(backend, prompts[0], ForcingConfig(strategy=NO_FORCING, budget=1))
     assert len(out) == 1
     out = force_generate(backend, prompts[0], ForcingConfig(strategy=FORCE_THINK, budget=1))
@@ -372,7 +373,7 @@ _REPLIES = {"float": lambda tok: 4.9, "bool": lambda tok: True, "str": lambda to
 @pytest.mark.parametrize("kind", list(_REPLIES))
 def test_a_reply_that_is_not_an_integer_fails_its_prompt(world, kind):
     _, _, _, prompts = world
-    oracle = OracleBackend(prompts)
+    oracle = OracleBackend()
     first = prompts[0].context
 
     class Stub:
@@ -380,7 +381,7 @@ def test_a_reply_that_is_not_an_integer_fails_its_prompt(world, kind):
             tok = oracle.next_token(tokens)
             return _REPLIES[kind](tok) if tuple(tokens[: len(first)]) == first else tok
 
-    report = evaluate(Stub(), prompts[:3], ForcingConfig(strategy=FORCE_ANSWER))
+    report = evaluate(Stub(), oracle.one_at_a_time(prompts[:3]), ForcingConfig(strategy=FORCE_ANSWER))
     rec = report.records[0]
     if kind == "numpy":
         assert (rec.error, rec.indicator) == (None, 1) and all(type(t) is int for t in rec.generated)
@@ -414,9 +415,9 @@ def test_oracle_accuracy_one_under_everything(world):
     cfg, vocab, seqs, _ = world
     for k_prime in (0, 3, cfg.k - 1):
         stripped = [stripped_prompt(s, k_prime, make_rng(100 + k_prime), vocab) for s in seqs]
-        backend = OracleBackend(stripped)
+        backend = OracleBackend()
         for strategy in (FORCE_THINK, FORCE_ANSWER, NO_FORCING):
-            report = evaluate(backend, stripped, ForcingConfig(strategy=strategy))
+            report = evaluate(backend, backend.one_at_a_time(stripped), ForcingConfig(strategy=strategy))
             assert report.accuracy == 1.0
             assert all(r.step_correct == [True, True, True] for r in report.records if strategy == FORCE_THINK)
 
@@ -426,8 +427,8 @@ def test_random_backend_within_binomial_interval(world):
     hits = 0
     trials = 0
     for seed in range(40):
-        backend = RandomBackend(prompts, vocab, seed=seed)
-        report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_ANSWER))
+        backend = RandomBackend(vocab, seed=seed)
+        report = evaluate(backend, backend.one_at_a_time(prompts), ForcingConfig(strategy=FORCE_ANSWER))
         hits += sum(r.indicator for r in report.records)
         trials += len(report.records)
     lo, hi = binomial_interval(trials, 1 / vocab.n_normal, 0.99)
@@ -436,15 +437,15 @@ def test_random_backend_within_binomial_interval(world):
 
 def test_random_backend_never_format_fails(world):
     _, vocab, _, prompts = world
-    backend = RandomBackend(prompts, vocab, seed=3)
-    report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_THINK))
+    backend = RandomBackend(vocab, seed=3)
+    report = evaluate(backend, backend.one_at_a_time(prompts), ForcingConfig(strategy=FORCE_THINK))
     assert not any(r.format_failure for r in report.records)
 
 
 def test_report_accounting(world):
     _, vocab, _, prompts = world
-    backend = RandomBackend(prompts, vocab, seed=7)
-    report = evaluate(backend, prompts, ForcingConfig(strategy=NO_FORCING))
+    backend = RandomBackend(vocab, seed=7)
+    report = evaluate(backend, backend.one_at_a_time(prompts), ForcingConfig(strategy=NO_FORCING))
     assert 0.0 <= report.accuracy <= 1.0
     matched = sum(0 if r.format_failure else 1 for r in report.records)
     failures = sum(1 if r.format_failure else 0 for r in report.records)
@@ -453,8 +454,8 @@ def test_report_accounting(world):
 
 def test_step_grid_partitions_counts(world):
     _, vocab, _, prompts = world
-    backend = RandomBackend(prompts, vocab, seed=11)
-    report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_THINK))
+    backend = RandomBackend(vocab, seed=11)
+    report = evaluate(backend, backend.one_at_a_time(prompts), ForcingConfig(strategy=FORCE_THINK))
     grid = step_correctness_grid(report)
     total = grid["answer_correct"]["n"] + grid["answer_wrong"]["n"]
     assert total == len(prompts)
@@ -467,8 +468,8 @@ def test_step_grid_partitions_counts(world):
 
 def test_oracle_grid_all_mass_in_correct_cells(world):
     _, vocab, _, prompts = world
-    backend = OracleBackend(prompts)
-    report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_THINK))
+    backend = OracleBackend()
+    report = evaluate(backend, backend.one_at_a_time(prompts), ForcingConfig(strategy=FORCE_THINK))
     grid = step_correctness_grid(report)
     assert grid["answer_correct"]["correct"]["correct"] == len(prompts)
     assert grid["answer_wrong"]["n"] == 0
@@ -481,8 +482,8 @@ def test_oracle_grid_all_mass_in_correct_cells(world):
 
 def test_dag_breakdown_margins(world):
     _, vocab, _, prompts = world
-    backend = RandomBackend(prompts, vocab, seed=13)
-    report = evaluate(backend, prompts, ForcingConfig(strategy=FORCE_THINK))
+    backend = RandomBackend(vocab, seed=13)
+    report = evaluate(backend, backend.one_at_a_time(prompts), ForcingConfig(strategy=FORCE_THINK))
     breakdown = step_dag_breakdown(report)
     n_correct = sum(1 for r in report.records if r.indicator)
     n_wrong = len(report.records) - n_correct
@@ -492,28 +493,34 @@ def test_dag_breakdown_margins(world):
         assert table["n"] == n_wrong
 
 
-def test_evaluate_requires_prompts(world):
-    _, vocab, _, prompts = world
+def test_evaluate_requires_prompts():
+    oracle = OracleBackend()
     with pytest.raises(ConfigError):
-        evaluate(OracleBackend(prompts), [], ForcingConfig(strategy=NO_FORCING))
+        evaluate(oracle, oracle.one_at_a_time([]), ForcingConfig(strategy=NO_FORCING))
     with pytest.raises(ConfigError):  # known only once the iterator runs out
-        evaluate(OracleBackend(prompts), iter(()), ForcingConfig(strategy=NO_FORCING))
+        evaluate(oracle, oracle.one_at_a_time(iter(())), ForcingConfig(strategy=NO_FORCING))
 
 
 @pytest.mark.parametrize("random", [False, True], ids=["oracle", "random"])
-@pytest.mark.parametrize("strategy", [FORCE_THINK, FORCE_ANSWER])
-def test_an_oracle_learning_one_prompt_at_a_time_gives_the_report_of_the_whole_list(world, random, strategy):
+def test_an_oracle_answers_only_the_prompt_it_was_last_shown(world, random):
     _, vocab, _, prompts = world
-    forcing = ForcingConfig(strategy=strategy)
-
-    def make(prompts):
-        return RandomBackend(prompts, vocab, seed=5) if random else OracleBackend(prompts)
-
-    whole = evaluate(make(prompts), prompts, forcing)
-    oracle = make(())
-    streamed = evaluate(oracle, oracle.one_at_a_time(iter(prompts)), forcing)
-    assert streamed.to_json() == whole.to_json()
-    assert len(oracle._known) == 1  # only the last prompt is still known
+    oracle = RandomBackend(vocab, seed=5) if random else OracleBackend()
+    forcing = ForcingConfig(strategy=FORCE_THINK)
+    with pytest.raises(BackendError, match="unknown prompt prefix"):  # shown nothing yet
+        force_generate(oracle, prompts[0], forcing)
+    stream = oracle.one_at_a_time(iter(prompts[:2]))
+    answered = []
+    for current, other in ((prompts[0], prompts[1]), (prompts[1], prompts[0])):
+        assert next(stream) is current
+        out = force_generate(oracle, current, forcing)
+        answered.append([*extract_thinking(out), extract_answer(out)])
+        with pytest.raises(BackendError, match="unknown prompt prefix"):  # not yet, or no longer, the current one
+            force_generate(oracle, other, forcing)
+    want = [list(p.ground_truth_chain) for p in prompts[:2]]
+    if random:  # drawn as each prompt is shown, in stream order
+        draws = ItemStream(5)
+        want = [draws.integers(vocab.normal_ids.start, vocab.normal_ids.stop, size=len(w)).tolist() for w in want]
+    assert answered == want
 
 
 def test_an_error_taking_a_prompt_stops_the_eval_and_is_no_prompt_error(world):

@@ -408,11 +408,11 @@ def test_strip_chat_prompt_rerenders_only_the_turns_strip_flags_clears():
 def test_text_oracle_both_strategies():
     cfg = small_config(t=10)
     prompts = [make_langsym_eval_prompt(c) for c in (generate_langsym_prompt(cfg, j) for j in cfg.output_order())]
-    backend = TextOracleBackend(prompts, cfg.templates)
+    backend = TextOracleBackend(cfg.templates)
     for strategy in (FORCE_THINK, FORCE_ANSWER):
-        report = evaluate_langsym(backend, prompts, ForcingConfig(strategy, 1000), cfg.templates)
+        report = evaluate_langsym(backend, backend.one_at_a_time(prompts), ForcingConfig(strategy, 1000), cfg.templates)
         assert report.accuracy == 1.0
-        oracle = TextOracleBackend((), cfg.templates)  # the streamed form: each prompt learned as it arrives
+        oracle = TextOracleBackend(cfg.templates)  # a lazy stream: each prompt shown as it is read
         streamed = evaluate_langsym(oracle, oracle.one_at_a_time(iter(prompts)), ForcingConfig(strategy, 1000), cfg.templates)
         assert streamed.to_json() == report.to_json()
         if strategy == FORCE_THINK:
@@ -422,8 +422,8 @@ def test_text_oracle_both_strategies():
 def test_text_budget_truncation_causes_format_failure():
     cfg = small_config(t=4)
     prompts = [make_langsym_eval_prompt(c) for c in (generate_langsym_prompt(cfg, j) for j in cfg.output_order())]
-    backend = TextOracleBackend(prompts, cfg.templates)
-    report = evaluate_langsym(backend, prompts, ForcingConfig(FORCE_THINK, 5), cfg.templates)
+    backend = TextOracleBackend(cfg.templates)
+    report = evaluate_langsym(backend, backend.one_at_a_time(prompts), ForcingConfig(FORCE_THINK, 5), cfg.templates)
     assert all(r.format_failure for r in report.records)
     assert report.accuracy == 0.0
 
@@ -452,7 +452,7 @@ def test_text_no_forcing_is_a_config_error_before_any_backend_call():
 def test_an_in_process_text_backend_exception_fails_only_its_prompt():
     cfg = small_config(t=3)
     prompts = [make_langsym_eval_prompt(c) for c in (generate_langsym_prompt(cfg, j) for j in cfg.output_order())]
-    oracle = TextOracleBackend(prompts, cfg.templates)
+    oracle = TextOracleBackend(cfg.templates)
 
     class FailsOnce:
         def complete(self, messages):
@@ -460,7 +460,7 @@ def test_an_in_process_text_backend_exception_fails_only_its_prompt():
                 raise RuntimeError("no model here")
             return oracle.complete(messages)
 
-    report = evaluate_langsym(FailsOnce(), prompts, ForcingConfig(FORCE_THINK), cfg.templates)
+    report = evaluate_langsym(FailsOnce(), oracle.one_at_a_time(prompts), ForcingConfig(FORCE_THINK), cfg.templates)
     assert [r.error for r in report.records] == [None, f"backend failed on prompt {prompts[1].meta['seq_id']}: no model here", None]
     assert [r.indicator for r in report.records] == [1, 0, 1]
 
@@ -488,7 +488,7 @@ def test_render_assistant_modes():
     assert plain == f"{t.answer_open}\\boxed{{cc}}"
 
 
-def test_text_oracle_tells_apart_prompts_with_the_same_question():
+def test_text_oracle_answers_only_the_context_it_was_last_shown():
     t = Templates()
     question = {"role": "user", "content": "the same question"}
 
@@ -497,13 +497,17 @@ def test_text_oracle_tells_apart_prompts_with_the_same_question():
         return EvalPrompt(context=messages, ground_truth_chain=chain, meta={})
 
     a, b = prompt("context a", ("ab", "cd")), prompt("context b", ("ef", "gh"))
-    backend = TextOracleBackend([a, b], t)
-    for p in (a, b):
+    backend = TextOracleBackend(t)
+    with pytest.raises(BackendError, match="unknown prompt context"):  # shown nothing yet
+        backend.complete([*a.context])
+    stream = backend.one_at_a_time([a, b])
+    for p, other in ((a, b), (b, a)):
+        assert next(stream) is p
         assert backend.complete([*p.context]) == render_assistant(list(p.ground_truth_chain), True, t)
         forced = [*p.context, {"role": "assistant", "content": t.answer_open}]
         assert t.answer_open + backend.complete(forced) == render_assistant(list(p.ground_truth_chain), False, t)
-    with pytest.raises(BackendError):
-        backend.complete([*prompt("context c", ("ab", "cd")).context])
+        with pytest.raises(BackendError, match="unknown prompt context"):  # the same question, another context
+            backend.complete([*other.context])
 
 
 # --- shard lines -----------------------------------------------------------------

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotforge import ConfigError, Recipe, expected_cot_examples, expected_tokens, r_cot
-from cotforge.recipe import r_cot_vector
+from cotforge.recipe import cot_flags, r_cot_vector, strip_flags
+from cotforge.rng import ItemStream, derive_seed
 
 
 def test_alpha_zero_is_always_one():
@@ -141,3 +143,23 @@ def test_budget_report_json_and_table():
 def test_small_t_rejected():
     with pytest.raises(ConfigError):
         expected_cot_examples(Recipe(alpha=1.0), k=1, t=1)
+
+
+@pytest.mark.parametrize("r, variates, want", [
+    (0.0, [0.0, 2**-53, 0.5], [1, 0, 0]),  # variates lie in [0, 1): r = 0 thinks only at exactly 0
+    (0.375, [0.375, np.nextafter(0.375, 0.0), np.nextafter(0.375, 1.0)], [1, 1, 0]),
+    (1.0, [1.0, 1 - 2**-53, 0.0], [1, 1, 1]),
+])
+def test_a_variate_equal_to_r_is_a_thinking_example(r, variates, want):
+    # both dataset kinds take their flags from cot_flags
+    flags = cot_flags(r, np.array(variates), 0, ())
+    assert flags == want and all(type(f) is int for f in flags)
+
+
+def test_cot_flags_apply_each_strip_in_turn():
+    transforms = [{"kind": "strip-cot", "k_prime": 2, "seed": 3}, {"kind": "strip-cot", "k_prime": 1, "seed": 2**64 - 1}]
+    want = [1] * 6
+    for tf in transforms:
+        want = strip_flags(want, tf["k_prime"], ItemStream(derive_seed(tf["seed"], 5)))
+    assert cot_flags(0.5, np.zeros(6), 5, transforms) == want
+    assert sum(want) == 3 and want[-1] == 1

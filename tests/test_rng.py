@@ -1,8 +1,9 @@
 """Draws that must give the stream of the Generator calls they replace.
 
 ItemStream answers integers and random from raw Philox words, and
-bulk_rounds, an array of lower bounds and permutation take many values at
-once where the reference makes one Generator call per value. Each test runs both on twins of one
+bulk_rounds takes many values at once where the reference makes one
+Generator call per value; the output shuffle is choose_distinct over the
+whole range. Each test runs both on twins of one
 seed, an ItemStream or a Generator against a make_rng Generator, and
 compares the values and then the draws that follow, so a stream that only
 matches up to its last value is caught too.
@@ -13,7 +14,7 @@ import pytest
 
 from cotforge.langsym import LangSymConfig, generate_langsym_prompt
 from cotforge.recipe import Recipe
-from cotforge.rng import ItemStream, make_rng, permutation
+from cotforge.rng import ItemStream, choose_distinct, make_rng
 from cotforge.sequences import DatasetConfig, generate_sequence
 from cotforge.storage import encode_record
 
@@ -66,7 +67,8 @@ def halves_drawn(rng: np.random.Generator) -> int:
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000, 100003])
 def test_permutation_is_the_stream_of_scalar_draws(n):
-    # 100003 takes two chunks of array draws; seeds 0 and 2 redraw one swap target there
+    # the output shuffle: choose_distinct over the whole range; at 100003
+    # seeds 0 and 2 redraw one swap target each
     redraws = 0
     for seed in (0, 2, 2**64 - 1):
         bulk, twin = ItemStream(seed), make_rng(seed)
@@ -75,37 +77,9 @@ def test_permutation_is_the_stream_of_scalar_draws(n):
             j = int(twin.integers(i, n))
             idx[i], idx[j] = idx[j], idx[i]
         redraws += halves_drawn(twin) - (n - 1)
-        assert permutation(bulk, n) == idx
+        assert choose_distinct(bulk, n, n) == idx
         assert_same_next_draws(bulk, twin)
     assert redraws == (2 if n == 100003 else 0)
-
-
-@pytest.mark.parametrize("buffered", [False, True])
-@pytest.mark.parametrize("lows, high, redraws", [
-    (np.arange(24), 26, False),
-    (np.arange(40).reshape(4, 10), 2**31 + 41, True),  # spans around 2**31 + 1 redraw about half their draws
-    (np.arange(40), 2**32, False),  # spans 2**32 - 39 to 2**32, which takes the raw half
-    # thresholds from 1 to 2**31 - 1 side by side, so each redraw must shift the spans and thresholds alike
-    (2**32 + 10 - np.array([2**31 + 1, 3, 3 * 2**30, 2**32 - 1, 5, 2**31 + 3] * 4), 2**32 + 10, True),
-])
-def test_array_of_lows_is_the_stream_of_scalar_draws(lows, high, redraws, buffered):
-    redrawn = 0
-    for seed in range(5):
-        a, b = twins(seed, buffered)
-        scalar = twins(seed, buffered)[1]
-        drawn = a.integers(lows, high, size=lows.shape)
-        assert drawn.dtype == np.int64 and drawn.shape == lows.shape
-        assert drawn.tolist() == b.integers(lows, high, size=lows.shape).tolist()
-        assert drawn.ravel().tolist() == [int(scalar.integers(lo, high)) for lo in lows.ravel().tolist()]
-        redrawn += halves_drawn(scalar) - buffered - lows.size
-        assert_same_next_draws(a, scalar)
-    assert (redrawn > 0) == redraws
-
-
-def test_array_of_lows_needs_spans_from_two_to_two_to_the_32():
-    for lows in (np.arange(3, 6), np.array([5 - 2**32])):  # a span of 1; one of 2**32 + 1
-        with pytest.raises(ValueError):
-            ItemStream(0).integers(lows, 6, size=lows.shape)
 
 
 @pytest.mark.parametrize("buffered", [False, True])

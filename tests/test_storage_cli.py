@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,27 @@ def test_shard_ranges_cover_everything():
     assert ranges == [(0, 4), (4, 8), (8, 10)]
     # more shards than records: one record per shard, no empty shards
     assert shard_ranges(2, 8) == [(0, 1), (1, 2)]
+
+
+def test_shard_ranges_equal_one_block_per_requested_shard_that_starts_inside():
+    for total in range(1, 61):
+        for shards in range(1, 71):
+            per = math.ceil(total / shards)
+            want = [(s * per, min((s + 1) * per, total)) for s in range(shards) if s * per < total]
+            assert shard_ranges(total, shards) == want, (total, shards)
+
+
+def test_cli_more_shards_than_items_takes_time_by_the_items(tmp_path, capsys):
+    # the shard count is never looped over: 10**18 shards of 5 items are 5 one-item shards
+    cfg = _write_cfg(tmp_path, dict(ABSTRACT_CFG, t=5))
+    out = tmp_path / "ds"
+    started = time.monotonic()
+    assert main(["gen-abstract", "--config", cfg, "--out", str(out), "--shards", str(10**18)]) == 0
+    assert time.monotonic() - started < 30
+    manifest = Manifest.load(str(out))
+    assert [o["count"] for o in manifest.outputs] == [1] * 5
+    assert main(["verify", "--manifest", str(out)]) == 0
+    capsys.readouterr()
 
 
 def test_write_and_read_round_trip(tmp_path):
@@ -431,13 +453,19 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         # normal tokens are drawn with spans of at most 2**32
         ("abstract", {"vocab_size": 2**32 + 10}),
         ("abstract", {"vocab_size": 2**40}),
+        # a master_seed is a 64-bit key: 5 + 2**64 would write the shards of 5
+        ("abstract", {"master_seed": 5 + 2**64}),
+        ("langsym", {"master_seed": 2**64}),
+        ("abstract", {"master_seed": -1}),
+        ("langsym", {"master_seed": "5"}),
     ],
 )
 def test_cli_bad_config_value_exit_code(tmp_path, capsys, kind, bad):
     base = ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG
     cfg = _write_cfg(tmp_path, dict(base, **bad) if isinstance(bad, dict) else bad)
     out = tmp_path / "x"
-    assert main([f"gen-{kind}", "--config", cfg, "--out", str(out), "--seed", "3"]) == 2
+    seed = [] if isinstance(bad, dict) and "master_seed" in bad else ["--seed", "3"]  # --seed would override it
+    assert main([f"gen-{kind}", "--config", cfg, "--out", str(out), *seed]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
 
@@ -1057,10 +1085,13 @@ def _stripped_dataset(root) -> tuple[str, dict]:
     (lambda m: m["transforms"][0].update(k_prime="2"), "transforms"),
     (lambda m: m["transforms"][0].update(k_prime=-1), "transforms"),
     (lambda m: m["transforms"][0].update(kind="shuffle"), "transforms"),
+    (lambda m: m["transforms"][0].update(seed=5 + 2**64), "transforms"),  # would strip as seed 5 does
+    (lambda m: m["transforms"][0].update(seed=-1), "transforms"),
     (lambda m: m.update(transforms="strip"), "transforms"),
     (lambda m: m["outputs"][0].pop("sha256"), "outputs"),
     (lambda m: m["outputs"][0].update(path="../full/part-0000.jsonl"), "outputs"),
-], ids=["no-k-prime", "str-k-prime", "negative-k-prime", "unknown-kind", "transforms-str", "no-sha256", "path-outside"])
+], ids=["no-k-prime", "str-k-prime", "negative-k-prime", "unknown-kind", "seed-past-2-64", "negative-seed",
+        "transforms-str", "no-sha256", "path-outside"])
 def test_cli_verify_malformed_manifest_exits_2(tmp_path, capsys, edit, what):
     ds, manifest = _stripped_dataset(tmp_path)
     assert main(["verify", "--manifest", ds]) == 0
