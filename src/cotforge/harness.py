@@ -98,24 +98,25 @@ def make_eval_prompt(record: dict, vocab: Vocabulary) -> EvalPrompt:
 
     The tokens are validated against the layout of the stored (n, c,
     cot_flags) and the DAG against (n, c) with `check_layout`, so each
-    example's cells are known without parsing. The final example must
-    carry its thinking segment: its chain is the ground truth and its input
-    segment ends the context, after the first K-1 examples exactly as
-    stored. The prompt's meta is a copy of the record's plus its seq_id.
+    example's cells are known without parsing: the final example, the
+    query, fills the last cells of the layout. It must carry its thinking
+    segment: its chain cells are the ground truth and its input segment,
+    through inp_end, ends the context, after the first K-1 examples exactly
+    as stored. The prompt's meta is a copy of the record's plus its seq_id.
     """
     meta = record["meta"]
-    n, c, flags = meta["n"], meta["c"], meta["cot_flags"]
+    flags = meta["cot_flags"]
     tokens = record["tokens"]
-    check_layout(tokens, meta, vocab)
+    stream = check_layout(tokens, meta, vocab)[0]
     if len(flags) < 2:
         raise ConfigError(f"need at least 2 examples to build a prompt, got {len(flags)}")
     if not flags[-1]:
         raise ConfigError("query example lacks a thinking segment; build prompts from all-CoT sequences")
-    split = len(tokens) - (n + c + 7)
-    query = tokens[split:]
+    cells = layout(meta["n"], meta["c"])
+    split = len(tokens) - len(cells.template)
     return EvalPrompt(
-        context=tuple(tokens[: split + n + 2]),
-        ground_truth_chain=(*query[n + 3 : n + c + 2], query[n + c + 4]),
+        context=tuple(tokens[: split + cells.inputs.stop + 1]),
+        ground_truth_chain=tuple(stream[split:][cells.chain].tolist()),
         meta={**meta, "seq_id": record["seq_id"]},
     )
 
@@ -363,18 +364,15 @@ class PromptOracle:
 class OracleBackend(PromptOracle):
     """Replays each prompt's ground-truth chain; accuracy must be 1.0.
 
-    Splits incoming tokens at the last inp_end: everything before it is a
-    prompt's context, everything after is the forced and generated suffix,
-    which it continues along the query example's thinking tail, or along
-    its plain tail (the last four cells) when the suffix opens with
-    ans_start.
+    Splits a request at the length of the context of the prompt it was
+    last shown: the head must be that context, and the rest is the forced
+    and generated suffix, which it continues along the query example's
+    thinking tail, or along its plain tail (the last four cells) when the
+    suffix opens with ans_start.
     """
 
     def next_token(self, tokens: Seq[int]) -> int:
-        reverse = list(tokens)[::-1]
-        if Vocabulary.inp_end not in reverse:
-            raise BackendError("no input segment found in prompt")
-        split = len(reverse) - reverse.index(Vocabulary.inp_end)
+        split = len(self._shown.context) if self._shown else 0
         chain = self._chain(tuple(tokens[:split]), "unknown prompt prefix")
         suffix = tokens[split:]
         tail = [Vocabulary.think_start, *chain[:-1], Vocabulary.think_end,

@@ -40,7 +40,7 @@ from .harness import (
     FORCE_ANSWER, FORCE_THINK, EvalPrompt, EvalReport, ForcingConfig,
     JsonLinesProcess, PromptOracle, evaluate_prompts,
 )
-from .recipe import TaskConfig, check_int, cot_flags, strip_flags
+from .recipe import TaskConfig, check_int, check_keys, cot_flags, strip_flags
 from .rng import ItemStream, choose_distinct
 from .vocab import read_only
 
@@ -107,9 +107,7 @@ class Templates:
     def from_json(cls, obj: dict) -> "Templates":
         if not isinstance(obj, dict):
             raise ConfigError(f"templates must be a JSON object, got {obj!r}")
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown template fields: {sorted(unknown)}")
+        check_keys("template fields", obj, cls)
         return cls(**obj)
 
 

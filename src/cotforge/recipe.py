@@ -4,7 +4,10 @@ A recipe assigns dataset item j (of T) the probability
 r(j) = clamp(a * (j/T)**alpha + b, 0, 1) of rendering each of its examples
 with the thinking segment. Python's ** and numpy's power both give
 0**0 = 1 and u**inf = 0 for u in [0, 1), so alpha=0 means "always think"
-and alpha=inf (pass math.inf) means "never think" when a=1, b=0.
+and alpha=inf (pass math.inf) means "never think" when a=1, b=0. An
+example thinks when its uniform variate in [0, 1) is <= r(j) (cot_flags),
+so r(j) = 0 still thinks on a variate of exactly 0.0: "never" holds up to
+a probability of 2**-53 per example.
 
 The budget analytics compute the expected number of thinking-rendered
 examples both by direct summation (authoritative) and by the closed-form
@@ -53,9 +56,10 @@ class Recipe:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Recipe":
-        """Each number is read by float, so alpha may also be a string such as "inf"; true and false are not numbers."""
+        """Each number is read by float, so alpha may be "inf"; a bool or a key but alpha, a, b is a ConfigError."""
         if not isinstance(obj, dict) or "alpha" not in obj:
             raise ConfigError("recipe config missing required key: alpha")
+        check_keys("recipe keys", obj, cls)
         numbers = (obj["alpha"], obj.get("a", 1.0), obj.get("b", 0.0))
         if any(isinstance(v, bool) for v in numbers):
             raise ConfigError(f"recipe alpha, a and b must be numbers, got {obj!r}")
@@ -169,14 +173,22 @@ def check_int(name: str, value, minimum: int = 1) -> None:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
+def check_keys(what: str, obj: dict, cls) -> None:
+    """ConfigError naming the keys of `obj` that no field of the dataclass `cls` reads."""
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+
+
 @dataclass(frozen=True)
 class TaskConfig:
     """Fields, checks and JSON form shared by both dataset kinds.
 
-    Subclasses add fields, all with defaults, and extend __post_init__. In
-    from_json the choice lists are sorted, bool fields must be JSON
+    Subclasses add fields, all with defaults, and extend __post_init__,
+    which stores each choice list as a sorted tuple. In from_json the
+    choice lists must be JSON lists of integers, bool fields must be JSON
     booleans, a field whose default comes from a class is parsed by that
-    class's from_json, and unknown keys are ignored.
+    class's from_json, and a key that names no field is a ConfigError.
     """
 
     n_choices: tuple[int, ...]
@@ -195,6 +207,7 @@ class TaskConfig:
                 raise ConfigError(f"{name} must be non-empty")
             for v in choices:
                 check_int(f"{name} member", v)
+            object.__setattr__(self, name, tuple(sorted(choices)))
         check_int("k", self.k)
         check_int("t", self.t)
         # item streams must stay below the reserved artifact streams
@@ -222,11 +235,11 @@ class TaskConfig:
         missing = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING} - set(obj)
         if missing:
             raise ConfigError(f"config missing required keys: {sorted(missing)}")
+        check_keys("config keys", obj, cls)
         kwargs = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
         for name in _CHOICES:
             if not isinstance(obj[name], list) or not all(isinstance(v, int) for v in obj[name]):
                 raise ConfigError(f"{name} must be a list of integers, got {obj[name]!r}")
-            kwargs[name] = tuple(sorted(obj[name]))
         for f in fields(cls):
             if isinstance(f.default, bool) and f.name in kwargs and not isinstance(kwargs[f.name], bool):
                 raise ConfigError(f"{f.name} must be true or false, got {kwargs[f.name]!r}")
@@ -240,15 +253,14 @@ class TaskConfig:
 
         The seed keys the item's own Philox stream, read through an
         ItemStream; N, M, C and the DAG are drawn from it in this order.
+        r_cot raises the ConfigError of a j outside [0, t).
         """
-        if not 0 <= j < self.t:
-            raise ConfigError(f"item index {j} outside [0, {self.t})")
+        r = r_cot(self.recipe, j, self.t)
         seed = derive_seed(self.master_seed, j)
         rng = ItemStream(seed)
-        r = r_cot(self.recipe, j, self.t)
-        n = pick(rng, sorted(self.n_choices))
-        m = pick(rng, sorted(self.m_choices))
-        c = pick(rng, sorted(self.c_choices))
+        n = pick(rng, self.n_choices)
+        m = pick(rng, self.m_choices)
+        c = pick(rng, self.c_choices)
         return seed, rng, r, n, m, c, sample_dag(n, m, c, rng)
 
     def output_order(self) -> range | list[int]:

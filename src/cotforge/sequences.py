@@ -20,16 +20,17 @@ thinking rendering, and a plain example is that row minus its thinking
 span, the C+1 cells think_start..think_end. Which cells a sequence keeps is
 therefore a pure function of (n, c, cot_flags), and so is which delimiter
 or normal token each kept cell must hold and its mask bit: `layout(n, c)`
-builds the template, the two keep rows and the two example masks once per
-(n, c). `sequence_line` fills the template from the input and chain arrays
-and writes the shard line, with the cot_flags of `recipe.cot_flags`: a
-strip-cot transform re-draws them there (`recipe.strip_flags`, the rule
-strip_sequence_record applies to a stored record). A record is its line,
-decoded (`generate_sequence`). `check_layout` validates a stored stream
-against the layout and returns the stream with its kept cells, so
-`recompute_chains` reads the inputs from their cells and
-harness.make_eval_prompt cuts the query at a known offset; stripping a
-stored record deletes thinking spans from the stream
+builds the template from the roles of a thinking example's cells, the two
+keep rows, the two example masks and the cells of the inputs and of the
+chain, once per (n, c). `sequence_line` fills the template's input and
+chain cells from the arrays and writes the shard line, with the cot_flags
+of `recipe.cot_flags`: a strip-cot transform re-draws them there
+(`recipe.strip_flags`, the rule strip_sequence_record applies to a stored
+record). A record is its line, decoded (`generate_sequence`).
+`check_layout` validates a stored stream against the layout and returns
+the stream with its kept cells, so `recompute_chains` reads the inputs
+from their cells and harness.make_eval_prompt the query's chain from its
+cells; stripping a stored record deletes thinking spans from the stream
 (harness.strip_sequence_record). None of them parses or re-renders.
 
 The per-example renderers, masks and parsers below are not called by the
@@ -43,7 +44,8 @@ embedding matrix and processor cache are `DatasetConfig.artifacts`, built
 on first use) and its own Philox stream derived from (master_seed, j),
 read through an rng.ItemStream, with a fixed draw order:
 
-    1. N, M, C each as one uniform index into its (sorted) choice list
+    1. N, M, C each as one uniform index into its choice list, which the
+       config stores sorted
     2. the DAG (parent lists in chain-node order)
     3. the C processor indices
     4. all K*N input tokens as one batched draw (row k = example k)
@@ -289,8 +291,10 @@ class Layout(NamedTuple):
 
     `template` holds each delimiter id at its cell and NORMAL where an
     input or chain token goes; `keep` row 0 marks the cells a plain example
-    renders and row 1 those of a thinking one (all of them); `masks` are
-    the loss masks of a plain and of a thinking example,
+    renders and row 1 those of a thinking one (all of them); `inputs` is
+    the slice of the cells of x1..xN (inp_end is cell `inputs.stop`) and
+    `chain` the index array of the cells of y1..yC; `masks` are the loss
+    masks of a plain and of a thinking example,
     `standard_example_mask(n)` and `cot_example_mask(n, c)`, and
     `mask_text` each of them as JSON text, every bit after a comma. The
     arrays are read-only.
@@ -298,6 +302,8 @@ class Layout(NamedTuple):
 
     template: np.ndarray
     keep: np.ndarray
+    inputs: slice
+    chain: np.ndarray
     masks: tuple[tuple[int, ...], tuple[int, ...]]
     mask_text: tuple[bytes, bytes]
 
@@ -315,22 +321,18 @@ class Layout(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def layout(n: int, c: int) -> Layout:
-    """The Layout of (n, c); every Vocabulary has the same delimiter ids."""
-    template = np.full(n + c + 7, NORMAL, dtype=np.int64)
-    template[[0, n + 1, n + 2, n + c + 2, n + c + 3, n + c + 5, n + c + 6]] = (
-        Vocabulary.inp_start,
-        Vocabulary.inp_end,
-        Vocabulary.think_start,
-        Vocabulary.think_end,
-        Vocabulary.ans_start,
-        Vocabulary.ans_end,
-        Vocabulary.eos,
-    )
-    keep = np.ones((2, n + c + 7), dtype=bool)
-    keep[0, n + 2 : n + c + 3] = False
+    """The Layout of (n, c), from the roles of a thinking example's cells (the same in every Vocabulary)."""
+    v = Vocabulary
+    roles = [v.inp_start, *[NORMAL] * n, v.inp_end, v.think_start, *[NORMAL] * (c - 1), v.think_end,
+             v.ans_start, NORMAL, v.ans_end, v.eos]
+    template = np.array(roles, dtype=np.int64)
+    inputs = slice(roles.index(v.inp_start) + 1, roles.index(v.inp_end))
+    chain = np.flatnonzero(template == NORMAL)[n:]  # the normal cells after x1..xN
+    keep = np.ones((2, len(roles)), dtype=bool)
+    keep[0, roles.index(v.think_start) : roles.index(v.think_end) + 1] = False  # the thinking span
     masks = (tuple(standard_example_mask(n)), tuple(cot_example_mask(n, c)))
     mask_text = tuple(b"".join(b",%d" % bit for bit in mask) for mask in masks)
-    return Layout(read_only(template), read_only(keep), masks, mask_text)
+    return Layout(read_only(template), read_only(keep), inputs, read_only(chain), masks, mask_text)
 
 
 def _abnormal(tokens: np.ndarray, vocab: Vocabulary) -> np.ndarray:
@@ -386,13 +388,11 @@ def _kept_cells(inputs: np.ndarray, chains: np.ndarray, cot_flags: Seq[bool], vo
         bad = _abnormal(part, vocab)
         if bad.size:
             raise ConfigError(f"token {int(bad[0])} is not a normal token")
-    n, c = inputs.shape[1], chains.shape[1]
-    cells = layout(n, c)
-    grid = np.empty((len(inputs), n + c + 7), dtype=np.int64)
+    cells = layout(inputs.shape[1], chains.shape[1])
+    grid = np.empty((len(inputs), len(cells.template)), dtype=np.int64)
     grid[:] = cells.template
-    grid[:, 1 : n + 1] = inputs
-    grid[:, n + 3 : n + c + 2] = chains[:, :-1]
-    grid[:, n + c + 4] = chains[:, -1]
+    grid[:, cells.inputs] = inputs
+    grid[:, cells.chain] = chains
     return cells, grid[cells.keep_cells(cot_flags)]
 
 
@@ -477,8 +477,8 @@ def recompute_chains(record: dict, config: DatasetConfig) -> np.ndarray:
     vocab, emb, cache = config.artifacts
     meta = record["meta"]
     stream, keep = check_layout(record["tokens"], meta, vocab)
-    cells = np.zeros(keep.shape, dtype=np.int64)
-    cells[keep] = stream[1:]
+    grid = np.zeros(keep.shape, dtype=np.int64)
+    grid[keep] = stream[1:]
     procs = [cache[i] for i in meta["proc_ids"]]
-    return chain_tokens_batch(meta["dag"]["parents"], procs, emb, cells[:, 1 : meta["n"] + 1])
+    return chain_tokens_batch(meta["dag"]["parents"], procs, emb, grid[:, layout(meta["n"], meta["c"]).inputs])
 

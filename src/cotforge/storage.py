@@ -29,7 +29,6 @@ import contextlib
 import hashlib
 import itertools
 import json
-import math
 import os
 import re
 import time
@@ -165,7 +164,7 @@ def shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
     """Contiguous [start, stop) output-position blocks of ceil(total / shards), one per shard that gets any."""
     if shards < 1:
         raise ConfigError(f"shards must be >= 1, got {shards}")
-    per = max(1, math.ceil(total / shards))
+    per = max(1, -(-total // shards))  # exact: total / shards in floats rounds past 2**53
     return [(start, min(start + per, total)) for start in range(0, total, per)]
 
 

@@ -15,38 +15,33 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from cotforge import (
-    DatasetConfig,
+from cotforge.dag import sample_dag, validate_dag
+from cotforge.harness import (
+    FORCE_ANSWER,
+    FORCE_THINK,
     ForcingConfig,
+    NO_FORCING,
     OracleBackend,
     RandomBackend,
-    Recipe,
-    Vocabulary,
     evaluate,
-    expected_cot_examples,
-    expected_tokens,
     make_eval_prompt,
-    new_cache,
-    sample_dag,
-    sample_embedding_matrix,
     step_correctness_grid,
     step_dag_breakdown,
-    string_transform,
-    validate_dag,
+    strip_sequence_record,
 )
-from cotforge.harness import FORCE_ANSWER, FORCE_THINK, NO_FORCING, strip_sequence_record
 from cotforge.langsym import (
     LangSymConfig,
     extract_langsym_answer,
     extract_steps,
     generate_langsym_prompt,
+    string_transform,
 )
-from cotforge.recipe import r_cot_vector
+from cotforge.processors import chain_tokens_batch, new_cache
+from cotforge.recipe import Recipe, expected_cot_examples, expected_tokens, r_cot_vector
 from cotforge.rng import make_rng
-from cotforge.processors import chain_tokens_batch
-from cotforge.sequences import generate_sequence, parse_sequence, recompute_chains
+from cotforge.sequences import DatasetConfig, generate_sequence, parse_sequence, recompute_chains
 from cotforge.storage import KIND_ABSTRACT, Manifest, verify_dataset, write_dataset
-from cotforge.vocab import N_SPECIAL
+from cotforge.vocab import N_SPECIAL, Vocabulary, sample_embedding_matrix
 
 from helpers import (
     binomial_interval,

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotforge import ConfigError, Dag, sample_dag, validate_dag
+from cotforge.dag import Dag, sample_dag, validate_dag
+from cotforge.errors import ConfigError
 from cotforge.rng import make_rng
 
 from helpers import all_paths_reach, chi_square_critical, chi_square_uniform

@@ -7,31 +7,27 @@ import textwrap
 import numpy as np
 import pytest
 
-from cotforge import (
-    BackendError,
-    ConfigError,
-    DatasetConfig,
-    FormatError,
+from cotforge.errors import BackendError, ConfigError, FormatError
+from cotforge.harness import (
+    FORCE_ANSWER,
+    FORCE_THINK,
     ForcingConfig,
+    NO_FORCING,
     OracleBackend,
     RandomBackend,
-    Recipe,
     StdioBackend,
     evaluate,
     extract_answer,
+    extract_thinking,
     force_generate,
     make_eval_prompt,
     step_correctness_grid,
     step_dag_breakdown,
+    strip_sequence_record,
 )
-from cotforge.harness import FORCE_ANSWER, FORCE_THINK, NO_FORCING, extract_thinking, strip_sequence_record
+from cotforge.recipe import Recipe
 from cotforge.rng import ItemStream, make_rng
-from cotforge.sequences import (
-    generate_sequence,
-    parse_sequence,
-    recompute_chains,
-    render_example_tokens,
-)
+from cotforge.sequences import DatasetConfig, generate_sequence, parse_sequence, recompute_chains, render_example_tokens
 from cotforge.storage import encode_record
 
 from helpers import (
@@ -393,7 +389,7 @@ def test_a_reply_that_is_not_an_integer_fails_its_prompt(world, kind):
 
 
 def test_extract_answer_patterns():
-    from cotforge import Vocabulary
+    from cotforge.vocab import Vocabulary
 
     v = Vocabulary(64)
     assert extract_answer([v.think_start, 17, 23, v.think_end, v.ans_start, 42, v.ans_end, v.eos]) == 42
@@ -404,7 +400,8 @@ def test_extract_answer_patterns():
 
 
 def test_extract_answer_recovers_rendered_answer():
-    from cotforge import Vocabulary, render_cot_example, render_standard_example
+    from cotforge.sequences import render_cot_example, render_standard_example
+    from cotforge.vocab import Vocabulary
 
     v = Vocabulary(64)
     assert extract_answer(render_standard_example([10, 11], 33, v)) == 33
@@ -521,6 +518,19 @@ def test_an_oracle_answers_only_the_prompt_it_was_last_shown(world, random):
         draws = ItemStream(5)
         want = [draws.integers(vocab.normal_ids.start, vocab.normal_ids.stop, size=len(w)).tolist() for w in want]
     assert answered == want
+
+
+def test_the_oracle_splits_a_request_at_the_length_of_the_context_it_was_shown(world):
+    _, vocab, _, prompts = world
+    oracle = OracleBackend()
+    prompt = next(oracle.one_at_a_time(prompts[:1]))
+    context, chain = list(prompt.context), prompt.ground_truth_chain
+    assert oracle.next_token(context + [vocab.think_start]) == chain[0]
+    assert oracle.next_token(context + [vocab.ans_start]) == chain[-1]
+    assert oracle.next_token(context) == vocab.think_start
+    for request in (context[:-1], context[1:] + [vocab.think_start], []):
+        with pytest.raises(BackendError, match="unknown prompt prefix"):
+            oracle.next_token(request)
 
 
 def test_an_error_taking_a_prompt_stops_the_eval_and_is_no_prompt_error(world):

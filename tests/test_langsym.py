@@ -6,30 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotforge import (
-    BackendError,
-    ConfigError,
+from cotforge import langsym, storage
+from cotforge.cli import main
+from cotforge.errors import BackendError, ConfigError
+from cotforge.harness import FORCE_ANSWER, FORCE_THINK, NO_FORCING, EvalPrompt, ForcingConfig
+from cotforge.langsym import (
     LangSymConfig,
-    Recipe,
     Templates,
+    TextOracleBackend,
+    evaluate_langsym,
     extract_langsym_answer,
     extract_steps,
     generate_langsym_prompt,
-    random_word,
-    string_transform,
-)
-from cotforge import langsym
-from cotforge.harness import FORCE_ANSWER, FORCE_THINK, NO_FORCING, EvalPrompt, ForcingConfig
-from cotforge.langsym import (
-    TextOracleBackend,
-    evaluate_langsym,
     make_langsym_eval_prompt,
+    random_word,
     render_assistant,
+    string_transform,
     strip_chat_prompt,
 )
-from cotforge import storage
-from cotforge.cli import main
-from cotforge.recipe import strip_flags
+from cotforge.recipe import Recipe, strip_flags
 from cotforge.rng import ItemStream, derive_seed, make_rng
 
 import helpers
@@ -186,7 +181,7 @@ def test_prompt_meta_self_consistency():
     cfg = small_config()
     chat = generate_langsym_prompt(cfg, 7)
     meta = chat["meta"]
-    from cotforge import Dag
+    from cotforge.dag import Dag
 
     dag = Dag.from_json(meta["dag"])
     for inputs, chain in zip(meta["inputs"], meta["chains"]):

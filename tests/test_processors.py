@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotforge import ConfigError, Vocabulary, new_cache, sample_embedding_matrix, sample_processors
-from cotforge.processors import chain_tokens_batch, Mlp
+from cotforge.errors import ConfigError
+from cotforge.processors import Mlp, chain_tokens_batch, new_cache, sample_processors
 from cotforge.rng import make_rng
-from cotforge.vocab import EmbeddingMatrix, N_SPECIAL
+from cotforge.vocab import EmbeddingMatrix, N_SPECIAL, Vocabulary, sample_embedding_matrix
 
 from helpers import chi_square_critical, chi_square_uniform, oracle_chain_token
 
@@ -131,7 +131,7 @@ def test_batch_matches_single_calls():
     emb = sample_embedding_matrix(vocab, 10, seed=41)
     cache = new_cache(8, 10, 1, 0.01, seed=42)
     rng = make_rng(43)
-    from cotforge import sample_dag
+    from cotforge.dag import sample_dag
 
     dag = sample_dag(4, 2, 3, rng)
     procs = [cache[i] for i in sample_processors(cache, 3, rng)]

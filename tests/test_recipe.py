@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotforge import ConfigError, Recipe, expected_cot_examples, expected_tokens, r_cot
-from cotforge.recipe import cot_flags, r_cot_vector, strip_flags
+from cotforge.errors import ConfigError
+from cotforge.recipe import Recipe, cot_flags, expected_cot_examples, expected_tokens, r_cot, r_cot_vector, strip_flags
 from cotforge.rng import ItemStream, derive_seed
 
 

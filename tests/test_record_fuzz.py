@@ -26,12 +26,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cotforge import ConfigError, DatasetConfig, FormatError, LangSymConfig, Recipe, generate_langsym_prompt
-from cotforge.harness import make_eval_prompt, strip_sequence_record
-from cotforge.langsym import make_langsym_eval_prompt
-from cotforge.rng import make_rng
-from cotforge.sequences import generate_sequence
 from cotforge.cli import main
+from cotforge.errors import ConfigError, FormatError
+from cotforge.harness import make_eval_prompt, strip_sequence_record
+from cotforge.langsym import LangSymConfig, generate_langsym_prompt, make_langsym_eval_prompt
+from cotforge.recipe import Recipe
+from cotforge.rng import make_rng
+from cotforge.sequences import DatasetConfig, generate_sequence
 from cotforge.storage import KIND_ABSTRACT, KIND_LANGSYM, Manifest, parse_config, read_records, write_dataset
 
 ALLOWED = (ConfigError, FormatError, KeyError, TypeError, ValueError)

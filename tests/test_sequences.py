@@ -6,29 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotforge import (
-    ConfigError,
-    DatasetConfig,
-    Recipe,
-    Vocabulary,
-    generate_sequence,
-    parse_sequence,
-    render_cot_example,
-    render_standard_example,
-)
 from cotforge import sequences
+from cotforge.errors import ConfigError
 from cotforge.harness import strip_sequence_record
+from cotforge.recipe import Recipe
 from cotforge.rng import ItemStream, derive_seed
 from cotforge.sequences import (
+    DatasetConfig,
     ID_TEXT_BOUND,
     Sequence,
     cot_example_mask,
+    generate_sequence,
+    parse_sequence,
     recompute_chains,
+    render_cot_example,
+    render_standard_example,
     sequence_line,
     standard_example_mask,
 )
 from cotforge.storage import encode_record
-from cotforge.vocab import N_SPECIAL
+from cotforge.vocab import N_SPECIAL, Vocabulary
 
 from helpers import line_outcome, reference_sequence, strips
 
@@ -192,6 +189,28 @@ def test_varying_choice_sets():
         seen.add((seq["meta"]["n"], seq["meta"]["m"], seq["meta"]["c"]))
         assert seq["meta"]["n"] in (3, 4) and seq["meta"]["m"] in (3, 4) and seq["meta"]["c"] in (3, 4)
     assert len(seen) > 1
+
+
+def test_choice_lists_are_stored_as_sorted_tuples_at_construction():
+    shuffled = small_config(n_choices=[4, 3], m_choices=(4, 3, 3), c_choices=[3, 4], t=60)
+    assert (shuffled.n_choices, shuffled.m_choices, shuffled.c_choices) == ((3, 4), (3, 3, 4), (3, 4))
+    as_json = DatasetConfig.from_json(dict(shuffled.to_json(), n_choices=[4, 3], c_choices=[4, 3]))
+    assert as_json == shuffled
+    ordered = small_config(n_choices=(3, 4), m_choices=(3, 3, 4), c_choices=(3, 4), t=60)
+    assert [generate_sequence(shuffled, j) for j in range(8)] == [generate_sequence(ordered, j) for j in range(8)]
+
+
+@pytest.mark.parametrize("n, c", [(1, 1), (1, 5), (4, 4), (6, 2)])
+def test_layout_names_the_input_and_chain_cells_of_a_thinking_example(n, c):
+    vocab = Vocabulary(512)
+    inputs, chain = list(range(100, 100 + n)), list(range(200, 200 + c))
+    example = np.array(render_cot_example(inputs, chain, vocab))
+    cells = sequences.layout(n, c)
+    assert example[cells.inputs].tolist() == inputs and example[cells.inputs.stop] == vocab.inp_end
+    assert example[cells.chain].tolist() == chain
+    assert np.where(example >= N_SPECIAL, sequences.NORMAL, example).tolist() == cells.template.tolist()
+    assert example[cells.keep[0]].tolist() == render_standard_example(inputs, chain[-1], vocab)
+    assert cells.keep[1].all()
 
 
 def test_shuffle_permutes_order_but_not_content():

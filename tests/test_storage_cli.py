@@ -15,11 +15,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cotforge import DatasetConfig, Recipe, Vocabulary, harness, make_eval_prompt, sequences, storage
+from cotforge import harness, sequences, storage
 from cotforge.cli import main
+from cotforge.harness import make_eval_prompt
 from cotforge.langsym import make_langsym_eval_prompt
+from cotforge.recipe import Recipe
 from cotforge.rng import STREAM_CACHE, STREAM_EMBED, ItemStream, derive_seed
-from cotforge.sequences import parse_sequence
+from cotforge.sequences import DatasetConfig, parse_sequence
 from cotforge.storage import (
     KIND_ABSTRACT,
     KIND_LANGSYM,
@@ -30,6 +32,7 @@ from cotforge.storage import (
     verify_dataset,
     write_dataset,
 )
+from cotforge.vocab import Vocabulary
 
 from helpers import reference_sequence
 
@@ -71,6 +74,12 @@ def test_shard_ranges_equal_one_block_per_requested_shard_that_starts_inside():
             per = math.ceil(total / shards)
             want = [(s * per, min((s + 1) * per, total)) for s in range(shards) if s * per < total]
             assert shard_ranges(total, shards) == want, (total, shards)
+
+
+def test_shard_ranges_are_exact_past_2_to_the_53_items():
+    # total / shards in floats rounds 2**53 + 1 to 2**53 and 2**59 + 0.5 to 2**59
+    assert shard_ranges(2**53 + 1, 1) == [(0, 2**53 + 1)]
+    assert shard_ranges(2**60 + 1, 2) == [(0, 2**59 + 1), (2**59 + 1, 2**60 + 1)]
 
 
 def test_cli_10_to_the_18_shards_of_5_items_are_5_one_item_shards(tmp_path, capsys):
@@ -1191,3 +1200,99 @@ def test_cli_seed_at_the_ends_of_its_range_is_accepted(tmp_path, capsys, command
     argv = _RANGED[command].format(ds=ds, cfg=cfg, out=out).split()
     for seed in ["0", str(2**64 - 1)]:
         assert main([*argv, "--seed", seed]) == 0, capsys.readouterr().err
+
+
+# --- exits that only a hand-edited manifest or a wrong command reaches -------
+
+
+def _dataset(tmp_path, kind: str, *args: str) -> Path:
+    """A fresh dataset of `kind` from the test config, generated with the extra CLI `args`."""
+    cfg = _write_cfg(tmp_path, ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG)
+    ds = tmp_path / "ds"
+    assert main([f"gen-{kind}", "--config", cfg, "--out", str(ds), *args]) == 0
+    return ds
+
+
+def _edit_manifest(ds: Path, edit) -> None:
+    manifest = json.loads((ds / "manifest.json").read_text())
+    edit(manifest)
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("kind, cfg, want", [
+    ("abstract", dict(ABSTRACT_CFG, shufle=True, vocab=64), "unknown config keys: ['shufle', 'vocab']"),
+    ("langsym", dict(LANGSYM_CFG, shufle=True), "unknown config keys: ['shufle']"),
+    ("langsym", ABSTRACT_CFG, "unknown config keys: ['cache_size', 'dim', 'vocab_size']"),  # an abstract config
+    ("abstract", LANGSYM_CFG, "unknown config keys: ['w']"),
+    ("abstract", dict(ABSTRACT_CFG, recipe={"alpha": 1.0, "beta": 2}), "unknown recipe keys: ['beta']"),
+    ("langsym", dict(LANGSYM_CFG, recipe={"alpha": 1.0, "A": 2}), "unknown recipe keys: ['A']"),
+])
+def test_cli_gen_with_a_config_key_that_no_field_reads_exits_2(tmp_path, capsys, kind, cfg, want):
+    out = tmp_path / "x"
+    assert main([f"gen-{kind}", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"config error: {want}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["abstract", "langsym"])
+def test_cli_verify_of_a_manifest_whose_config_has_an_unknown_key_exits_2(tmp_path, capsys, kind):
+    ds = _dataset(tmp_path, kind)
+    _edit_manifest(ds, lambda m: m["config"].update(shufle=True))
+    capsys.readouterr()
+    assert main(["verify", "--manifest", str(ds)]) == 2
+    assert "config error: unknown config keys: ['shufle']" in capsys.readouterr().err
+
+
+def test_cli_verify_of_a_manifest_with_more_shards_than_its_config_implies_exits_4(tmp_path, capsys):
+    ds = _dataset(tmp_path, "abstract", "--t", "5", "--shards", "5")
+    _edit_manifest(ds, lambda m: m["outputs"].extend(dict(m["outputs"][-1], path=f"part-000{s}.jsonl") for s in (5, 6)))
+    capsys.readouterr()
+    assert main(["verify", "--manifest", str(ds)]) == 4
+    assert capsys.readouterr().err == "MISMATCH: manifest lists 7 shards but config implies 5\n"
+
+
+def test_cli_verify_of_a_manifest_with_an_edited_count_exits_4(tmp_path, capsys):
+    ds = _dataset(tmp_path, "abstract", "--t", "3")
+    _edit_manifest(ds, lambda m: m["outputs"][0].update(count=4))
+    capsys.readouterr()
+    assert main(["verify", "--manifest", str(ds)]) == 4
+    assert capsys.readouterr().err == "MISMATCH: part-0000.jsonl: regenerated 3 records, manifest says 4\n"
+
+
+@pytest.mark.parametrize("kind, command", [("langsym", "eval"), ("abstract", "eval-langsym")])
+def test_cli_eval_of_the_other_kind_exits_2(tmp_path, capsys, kind, command):
+    ds = _dataset(tmp_path, kind)
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    code = main([command, "--prompts", str(ds), "--backend", "oracle", "--strategy", "think", "--report", str(report)])
+    assert code == 2
+    want = "langsym" if command == "eval-langsym" else "abstract"
+    assert f"config error: {command} expects a {want!r} dataset, found kind {kind!r}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("kind", ["abstract", "langsym"])
+def test_cli_inspect_past_the_last_item_exits_3(tmp_path, capsys, kind):
+    ds = _dataset(tmp_path, kind, "--t", "3")
+    capsys.readouterr()
+    assert main(["inspect", "--in", str(ds), "--index", "2"]) == 0
+    capsys.readouterr()
+    assert main(["inspect", "--in", str(ds), "--index", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no item with index 3 in {ds}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--manifest", "{ds}"],
+    ["inspect", "--in", "{ds}"],
+    ["eval", "--prompts", "{ds}", "--backend", "oracle", "--strategy", "think", "--report", "{report}"],
+], ids=["verify", "inspect", "eval"])
+def test_cli_manifest_of_an_unknown_kind_exits_2(tmp_path, capsys, argv):
+    ds = _dataset(tmp_path, "abstract", "--t", "3")
+    _edit_manifest(ds, lambda m: m.update(kind="foo"))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main([arg.format(ds=ds, report=report) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert "config error: " in captured.err and "'foo'" in captured.err and captured.out == ""
+    assert not report.exists()

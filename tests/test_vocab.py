@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cotforge import ConfigError, Vocabulary, sample_embedding_matrix
-from cotforge.vocab import N_SPECIAL, SPECIAL_ROLES
+from cotforge.errors import ConfigError
+from cotforge.vocab import N_SPECIAL, SPECIAL_ROLES, Vocabulary, sample_embedding_matrix
 
 from helpers import ks_critical, ks_statistic_vs_normal
 
