@@ -185,10 +185,11 @@ class TaskConfig:
     """Fields, checks and JSON form shared by both dataset kinds.
 
     Subclasses add fields, all with defaults, and extend __post_init__,
-    which stores each choice list as a sorted tuple. In from_json the
-    choice lists must be JSON lists of integers, bool fields must be JSON
-    booleans, a field whose default comes from a class is parsed by that
-    class's from_json, and a key that names no field is a ConfigError.
+    which checks each member of a choice list with check_int and stores
+    the list as a sorted tuple. In from_json each choice list must be a
+    JSON list (its members are left to __post_init__), bool fields must be
+    JSON booleans, a field whose default comes from a class is parsed by
+    that class's from_json, and a key that names no field is a ConfigError.
     """
 
     n_choices: tuple[int, ...]
@@ -238,8 +239,8 @@ class TaskConfig:
         check_keys("config keys", obj, cls)
         kwargs = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
         for name in _CHOICES:
-            if not isinstance(obj[name], list) or not all(isinstance(v, int) for v in obj[name]):
-                raise ConfigError(f"{name} must be a list of integers, got {obj[name]!r}")
+            if not isinstance(obj[name], list):
+                raise ConfigError(f"{name} must be a list, got {obj[name]!r}")
         for f in fields(cls):
             if isinstance(f.default, bool) and f.name in kwargs and not isinstance(kwargs[f.name], bool):
                 raise ConfigError(f"{f.name} must be true or false, got {kwargs[f.name]!r}")

@@ -21,10 +21,18 @@ runs at most one worker pool: it generates the records of all its shards
 as one ordered stream, which the caller cuts at shard boundaries, so the
 pool starts once and never drains between shards. The pool machinery is
 imported only when a pool starts.
+
+A process's memory does not grow with T or with the shard size: the pool
+is given tasks of at most CHUNK_MAX items and runs at most
+TASKS_PER_WORKER tasks per worker ahead of the consumer, verify walks the
+checked shards' item indices without listing them, and a file is hashed
+through one HASH_BLOCK buffer. A shuffled dataset's output order is the
+one T-long holder left (see TaskConfig.output_order).
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import itertools
@@ -79,11 +87,16 @@ MANIFEST_NAME = "manifest.json"
 SHARD_RE = re.compile(r"part-\d{4,}\.jsonl")
 
 
+HASH_BLOCK = 1 << 14  # bytes read into the one buffer of sha256_file per call
+
+
 def sha256_file(path: str) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    block = bytearray(HASH_BLOCK)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -171,6 +184,9 @@ def shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
 # Per-worker state, built once per process from the pickled manifest payload.
 _WORKER = {}
 
+CHUNK_MAX = 64  # items per pool task at most
+TASKS_PER_WORKER = 4  # pool tasks submitted per worker and not yet consumed, at most
+
 
 def _init_worker(kind: str, config_json: dict, transforms: list[dict]) -> None:
     _WORKER.clear()
@@ -181,26 +197,50 @@ def _gen_line(j: int) -> bytes:
     return _WORKER["spec"].line(_WORKER["config"], j, _WORKER["transforms"])
 
 
-def _emit_lines(kind: str, config_json: dict, transforms: list[dict], indices: list[int], workers: int, shards: int):
-    """Record bytes for `indices`, the items of `shards` shards, in order.
+def _gen_lines(indices: list[int]) -> list[bytes]:
+    return [_gen_line(j) for j in indices]
+
+
+def _blocks(indices, size: int):
+    """Lists of `size` consecutive items of `indices`, the last one shorter."""
+    indices = iter(indices)
+    while block := list(itertools.islice(indices, size)):
+        yield block
+
+
+def _emit_lines(kind: str, config_json: dict, transforms: list[dict], indices, count: int, workers: int,
+                shards: int):
+    """Record bytes for the `count` items of `indices`, the items of `shards` shards, in order.
 
     At most one process pool serves the whole stream, with no more workers
     than items; one worker generates in this process. Tasks are sized by
-    the shard, as if each shard had a pool of its own.
+    the shard, as if each shard had a pool of its own, up to CHUNK_MAX
+    items. At most TASKS_PER_WORKER tasks per worker are submitted ahead
+    of the consumer; closing the stream, or a task that fails, cancels
+    those not yet started.
     """
-    workers = min(workers, len(indices))
+    workers = min(workers, count)
     if workers <= 1:
         _init_worker(kind, config_json, transforms)
         for j in indices:
             yield _gen_line(j)
         return
-    chunk = max(1, len(indices) // (shards * workers * 8))
+    chunk = max(1, min(CHUNK_MAX, count // (shards * workers * 8)))
     from concurrent.futures import ProcessPoolExecutor  # here, so a command without a pool never imports it
 
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(kind, config_json, transforms)
     ) as pool:
-        yield from pool.map(_gen_line, indices, chunksize=chunk)
+        tasks = (pool.submit(_gen_lines, block) for block in _blocks(indices, chunk))
+        window = collections.deque(itertools.islice(tasks, TASKS_PER_WORKER * workers))
+        try:
+            while window:
+                lines = window.popleft().result()
+                window.extend(itertools.islice(tasks, 1))
+                yield from lines
+        finally:
+            for task in window:
+                task.cancel()
 
 
 def _digest_lines(lines, size: int, fh=None) -> tuple[str, int]:
@@ -245,7 +285,8 @@ def write_dataset(
     ranges = shard_ranges(len(order), shards)
     started = time.monotonic()
     outputs = []
-    with contextlib.closing(_emit_lines(kind, config_json, transforms, order, workers, len(ranges))) as stream:
+    stream = _emit_lines(kind, config_json, transforms, order, len(order), workers, len(ranges))
+    with contextlib.closing(stream):
         lines = itertools.chain(list(itertools.islice(stream, 1)), stream)
         os.makedirs(out_dir, exist_ok=True)
         with contextlib.suppress(FileNotFoundError):
@@ -308,9 +349,10 @@ def verify_dataset(path: str, sample: int | None = None, seed: int = 0, workers:
     checked = list(range(len(manifest.outputs)))
     if sample is not None and sample < len(checked):
         checked = sorted(choose_distinct(ItemStream(seed), len(checked), sample))
-    items = [j for s in checked for j in order[slice(*ranges[s])]]
+    items = (j for s in checked for j in order[slice(*ranges[s])])
+    count = sum(stop - start for start, stop in (ranges[s] for s in checked))
     problems = []
-    stream = _emit_lines(manifest.kind, manifest.config, manifest.transforms, items, workers, len(checked))
+    stream = _emit_lines(manifest.kind, manifest.config, manifest.transforms, items, count, workers, len(checked))
     with contextlib.closing(stream) as lines:
         for s in checked:
             out = manifest.outputs[s]

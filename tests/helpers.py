@@ -7,12 +7,17 @@ Generator calls, one per value (LangSym: per word), not the package's
 ItemStream, and rendered example by example, dataset and prompt stripping parse and
 re-render every example with the per-example renderers, eval prompts come
 from a token-by-token parse, and the distribution checks use textbook formulas (scipy only
-supplies critical values).
+supplies critical values). peak_rss_mb measures a CLI command's memory.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 
@@ -286,3 +291,35 @@ def line_outcome(write, *args):
 def strips(*k_primes):
     """One strip-cot transform per k', seeded 40, 41, ..."""
     return [{"kind": "strip-cot", "k_prime": k, "seed": 40 + i} for i, k in enumerate(k_primes)]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# the reference LangSym config of the benchmark (k=40, n=m=c=4) but its t, about 66 KB per prompt
+LANGSYM_REF_CFG = {
+    "n_choices": [4], "m_choices": [4], "c_choices": [4], "k": 40,
+    "recipe": {"alpha": 2.0, "a": 0.5, "b": 0.5}, "master_seed": 1,
+}
+
+# Runs argv[1:] and prints its exit code and peak RSS in KB. A child's peak
+# RSS counts the memory of the process it was spawned from (its pages until
+# the exec), so the command is spawned from this small interpreter, not
+# from the test process.
+_MEASURE = textwrap.dedent(
+    """
+    import os, subprocess, sys
+    proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+    """
+)
+
+
+def peak_rss_mb(argv: list[str]) -> float:
+    """Peak RSS in MB of `python -m cotforge *argv`, which must exit 0; its pool workers' peaks count too."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _MEASURE, sys.executable, "-m", "cotforge", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    code, peak_kb = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    return peak_kb / 1024

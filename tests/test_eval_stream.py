@@ -19,7 +19,7 @@ import pytest
 from cotforge import cli, harness, langsym
 from cotforge.cli import main
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from helpers import LANGSYM_REF_CFG, SRC, peak_rss_mb
 
 ABSTRACT_CFG = {
     "vocab_size": 64, "dim": 4, "n_choices": [2], "m_choices": [2], "c_choices": [2],
@@ -28,11 +28,6 @@ ABSTRACT_CFG = {
 LANGSYM_CFG = {
     "n_choices": [3], "m_choices": [2], "c_choices": [2], "k": 4, "t": 6,
     "recipe": {"alpha": 0.0, "a": 1, "b": 0}, "master_seed": 7, "w": 4,
-}
-# the reference LangSym config of the benchmark (k=40, n=m=c=4), about 66 KB per prompt
-LANGSYM_REF_CFG = {
-    "n_choices": [4], "m_choices": [4], "c_choices": [4], "k": 40,
-    "recipe": {"alpha": 2.0, "a": 0.5, "b": 0.5}, "master_seed": 1,
 }
 
 # Answers every request, noting in the file argv[1] its pid, the end of its
@@ -143,29 +138,6 @@ def test_report_path_check_leaves_no_file_behind(tmp_path, capsys, command):
     assert sorted(p.name for p in out.iterdir()) == ["rep.json"]
 
 
-# Runs argv[1:] and prints its exit code and peak RSS in KB. A child's peak
-# RSS counts the memory of the process it was spawned from (its pages until
-# the exec), so the command is spawned from this small interpreter, not
-# from the test process.
-_MEASURE = textwrap.dedent(
-    """
-    import os, subprocess, sys
-    proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-    """
-)
-
-
-def _peak_rss_mb(argv: list[str]) -> float:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _MEASURE, sys.executable, "-m", "cotforge", *argv],
-                          env=env, capture_output=True, text=True, timeout=300)
-    code, peak_kb = map(int, done.stdout.split())
-    assert code == 0, done.stderr
-    return peak_kb / 1024
-
-
 def test_eval_langsym_peak_memory_does_not_grow_with_the_dataset(tmp_path):
     peaks = {}
     for t in (50, 800):
@@ -173,8 +145,8 @@ def test_eval_langsym_peak_memory_does_not_grow_with_the_dataset(tmp_path):
         cfg.write_text(json.dumps(dict(LANGSYM_REF_CFG, t=t)))
         ds = str(tmp_path / f"ds-{t}")
         assert main(["gen-langsym", "--config", str(cfg), "--out", ds]) == 0
-        peaks[t] = _peak_rss_mb(["eval-langsym", "--prompts", ds, "--backend", "oracle", "--strategy", "think",
-                                 "--report", str(tmp_path / f"rep-{t}.json")])
+        peaks[t] = peak_rss_mb(["eval-langsym", "--prompts", ds, "--backend", "oracle", "--strategy", "think",
+                                "--report", str(tmp_path / f"rep-{t}.json")])
     # holding every prompt adds about 66 KB each: some 45 MB more at t=800
     assert abs(peaks[800] - peaks[50]) < 5, peaks
 

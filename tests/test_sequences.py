@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cotforge import sequences
 from cotforge.errors import ConfigError
 from cotforge.harness import strip_sequence_record
+from cotforge.langsym import LangSymConfig
 from cotforge.recipe import Recipe
 from cotforge.rng import ItemStream, derive_seed
 from cotforge.sequences import (
@@ -273,6 +274,22 @@ def test_config_missing_keys_is_config_error():
         DatasetConfig.from_json(
             {"n_choices": [2], "m_choices": [2], "c_choices": [2], "k": 2, "t": 2, "recipe": {}, "master_seed": 0}
         )
+
+
+@pytest.mark.parametrize("kind", [DatasetConfig, LangSymConfig])
+@pytest.mark.parametrize("value, message", [
+    ([True], "n_choices member must be an integer, got True"),
+    ([4.0], "n_choices member must be an integer, got 4.0"),
+    ([0], "n_choices member must be >= 1, got 0"),
+    (4, "n_choices must be a list, got 4"),
+    ("4", "n_choices must be a list, got '4'"),
+])
+def test_a_choice_list_is_a_json_list_whose_members_the_constructor_checks(kind, value, message):
+    cfg = {"n_choices": value, "m_choices": [2], "c_choices": [2], "k": 2, "t": 2, "recipe": {"alpha": 0},
+           "master_seed": 0}
+    with pytest.raises(ConfigError) as caught:
+        kind.from_json(cfg)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("mode", ["thinking", "plain", "mixed"])

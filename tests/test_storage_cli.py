@@ -2,6 +2,7 @@ import concurrent.futures
 import copy
 import json
 import math
+import multiprocessing
 import os
 import shlex
 import subprocess
@@ -34,7 +35,7 @@ from cotforge.storage import (
 )
 from cotforge.vocab import Vocabulary
 
-from helpers import reference_sequence
+from helpers import LANGSYM_REF_CFG, peak_rss_mb, reference_sequence
 
 ABSTRACT_CFG = {
     "vocab_size": 256,
@@ -267,6 +268,76 @@ def test_one_item_dataset_starts_no_pool(tmp_path, pools):
     assert pools == []
     serial = write_dataset(str(tmp_path / "serial"), KIND_LANGSYM, dict(LANGSYM_CFG, t=1), workers=1)
     assert one.outputs == serial.outputs
+
+
+@pytest.fixture
+def tasks(monkeypatch):
+    """Records, for each pool task storage submits, its item count and the tasks submitted and not yet taken."""
+    submitted, ahead = [], [0]
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, items, /):
+            future = super().submit(fn, items)
+            ahead[0] += 1
+            submitted.append((len(items), ahead[0]))
+            result = future.result
+
+            def taken(*args, **kwargs):
+                ahead[0] -= 1
+                return result(*args, **kwargs)
+
+            future.result = taken
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return submitted
+
+
+@pytest.mark.parametrize("t, chunk, count", [(60, 3, 20), (2100, storage.CHUNK_MAX, 33)])
+def test_the_pool_runs_a_bounded_window_of_bounded_tasks(tmp_path, tasks, t, chunk, count):
+    """Tasks of items // (shards * workers * 8) items, at most CHUNK_MAX, and at most TASKS_PER_WORKER per worker ahead."""
+    cfg = dict(LANGSYM_CFG, t=t)
+    serial = write_dataset(str(tmp_path / "serial"), KIND_LANGSYM, cfg, workers=1)
+    assert tasks == []
+    out = str(tmp_path / "pooled")
+    assert write_dataset(out, KIND_LANGSYM, cfg, workers=2).outputs == serial.outputs
+    assert len(tasks) == count and sum(n for n, _ in tasks) == t
+    assert {n for n, _ in tasks[:-1]} == {chunk}
+    assert max(a for _, a in tasks) == storage.TASKS_PER_WORKER * 2
+    tasks.clear()
+    assert verify_dataset(out, workers=2) == []
+    assert len(tasks) == count and max(a for _, a in tasks) == storage.TASKS_PER_WORKER * 2
+
+
+def test_a_task_failing_mid_stream_leaves_no_manifest_and_no_live_worker(tmp_path, capsys, tasks):
+    # r(j) = 51 - 100 j/T clipped to [0, 1]: the first half of the prompts
+    # think in every context example and the prompts from j = 0.51 T on in
+    # none, so stripping all K-1 of them fails about half way through
+    cfg = _write_cfg(tmp_path, dict(LANGSYM_CFG, t=400, recipe={"alpha": 1.0, "a": -100, "b": 51}))
+    src, out = tmp_path / "src", tmp_path / "out"
+    assert main(["gen-langsym", "--config", cfg, "--out", str(src), "--shards", "4"]) == 0
+    assert main(["gen-langsym", "--config", cfg, "--out", str(out)]) == 0  # a valid dataset to overwrite
+    tasks.clear()
+    argv = ["strip-cot", "--in", str(src), "--k-prime", str(LANGSYM_CFG["k"] - 1), "--seed", "1", "--out", str(out),
+            "--workers", "2"]
+    assert main(argv) == 2
+    assert "config error: k_prime 3 outside [0, " in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    assert len((out / "part-0000.jsonl").read_bytes().splitlines()) == 100  # the first shard was written
+    assert 0 < len(tasks) < 400 // 6  # tasks of 6 items: the ones past the window were never submitted
+    assert multiprocessing.active_children() == []
+
+
+def test_peak_memory_of_a_pooled_gen_and_verify_does_not_grow_with_the_dataset(tmp_path):
+    peaks = {}
+    for t in (1000, 10000):
+        cfg = tmp_path / f"ref-{t}.json"
+        cfg.write_text(json.dumps(dict(LANGSYM_REF_CFG, t=t)))
+        ds = str(tmp_path / f"ds-{t}")
+        peaks[t] = (peak_rss_mb(["gen-langsym", "--config", str(cfg), "--out", ds, "--shards", "1", "--workers", "2"]),
+                    peak_rss_mb(["verify", "--manifest", ds, "--workers", "2"]))
+    # tasks sized by t alone (t // 16 lines each here) would add about 26 MB from t = 2,000 to 10,000
+    assert all(abs(big - small) < 5 for small, big in zip(peaks[1000], peaks[10000])), peaks
 
 
 def test_regenerating_with_fewer_shards_removes_stale_ones(tmp_path, capsys):
