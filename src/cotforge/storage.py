@@ -349,10 +349,10 @@ def verify_dataset(path: str, sample: int | None = None, seed: int = 0, workers:
     checked = list(range(len(manifest.outputs)))
     if sample is not None and sample < len(checked):
         checked = sorted(choose_distinct(ItemStream(seed), len(checked), sample))
-    items = (j for s in checked for j in order[slice(*ranges[s])])
-    count = sum(stop - start for start, stop in (ranges[s] for s in checked))
+    items = (order[i] for s in checked for i in range(*ranges[s]))  # a slice of a shuffled order would copy it
+    total = sum(stop - start for start, stop in (ranges[s] for s in checked))
     problems = []
-    stream = _emit_lines(manifest.kind, manifest.config, manifest.transforms, items, count, workers, len(checked))
+    stream = _emit_lines(manifest.kind, manifest.config, manifest.transforms, items, total, workers, len(checked))
     with contextlib.closing(stream) as lines:
         for s in checked:
             out = manifest.outputs[s]
