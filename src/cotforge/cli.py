@@ -29,8 +29,6 @@ from .harness import (
     StdioBackend,
     evaluate,
     make_eval_prompt,
-    step_correctness_grid,
-    step_dag_breakdown,
 )
 from .langsym import (
     TextOracleBackend,
@@ -40,11 +38,11 @@ from .langsym import (
 )
 from .recipe import Recipe, expected_tokens
 from .rng import SEED_BOUND
-from .sequences import DatasetConfig
 from .storage import (
     KIND_ABSTRACT,
     KIND_LANGSYM,
     Manifest,
+    load_json_object,
     parse_config,
     read_records,
     strip_dataset,
@@ -78,27 +76,12 @@ _WORKERS = _int_in(1, None, ">= 1")
 _SEED = _int_in(0, SEED_BOUND, "in [0, 2**64)")
 
 
-def _load_config_file(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested past the parser's depth
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: config must be a JSON object, got {type(obj).__name__}")
-    return obj
-
-
-def _apply_overrides(obj: dict, args: argparse.Namespace) -> dict:
-    if getattr(args, "seed", None) is not None:
-        obj["master_seed"] = args.seed
-    if getattr(args, "t", None) is not None:
-        obj["t"] = args.t
-    return obj
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
-    config_json = _apply_overrides(_load_config_file(args.config), args)
+    config_json = load_json_object(args.config, "config")
+    if args.seed is not None:
+        config_json["master_seed"] = args.seed
+    if args.t is not None:
+        config_json["t"] = args.t
     manifest = write_dataset(args.out, args.kind, config_json, shards=args.shards, workers=args.workers)
     print(f"wrote {manifest.stats['items']} {args.items} to {args.out} ({len(manifest.outputs)} shard(s))")
     return EXIT_OK
@@ -111,11 +94,8 @@ def cmd_strip_cot(args: argparse.Namespace) -> int:
 
 
 def _write_report(report: EvalReport, path: str) -> None:
-    doc = report.to_json()
-    doc["step_grid"] = step_correctness_grid(report)
-    doc["dag_breakdown"] = step_dag_breakdown(report)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(report.to_json(), fh, indent=2)
         fh.write("\n")
 
 
@@ -148,7 +128,7 @@ def _prompts(records, to_prompt: Callable, source: str):
         yield prompt
 
 
-def _abstract_eval(config: DatasetConfig, records, args: argparse.Namespace, forcing: ForcingConfig) -> EvalReport:
+def _abstract_eval(config, records, args: argparse.Namespace, forcing: ForcingConfig) -> EvalReport:
     """`eval`: the report of token prompts under a forcing, from the backend `args` names."""
     vocab = Vocabulary(config.vocab_size)
     prompts = _prompts(records, lambda rec: make_eval_prompt(rec, vocab), args.prompts)

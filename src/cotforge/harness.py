@@ -48,7 +48,7 @@ from .dag import Dag
 from .errors import BackendError, ConfigError
 from .recipe import strip_flags
 from .rng import ItemStream
-from .sequences import check_layout, layout
+from .sequences import check_layout
 from .vocab import Vocabulary
 
 FORCE_THINK = "force_think"
@@ -97,26 +97,25 @@ def make_eval_prompt(record: dict, vocab: Vocabulary) -> EvalPrompt:
     """Turn a K-example sequence record into a (K-1)-shot prompt.
 
     The tokens are validated against the layout of the stored (n, c,
-    cot_flags) and the DAG against (n, c) with `check_layout`, so each
-    example's cells are known without parsing: the final example, the
-    query, fills the last cells of the layout. It must carry its thinking
-    segment: its chain cells are the ground truth and its input segment,
-    through inp_end, ends the context, after the first K-1 examples exactly
-    as stored. The prompt's meta is a copy of the record's plus its seq_id.
+    cot_flags) and the DAG against (n, c) with `check_layout`, whose cell
+    grid gives each example's cells without parsing. The final example, the
+    query, must carry its thinking segment: its chain cells are the ground
+    truth, and its input segment, through inp_end, ends the context, after
+    the first K-1 examples exactly as stored. The prompt's meta is a copy
+    of the record's plus its seq_id.
     """
     meta = record["meta"]
     flags = meta["cot_flags"]
     tokens = record["tokens"]
-    stream = check_layout(tokens, meta, vocab)[0]
+    cells, grid = check_layout(tokens, meta, vocab)
     if len(flags) < 2:
         raise ConfigError(f"need at least 2 examples to build a prompt, got {len(flags)}")
     if not flags[-1]:
         raise ConfigError("query example lacks a thinking segment; build prompts from all-CoT sequences")
-    cells = layout(meta["n"], meta["c"])
     split = len(tokens) - len(cells.template)
     return EvalPrompt(
         context=tuple(tokens[: split + cells.inputs.stop + 1]),
-        ground_truth_chain=tuple(stream[split:][cells.chain].tolist()),
+        ground_truth_chain=tuple(grid[-1, cells.chain].tolist()),
         meta={**meta, "seq_id": record["seq_id"]},
     )
 
@@ -131,16 +130,15 @@ def strip_sequence_record(record: dict, k_prime: int, rng: ItemStream, vocab: Vo
     and the record is first checked against it with `check_layout`: length,
     the DAG, every delimiter in its cell and a normal token in every other
     one.
-    Stripping then deletes the thinking spans of the chosen examples from
-    the stream, with no parse or re-render; the loss mask and cot_flags are
-    rebuilt from the same layout. Returns a new record. This is the strip of
-    a stored record; storage strips fresh items with sequences.sequence_line.
+    Stripping then reads the cells the new flags keep from its cell grid,
+    with no parse or re-render; the loss mask and cot_flags are rebuilt
+    from the same layout. Returns a new record. This is the strip of a
+    stored record; storage strips fresh items with sequences.sequence_line.
     """
     meta = record["meta"]
-    stream, keep = check_layout(record["tokens"], meta, vocab)
+    cells, grid = check_layout(record["tokens"], meta, vocab)
     flags = strip_flags(meta["cot_flags"], k_prime, rng)
-    cells = layout(meta["n"], meta["c"])
-    tokens = [vocab.bos] + stream[1:][cells.keep_cells(flags)[keep]].tolist()
+    tokens = [vocab.bos] + grid[cells.keep_cells(flags)].tolist()
     mask = cells.mask(flags)
     return {"seq_id": record["seq_id"], "tokens": tokens, "loss_mask": mask, "meta": {**meta, "cot_flags": flags}}
 
@@ -212,6 +210,10 @@ class PromptRecord:
 
 @dataclass
 class EvalReport:
+    """An eval's prompt records and accuracy. `to_json` is the whole report document, keyed in
+    this order: accuracy, n_prompts, format_failures, records, step_grid (`step_correctness_grid`)
+    and dag_breakdown (`step_dag_breakdown`)."""
+
     records: list[PromptRecord]
     accuracy: float
 
@@ -221,6 +223,8 @@ class EvalReport:
             "n_prompts": len(self.records),
             "format_failures": sum(r.format_failure for r in self.records),
             "records": [dict(vars(r)) for r in self.records],  # dataclasses.asdict would deep-copy every leaf
+            "step_grid": step_correctness_grid(self),
+            "dag_breakdown": step_dag_breakdown(self),
         }
 
 

@@ -102,9 +102,9 @@ def chain_tokens_batch(
 
     `inputs` is (K, N) int64; returns (K, C) int64. One matmul pass per chain
     node, all in float64 on the arrays the embedding matrix and each
-    processor converted once. Generation and any metadata-driven
-    recomputation both call this function, so stored chains always match
-    recomputed ones bit for bit.
+    processor converted once. Generation calls it, and so does the tests'
+    recomputation of a stored record's chains from its meta, so the two
+    match bit for bit.
     """
     e64, e64_t = emb.f64, emb.f64_t
     n_examples, n_inputs = inputs.shape

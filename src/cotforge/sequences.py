@@ -28,10 +28,9 @@ of `recipe.cot_flags`: a strip-cot transform re-draws them there
 (`recipe.strip_flags`, the rule strip_sequence_record applies to a stored
 record). A record is its line, decoded (`generate_sequence`).
 `check_layout` validates a stored stream against the layout and returns
-the stream with its kept cells, so `recompute_chains` reads the inputs
-from their cells and harness.make_eval_prompt the query's chain from its
-cells; stripping a stored record deletes thinking spans from the stream
-(harness.strip_sequence_record). None of them parses or re-renders.
+the layout with the stream's cell grid, so harness.make_eval_prompt reads
+the query's chain from its cells and harness.strip_sequence_record keeps
+the cells of the stripped flags. Neither parses or re-renders.
 
 The per-example renderers, masks and parsers below are not called by the
 package: they are the tests' reference implementations of the same rule,
@@ -339,14 +338,14 @@ def _abnormal(tokens: np.ndarray, vocab: Vocabulary) -> np.ndarray:
     return tokens[(tokens < N_SPECIAL) | (tokens >= vocab.size)]
 
 
-def check_layout(tokens: Seq[int], meta: dict, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+def check_layout(tokens: Seq[int], meta: dict, vocab: Vocabulary) -> tuple[Layout, np.ndarray]:
     """Validate a stored sequence against the layout of its meta's (n, c, cot_flags).
 
     cot_flags must be a non-empty flat list of 0/1, and the stream bos plus
     exactly the kept cells: every delimiter in its cell and a normal token
-    in every other one. Returns the stream as an int64 array and the
-    `Layout.keep_cells` grid; raises FormatError on any violation, and what
-    `check_record_dag` raises for a DAG that does not fit the meta.
+    in every other one. Returns the Layout and the (K, N+C+7) int64 grid
+    whose kept cells hold the tokens (pad elsewhere); raises FormatError
+    on any violation, and what `check_record_dag` raises for a bad DAG.
     """
     n, c, cot_flags = meta["n"], meta["c"], meta["cot_flags"]
     if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (n, c)):
@@ -375,7 +374,9 @@ def check_layout(tokens: Seq[int], meta: dict, vocab: Vocabulary) -> tuple[np.nd
     bad = _abnormal(stream[~fixed], vocab)
     if bad.size:
         raise FormatError(f"special or out-of-range token {int(bad[0])} where a normal token belongs")
-    return stream, keep
+    grid = np.zeros(keep.shape, dtype=np.int64)
+    grid[keep] = stream[1:]
+    return cells, grid
 
 
 def _kept_cells(inputs: np.ndarray, chains: np.ndarray, cot_flags: Seq[bool], vocab: Vocabulary):
@@ -464,21 +465,4 @@ def sequence_line(config: DatasetConfig, j: int, transforms: Seq[dict]) -> bytes
     }
     meta_text = json.dumps(meta, separators=(",", ":")).encode()
     return b'{"seq_id":%d,"tokens":[%d%b],"loss_mask":[0%b],"meta":%b}\n' % (j, vocab.bos, tokens, mask, meta_text)
-
-
-def recompute_chains(record: dict, config: DatasetConfig) -> np.ndarray:
-    """Chains for every example of a sequence record of `config`, recomputed from its meta.
-
-    Reads the inputs from the cells of the stored layout (`check_layout`)
-    and replays the chain computation through the stored DAG and processor
-    ids. Shares the exact arithmetic of generation, so equality with the
-    stored chain tokens is an integrity check, not a tolerance comparison.
-    """
-    vocab, emb, cache = config.artifacts
-    meta = record["meta"]
-    stream, keep = check_layout(record["tokens"], meta, vocab)
-    grid = np.zeros(keep.shape, dtype=np.int64)
-    grid[keep] = stream[1:]
-    procs = [cache[i] for i in meta["proc_ids"]]
-    return chain_tokens_batch(meta["dag"]["parents"], procs, emb, grid[:, layout(meta["n"], meta["c"]).inputs])
 

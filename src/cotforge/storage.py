@@ -4,7 +4,8 @@ A dataset directory holds JSON-lines shards (part-0000.jsonl, ...) plus a
 manifest.json recording the full generation config, any transforms applied
 on top of it (currently CoT stripping), per-shard sha256 hashes and record
 counts, and the tool version. The manifest alone is sufficient to
-regenerate every byte, which is what `verify` checks.
+regenerate every byte, which is what `verify` checks. A config file and a
+manifest are each read with `load_json_object`.
 
 Record serialization is pinned: compact separators, ASCII escapes, and
 field order fixed by construction, so hashes are stable across runs,
@@ -100,6 +101,18 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def load_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at `path`; ConfigError "malformed <what>" if it holds none, OSError if unreadable."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested past the parser's depth
+            raise ConfigError(f"{path}: malformed {what} ({exc!r})") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: malformed {what} (a JSON {type(obj).__name__}, not an object)")
+    return obj
+
+
 def dataset_paths(path: str) -> tuple[str, str]:
     """(directory, manifest file) of the dataset at `path`, given as either one."""
     if os.path.isdir(path):
@@ -166,11 +179,11 @@ class Manifest:
     @classmethod
     def load(cls, path: str) -> "Manifest":
         path = dataset_paths(path)[1]
-        with open(path) as fh:
-            try:
-                return cls.from_json(json.load(fh))
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                raise ConfigError(f"{path}: malformed manifest ({exc!r})") from exc
+        obj = load_json_object(path, "manifest")
+        try:
+            return cls.from_json(obj)
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise ConfigError(f"{path}: malformed manifest ({exc!r})") from exc
 
 
 def shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
@@ -356,10 +369,7 @@ def verify_dataset(path: str, sample: int | None = None, seed: int = 0, workers:
     with contextlib.closing(stream) as lines:
         for s in checked:
             out = manifest.outputs[s]
-            shard = os.path.join(directory, out["path"])
-            if not os.path.exists(shard):
-                raise FileNotFoundError(shard)
-            actual = sha256_file(shard)
+            actual = sha256_file(os.path.join(directory, out["path"]))  # a missing shard: FileNotFoundError
             if actual != out["sha256"]:
                 problems.append(f"{out['path']}: on-disk sha256 {actual[:12]}.. != manifest {out['sha256'][:12]}..")
             start, stop = ranges[s]

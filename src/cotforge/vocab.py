@@ -47,10 +47,6 @@ class Vocabulary:
     pad, bos, eos, inp_start, inp_end, think_start, think_end, ans_start, ans_end = range(N_SPECIAL)
 
     @property
-    def special_ids(self) -> dict[str, int]:
-        return {role: i for i, role in enumerate(SPECIAL_ROLES)}
-
-    @property
     def normal_ids(self) -> range:
         return range(N_SPECIAL, self.size)
 

@@ -8,6 +8,9 @@ ItemStream, and rendered example by example, dataset and prompt stripping parse 
 re-render every example with the per-example renderers, eval prompts come
 from a token-by-token parse, and the distribution checks use textbook formulas (scipy only
 supplies critical values). peak_rss_mb measures a CLI command's memory.
+recompute_chains is the one exception: it replays generation's own chain
+arithmetic from a record's meta, so its agreement with the stored chains
+is exact.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from cotforge.processors import chain_tokens_batch
 from cotforge.recipe import r_cot
 from cotforge.rng import derive_seed, make_rng, pick
 from cotforge.sequences import (
+    check_layout,
     cot_example_mask,
     parse_examples,
     parse_sequence,
@@ -210,6 +214,21 @@ def reference_make_eval_prompt(record: dict, vocab) -> EvalPrompt:
         ground_truth_chain=chain,
         meta=meta,
     )
+
+
+def recompute_chains(record: dict, config) -> np.ndarray:
+    """Chains for every example of a sequence record of `config`, recomputed from its meta.
+
+    Reads the inputs from the record's cell grid (`check_layout`) and
+    replays the chain computation through the stored DAG and processor ids.
+    Shares the exact arithmetic of generation, so equality with the stored
+    chain tokens is an integrity check, not a tolerance comparison.
+    """
+    vocab, emb, cache = config.artifacts
+    meta = record["meta"]
+    cells, grid = check_layout(record["tokens"], meta, vocab)
+    procs = [cache[i] for i in meta["proc_ids"]]
+    return chain_tokens_batch(meta["dag"]["parents"], procs, emb, grid[:, cells.inputs])
 
 
 def chi_square_uniform(counts, expected) -> float:

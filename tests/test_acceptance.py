@@ -39,7 +39,7 @@ from cotforge.langsym import (
 from cotforge.processors import chain_tokens_batch, new_cache
 from cotforge.recipe import Recipe, expected_cot_examples, expected_tokens, r_cot_vector
 from cotforge.rng import make_rng
-from cotforge.sequences import DatasetConfig, generate_sequence, parse_sequence, recompute_chains
+from cotforge.sequences import DatasetConfig, generate_sequence, parse_sequence
 from cotforge.storage import KIND_ABSTRACT, Manifest, verify_dataset, write_dataset
 from cotforge.vocab import N_SPECIAL, Vocabulary, sample_embedding_matrix
 
@@ -48,6 +48,7 @@ from helpers import (
     chi_square_critical,
     chi_square_uniform,
     oracle_chain_token,
+    recompute_chains,
 )
 
 WORKERS = min(8, os.cpu_count() or 1)

@@ -1,8 +1,10 @@
 """tools/bench_pairs.py refuses to pair trees that differ in compiled bytecode, keeps
 the finished pairs when a run fails or prints no good result, keeps a traced run's
-detail, and states each metric's verdicts."""
+detail, times the host yardstick around every paired run, and states each metric's
+verdicts."""
 
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +115,23 @@ def test_a_traced_run_keeps_its_detail(tmp_path):
         assert traced[side]["detail"] == {"absent": [], "time_split": {"storage.write_dataset": 0.5},
                                           "traced_rates_per_s": {"stdio_calls": 0.0},
                                           "round_s": {"untraced": [1.0], "traced": [1.2]}}
+
+
+def test_each_paired_run_is_timed_against_the_host_yardstick(tmp_path):
+    proc = _pair(tmp_path, parent_bytecode=False, change_bytecode=False, runner=True, pairs=("ok=3",))
+    assert proc.returncode == 0, proc.stderr
+    workload = json.loads((tmp_path / "out.json").read_text())["workloads"]["ok"]
+    yardstick = workload["summary"]["yardstick"]
+    assert set(yardstick) == {"python_loop_s", "gemm_s"}
+    for side in ("parent", "change"):
+        timings = [run[side]["yardstick"] for run in workload["runs"]]
+        assert all(set(timing) == {"before", "after"} for timing in timings)
+        for name, sides in yardstick.items():
+            values = [timing[when][name] for timing in timings for when in ("before", "after")]
+            q = sides[side]
+            assert len(values) == 6 and min(values) > 0
+            assert min(values) <= q["q1"] <= q["median"] <= q["q3"] <= max(values)
+            assert q["median"] == pytest.approx(statistics.median(values))
 
 
 # A bench/run.py that prints, for each metric, the value its tree's table holds at the run's seed.

@@ -27,11 +27,12 @@ from cotforge.harness import (
 )
 from cotforge.recipe import Recipe
 from cotforge.rng import ItemStream, make_rng
-from cotforge.sequences import DatasetConfig, generate_sequence, parse_sequence, recompute_chains, render_example_tokens
+from cotforge.sequences import DatasetConfig, generate_sequence, parse_sequence, render_example_tokens
 from cotforge.storage import encode_record
 
 from helpers import (
     binomial_interval,
+    recompute_chains,
     reference_make_eval_prompt,
     reference_strip_cot,
     reference_strip_sequence_record,
@@ -531,6 +532,17 @@ def test_the_oracle_splits_a_request_at_the_length_of_the_context_it_was_shown(w
     for request in (context[:-1], context[1:] + [vocab.think_start], []):
         with pytest.raises(BackendError, match="unknown prompt prefix"):
             oracle.next_token(request)
+
+
+def test_the_oracle_answers_eos_once_a_request_runs_past_its_tail(world):
+    _, vocab, _, prompts = world
+    oracle = OracleBackend()
+    prompt = next(oracle.one_at_a_time(prompts[:1]))
+    context, chain = list(prompt.context), prompt.ground_truth_chain
+    thinking = [vocab.think_start, *chain[:-1], vocab.think_end, vocab.ans_start, chain[-1], vocab.ans_end, vocab.eos]
+    for tail in (thinking, thinking[-4:]):
+        for extra in ([], [vocab.eos], [vocab.normal_ids.start] * 3):
+            assert oracle.next_token(context + tail + extra) == vocab.eos
 
 
 def test_an_error_taking_a_prompt_stops_the_eval_and_is_no_prompt_error(world):

@@ -308,6 +308,12 @@ def test_word_length_config_floor():
         small_config(w=1)
 
 
+def test_distinct_letters_need_a_word_no_longer_than_the_alphabet():
+    assert small_config(distinct_letters=True, w=26).w == 26
+    with pytest.raises(ConfigError, match="distinct letters impossible for word length 27"):
+        small_config(distinct_letters=True, w=27)
+
+
 # --- templates / anti-leak ----------------------------------------------------
 
 def test_default_templates_pass_lint():
@@ -412,6 +418,16 @@ def test_text_oracle_both_strategies():
         assert streamed.to_json() == report.to_json()
         if strategy == FORCE_THINK:
             assert all(all(r.step_correct) for r in report.records)
+
+
+def test_the_text_oracle_refuses_a_forced_prefix_that_starts_no_canonical_turn():
+    cfg = small_config(t=2)
+    oracle = TextOracleBackend(cfg.templates)
+    prompt = next(oracle.one_at_a_time([make_langsym_eval_prompt(generate_langsym_prompt(cfg, 0))]))
+    assert oracle.complete([*prompt.context, {"role": "assistant", "content": cfg.templates.answer_open}])
+    forced = [*prompt.context, {"role": "assistant", "content": "no canonical turn starts so"}]
+    with pytest.raises(BackendError, match="forced prefix 'no canonical turn starts so' does not match"):
+        oracle.complete(forced)
 
 
 def test_text_budget_truncation_causes_format_failure():

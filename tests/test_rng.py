@@ -149,6 +149,19 @@ def test_bulk_rounds_are_the_stream_of_per_round_draws(rounds, size, buffered):
         assert_same_next_draws(bulk, twin)
 
 
+@pytest.mark.parametrize("low, high", [(0, 0), (5, 4), (0, 2**32 + 1), (-1, 2**32)])
+def test_integers_refuse_a_span_outside_one_to_two_to_the_32(low, high):
+    for size in (None, 3):
+        with pytest.raises(ValueError, match=r"ItemStream draws need 1 <= high - low <= 2\*\*32"):
+            ItemStream(0).integers(low, high, size=size)
+
+
+@pytest.mark.parametrize("high", [-1, 0, 1, 2**32 + 1])
+def test_bulk_rounds_refuse_a_high_outside_two_to_two_to_the_32(high):
+    with pytest.raises(ValueError, match=f"bulk_rounds needs 2 <= high <= 2\\*\\*32, got {high}"):
+        ItemStream(0).bulk_rounds(2, 3, high)
+
+
 @pytest.mark.parametrize("high", [2, 3, 26, 256, 3 * 2**30, 2**31 + 1, 2**32])
 def test_bulk_rounds_other_bounds(high):
     # 3 * 2**30 redraws a quarter of its draws and 2**31 + 1 about half, so

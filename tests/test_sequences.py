@@ -19,7 +19,6 @@ from cotforge.sequences import (
     cot_example_mask,
     generate_sequence,
     parse_sequence,
-    recompute_chains,
     render_cot_example,
     render_standard_example,
     sequence_line,
@@ -28,7 +27,7 @@ from cotforge.sequences import (
 from cotforge.storage import encode_record
 from cotforge.vocab import N_SPECIAL, Vocabulary
 
-from helpers import line_outcome, reference_sequence, strips
+from helpers import line_outcome, recompute_chains, reference_sequence, strips
 
 
 def small_config(**over):

@@ -921,11 +921,15 @@ def test_cli_stdio_all_failing_exits_3(tmp_path, capsys, command, action):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("backend_cmd, want", [
+    ("   ", "names a program"),
+    ("bot 'unbalanced", "--backend-cmd \"bot 'unbalanced\": No closing quotation"),
+])
 @pytest.mark.parametrize("command", ["eval", "eval-langsym"])
-def test_cli_empty_backend_cmd_is_a_config_error(tmp_path, capsys, command):
-    code, report, _ = _bot_eval(tmp_path, command, lambda i: "ok", backend_cmd="   ", t=2)
+def test_cli_empty_or_unbalanced_backend_cmd_is_a_config_error(tmp_path, capsys, command, backend_cmd, want):
+    code, report, _ = _bot_eval(tmp_path, command, lambda i: "ok", backend_cmd=backend_cmd, t=2)
     assert code == 2
-    assert "names a program" in capsys.readouterr().err and not report.exists()
+    assert want in capsys.readouterr().err and not report.exists()
 
 
 # A token bot that ignores SIGTERM and lingers after its stdin closes; it
@@ -1063,12 +1067,13 @@ def test_cli_eval_langsym_missing_or_bad_dag_exits_3(tmp_path, capsys, dag, want
     assert f"{ds}: record 1 is malformed ({want}" in err and not report.exists()
 
 
-def test_cli_eval_one_example_prompts_are_a_config_error(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, dict(ABSTRACT_CFG, k=1))
+@pytest.mark.parametrize("kind, command", [(KIND_ABSTRACT, "eval"), (KIND_LANGSYM, "eval-langsym")])
+def test_cli_eval_one_example_prompts_are_a_config_error(tmp_path, capsys, kind, command):
+    cfg = _write_cfg(tmp_path, dict(ABSTRACT_CFG if kind == KIND_ABSTRACT else LANGSYM_CFG, k=1))
     ds = str(tmp_path / "ds")
-    assert main(["gen-abstract", "--config", cfg, "--out", ds]) == 0
+    assert main([f"gen-{kind}", "--config", cfg, "--out", ds]) == 0
     capsys.readouterr()
-    code = main(["eval", "--prompts", ds, "--backend", "oracle", "--strategy", "think", "--report", str(tmp_path / "rep.json")])
+    code = main([command, "--prompts", ds, "--backend", "oracle", "--strategy", "think", "--report", str(tmp_path / "rep.json")])
     assert code == 2
     assert "need at least 2 examples" in capsys.readouterr().err
 

@@ -9,11 +9,12 @@ from helpers import ks_critical, ks_statistic_vs_normal
 
 def test_vocab_1024_partition():
     v = Vocabulary(1024)
-    assert len(v.special_ids) == 9
+    special = [getattr(v, role) for role in SPECIAL_ROLES]
+    assert len(special) == 9
     assert len(v.normal_ids) == 1015
-    assert sorted(v.special_ids.values()) == list(range(9))
-    assert set(v.special_ids.values()) | set(v.normal_ids) == set(range(1024))
-    assert set(v.special_ids.values()) & set(v.normal_ids) == set()
+    assert sorted(special) == list(range(9))
+    assert set(special) | set(v.normal_ids) == set(range(1024))
+    assert set(special) & set(v.normal_ids) == set()
 
 
 def test_vocab_minimal_size():

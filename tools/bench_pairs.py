@@ -16,14 +16,19 @@ metric's direction; a tie is no win) and two verdicts, so the file states
 its own outcome: `gain_resolved` (at least nine tenths of the pairs won,
 and the medians apart by more than the parent's q3 - q1) and
 `within_bound` (true, false, or "unresolved" where the parent's q3 - q1
-exceeds the metric's bound). --trace W adds one `--trace 1` run of
-workload W per tree, whose result keeps its detail line's `absent`,
-`time_split`, `traced_rates_per_s` and `round_s` under "detail". Each tree
-is identified by its git HEAD, whether its working tree differs from HEAD,
-a sha256 over its src/ files and whether its src/ holds any __pycache__. Where the environment sets
-PYTHONDONTWRITEBYTECODE, a tree with bytecode skips the compile that the
-other pays in every CLI stage, so the script exits with status 2 before
-the first run when the two trees differ in that.
+exceeds the metric's bound). Before and after every paired run the script
+times a host yardstick in its own process: a fixed pure-Python loop and a
+fixed small float64 GEMM. Each run keeps both timings, and each workload's
+summary holds the yardstick's q1/median/q3 on each side under "yardstick",
+so a file states how fast the host was while its pairs ran. --trace W adds
+one `--trace 1` run of workload W per tree, whose result keeps its detail
+line's `absent`, `time_split`, `traced_rates_per_s` and `round_s` under
+"detail". Each tree is identified by its git HEAD, whether its working
+tree differs from HEAD, a sha256 over its src/ files and whether its src/
+holds any __pycache__. Where the environment sets PYTHONDONTWRITEBYTECODE,
+a tree with bytecode skips the compile that the other pays in every CLI
+stage, so the script exits with status 2 before the first run when the two
+trees differ in that.
 
 A run fails when it exits non-zero, when its last two stdout lines are not
 the detail and result JSON lines bench/run.py prints, or when its result
@@ -45,7 +50,10 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 
 class RunFailed(Exception):
@@ -75,6 +83,26 @@ def run_bench(trees: dict, side: str, workload: str, seed: int, seconds: int, tr
     if problems is not None:
         raise RunFailed({**failure, "result": counts, "problems": problems})
     return result
+
+
+LOOP_STEPS = 500_000  # iterations of the yardstick's pure-Python loop
+GEMM_N, GEMM_REPEATS = 128, 200  # the yardstick's GEMM: GEMM_REPEATS products of two GEMM_N x GEMM_N matrices
+YARDSTICK = ("python_loop_s", "gemm_s")
+
+
+def yardstick() -> dict:
+    """Seconds this host takes for the fixed pure-Python loop and for the fixed float64 GEMMs."""
+    started = time.perf_counter()
+    total = 0
+    for i in range(LOOP_STEPS):
+        total += i % 7
+    loop_s = time.perf_counter() - started
+    a = np.random.default_rng(0).standard_normal((GEMM_N, GEMM_N))
+    product = np.empty_like(a)
+    started = time.perf_counter()
+    for _ in range(GEMM_REPEATS):
+        np.matmul(a, a, out=product)
+    return dict(zip(YARDSTICK, (loop_s, time.perf_counter() - started)))
 
 
 def tree_id(tree: Path) -> dict:
@@ -120,7 +148,11 @@ def verdicts(parent: list[float], change: list[float], wins: int, metric: dict) 
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    out = {}
+    """Per end-to-end metric the pair statistics and verdicts; under "yardstick" the host timings on each side."""
+    out = {"yardstick": {name: {side: quartiles([run[side]["yardstick"][when][name] for run in runs
+                                                 for when in ("before", "after")])
+                                for side in ("parent", "change")}
+                         for name in YARDSTICK}}
     for metric in metrics:
         name = metric["name"]
         sides = {side: [run[side]["metrics"][name]["value"] for run in runs] for side in ("parent", "change")}
@@ -171,7 +203,9 @@ def main() -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 run = {"seed": i + 1, "first": order[0]}
                 for side in order:
+                    before = yardstick()
                     run[side] = run_bench(trees, side, workload, i + 1, args.seconds, 0)
+                    run[side]["yardstick"] = {"before": before, "after": yardstick()}
                 runs.append(run)
                 print(workload, i, {side: run[side]["metrics"]["items_per_s"]["value"] for side in order}, flush=True)
             doc["workloads"][workload]["summary"] = summarize(runs, metrics)
