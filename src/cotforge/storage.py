@@ -102,8 +102,8 @@ def sha256_file(path: str) -> str:
 
 
 def load_json_object(path: str, what: str) -> dict:
-    """The JSON object in the file at `path`; ConfigError "malformed <what>" if it holds none, OSError if unreadable."""
-    with open(path) as fh:
+    """The JSON object in the UTF-8 file at `path`; ConfigError "malformed <what>" if it holds none, OSError if unreadable."""
+    with open(path, encoding="utf-8") as fh:  # not the locale's encoding: a config reads the same on every host
         try:
             obj = json.load(fh)
         except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested past the parser's depth

@@ -576,6 +576,18 @@ def test_cli_verify_sample_below_one_exit_code(tmp_path, capsys, sample):
     assert "config error" in captured.err and "verified" not in captured.out
 
 
+def test_a_utf8_config_reads_the_same_under_an_ascii_locale(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(LANGSYM_CFG, templates={"system_prompt": "Réponds."}), ensure_ascii=False),
+                   encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join([str(Path(storage.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "cotforge", "gen-langsym", "--config", str(cfg), "--out", str(tmp_path / "ds")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert Manifest.load(str(tmp_path / "ds")).config["templates"] == {"system_prompt": "Réponds."}
+
+
 def test_cli_malformed_manifest_exit_code(tmp_path, capsys):
     ds = tmp_path / "ds"
     ds.mkdir()
