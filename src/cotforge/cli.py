@@ -42,8 +42,11 @@ from .storage import (
     KIND_ABSTRACT,
     KIND_LANGSYM,
     Manifest,
+    dataset_paths,
+    item_place,
     load_json_object,
     parse_config,
+    read_line,
     read_records,
     strip_dataset,
     verify_dataset,
@@ -182,24 +185,29 @@ def cmd_budget(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     manifest = Manifest.load(args.inp)
-    parse_config(manifest.kind, manifest.config)  # a malformed config exits 2 here too
+    config = parse_config(manifest.kind, manifest.config)  # a malformed config exits 2 here too
+    place = item_place(config, max(1, len(manifest.outputs)), args.index)
+    if place is None or place[1] >= len(manifest.outputs):
+        raise FormatError(f"no item with index {args.index} in {args.inp}")
+    position, s, line = place
+    shard = os.path.join(dataset_paths(args.inp)[0], manifest.outputs[s]["path"])
+    rec = read_line(shard, line)
     abstract = manifest.kind == KIND_ABSTRACT
-    for i, rec in enumerate(read_records(args.inp)):
-        with _record(args.inp, i):
-            if rec["seq_id" if abstract else "prompt_id"] != args.index:
-                continue
-            meta = rec["meta"]
-            shape = f"n={meta['n']} m={meta['m']} c={meta['c']} k={meta['k']} r_cot={meta['r_cot']:.4f}"
-            lines = [f"{'sequence' if abstract else 'prompt'} {args.index}  ({shape})"]
-            if abstract:
-                for pos, (tok, mask) in enumerate(zip(rec["tokens"], rec["loss_mask"])):
-                    lines.append(f"[{pos:5d}] {tok:6d}  {Vocabulary.token_name(tok)}{' *' if mask else ''}")
-            else:
-                lines += [line for msg in rec["messages"] for line in (f"--- {msg['role']} ---", msg["content"])]
-            text = "\n".join(lines)  # built whole first, so a malformed record prints nothing
-        print(text)
-        return EXIT_OK
-    raise FormatError(f"no item with index {args.index} in {args.inp}")
+    with _record(args.inp, position):
+        found = rec["seq_id" if abstract else "prompt_id"]
+        meta = rec["meta"]
+        shape = f"n={meta['n']} m={meta['m']} c={meta['c']} k={meta['k']} r_cot={meta['r_cot']:.4f}"
+        lines = [f"{'sequence' if abstract else 'prompt'} {args.index}  ({shape})"]
+        if abstract:
+            for pos, (tok, mask) in enumerate(zip(rec["tokens"], rec["loss_mask"])):
+                lines.append(f"[{pos:5d}] {tok:6d}  {Vocabulary.token_name(tok)}{' *' if mask else ''}")
+        else:
+            lines += [row for msg in rec["messages"] for row in (f"--- {msg['role']} ---", msg["content"])]
+        text = "\n".join(lines)  # built whole first, so a malformed record prints nothing
+    if found != args.index:
+        raise FormatError(f"{shard} line {line + 1}: holds item {found!r}, not item {args.index}")
+    print(text)
+    return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import subprocess
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence as Seq
 
@@ -421,13 +420,14 @@ class JsonLinesProcess:
 
     def __init__(self, cmd: list[str]):
         self._cmd = cmd
-        self._proc: subprocess.Popen | None = None
+        self._proc = None  # the subprocess.Popen while one is started
 
     def send_line(self, line: str, key: str, kind: type):
         """Send one request line; returns reply[key], which must be of type `kind` (a bool is no int)."""
         try:
             if self._proc is None or self._proc.poll() is not None:
                 self.close()
+                import subprocess  # here, so a command that starts no backend never imports it
                 self._proc = subprocess.Popen(self._cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
             self._proc.stdin.write(line.encode())
             self._proc.stdin.flush()
@@ -454,6 +454,7 @@ class JsonLinesProcess:
             proc.stdin.close()
         proc.stdout.close()
         if proc.poll() is None:
+            import subprocess  # imported already, by the send_line that started proc
             proc.terminate()
             try:
                 proc.wait(timeout=CLOSE_GRACE_S)

@@ -24,6 +24,7 @@ which thinking examples strip-cot rewrites.
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -264,8 +265,8 @@ class TaskConfig:
         c = pick(rng, self.c_choices)
         return seed, rng, r, n, m, c, sample_dag(n, m, c, rng)
 
-    def output_order(self) -> range | list[int]:
-        """Order in which item ids are emitted: range(t) unless shuffling."""
+    def output_order(self) -> range | array.array:
+        """Order in which item ids are emitted: range(t) unless shuffling, else choose_distinct's array (~4t bytes)."""
         if not self.shuffle:
             return range(self.t)
         return choose_distinct(ItemStream(self.master_seed + 1), self.t, self.t)

@@ -47,6 +47,7 @@ ItemStream against Generator.
 
 from __future__ import annotations
 
+import array
 import functools
 
 import numpy as np
@@ -259,14 +260,16 @@ def _shared_philox() -> tuple[np.random.Philox, dict]:
     return philox, philox.state
 
 
-def choose_distinct(rng: ItemStream, pool_size: int, k: int) -> list[int]:
+def choose_distinct(rng: ItemStream, pool_size: int, k: int) -> array.array:
     """k distinct uniform draws from range(pool_size), via partial Fisher-Yates.
 
     Implemented here rather than with Generator.choice so the exact draw
-    sequence is pinned by this code, not by numpy internals. With k equal
-    to pool_size it is a uniform permutation, returned without a copy.
+    sequence is pinned by this code, not by numpy internals. The draws are
+    a compact integer array, 4 bytes per member of the pool (8 past 2**32
+    members), so a whole shuffle of t items holds about 4t bytes. With k
+    equal to pool_size it is a uniform permutation, returned without a copy.
     """
-    idx = list(range(pool_size))
+    idx = array.array("I" if pool_size <= 1 << 32 else "q", range(pool_size))
     for i in range(k):
         j = int(rng.integers(i, pool_size))
         idx[i], idx[j] = idx[j], idx[i]

@@ -28,7 +28,9 @@ is given tasks of at most CHUNK_MAX items and runs at most
 TASKS_PER_WORKER tasks per worker ahead of the consumer, verify walks the
 checked shards' item indices without listing them, and a file is hashed
 through one HASH_BLOCK buffer. A shuffled dataset's output order is the
-one T-long holder left (see TaskConfig.output_order).
+one T-long holder left, at 4 bytes per item (see TaskConfig.output_order).
+Reading one item opens one shard: item_place maps the item to its shard
+and line.
 """
 
 from __future__ import annotations
@@ -321,6 +323,17 @@ def write_dataset(
     return manifest
 
 
+def _decode_line(shard: str, lineno: int, line: bytes) -> dict:
+    """The record on line `lineno` of `shard`; FormatError naming both if it is not a UTF-8 JSON object."""
+    try:
+        record = json.loads(line.decode("utf-8"))  # strict: json.loads(bytes) would pass surrogates
+    except (ValueError, RecursionError) as exc:  # nested past the parser's depth
+        raise FormatError(f"{shard} line {lineno}: invalid JSON ({exc})") from exc
+    if not isinstance(record, dict):
+        raise FormatError(f"{shard} line {lineno}: not a JSON object ({type(record).__name__})")
+    return record
+
+
 def read_records(path: str):
     """Iterate records of every shard listed in the manifest of the dataset at `path`.
 
@@ -335,13 +348,36 @@ def read_records(path: str):
         with open(shard, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
-                    try:
-                        record = json.loads(line.decode("utf-8"))  # strict: json.loads(bytes) would pass surrogates
-                    except (ValueError, RecursionError) as exc:  # nested past the parser's depth
-                        raise FormatError(f"{shard} line {lineno}: invalid JSON ({exc})") from exc
-                    if not isinstance(record, dict):
-                        raise FormatError(f"{shard} line {lineno}: not a JSON object ({type(record).__name__})")
-                    yield record
+                    yield _decode_line(shard, lineno, line)
+
+
+def item_place(config: TaskConfig, shards: int, j: int) -> tuple[int, int, int] | None:
+    """(output position, shard, line) of item j in a dataset of `shards` shards, or None if there is no item j.
+
+    The position is j itself unless the config shuffles, else j's place in
+    output_order (a scan in C); shard_ranges gives the shard and the line,
+    counted from 0.
+    """
+    try:
+        position = config.output_order().index(j)
+    except ValueError:
+        return None
+    ranges = shard_ranges(config.t, shards)
+    s = next(s for s, (start, stop) in enumerate(ranges) if position < stop)
+    return position, s, position - ranges[s][0]
+
+
+def read_line(shard: str, line: int) -> dict:
+    """The record on line `line` (from 0) of the shard file `shard`, decoded as read_records decodes it.
+
+    The lines before it are skipped as bytes. A shard that ends before the
+    line raises FormatError; one that cannot be read raises OSError.
+    """
+    with open(shard, "rb") as fh:
+        text = next(itertools.islice(fh, line, None), b"")
+    if not text:
+        raise FormatError(f"{shard} line {line + 1}: past the shard's last line")
+    return _decode_line(shard, line + 1, text)
 
 
 def verify_dataset(path: str, sample: int | None = None, seed: int = 0, workers: int = 1) -> list[str]:

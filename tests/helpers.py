@@ -126,6 +126,15 @@ def reference_prompt(config, j: int) -> dict:
     return {"prompt_id": j, "messages": messages, "meta": meta}
 
 
+def reference_choose_distinct(rng, pool_size: int, k: int) -> list[int]:
+    """k distinct draws from range(pool_size): partial Fisher-Yates over a list, one rng.integers(i, pool_size) per swap."""
+    idx = list(range(pool_size))
+    for i in range(k):
+        j = int(rng.integers(i, pool_size))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:k]
+
+
 def all_paths_reach(dag, src: int, dst: int) -> bool:
     """Exhaustive simple-path search src -> dst over the DAG's child edges."""
     children = [[] for _ in range(dag.n_inputs + dag.n_chain)]

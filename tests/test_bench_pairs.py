@@ -1,8 +1,9 @@
 """tools/bench_pairs.py refuses to pair trees that differ in compiled bytecode, keeps
 the finished pairs when a run fails or prints no good result, keeps a traced run's
-detail, times the host yardstick around every paired run, and states each metric's
-verdicts."""
+detail, times the host yardstick around every paired run, states each metric's
+verdicts, and states the rates per yardstick unit."""
 
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -172,3 +173,27 @@ def test_each_metric_states_its_gain_and_bound_verdicts(tmp_path):
     summary = json.loads((tmp_path / "out.json").read_text())["workloads"]["w"]["summary"]
     for name, _, _, _, _, gain_resolved, within_bound in VERDICT_METRICS:
         assert (summary[name]["gain_resolved"], summary[name]["within_bound"]) == (gain_resolved, within_bound), name
+
+
+def test_a_host_twice_as_fast_on_one_side_moves_the_raw_rates_but_not_the_per_unit_rates():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def side(rate: float, slowness: float) -> dict:
+        timing = {"python_loop_s": 0.05 * slowness, "gemm_s": 0.02 * slowness}
+        return {"metrics": {"items_per_s": {"value": rate}},
+                "yardstick": {"before": timing, "after": {k: v * 1.1 for k, v in timing.items()}}}
+
+    # the change side's host is twice as fast: its yardsticks take half the time and it makes twice the items
+    runs = [{"parent": side(100.0 + i, 2.0), "change": side(2 * (100.0 + i), 1.0)} for i in range(5)]
+    summary = tool.summarize(runs, [{"name": "items_per_s", "better": "higher", "bound": 0.25}])
+    assert summary["items_per_s"]["ratios"] == [2.0] * 5
+    per_unit = summary["items_per_yardstick"]
+    assert set(per_unit) == {"python_loop_s", "gemm_s"}
+    for name, stats in per_unit.items():
+        assert stats["ratios"] == pytest.approx([1.0] * 5) and stats["median_ratio"] == pytest.approx(1.0)
+        assert stats["parent"] == pytest.approx(stats["change"])
+        # the rate times the mean of the before and after seconds
+        timing = runs[2]["parent"]["yardstick"]
+        assert stats["parent"]["median"] == pytest.approx(102.0 * (timing["before"][name] + timing["after"][name]) / 2)

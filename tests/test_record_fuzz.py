@@ -256,11 +256,15 @@ def test_commands_that_read_a_faulty_shard_exit_3(shard_datasets, tmp_path, caps
         "missing": lambda lines: None,
     }
     path = shard_datasets[kind]
+    # inspect reads the item on the damaged line: the first of the shard for "utf-8", else the last
+    with open(os.path.join(path, Manifest.load(path).outputs[1]["path"]), "rb") as fh:
+        line = fh.read().splitlines()[0 if fault == "utf-8" else -1]
+    damaged = json.loads(line)["seq_id" if kind == KIND_ABSTRACT else "prompt_id"]
     undo = _with_fault(path, faults[fault], 1)
     evaluate = "eval" if kind == KIND_ABSTRACT else "eval-langsym"
     try:
         for argv in ([evaluate, "--prompts", path, "--backend", "oracle", "--strategy", "think",
-                      "--report", str(tmp_path / "report.json")], ["inspect", "--in", path, "--index", "-1"]):
+                      "--report", str(tmp_path / "report.json")], ["inspect", "--in", path, "--index", str(damaged)]):
             capsys.readouterr()
             assert main(argv) == 3, argv
             assert "error: " in capsys.readouterr().err

@@ -6,8 +6,12 @@ Generator call per value; the output shuffle is choose_distinct over the
 whole range. Each test runs both on twins of one
 seed, an ItemStream or a Generator against a make_rng Generator, and
 compares the values and then the draws that follow, so a stream that only
-matches up to its last value is caught too.
+matches up to its last value is caught too. The shuffle is also checked
+against a list-based Fisher-Yates over the same ItemStream, and for the
+memory it holds.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from cotforge.rng import ItemStream, choose_distinct, make_rng
 from cotforge.sequences import DatasetConfig, generate_sequence
 from cotforge.storage import encode_record
 
-from helpers import reference_prompt, reference_sequence
+from helpers import reference_choose_distinct, reference_prompt, reference_sequence
 
 
 def twins(seed: int, buffered: bool) -> tuple[ItemStream, np.random.Generator]:
@@ -77,9 +81,29 @@ def test_permutation_is_the_stream_of_scalar_draws(n):
             j = int(twin.integers(i, n))
             idx[i], idx[j] = idx[j], idx[i]
         redraws += halves_drawn(twin) - (n - 1)
-        assert choose_distinct(bulk, n, n) == idx
+        assert choose_distinct(bulk, n, n).tolist() == idx
         assert_same_next_draws(bulk, twin)
     assert redraws == (2 if n == 100003 else 0)
+
+
+@pytest.mark.parametrize("pool, k", [(100_003, 100_003), (26, 8), (5, 0)])
+def test_choose_distinct_is_the_list_fisher_yates(pool, k):
+    for seed in (0, 7):
+        a, b = ItemStream(seed), ItemStream(seed)
+        chosen = choose_distinct(a, pool, k)
+        assert chosen.itemsize == 4 and chosen.tolist() == reference_choose_distinct(b, pool, k)
+        assert a.integers(0, 2**32) == b.integers(0, 2**32)  # and leaves the stream where the list form does
+
+
+def test_a_whole_shuffle_holds_about_four_bytes_per_item():
+    t = 100_003  # tracemalloc slows the swaps about tenfold; a list of ints would peak near 40 bytes per item
+    tracemalloc.start()
+    try:
+        order = choose_distinct(ItemStream(7), t, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(order) == t and peak <= 5 * t, peak
 
 
 @pytest.mark.parametrize("buffered", [False, True])

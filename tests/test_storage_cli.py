@@ -27,6 +27,7 @@ from cotforge.storage import (
     KIND_ABSTRACT,
     KIND_LANGSYM,
     Manifest,
+    SHARD_RE,
     read_records,
     shard_ranges,
     strip_dataset,
@@ -187,7 +188,7 @@ def test_one_pool_per_command(tmp_path, pools):
 
 
 def test_no_pool_machinery_is_imported_without_a_pool(tmp_path):
-    """The commands that start no pool do not import the pool machinery; a pooled verify does."""
+    """The commands that start no pool and no backend process import neither's machinery; a pooled verify does."""
     abstract, langsym = tmp_path / "abstract.json", tmp_path / "langsym.json"
     abstract.write_text(json.dumps(ABSTRACT_CFG))
     langsym.write_text(json.dumps(LANGSYM_CFG))
@@ -198,15 +199,19 @@ def test_no_pool_machinery_is_imported_without_a_pool(tmp_path):
         def run(*argv):
             assert main(list(argv)) == 0, argv
             assert "concurrent.futures.process" not in sys.modules, argv
+            assert "subprocess" not in sys.modules, argv
         run("gen-abstract", "--config", {str(abstract)!r}, "--out", tmp + "/one", "--t", "1", "--workers", "2")
         run("gen-abstract", "--config", {str(abstract)!r}, "--out", tmp + "/ds")
         run("verify", "--manifest", tmp + "/ds", "--workers", "1")
+        run("strip-cot", "--in", tmp + "/ds", "--k-prime", "0", "--seed", "1", "--out", tmp + "/k0")
+        run("inspect", "--in", tmp + "/ds", "--index", "3")
         run("eval", "--prompts", tmp + "/ds", "--backend", "oracle", "--strategy", "think", "--report", tmp + "/r.json")
         run("gen-langsym", "--config", {str(langsym)!r}, "--out", tmp + "/ls")
         run("eval-langsym", "--prompts", tmp + "/ls", "--backend", "oracle", "--strategy", "think",
             "--report", tmp + "/rl.json")
         assert main(["verify", "--manifest", tmp + "/ds", "--workers", "2"]) == 0
-        assert "concurrent.futures.process" in sys.modules  # the check above can see the import
+        assert "concurrent.futures.process" in sys.modules  # the checks above can see the imports
+        assert "subprocess" in sys.modules
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(storage.__file__).parents[1]),
                                                        os.environ.get("PYTHONPATH", "")]))
@@ -1028,6 +1033,7 @@ def test_cli_eval_malformed_record_exits_3(tmp_path, capsys, corrupt, kind, comm
     assert main([f"gen-{kind}", "--config", cfg, "--out", ds]) == 0
     shard = os.path.join(ds, "part-0000.jsonl")
     lines = Path(shard).read_text().splitlines()
+    damaged = json.loads(lines[2])["seq_id" if kind == "abstract" else "prompt_id"]
     if corrupt in ("truncated", "nested"):
         lines[2] = lines[2][: len(lines[2]) // 2] if corrupt == "truncated" else _DEEP
         want = f"{shard} line 3: invalid JSON"
@@ -1049,8 +1055,8 @@ def test_cli_eval_malformed_record_exits_3(tmp_path, capsys, corrupt, kind, comm
     err = capsys.readouterr().err
     assert code == 3, err
     assert want in err and not report.exists()
-    if corrupt in ("truncated", "nested"):  # inspect reads every line while it looks for an index none has
-        assert main(["inspect", "--in", ds, "--index", "-1"]) == 3
+    if corrupt in ("truncated", "nested"):  # inspect of the item on the damaged line
+        assert main(["inspect", "--in", ds, "--index", str(damaged)]) == 3
         assert want in capsys.readouterr().err
 
 
@@ -1368,6 +1374,46 @@ def test_cli_inspect_past_the_last_item_exits_3(tmp_path, capsys, kind):
     assert main(["inspect", "--in", str(ds), "--index", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.err == f"error: no item with index 3 in {ds}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("kind, shuffle", [("abstract", True), ("langsym", False)])
+def test_cli_inspect_reads_one_line_of_one_shard(tmp_path, capsys, monkeypatch, kind, shuffle):
+    """The last of 3,000 items opens the one shard that holds it and decodes one line; an index past it opens none."""
+    ds = str(tmp_path / "ds")
+    write_dataset(ds, kind, dict(ABSTRACT_CFG if kind == "abstract" else LANGSYM_CFG, t=3000, shuffle=shuffle), shards=3)
+    opened, decoded = [], []
+    real_open, decode = open, storage._decode_line
+    monkeypatch.setattr("builtins.open", lambda file, *args, **kw: opened.append(str(file)) or real_open(file, *args, **kw))
+    monkeypatch.setattr(storage, "_decode_line", lambda *args: decoded.append(args[:2]) or decode(*args))
+    capsys.readouterr()
+    assert main(["inspect", "--in", ds, "--index", "2999"]) == 0
+    shown = capsys.readouterr().out
+    assert main(["inspect", "--in", ds, "--index", "3000"]) == 3
+    assert capsys.readouterr().err == f"error: no item with index 3000 in {ds}\n"
+    monkeypatch.undo()
+    key = "seq_id" if kind == "abstract" else "prompt_id"
+    holder = [os.path.join(ds, out["path"]) for out in Manifest.load(ds).outputs
+              if f'"{key}":2999,'.encode() in Path(ds, out["path"]).read_bytes()]
+    assert [path for path in opened if SHARD_RE.search(path)] == holder
+    assert len(decoded) == 1 and decoded[0][0] == holder[0]
+    assert shown.startswith(f"{'sequence' if kind == 'abstract' else 'prompt'} 2999  (")
+
+
+def test_cli_inspect_of_a_line_that_holds_another_item_exits_3(tmp_path, capsys):
+    ds = _dataset(tmp_path, "abstract", "--t", "3")
+    shard = ds / "part-0000.jsonl"
+    lines = shard.read_bytes().splitlines(keepends=True)
+    shard.write_bytes(lines[1] + lines[0] + lines[2])
+    capsys.readouterr()
+    assert main(["inspect", "--in", str(ds), "--index", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {shard} line 1: holds item 1, not item 0\n" and captured.out == ""
+    shard.write_bytes(lines[0])
+    assert main(["inspect", "--in", str(ds), "--index", "2"]) == 3
+    assert capsys.readouterr().err == f"error: {shard} line 3: past the shard's last line\n"
+    _edit_manifest(ds, lambda m: m.update(outputs=[]))
+    assert main(["inspect", "--in", str(ds), "--index", "0"]) == 3
+    assert capsys.readouterr().err == f"error: no item with index 0 in {ds}\n"
 
 
 @pytest.mark.parametrize("argv", [

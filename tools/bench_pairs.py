@@ -20,7 +20,13 @@ exceeds the metric's bound). Before and after every paired run the script
 times a host yardstick in its own process: a fixed pure-Python loop and a
 fixed small float64 GEMM. Each run keeps both timings, and each workload's
 summary holds the yardstick's q1/median/q3 on each side under "yardstick",
-so a file states how fast the host was while its pairs ran. --trace W adds
+so a file states how fast the host was while its pairs ran. Under
+"items_per_yardstick" the summary also states each run's items_per_s per
+unit of each yardstick: the rate times the mean of that yardstick's before
+and after seconds, the items the run makes in the time the host takes for
+one yardstick. They have q1/median/q3 on each side and per-pair ratios as
+the raw rates do, so a host that runs faster on one side of a pair moves
+the raw ratio but not these. --trace W adds
 one `--trace 1` run of workload W per tree, whose result keeps its detail
 line's `absent`, `time_split`, `traced_rates_per_s` and `round_s` under
 "detail". Each tree is identified by its git HEAD, whether its working
@@ -147,22 +153,40 @@ def verdicts(parent: list[float], change: list[float], wins: int, metric: dict) 
     return {"gain_resolved": wins >= 0.9 * len(parent) and gain > spread, "within_bound": within}
 
 
+def per_yardstick(runs: list[dict], side: str, name: str) -> list[float]:
+    """Each run's items_per_s on `side` times the mean of its before/after seconds of yardstick `name`."""
+    return [run[side]["metrics"]["items_per_s"]["value"]
+            * statistics.fmean(run[side]["yardstick"][when][name] for when in ("before", "after")) for run in runs]
+
+
+def paired(parent: list[float], change: list[float]) -> dict:
+    """q1/median/q3 of each side's values, the per-pair change/parent ratios and their median."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    return {"parent": quartiles(parent), "change": quartiles(change), "ratios": ratios,
+            "median_ratio": statistics.median(ratios)}
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric the pair statistics and verdicts; under "yardstick" the host timings on each side."""
+    """Per end-to-end metric the pair statistics and verdicts; under "yardstick" the host timings on each side.
+
+    When the metrics hold items_per_s, "items_per_yardstick" holds its
+    per-unit rates for each yardstick (see the module docstring).
+    """
     out = {"yardstick": {name: {side: quartiles([run[side]["yardstick"][when][name] for run in runs
                                                  for when in ("before", "after")])
                                 for side in ("parent", "change")}
                          for name in YARDSTICK}}
+    if any(metric["name"] == "items_per_s" for metric in metrics):
+        out["items_per_yardstick"] = {name: paired(per_yardstick(runs, "parent", name),
+                                                   per_yardstick(runs, "change", name))
+                                      for name in YARDSTICK}
     for metric in metrics:
         name = metric["name"]
         sides = {side: [run[side]["metrics"][name]["value"] for run in runs] for side in ("parent", "change")}
-        ratios = [c / p for p, c in zip(sides["parent"], sides["change"])]
         higher = metric["better"] == "higher"
         wins = sum((c > p) if higher else (c < p) for p, c in zip(sides["parent"], sides["change"]))
-        out[name] = {"better": metric["better"], "parent": quartiles(sides["parent"]),
-                     "change": quartiles(sides["change"]), "ratios": ratios,
-                     "median_ratio": statistics.median(ratios), "wins": wins, "pairs": len(runs),
-                     **verdicts(sides["parent"], sides["change"], wins, metric)}
+        out[name] = {"better": metric["better"], **paired(sides["parent"], sides["change"]), "wins": wins,
+                     "pairs": len(runs), **verdicts(sides["parent"], sides["change"], wins, metric)}
     return out
 
 
